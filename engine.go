@@ -75,22 +75,23 @@ type EngineConfig struct {
 	// scheduler.
 	Policy Policy
 	// Quantum is the re-scheduling grain (default 1ms): how long a worker
-	// holds an operator before checking whether more urgent work waits.
+	// holds an operator before checking, at the next message boundary,
+	// whether more urgent work waits. A more urgent arrival therefore
+	// waits at most Quantum plus one message, whatever DrainBatch is.
 	Quantum time.Duration
 	// DrainBatch is the number of messages a worker drains from an
 	// acquired operator per scheduler-lock acquisition (default 16).
-	// 1 disables batching — every pop takes its lock, and preemption
-	// (pause, cancel, a more urgent arrival) is message-granular. Larger
-	// values amortize scheduling locks across the batch at the cost of
-	// preemption granularity: the quantum/yield check moves to batch
-	// boundaries. Ignored when AdaptiveDrain is set.
+	// 1 disables batching — every pop takes its lock. Larger values
+	// amortize scheduling locks across the batch and cost no preemption
+	// granularity: a batch ends early at the message where the quantum
+	// expires and more urgent work waits, or where a pause or cancel is
+	// observed. Ignored when AdaptiveDrain is set.
 	DrainBatch int
 	// AdaptiveDrain replaces the fixed DrainBatch with a per-worker
 	// feedback controller: the effective batch size follows the acquired
 	// operator's observed queue depth (deep backlog grows the batch to
-	// amortize scheduler locks, an idle queue shrinks it back to
-	// message-granular preemption) and is clamped so one batch fits the
-	// scheduling quantum and a fraction of the query's latency target.
+	// amortize scheduler locks, an idle queue shrinks it back) and is
+	// clamped so one batch fits a fraction of the query's latency target.
 	// Batch size changes only at batch boundaries, so mid-batch
 	// cancel/pause semantics are identical to the fixed path.
 	AdaptiveDrain bool

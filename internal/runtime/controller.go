@@ -17,18 +17,18 @@
 //     its pending-queue length maintained under the queue's own lock and
 //     read here lock-free. Deep backlog means there is locking to
 //     amortize — the batch grows toward DrainBatchMax. An idle queue
-//     means latency and preemption granularity are what matter — it
-//     shrinks toward DrainBatchMin (1 by default).
+//     means there is nothing to amortize over — it shrinks toward
+//     DrainBatchMin (1 by default).
 //   - per-message cost: measured from the clock reads the drain loop
 //     already does (batch boundary to batch boundary), so arming the
 //     controller adds zero clock reads to the hot path.
 //
-// The depth-tracking size is clamped by two latency guards before the
-// [min,max] bound: the batch must fit the scheduling quantum (a batch is
-// preemption-blind, so it must not exceed the grain the engine promises
-// to re-evaluate at), and it must fit a fraction of the job's latency
-// target (draining one operator for the full deadline budget would spend
-// every sibling's headroom on one queue).
+// The depth-tracking size is clamped by one latency guard before the
+// [min,max] bound: it must fit a fraction of the job's latency target
+// (draining one operator for the full deadline budget would spend every
+// sibling's headroom on one queue). Preemption granularity is not the
+// controller's business: the drain loop ends any batch, whatever its size,
+// at the message boundary where the scheduling quantum expires.
 //
 // Adjusting only at batch boundaries is what keeps the PR 5 mid-batch
 // machinery untouched: a batch in flight is indistinguishable from a
@@ -91,19 +91,14 @@ func (c *drainController) init(min, max int) {
 
 // size picks the next batch size from the acquired operator's queue depth
 // and its job's latency target. Called at batch boundaries only.
-func (c *drainController) size(depth int, latency, quantum vtime.Duration) int {
+func (c *drainController) size(depth int, latency vtime.Duration) int {
 	c.depthEWMA += drainDepthAlpha * (float64(depth) - c.depthEWMA)
 	k := int(c.depthEWMA + 0.5)
-	if c.costEWMA > 0 {
-		// Latency guards: the batch must fit the preemption grain and a
-		// fraction of the job's deadline budget.
-		if q := int(float64(quantum) / c.costEWMA); k > q {
-			k = q
-		}
-		if latency > 0 {
-			if l := int(float64(latency) / (drainHeadroomDiv * c.costEWMA)); k > l {
-				k = l
-			}
+	if c.costEWMA > 0 && latency > 0 {
+		// Latency guard: the batch must fit a fraction of the job's
+		// deadline budget.
+		if l := int(float64(latency) / (drainHeadroomDiv * c.costEWMA)); k > l {
+			k = l
 		}
 	}
 	if k < c.min {

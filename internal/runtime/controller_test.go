@@ -1,7 +1,7 @@
 package runtime
 
 // White-box unit tests for the drain-batch controller: the clamp
-// lattice (depth EWMA, quantum guard, latency guard, [min,max] bounds)
+// lattice (depth EWMA, latency guard, [min,max] bounds)
 // and the cost EWMA. The engine-level behavior — frozen-controller
 // order equivalence, mid-adaptation conservation, the alloc gate — is
 // pinned black-box in adaptive_test.go.
@@ -20,11 +20,11 @@ func TestDrainControllerBounds(t *testing.T) {
 	}
 	// A huge depth saturates the EWMA past max: the size must clamp.
 	for i := 0; i < 50; i++ {
-		if k := c.size(10_000, vtime.Second, vtime.Millisecond); k > 32 {
+		if k := c.size(10_000, vtime.Second); k > 32 {
 			t.Fatalf("size %d exceeds max 32", k)
 		}
 	}
-	if k := c.size(10_000, vtime.Second, vtime.Millisecond); k != 32 {
+	if k := c.size(10_000, vtime.Second); k != 32 {
 		t.Fatalf("saturated size = %d, want max 32", k)
 	}
 	if got := c.applied.Load(); got != 32 {
@@ -32,9 +32,9 @@ func TestDrainControllerBounds(t *testing.T) {
 	}
 	// An idle queue decays the EWMA back to the floor.
 	for i := 0; i < 100; i++ {
-		c.size(0, vtime.Second, vtime.Millisecond)
+		c.size(0, vtime.Second)
 	}
-	if k := c.size(0, vtime.Second, vtime.Millisecond); k != 2 {
+	if k := c.size(0, vtime.Second); k != 2 {
 		t.Fatalf("idle size = %d, want min 2", k)
 	}
 }
@@ -47,21 +47,8 @@ func TestDrainControllerFrozen(t *testing.T) {
 	c.init(7, 7)
 	c.observe(7, 700) // cost 100 per message, far over any guard
 	for _, depth := range []int{0, 1, 1000, 1 << 20} {
-		if k := c.size(depth, vtime.Millisecond, vtime.Microsecond); k != 7 {
+		if k := c.size(depth, vtime.Millisecond); k != 7 {
 			t.Fatalf("frozen size(depth=%d) = %d, want 7", depth, k)
-		}
-	}
-}
-
-func TestDrainControllerQuantumGuard(t *testing.T) {
-	var c drainController
-	c.init(1, 1024)
-	// 10 time-units per message, quantum 50: at most 5 fit one quantum,
-	// however deep the backlog.
-	c.observe(10, 100)
-	for i := 0; i < 50; i++ {
-		if k := c.size(100_000, 0, 50); k > 5 {
-			t.Fatalf("size %d exceeds quantum guard 5", k)
 		}
 	}
 }
@@ -70,11 +57,11 @@ func TestDrainControllerLatencyGuard(t *testing.T) {
 	var c drainController
 	c.init(1, 1024)
 	// 10 per message, latency target 400: one batch may spend at most a
-	// quarter of the deadline budget — 10 messages — even though the
-	// quantum would allow 100.
+	// quarter of the deadline budget — 10 messages — however deep the
+	// backlog.
 	c.observe(10, 100)
 	for i := 0; i < 50; i++ {
-		if k := c.size(100_000, 400, 1000); k > 10 {
+		if k := c.size(100_000, 400); k > 10 {
 			t.Fatalf("size %d exceeds latency guard 10", k)
 		}
 	}

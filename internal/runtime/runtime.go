@@ -89,25 +89,27 @@ type Config struct {
 	// Policy generates priorities; defaults like the simulator (LLF for
 	// Cameo, arrival order for baselines).
 	Policy core.Policy
-	// Quantum is the re-scheduling grain (default 1 ms).
+	// Quantum is the re-scheduling grain (default 1 ms): a worker that has
+	// held one operator this long asks, at the next message boundary,
+	// whether a more urgent operator is waiting, and swaps if so. It is
+	// the one knob trading preemption delay (at most Quantum plus one
+	// message, whatever DrainBatch is) against switch cost.
 	Quantum vtime.Duration
 	// DrainBatch is the number of messages a worker pops from an acquired
 	// operator per scheduler-lock acquisition (default 16, capped at 1024).
-	// 1 reproduces the unbatched one-lock-per-pop behavior exactly —
-	// including its message-granular preemption — and is what the
-	// order-equivalence tests pin. Larger batches amortize the per-message
-	// locking (the pop lock, and the quantum/yield peeks that move to
-	// batch boundaries) at the cost of preemption granularity: a pause,
-	// cancel, or more-urgent arrival may wait up to DrainBatch-1 extra
-	// executions before the worker reacts.
+	// It amortizes the pop lock and nothing else: a batch ends early at the
+	// message boundary where the quantum expires and more urgent work
+	// waits, or where a pause, cancel or stop is observed, and its
+	// unexecuted tail goes back to the operator's queue. 1 reproduces the
+	// unbatched one-lock-per-pop behavior exactly and is what the
+	// order-equivalence tests pin.
 	DrainBatch int
 	// AdaptiveDrain arms the per-worker drain controller: instead of the
 	// fixed DrainBatch, each worker sizes every batch from the acquired
 	// operator's observed queue depth and its job's latency target —
 	// deep backlog grows the batch toward DrainBatchMax (amortizing lock
 	// acquisitions when there is work to amortize over), an idle queue
-	// shrinks it toward DrainBatchMin (preemption granularity when
-	// latency is what matters). The size is recomputed only at batch
+	// shrinks it toward DrainBatchMin. The size is recomputed only at batch
 	// boundaries, so the mid-batch lifecycle machinery (lifeEpoch
 	// re-checks, conservation on cancel/pause) is identical to the fixed
 	// path; a controller frozen with DrainBatchMin == DrainBatchMax is

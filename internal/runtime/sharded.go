@@ -673,25 +673,33 @@ func (p *shardedPath) release(op *dataflow.Operator, w int) {
 
 // shouldYield reports whether worker w, holding op past its quantum,
 // should release it: true when a waiting operator visible to this worker
-// (own lane or overflow lane) is strictly more urgent than op's next
-// message. Other workers' lanes are deliberately not scanned — their
-// owners or thieves will get to them, and a cheap decision point is the
-// point of the quantum. Both waiting-lane peeks are lock-free top-cache
-// reads (one atomic load each — no lane lock, and no separate LaneLen
-// pre-check: emptiness rides in the cached word), so past the home-shard
-// read the whole decision is two atomic loads.
-func (p *shardedPath) shouldYield(op *dataflow.Operator, w int) bool {
-	hs := p.home(op)
-	hs.mu.Lock()
-	st := op.Sched()
-	// Phase before queue (a cancelled job's queues are torn down once it
-	// quiesces); a non-live operator always yields.
-	if st.Phase != core.OpLive || st.Q.Len() == 0 {
+// (own lane or overflow lane) is strictly more urgent than the worker's
+// next message. Mid-batch that message is next — the head of the drain
+// buffer's unexecuted tail, which the worker owns — so the whole decision
+// is lock-free; at a batch boundary next is nil and the operator's queue
+// head is read under its home-shard lock. Other workers' lanes are
+// deliberately not scanned — their owners or thieves will get to them, and
+// a cheap decision point is the point of the quantum. Both waiting-lane
+// peeks are lock-free top-cache reads (one atomic load each — no lane
+// lock, and no separate LaneLen pre-check: emptiness rides in the cached
+// word).
+func (p *shardedPath) shouldYield(op *dataflow.Operator, w int, next *core.Message) bool {
+	var mine queue.Pri
+	if next != nil {
+		mine = core.GlobalPri(next)
+	} else {
+		hs := p.home(op)
+		hs.mu.Lock()
+		st := op.Sched()
+		// Phase before queue (a cancelled job's queues are torn down once
+		// it quiesces); a non-live operator always yields.
+		if st.Phase != core.OpLive || st.Q.Len() == 0 {
+			hs.mu.Unlock()
+			return true
+		}
+		mine = core.GlobalPri(st.Q.Peek())
 		hs.mu.Unlock()
-		return true
 	}
-	mine := core.GlobalPri(st.Q.Peek())
-	hs.mu.Unlock()
 	if lp, ok := p.runq.TopOf(w); ok && lp.Less(mine) {
 		return true
 	}
@@ -701,18 +709,43 @@ func (p *shardedPath) shouldYield(op *dataflow.Operator, w int) bool {
 	return false
 }
 
-// worker is the scheduling loop of one pool thread on the sharded path.
-// The drain phase is batched: up to Config.DrainBatch messages leave the
-// acquired operator's queue under one home-shard lock (popMsgs) into the
-// worker's scratch buffer, children are delivered grouped (one lock per
-// target shard), and the quantum/yield decision moves to batch
-// boundaries. Mid-batch, the only per-message scheduling cost is two
-// atomic loads (stop flag, lifecycle epoch); a moved epoch sends the
-// worker back to the home lock so pause and cancel keep their
-// message-boundary responsiveness, with the batch tail returned or
-// discarded (returnUndrained) so conservation holds.
-func (p *shardedPath) worker(w int) {
-	e := p.e
+// worker implements dispatchPath with the shared sharded drain loop.
+func (p *shardedPath) worker(w int) { p.e.shardedWorker(p, w) }
+
+// shardedOps is what the shared worker loop needs from a sharded dispatch
+// path. The Cameo path and the baseline path differ in their run-queue
+// discipline and in what "more urgent work is waiting" means (shouldYield);
+// the acquire/drain/yield protocol around those is one loop.
+type shardedOps interface {
+	acquire(w int) (*dataflow.Operator, bool)
+	shedOpDoomed(op *dataflow.Operator, now vtime.Time) int
+	popMsgs(op *dataflow.Operator, buf []*core.Message) int
+	deliver(msgs []dataflow.ChildMessage, producer int)
+	opLive(op *dataflow.Operator) bool
+	returnUndrained(op *dataflow.Operator, msgs []*core.Message)
+	release(op *dataflow.Operator, w int)
+	// shouldYield is the path's re-scheduling rule once the quantum has
+	// expired. next is the message the worker would execute next when it
+	// still holds one in its drain buffer, nil at a batch boundary.
+	shouldYield(op *dataflow.Operator, w int, next *core.Message) bool
+}
+
+// shardedWorker is the scheduling loop of one pool thread on either
+// sharded path. The drain phase is batched: up to Config.DrainBatch
+// messages leave the acquired operator's queue under one home-shard lock
+// (popMsgs) into the worker's scratch buffer, and children are delivered
+// grouped (one lock per target shard). A batch amortizes locking only — it
+// has no say over preemption: the quantum is tested at every message
+// boundary against the completion time execMessage already returns (one
+// integer compare, no clock read), and on expiry the worker asks
+// shouldYield, mid-batch or not. A yield returns the unexecuted tail to
+// the operator's queue (returnUndrained), so urgent work waits at most one
+// quantum plus one message, whatever DrainBatch is. The other per-message
+// scheduling cost is two atomic loads (stop flag, lifecycle epoch); a
+// moved epoch sends the worker back to the home lock so pause and cancel
+// keep their message-boundary responsiveness, with the tail returned or
+// discarded the same way so conservation holds.
+func (e *Engine) shardedWorker(p shardedOps, w int) {
 	env := e.envs[w]
 	ctl := e.drainCtl(w) // nil on the fixed-DrainBatch path
 	buf := make([]*core.Message, e.drainBufCap())
@@ -738,7 +771,7 @@ func (p *shardedPath) worker(w int) {
 				// Batch boundary: size the next batch from the operator's
 				// lock-free depth mirror and its job's latency target. The
 				// batch in flight is never resized — see controller.go.
-				k = ctl.size(int(op.Sched().Depth.Load()), op.Job.Spec.Latency, e.cfg.Quantum)
+				k = ctl.size(int(op.Sched().Depth.Load()), op.Job.Spec.Latency)
 			}
 			n := p.popMsgs(op, buf[:k])
 			if n == 0 {
@@ -746,25 +779,41 @@ func (p *shardedPath) worker(w int) {
 				break
 			}
 			var now vtime.Time
+			yield := false
 			for i := 0; i < n; i++ {
 				var children []dataflow.ChildMessage
 				children, now = e.execMessage(op, buf[i], env)
 				p.deliver(children, w)
+				tail := buf[i+1 : n]
 				if e.stopped.Load() {
-					p.returnUndrained(op, buf[i+1:n])
+					p.returnUndrained(op, tail)
 					p.release(op, w)
 					return
 				}
-				if i+1 < n && e.lifeEpoch.Load() != epoch {
+				if len(tail) > 0 && e.lifeEpoch.Load() != epoch {
 					// A pause or cancel completed somewhere since this
 					// batch was popped; re-check our operator before
 					// executing more of its messages.
 					epoch = e.lifeEpoch.Load()
 					if !p.opLive(op) {
-						p.returnUndrained(op, buf[i+1:n])
+						p.returnUndrained(op, tail)
 						p.release(op, w)
 						break drain
 					}
+				}
+				if now-acquired >= e.cfg.Quantum {
+					// Re-scheduling decision point: swap if more urgent
+					// work waits, otherwise start a fresh quantum.
+					var next *core.Message
+					if len(tail) > 0 {
+						next = tail[0]
+					}
+					if p.shouldYield(op, w, next) {
+						p.returnUndrained(op, tail)
+						n, yield = i+1, true // the batch ends here
+						break
+					}
+					acquired = now
 				}
 			}
 			if ctl != nil {
@@ -773,14 +822,9 @@ func (p *shardedPath) worker(w int) {
 				ctl.observe(n, now-last)
 				last = now
 			}
-			if now-acquired >= e.cfg.Quantum {
-				// Re-scheduling decision point: swap if more urgent work
-				// waits, otherwise start a fresh quantum.
-				if p.shouldYield(op, w) {
-					p.release(op, w)
-					break
-				}
-				acquired = now
+			if yield {
+				p.release(op, w)
+				break
 			}
 		}
 	}

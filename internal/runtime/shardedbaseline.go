@@ -534,72 +534,14 @@ func (p *shardedBaselinePath) release(op *dataflow.Operator, w int) {
 	p.signal(w)
 }
 
-// worker is the scheduling loop of one pool thread, batch-draining like
-// the Cameo sharded worker (popMsgs under one home lock, grouped child
-// delivery, quantum check at batch boundaries, lifecycle-epoch watch
-// mid-batch). The yield rule is the baselines': after a quantum, release
-// whenever any other operator is runnable — plain time-slicing with no
-// notion of urgency.
-func (p *shardedBaselinePath) worker(w int) {
-	e := p.e
-	env := e.envs[w]
-	ctl := e.drainCtl(w) // nil on the fixed-DrainBatch path
-	buf := make([]*core.Message, e.drainBufCap())
-	defer e.wg.Done()
-	for {
-		op, ok := p.acquire(w)
-		if !ok {
-			return
-		}
-		if e.adm.pressured() {
-			// Background laxity sweep under pressure (see shardedPath).
-			p.shedOpDoomed(op, e.clock.Now())
-		}
-		acquired := e.clock.Now()
-		last := acquired
-	drain:
-		for {
-			epoch := e.lifeEpoch.Load()
-			k := len(buf)
-			if ctl != nil {
-				// Batch boundary: size the next batch (see controller.go).
-				k = ctl.size(int(op.Sched().Depth.Load()), op.Job.Spec.Latency, e.cfg.Quantum)
-			}
-			n := p.popMsgs(op, buf[:k])
-			if n == 0 {
-				p.release(op, w)
-				break
-			}
-			var now vtime.Time
-			for i := 0; i < n; i++ {
-				var children []dataflow.ChildMessage
-				children, now = e.execMessage(op, buf[i], env)
-				p.deliver(children, w)
-				if e.stopped.Load() {
-					p.returnUndrained(op, buf[i+1:n])
-					p.release(op, w)
-					return
-				}
-				if i+1 < n && e.lifeEpoch.Load() != epoch {
-					epoch = e.lifeEpoch.Load()
-					if !p.opLive(op) {
-						p.returnUndrained(op, buf[i+1:n])
-						p.release(op, w)
-						break drain
-					}
-				}
-			}
-			if ctl != nil {
-				ctl.observe(n, now-last)
-				last = now
-			}
-			if now-acquired >= e.cfg.Quantum {
-				if p.runq.Len() > 0 {
-					p.release(op, w)
-					break
-				}
-				acquired = now
-			}
-		}
-	}
+// shouldYield implements shardedOps with the baselines' rule: once the
+// quantum has expired, release whenever any other operator is runnable —
+// plain time-slicing with no notion of urgency, so the worker's next
+// message does not enter into it.
+func (p *shardedBaselinePath) shouldYield(*dataflow.Operator, int, *core.Message) bool {
+	return p.runq.Len() > 0
 }
+
+// worker implements dispatchPath with the shared sharded drain loop
+// (shardedWorker, sharded.go).
+func (p *shardedBaselinePath) worker(w int) { p.e.shardedWorker(p, w) }

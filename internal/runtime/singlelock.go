@@ -246,9 +246,12 @@ func (p *singleLockPath) shedSrc(job *dataflow.Job, src, n int) int {
 // the acquired operator per PopMsgs call, so the engine mutex is taken
 // once per batch for popping instead of once per message (children still
 // re-take it per execution — they must be routed before the env's scratch
-// is reused). The quantum/yield decision moves to batch boundaries; a
-// pause or cancel landing mid-batch is observed at the per-message relock
-// and the batch tail is un-popped or discarded (requeueLocked).
+// is reused). As there, a batch has no say over preemption: the quantum is
+// tested at every message boundary, and on expiry the batch ends — its
+// tail is un-popped under the mutex already held, so ShouldYield compares
+// the waiting head against the operator's true next message. A pause or
+// cancel landing mid-batch is observed at the per-message relock and the
+// tail is un-popped or discarded the same way (requeueLocked).
 func (p *singleLockPath) worker(id int) {
 	e := p.e
 	env := e.envs[id]
@@ -285,7 +288,7 @@ func (p *singleLockPath) worker(id int) {
 				// lock-free Depth mirror (exactly one of Q/FIFO is populated,
 				// per the scheduler kind).
 				st := op.Sched()
-				k = ctl.size(st.Q.Len()+st.FIFO.Len(), op.Job.Spec.Latency, e.cfg.Quantum)
+				k = ctl.size(st.Q.Len()+st.FIFO.Len(), op.Job.Spec.Latency)
 			}
 			n := p.disp.PopMsgs(op, buf[:k])
 			if n == 0 {
@@ -323,6 +326,11 @@ func (p *singleLockPath) worker(id int) {
 					p.requeueLocked(op, buf[i+1:n])
 					p.disp.Done(op, id)
 					break drain
+				}
+				if now-acquired >= e.cfg.Quantum {
+					// The quantum ran out: the batch ends at this message.
+					p.requeueLocked(op, buf[i+1:n])
+					n = i + 1
 				}
 			}
 			if ctl != nil {
