@@ -78,3 +78,27 @@ func TestAllocsMessagePoolRoundTrip(t *testing.T) {
 		t.Errorf("pool round trip allocates %.1f times, want 0", allocs)
 	}
 }
+
+// TestAllocsMessagePoolHandOff: the producer→worker→producer loop — draws
+// through an external stash, releases on a worker's list, chunks in
+// between — is allocation-free once the worker's list has filled, chunk
+// arrays included (they recycle the other way).
+func TestAllocsMessagePoolHandOff(t *testing.T) {
+	pool := NewMessagePool(1)
+	var stash MessageStash
+	var held [100]*Message
+	cycle := func() {
+		for i := range held {
+			held[i] = pool.GetExternal(&stash)
+		}
+		for _, m := range held {
+			pool.Put(0, m)
+		}
+	}
+	for i := 0; i < 2*msgListCap/len(held); i++ {
+		cycle() // fill the worker's list to its cap so chunks start flowing
+	}
+	if allocs := testing.AllocsPerRun(200, cycle); allocs > 0 {
+		t.Errorf("hand-off cycle of %d messages allocates %.1f times, want 0", len(held), allocs)
+	}
+}

@@ -4,6 +4,118 @@ import (
 	"sync"
 )
 
+// chunkLen is how many recycled objects cross threads in one sync.Pool
+// operation — the whole point of FreeList: an object's trip from the
+// worker that released it back to the producer that needs it costs 1/64
+// of a shared-pool round-trip instead of a whole one.
+const chunkLen = 64
+
+// chunk is the unit of the cross-thread hand-off: chunkLen recycled
+// objects on the way out, an all-nil array recycled on the way back.
+type chunk[T any] [chunkLen]*T
+
+// Stash is one goroutine's end of a FreeList: a stack of recycled objects
+// nobody else touches. Workers' stashes live in the FreeList, indexed by
+// worker; an external producer brings its own (the ingest-side
+// dataflow.Env holds one). The zero value is ready; a stash is used with
+// exactly one FreeList.
+type Stash[T any] struct {
+	items []*T
+	_     [40]byte // keep neighbouring stashes off each other's cache lines
+}
+
+// FreeList is the recycling structure behind MessagePool and
+// dataflow.BatchPool. Objects flow in a loop — an external producer draws
+// them, a worker releases them — and every participant works on its own
+// lock-free Stash: a stash that outgrows its limit hands its newest
+// chunkLen objects to the shared pool as ONE chunk, and an empty one
+// refills from a whole chunk the same way. Workers keep up to the
+// FreeList's limit, external producers a single chunk.
+//
+// Everything between stashes sits in sync.Pools, deliberately: what the
+// producers do not take back is dropped by the garbage collector within
+// two cycles, so an idle engine's footprint falls to the per-worker limits
+// plus one chunk per live external Stash. A plain shared list would be
+// cheaper still and pin its high-water mark forever.
+//
+// FreeList recycles pointers and nothing else; zeroing, poisoning and
+// ownership marks belong to the typed pools wrapping it.
+type FreeList[T any] struct {
+	workers     []Stash[T]
+	limit       int
+	full, empty sync.Pool // of *chunk[T]
+}
+
+// Init sizes the list for the given worker count and per-worker limit
+// (at least chunkLen).
+func (f *FreeList[T]) Init(workers, limit int) {
+	if limit < chunkLen {
+		panic("core: FreeList limit below one chunk")
+	}
+	if workers < 0 {
+		workers = 0
+	}
+	f.workers = make([]Stash[T], workers)
+	f.limit = limit
+}
+
+// Get pops a recycled object for the given worker, or returns nil when
+// there is none (the caller allocates) or worker is not a worker index.
+func (f *FreeList[T]) Get(worker int) *T {
+	if worker < 0 || worker >= len(f.workers) {
+		return nil
+	}
+	return f.get(&f.workers[worker])
+}
+
+// Put releases v on the given worker's stash. Outside a worker index v is
+// dropped for the garbage collector — external callers recycle through
+// their own Stash.
+func (f *FreeList[T]) Put(worker int, v *T) {
+	if worker >= 0 && worker < len(f.workers) {
+		f.put(&f.workers[worker], f.limit, v)
+	}
+}
+
+// GetExternal pops a recycled object from an external producer's stash,
+// or returns nil when neither it nor the shared pool has one.
+func (f *FreeList[T]) GetExternal(s *Stash[T]) *T { return f.get(s) }
+
+// PutExternal releases v into an external producer's stash.
+func (f *FreeList[T]) PutExternal(s *Stash[T], v *T) { f.put(s, chunkLen, v) }
+
+func (f *FreeList[T]) get(s *Stash[T]) *T {
+	if len(s.items) == 0 {
+		c, _ := f.full.Get().(*chunk[T])
+		if c == nil {
+			return nil
+		}
+		s.items = append(s.items, c[:]...)
+		clear(c[:])
+		f.empty.Put(c)
+	}
+	n := len(s.items) - 1
+	v := s.items[n]
+	s.items[n] = nil
+	s.items = s.items[:n]
+	return v
+}
+
+func (f *FreeList[T]) put(s *Stash[T], limit int, v *T) {
+	if len(s.items) >= limit {
+		c, _ := f.empty.Get().(*chunk[T])
+		if c == nil {
+			c = new(chunk[T])
+		}
+		k := len(s.items) - chunkLen
+		copy(c[:], s.items[k:])
+		clear(s.items[k:])
+		s.items = s.items[:k]
+		f.full.Put(c)
+	}
+	s.items = append(s.items, v)
+}
+
 // PoisonedID is stamped into a Message's ID the moment it is released to a
 // MessagePool, so any use-after-release — a dispatcher or handler touching
 // a recycled message — is observable (IDs the engine assigns are always
@@ -11,20 +123,14 @@ import (
 const PoisonedID int64 = -1 << 62
 
 // msgListCap bounds each worker-local free list. Beyond it, surplus
-// messages overflow into the shared sync.Pool — which is also where
-// external producers (ingest goroutines) allocate from, so the workers'
+// messages leave for the shared pool a chunk at a time — which is where
+// external producers (ingest goroutines) refill from, so the workers'
 // surplus circulates back to the sources in steady state.
 const msgListCap = 512
 
-type msgFreeList struct {
-	items []*Message
-	_     [40]byte // keep per-worker lists off each other's cache lines
-}
-
-// MessagePool recycles core.Message structs on the execution hot path:
-// one free list per worker (lock-free — each list is touched only by its
-// owning worker goroutine) with a shared sync.Pool backstop for external
-// producers and overflow.
+// MessagePool recycles core.Message structs on the execution hot path
+// through a FreeList: one lock-free list per worker, a Stash per external
+// producer, chunks through sync.Pool in between.
 //
 // Ownership rules (the engine's recycling contract):
 //
@@ -34,7 +140,11 @@ type msgFreeList struct {
 //     so nothing references a parent once its execution completes;
 //   - a released message must not be touched again; Put poisons the ID
 //     (PoisonedID) and drops the payload reference so violations surface
-//     in tests instead of corrupting scheduling silently.
+//     in tests instead of corrupting scheduling silently;
+//   - goroutines that are not workers (ingest, lifecycle calls, restore)
+//     draw and release through their own MessageStash; the worker-indexed
+//     Get and Put given a non-worker index fall back to plain allocation
+//     and to the garbage collector.
 //
 // The zero MessagePool is not usable; call NewMessagePool. A nil
 // *MessagePool is a valid "pooling off" pool: Get falls back to plain
@@ -42,56 +152,64 @@ type msgFreeList struct {
 // (whose messages outlive execution inside the event heap) runs the same
 // dataflow code without recycling.
 type MessagePool struct {
-	locals []msgFreeList
-	shared sync.Pool
+	fl FreeList[Message]
 }
+
+// MessageStash is an external producer's end of a MessagePool.
+type MessageStash = Stash[Message]
 
 // NewMessagePool returns a pool with one local free list per worker.
 func NewMessagePool(workers int) *MessagePool {
-	if workers < 0 {
-		workers = 0
-	}
-	return &MessagePool{locals: make([]msgFreeList, workers)}
+	p := &MessagePool{}
+	p.fl.Init(workers, msgListCap)
+	return p
 }
 
-// Get returns a zeroed message. worker is the calling worker's index, or
-// negative for external producers (sources, ingest goroutines), which draw
-// from the shared backstop.
+func zeroed(m *Message) *Message {
+	if m == nil {
+		return &Message{}
+	}
+	*m = Message{}
+	return m
+}
+
+// poison prepares m for release: it must be unusable before it becomes
+// reachable again.
+func poison(m *Message) {
+	m.ID = PoisonedID
+	m.Payload = nil
+}
+
+// Get returns a zeroed message for the calling worker.
 func (p *MessagePool) Get(worker int) *Message {
 	if p == nil {
 		return &Message{}
 	}
-	if worker >= 0 && worker < len(p.locals) {
-		l := &p.locals[worker]
-		if n := len(l.items); n > 0 {
-			m := l.items[n-1]
-			l.items[n-1] = nil
-			l.items = l.items[:n-1]
-			*m = Message{}
-			return m
-		}
-	}
-	if m, _ := p.shared.Get().(*Message); m != nil {
-		*m = Message{}
-		return m
-	}
-	return &Message{}
+	return zeroed(p.fl.Get(worker))
 }
 
-// Put releases m for reuse. worker follows the same convention as Get.
-// The message is poisoned (ID, payload) before it becomes reachable again.
+// Put releases m on the calling worker's list.
 func (p *MessagePool) Put(worker int, m *Message) {
 	if p == nil || m == nil {
 		return
 	}
-	m.ID = PoisonedID
-	m.Payload = nil
-	if worker >= 0 && worker < len(p.locals) {
-		l := &p.locals[worker]
-		if len(l.items) < msgListCap {
-			l.items = append(l.items, m)
-			return
-		}
+	poison(m)
+	p.fl.Put(worker, m)
+}
+
+// GetExternal returns a zeroed message for an external producer.
+func (p *MessagePool) GetExternal(s *MessageStash) *Message {
+	if p == nil {
+		return &Message{}
 	}
-	p.shared.Put(m)
+	return zeroed(p.fl.GetExternal(s))
+}
+
+// PutExternal releases m through an external producer's stash.
+func (p *MessagePool) PutExternal(s *MessageStash, m *Message) {
+	if p == nil || m == nil {
+		return
+	}
+	poison(m)
+	p.fl.PutExternal(s, m)
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sync"
 	"sync/atomic"
 
 	"github.com/cameo-stream/cameo/internal/queue"
@@ -18,13 +19,20 @@ import (
 // Exactly one dispatcher uses an operator's state at a time (an operator
 // belongs to one engine, and an engine instantiates one dispatch path);
 // fields are guarded by whatever synchronizes that dispatcher — the
-// engine-wide mutex on the single-lock path, the operator's home state
-// shard on the sharded paths, nothing in the sequential simulator.
+// engine-wide mutex on the single-lock path, the operator's own Mu on the
+// sharded paths, nothing in the sequential simulator.
 //
 // The zero value is ready for every dispatcher except the sharded Cameo
 // path, which requires Lane to be initialized to its "no lane" sentinel
 // (the engine does this when a job is added).
 type SchedState struct {
+	// Mu is the operator's scheduling lock on the sharded paths: it guards
+	// every other non-atomic field here, so pushing to, draining, pausing
+	// or cancelling one operator contends only with that operator's own
+	// traffic. Taking it is also the happens-before edge that carries the
+	// operator's handler and cost-profile state from one holding worker to
+	// the next. The other dispatchers leave it untouched.
+	Mu sync.Mutex
 	// Phase is the operator's lifecycle phase. Dispatchers schedule only
 	// OpLive operators: pushes to an OpPaused operator enqueue without
 	// making it runnable, and an OpDead operator never re-enters a run
@@ -51,14 +59,9 @@ type SchedState struct {
 	// Lane is the run-queue lane currently holding the operator on the
 	// sharded Cameo path, or that path's laneNone sentinel.
 	Lane int32
-	// Home is the operator's state-shard index on the sharded paths —
-	// the hash of the stable operator name, computed once when its job is
-	// added so the per-message paths (push, pop, delivery grouping) look
-	// it up with a field read instead of rehashing the name.
-	Home int32
 	// Depth mirrors the pending-queue length (Q or FIFO, whichever the
 	// dispatcher uses) for lock-free readers. The sharded paths store it
-	// under the home shard lock at every queue mutation; the adaptive
+	// under Mu at every queue mutation; the adaptive
 	// drain controller reads it before taking any lock to size the next
 	// batch. Unlike the other fields it is an atomic, because its readers
 	// are exactly the ones that do NOT hold the dispatcher's lock. A

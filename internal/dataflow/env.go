@@ -1,8 +1,6 @@
 package dataflow
 
 import (
-	"sync"
-
 	"github.com/cameo-stream/cameo/internal/core"
 )
 
@@ -10,8 +8,9 @@ import (
 // and ID allocator, the message/batch pools, and the reusable scratch
 // buffers Invoke/Finish/SourceMessages emit into. One Env belongs to
 // exactly one goroutine at a time — the real-time engine keeps one per
-// worker plus a small pool for ingest goroutines; the sequential simulator
-// keeps a single Env — so nothing in it is synchronized.
+// worker plus a small pool it lends to ingest goroutines and other
+// non-worker callers; the sequential simulator keeps a single Env — so
+// nothing in it is synchronized.
 //
 // The scratch buffers make the steady-state execute path allocation-free:
 // the outcome of one execution is fully consumed (children pushed, outputs
@@ -36,34 +35,47 @@ type Env struct {
 	out    ExecOutcome
 	parts  []*Batch
 	source []ChildMessage
-	allocB func(capacity int) *Batch // newBatch bound once, not per call
+	allocB func(capacity int) *Batch // NewBatch bound once, not per call
+	// An external env's ends of the two pools (see core.FreeList): recycled
+	// objects reach it a chunk at a time. Worker envs use the pools'
+	// worker-indexed stashes instead.
+	msgStash   core.MessageStash
+	batchStash BatchStash
 }
 
 // NewEnv returns an execution environment with pooling disabled (Msgs and
 // Batches nil). Engines that pool set the fields after construction.
 func NewEnv(policy core.Policy, nextID func() int64, worker int) *Env {
 	e := &Env{Policy: policy, NextID: nextID, Worker: worker}
-	e.allocB = e.newBatch
+	e.allocB = e.NewBatch
 	return e
 }
 
-// newMessage draws a zeroed message from the pool (or the heap when
+// NewMessage draws a zeroed message from the pool (or the heap when
 // pooling is off).
-func (e *Env) newMessage() *core.Message {
+func (e *Env) NewMessage() *core.Message {
+	if e.Worker < 0 {
+		return e.Msgs.GetExternal(&e.msgStash)
+	}
 	return e.Msgs.Get(e.Worker)
 }
 
-// FreeMessage releases an executed message back to the pool. Callers must
-// respect the pool's ownership rules (see core.MessagePool).
+// FreeMessage releases a message that will not be touched again — executed,
+// or discarded unexecuted — back to the pool. Callers must respect the
+// pool's ownership rules (see core.MessagePool).
 func (e *Env) FreeMessage(m *core.Message) {
+	if e.Worker < 0 {
+		e.Msgs.PutExternal(&e.msgStash, m)
+		return
+	}
 	e.Msgs.Put(e.Worker, m)
 }
 
-// newBatch draws a reset batch from the batch pool, or allocates one when
-// pooling is off.
-func (e *Env) newBatch(capacity int) *Batch {
-	if e.Batches == nil {
-		return NewBatch(capacity)
+// NewBatch draws a reset batch from the batch pool, or allocates one when
+// pooling is off. capacity is a hint for fresh allocations only.
+func (e *Env) NewBatch(capacity int) *Batch {
+	if e.Worker < 0 {
+		return e.Batches.GetExternal(&e.batchStash, capacity)
 	}
 	return e.Batches.Get(e.Worker, capacity)
 }
@@ -72,9 +84,11 @@ func (e *Env) newBatch(capacity int) *Batch {
 // (anything not drawn from the pool) are ignored, so callers may free
 // unconditionally.
 func (e *Env) FreeBatch(b *Batch) {
-	if e.Batches != nil {
-		e.Batches.Put(e.Worker, b)
+	if e.Worker < 0 {
+		e.Batches.PutExternal(&e.batchStash, b)
+		return
 	}
+	e.Batches.Put(e.Worker, b)
 }
 
 // partition splits b across n partitions into the env's part scratch,
@@ -93,55 +107,39 @@ func (e *Env) partition(b *Batch, n int) (parts []*Batch, split bool) {
 	return parts, partitionInto(b, parts, e.allocB)
 }
 
-// batchListCap bounds each worker-local batch free list; overflow goes to
-// the shared sync.Pool, where external producers allocate from.
+// batchListCap bounds each worker-local batch free list; surplus leaves
+// for the shared pool a chunk at a time, where external producers refill.
 const batchListCap = 256
 
-type batchFreeList struct {
-	items []*Batch
-	_     [40]byte // keep per-worker lists off each other's cache lines
-}
-
 // BatchPool recycles engine-created tuple batches (partitions, window
-// results): one lock-free free list per worker plus a shared sync.Pool
-// backstop for external producers and overflow.
+// results, leased decode buffers) through a core.FreeList: one lock-free
+// list per worker, a BatchStash per external producer, chunks through
+// sync.Pool in between.
 //
 // Ownership is tracked on the batch itself: Get marks a batch pooled, Put
 // accepts only pooled batches and unmarks them (making a double free a
 // no-op instead of a corruption), and externally created batches — ingested
-// by callers, built with NewBatch — are never recycled.
+// by callers, built with NewBatch — are never recycled. Goroutines that
+// are not workers draw and release through their own BatchStash; the
+// worker-indexed Get and Put given a non-worker index fall back to plain
+// allocation and to the garbage collector. A nil *BatchPool is a valid
+// "pooling off" pool.
 type BatchPool struct {
-	locals []batchFreeList
-	shared sync.Pool
+	fl core.FreeList[Batch]
 }
+
+// BatchStash is an external producer's end of a BatchPool.
+type BatchStash = core.Stash[Batch]
 
 // NewBatchPool returns a pool with one local free list per worker.
 func NewBatchPool(workers int) *BatchPool {
-	if workers < 0 {
-		workers = 0
-	}
-	return &BatchPool{locals: make([]batchFreeList, workers)}
+	p := &BatchPool{}
+	p.fl.Init(workers, batchListCap)
+	return p
 }
 
-// Get returns an empty pooled batch; worker is the caller's worker index
-// or negative for external producers. capacity is a hint for fresh
-// allocations only — recycled batches keep their grown capacity.
-func (p *BatchPool) Get(worker, capacity int) *Batch {
-	if p == nil {
-		return NewBatch(capacity)
-	}
-	var b *Batch
-	if worker >= 0 && worker < len(p.locals) {
-		l := &p.locals[worker]
-		if n := len(l.items); n > 0 {
-			b = l.items[n-1]
-			l.items[n-1] = nil
-			l.items = l.items[:n-1]
-		}
-	}
-	if b == nil {
-		b, _ = p.shared.Get().(*Batch)
-	}
+// lease turns a recycled batch (or nil) into an empty pooled one.
+func lease(b *Batch, capacity int) *Batch {
 	if b == nil {
 		b = NewBatch(capacity)
 	} else {
@@ -153,19 +151,44 @@ func (p *BatchPool) Get(worker, capacity int) *Batch {
 	return b
 }
 
-// Put releases b for reuse if it came from a pool; external and
-// already-released batches are ignored.
-func (p *BatchPool) Put(worker int, b *Batch) {
+// unlease reports whether b may be recycled, and unmarks it if so.
+func (p *BatchPool) unlease(b *Batch) bool {
 	if p == nil || b == nil || !b.pooled {
-		return
+		return false
 	}
 	b.pooled = false
-	if worker >= 0 && worker < len(p.locals) {
-		l := &p.locals[worker]
-		if len(l.items) < batchListCap {
-			l.items = append(l.items, b)
-			return
-		}
+	return true
+}
+
+// Get returns an empty pooled batch for the calling worker. capacity is a
+// hint for fresh allocations only — recycled batches keep their grown
+// capacity.
+func (p *BatchPool) Get(worker, capacity int) *Batch {
+	if p == nil {
+		return NewBatch(capacity)
 	}
-	p.shared.Put(b)
+	return lease(p.fl.Get(worker), capacity)
+}
+
+// Put releases b on the calling worker's list if it came from a pool;
+// external and already-released batches are ignored.
+func (p *BatchPool) Put(worker int, b *Batch) {
+	if p.unlease(b) {
+		p.fl.Put(worker, b)
+	}
+}
+
+// GetExternal is Get for an external producer.
+func (p *BatchPool) GetExternal(s *BatchStash, capacity int) *Batch {
+	if p == nil {
+		return NewBatch(capacity)
+	}
+	return lease(p.fl.GetExternal(s), capacity)
+}
+
+// PutExternal is Put for an external producer.
+func (p *BatchPool) PutExternal(s *BatchStash, b *Batch) {
+	if p.unlease(b) {
+		p.fl.PutExternal(s, b)
+	}
 }

@@ -92,7 +92,7 @@ func Finish(op *Operator, m *core.Message, emissions []Emission, cost vtime.Dura
 		targets := op.Job.Stages[op.Stage+1]
 		parts, split := env.partition(e.Batch, len(targets))
 		for i, target := range targets {
-			child := env.newMessage()
+			child := env.NewMessage()
 			child.ID = env.NextID()
 			child.P, child.T = e.P, e.T
 			child.Payload = parts[i]
@@ -148,7 +148,7 @@ func SourceMessages(j *Job, src int, b *Batch, p, t vtime.Time, env *Env) []Chil
 	}
 	out := env.source[:0]
 	for i, target := range targets {
-		m := env.newMessage()
+		m := env.NewMessage()
 		m.ID = env.NextID()
 		m.P, m.T = p, t
 		m.Payload = parts[i]

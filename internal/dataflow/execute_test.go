@@ -94,8 +94,8 @@ func TestExecuteRoutesAndProfiles(t *testing.T) {
 	if got := op.Profile.Cost.Value(); got != 42 {
 		t.Fatalf("profiled cost = %v, want 42", got)
 	}
-	if rc, ok := j.SourceTracker.Reply(op.Name); !ok || rc.Cm != 42 {
-		t.Fatalf("source tracker reply = %+v/%v", rc, ok)
+	if rc := j.SourceTracker.Reply(op.Index); rc.Cm != 42 {
+		t.Fatalf("source tracker reply = %+v", rc)
 	}
 }
 
@@ -119,8 +119,8 @@ func TestExecuteSinkRecordsOutputs(t *testing.T) {
 	}
 	// The sink's reply went to its upstream (stage-0 instance 1).
 	up := j.Stages[0][1]
-	if rc, ok := up.Profile.Path.Reply(sink.Name); !ok || rc.Cm != 10 {
-		t.Fatalf("upstream reply = %+v/%v", rc, ok)
+	if rc := up.Profile.Path.Reply(sink.Index); rc.Cm != 10 {
+		t.Fatalf("upstream reply = %+v", rc)
 	}
 }
 
@@ -136,8 +136,8 @@ func TestExecuteCriticalPathAccumulates(t *testing.T) {
 	// op0 executes (cost 20): sources learn {Cm:20, Cpath:30}.
 	Execute(op0, &core.Message{ID: 2, P: 1, T: 1, Channel: 0, Payload: nil}, 20, 20, env)
 
-	rc, ok := j.SourceTracker.Reply(op0.Name)
-	if !ok || rc.Cm != 20 || rc.Cpath != 30 {
+	rc := j.SourceTracker.Reply(op0.Index)
+	if rc.Cm != 20 || rc.Cpath != 30 {
 		t.Fatalf("source reply = %+v, want {20 30}", rc)
 	}
 	// Next source message toward op0 gets the full pipeline subtracted.

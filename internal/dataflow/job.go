@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 
 	"github.com/cameo-stream/cameo/internal/core"
+	"github.com/cameo-stream/cameo/internal/metrics"
 	"github.com/cameo-stream/cameo/internal/profile"
 	"github.com/cameo-stream/cameo/internal/progress"
 	"github.com/cameo-stream/cameo/internal/queue"
@@ -85,8 +86,17 @@ type Job struct {
 	SourceProgress []atomic.Int64
 	// Retired counts this job's executed messages (all stages) — the raw
 	// signal the budget tuner differentiates into a drain rate. Monotone,
-	// incremented once per execMessage; the simulator leaves it zero.
+	// incremented once per executed message while a tuner is running;
+	// engines without one, and the simulator, leave it zero.
 	Retired atomic.Int64
+	// Stats is the job's entry in the real-time engine's metrics recorder,
+	// resolved once when the job is added so the refusal, shed and
+	// drain-rate paths update it with plain atomics instead of a locked
+	// lookup by name per event. It outlives the job in the recorder (a
+	// cancelled job's counts stay readable until its name is reused), so a
+	// shed racing the cancellation still lands on the right incarnation.
+	// The simulator leaves it nil.
+	Stats *metrics.JobStats
 	// Budget is the adaptive pending budget derived from the measured
 	// drain rate × the job's latency headroom. Zero means "not measured
 	// yet" and admission falls back to the static Spec.MaxPending (see
@@ -145,7 +155,7 @@ func NewJob(spec JobSpec) (*Job, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	j := &Job{Spec: spec, SourceTracker: profile.NewPathTracker()}
+	j := &Job{Spec: spec, SourceTracker: profile.NewPathTracker(spec.Stages[0].Parallelism)}
 	j.SourceProgress = make([]atomic.Int64, spec.Sources)
 	j.SrcQueued = make([]atomic.Int64, spec.Sources)
 	j.SrcAccepted = make([]atomic.Int64, spec.Sources)
@@ -155,13 +165,17 @@ func NewJob(spec JobSpec) (*Job, error) {
 	for s := range spec.Stages {
 		st := &j.Spec.Stages[s]
 		ops := make([]*Operator, st.Parallelism)
+		children := 0 // the next stage's parallelism: one reply slot each
+		if s+1 < len(spec.Stages) {
+			children = spec.Stages[s+1].Parallelism
+		}
 		for i := range ops {
 			op := &Operator{
 				Job:     j,
 				Stage:   s,
 				Index:   i,
 				Name:    fmt.Sprintf("%s/%s[%d]", spec.Name, st.Name, i),
-				Profile: profile.NewOpProfile(j.Spec.EWMAAlpha),
+				Profile: profile.NewOpProfile(j.Spec.EWMAAlpha, children),
 				spec:    st,
 			}
 			op.Handler = st.NewHandler(op.InChannels())
@@ -225,10 +239,10 @@ func (j *Job) TargetInfo(from *Operator, target *Operator) core.TargetInfo {
 	}
 	var rc profile.Reply
 	if from == nil {
-		rc, _ = j.SourceTracker.Reply(target.Name)
+		rc = j.SourceTracker.Reply(target.Index)
 	} else {
 		ti.SlideUp = from.spec.Slide
-		rc, _ = from.Profile.Path.Reply(target.Name)
+		rc = from.Profile.Path.Reply(target.Index)
 	}
 	ti.Cost, ti.PathCost = rc.Cm, rc.Cpath
 	return ti
@@ -239,10 +253,10 @@ func (j *Job) TargetInfo(from *Operator, target *Operator) core.TargetInfo {
 // means the sender is the job's source layer.
 func (j *Job) DeliverReply(from *Operator, target *Operator, rc profile.Reply) {
 	if from == nil {
-		j.SourceTracker.OnReply(target.Name, rc)
+		j.SourceTracker.OnReply(target.Index, rc)
 		return
 	}
-	from.Profile.Path.OnReply(target.Name, rc)
+	from.Profile.Path.OnReply(target.Index, rc)
 }
 
 // Delivery is one routed message-to-be: a sub-batch bound for a target

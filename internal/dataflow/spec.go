@@ -57,7 +57,7 @@ func (c *Context) NewBatch(capacity int) *Batch {
 	if c.env == nil {
 		return NewBatch(capacity)
 	}
-	return c.env.newBatch(capacity)
+	return c.env.NewBatch(capacity)
 }
 
 // Handler is the user-defined function a stage executes — the paper's

@@ -39,9 +39,9 @@ type JobStats struct {
 	Outputs    []Output
 	// Shed counts the job's queued messages discarded by the engine's
 	// admission layer under overload; Rejected counts the job's ingest
-	// attempts refused by backpressure. Atomic because callers read a
-	// *JobStats outside the Recorder's mutex (like Latencies, which is
-	// internally synchronized).
+	// attempts refused by backpressure. Atomic because the engine adds to
+	// them, and callers read them, outside the Recorder's mutex (like
+	// Latencies, which is internally synchronized).
 	Shed     atomic.Int64
 	Rejected atomic.Int64
 	// drainRate holds the EWMA-smoothed drain rate (messages retired per
@@ -82,20 +82,24 @@ func NewRecorder() *Recorder {
 	return &Recorder{jobs: make(map[string]*JobStats)}
 }
 
-// DeclareJob registers a job and its latency constraint. Declaring twice is
-// fine as long as the constraint agrees; a changed constraint panics because
-// it would silently corrupt success-rate accounting.
-func (r *Recorder) DeclareJob(job string, constraint vtime.Duration) {
+// DeclareJob registers a job and its latency constraint and returns its
+// stats entry, which engines keep beside the job so per-event counters
+// (Shed, Rejected, the drain rate) are atomic updates on the entry rather
+// than a locked lookup here. Declaring twice is fine as long as the
+// constraint agrees — the existing entry is returned; a changed constraint
+// panics because it would silently corrupt success-rate accounting.
+func (r *Recorder) DeclareJob(job string, constraint vtime.Duration) *JobStats {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if j, ok := r.jobs[job]; ok {
-		if j.Constraint != constraint {
-			panic(fmt.Sprintf("metrics: job %q re-declared with constraint %v (was %v)",
-				job, constraint, j.Constraint))
-		}
-		return
+	j, ok := r.jobs[job]
+	if !ok {
+		j = &JobStats{Job: job, Constraint: constraint, Latencies: stats.NewSample(1024)}
+		r.jobs[job] = j
+	} else if j.Constraint != constraint {
+		panic(fmt.Sprintf("metrics: job %q re-declared with constraint %v (was %v)",
+			job, constraint, j.Constraint))
 	}
-	r.jobs[job] = &JobStats{Job: job, Constraint: constraint, Latencies: stats.NewSample(1024)}
+	return j
 }
 
 // DropJob discards a job's accumulated stats. Engines call it when a
@@ -119,37 +123,6 @@ func (r *Recorder) Record(o Output) {
 	}
 	j.Latencies.Add(float64(o.Latency()))
 	j.Outputs = append(j.Outputs, o)
-}
-
-// AddShed records n messages of job discarded by overload shedding.
-// Unknown jobs are ignored (a shed can race the job's cancellation).
-func (r *Recorder) AddShed(job string, n int64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if j, ok := r.jobs[job]; ok {
-		j.Shed.Add(n)
-	}
-}
-
-// AddRejected records n ingest attempts for job refused by backpressure.
-// Unknown jobs are ignored.
-func (r *Recorder) AddRejected(job string, n int64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if j, ok := r.jobs[job]; ok {
-		j.Rejected.Add(n)
-	}
-}
-
-// NoteDrainRate records job's EWMA-smoothed drain rate (messages/second,
-// measured by the engine's budget tuner). Unknown jobs are ignored (a
-// tuner tick can race the job's cancellation).
-func (r *Recorder) NoteDrainRate(job string, rate float64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if j, ok := r.jobs[job]; ok {
-		j.SetDrainRate(rate)
-	}
 }
 
 // Job returns the stats for one job, or nil when unknown.

@@ -132,19 +132,19 @@ func TestScheduleTraceLimit(t *testing.T) {
 }
 
 func TestOverheadAccounting(t *testing.T) {
-	var o Overhead
-	o.AddExec(80)
-	o.AddSched(15)
-	o.AddPriGen(5)
+	o := NewOverhead(2) // cells sum on read
+	o.AddExec(0, 50)
+	o.AddExec(1, 30)
+	o.AddSched(1, 15)
+	o.AddPriGen(0, 5)
 	if f := o.Fraction(); f != 0.2 {
 		t.Fatalf("Fraction = %v, want 0.2", f)
 	}
 	s := o.Snapshot()
-	if s.Messages != 1 || s.Exec != 80 {
+	if s.Messages != 2 || s.Exec != 80 {
 		t.Fatalf("Snapshot = %+v", s)
 	}
-	var empty Overhead
-	if empty.Fraction() != 0 {
+	if empty := NewOverhead(1); empty.Fraction() != 0 {
 		t.Fatal("empty Fraction should be 0")
 	}
 }

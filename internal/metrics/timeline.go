@@ -147,41 +147,60 @@ type OverheadSnapshot struct {
 
 // Overhead accounts where scheduler time goes, for the Figure 12 breakdown:
 // Exec is useful message execution, Sched is queue manipulation, PriGen is
-// priority/context generation. The counters are independent atomics — the
-// adds sit on the real-time engine's per-message hot path, where the
-// mutex this used to take cost two lock acquisitions per message — so a
-// mid-flight Snapshot may observe the fields at slightly different
+// priority/context generation. The adds sit on the real-time engine's
+// per-message hot path, so the tallies are kept in one cache-line-sized
+// cell per worker — a worker's adds never leave its core — and summed on
+// read: a mid-flight Snapshot may observe the cells at slightly different
 // instants; at quiescence (post-drain, where every report reads it) the
-// numbers are exact.
+// numbers are exact. The real-time engine feeds Exec and Messages only: it
+// reads the clock twice per message, around the handler, so context
+// generation is not timed separately (it is below the clock's 1 µs grain).
 type Overhead struct {
-	exec, sched, prigen atomic.Int64
-	messages            atomic.Int64
+	cells []overheadCell
 }
 
-// AddExec adds useful execution time for one message.
-func (o *Overhead) AddExec(d vtime.Duration) {
-	o.exec.Add(int64(d))
-	o.messages.Add(1)
+type overheadCell struct {
+	exec, sched, prigen, messages atomic.Int64
+	_                             [32]byte // one cell per cache line
+}
+
+// NewOverhead returns an accounting with the given number of cells
+// (one per worker; at least one).
+func NewOverhead(cells int) *Overhead {
+	if cells < 1 {
+		cells = 1
+	}
+	return &Overhead{cells: make([]overheadCell, cells)}
+}
+
+// AddExec adds useful execution time for one message to the given cell.
+func (o *Overhead) AddExec(cell int, d vtime.Duration) {
+	c := &o.cells[cell]
+	c.exec.Add(int64(d))
+	c.messages.Add(1)
 }
 
 // AddSched adds scheduling (queue) time.
-func (o *Overhead) AddSched(d vtime.Duration) {
-	o.sched.Add(int64(d))
+func (o *Overhead) AddSched(cell int, d vtime.Duration) {
+	o.cells[cell].sched.Add(int64(d))
 }
 
 // AddPriGen adds priority-generation (context conversion) time.
-func (o *Overhead) AddPriGen(d vtime.Duration) {
-	o.prigen.Add(int64(d))
+func (o *Overhead) AddPriGen(cell int, d vtime.Duration) {
+	o.cells[cell].prigen.Add(int64(d))
 }
 
-// Snapshot returns a copy of the current accounting.
+// Snapshot returns the current accounting summed over the cells.
 func (o *Overhead) Snapshot() OverheadSnapshot {
-	return OverheadSnapshot{
-		Exec:     vtime.Duration(o.exec.Load()),
-		Sched:    vtime.Duration(o.sched.Load()),
-		PriGen:   vtime.Duration(o.prigen.Load()),
-		Messages: o.messages.Load(),
+	var s OverheadSnapshot
+	for i := range o.cells {
+		c := &o.cells[i]
+		s.Exec += vtime.Duration(c.exec.Load())
+		s.Sched += vtime.Duration(c.sched.Load())
+		s.PriGen += vtime.Duration(c.prigen.Load())
+		s.Messages += c.messages.Load()
 	}
+	return s
 }
 
 // Fraction reports scheduling+generation time as a fraction of total time.

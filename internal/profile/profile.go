@@ -5,63 +5,69 @@
 package profile
 
 import (
-	"sync"
+	"math"
+	"sync/atomic"
 
 	"github.com/cameo-stream/cameo/internal/vtime"
 )
 
 // EWMA is an exponentially weighted moving average over durations —
 // the cost estimator behind C_oM. The zero value is unusable; use NewEWMA.
+//
+// It is a single-writer structure: Observe and Seed must come from one
+// goroutine at a time (the engines' actor guarantee — an operator
+// executes on at most one worker, and the hand-over between workers is
+// ordered by the operator's scheduling lock — makes the holder the only
+// writer), while Value and Count may be read from anywhere. That is what
+// lets the per-message Observe be two plain atomic stores instead of a
+// mutex round-trip.
 type EWMA struct {
-	mu    sync.Mutex
 	alpha float64
-	value float64
-	n     int64
+	bits  atomic.Uint64 // float64 bits of the estimate
+	n     atomic.Int64
 }
 
 // NewEWMA returns an estimator with smoothing factor alpha in (0, 1]; higher
 // alpha weighs recent observations more.
 func NewEWMA(alpha float64) *EWMA {
+	e := new(EWMA)
+	e.init(alpha)
+	return e
+}
+
+func (e *EWMA) init(alpha float64) {
 	if alpha <= 0 || alpha > 1 {
 		panic("profile: EWMA alpha out of (0,1]")
 	}
-	return &EWMA{alpha: alpha}
+	e.alpha = alpha
 }
 
-// Observe feeds one measured duration.
+// Observe feeds one measured duration (single writer, see EWMA).
 func (e *EWMA) Observe(d vtime.Duration) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.n == 0 {
-		e.value = float64(d)
-	} else {
-		e.value = e.alpha*float64(d) + (1-e.alpha)*e.value
+	n := e.n.Load()
+	v := float64(d)
+	if n != 0 {
+		v = e.alpha*float64(d) + (1-e.alpha)*math.Float64frombits(e.bits.Load())
 	}
-	e.n++
+	e.bits.Store(math.Float64bits(v))
+	e.n.Store(n + 1)
 }
 
 // Value returns the current estimate (0 before any observation).
 func (e *EWMA) Value() vtime.Duration {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return vtime.Duration(e.value)
+	return vtime.Duration(math.Float64frombits(e.bits.Load()))
 }
 
 // Count reports the number of observations.
-func (e *EWMA) Count() int64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.n
-}
+func (e *EWMA) Count() int64 { return e.n.Load() }
 
 // Seed primes the estimate before any measurement, e.g. from an offline
-// profiling run, without counting as an observation window reset.
+// profiling run, without counting as an observation window reset. Like
+// Observe it belongs to the single writer.
 func (e *EWMA) Seed(d vtime.Duration) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.n == 0 {
-		e.value = float64(d)
-		e.n = 1
+	if e.n.Load() == 0 {
+		e.bits.Store(math.Float64bits(float64(d)))
+		e.n.Store(1)
 	}
 }
 
@@ -77,62 +83,71 @@ type Reply struct {
 // executing the replier plus everything below it.
 func (r Reply) Total() vtime.Duration { return r.Cm + r.Cpath }
 
+// pathSlot holds the last reply of one downstream child.
+type pathSlot struct {
+	cm, cpath atomic.Int64
+}
+
 // PathTracker aggregates replies from an operator's downstream children and
 // exposes the critical-path cost below this operator: the *maximum* over
 // children of (child cost + child's path cost), per the paper's definition
 // of C_path as the maximum execution time over critical paths to any output
 // operator.
+//
+// Children are addressed by their instance index in the next stage, and
+// the tracker is sized once for that stage's parallelism: one slot of two
+// atomics per child, no lock and no map. Each slot has a single writer —
+// the worker executing that child — and any number of readers. A reader
+// racing a writer may pair the new Cm with the previous Cpath; both are
+// cost estimates one message apart, so the deadline it derives is off by
+// at most one EWMA step.
 type PathTracker struct {
-	mu       sync.Mutex
-	children map[string]Reply
+	slots []pathSlot
 }
 
-// NewPathTracker returns an empty tracker.
-func NewPathTracker() *PathTracker {
-	return &PathTracker{children: make(map[string]Reply)}
+// NewPathTracker returns a tracker for the given number of downstream
+// children (0 for a sink). An index outside [0, children) panics.
+func NewPathTracker(children int) *PathTracker {
+	return &PathTracker{slots: make([]pathSlot, children)}
 }
 
-// OnReply folds in the latest reply context from the named child
-// (Algorithm 1's PROCESSCTXFROMREPLY: RClocal.update(r.RC)).
-func (p *PathTracker) OnReply(child string, r Reply) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.children[child] = r
+// OnReply folds in the latest reply context from child
+// (Algorithm 1's PROCESSCTXFROMREPLY: RClocal.update(r.RC)). Profiled
+// costs settle within tens of messages, so a slot is stored to only when
+// its value moved — in the steady state the cache line stays shared with
+// the upstream worker that reads it.
+func (p *PathTracker) OnReply(child int, r Reply) {
+	s := &p.slots[child]
+	if s.cm.Load() != int64(r.Cm) {
+		s.cm.Store(int64(r.Cm))
+	}
+	if s.cpath.Load() != int64(r.Cpath) {
+		s.cpath.Store(int64(r.Cpath))
+	}
 }
 
-// Reply returns the last reply context received from the named child.
-// ok is false before the first reply (cold start), in which case deadline
-// derivation proceeds with zero costs — tighter than reality, never looser.
-func (p *PathTracker) Reply(child string) (Reply, bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	r, ok := p.children[child]
-	return r, ok
+// Reply returns the last reply context received from child — the zero
+// Reply before the first one (cold start), in which case deadline
+// derivation proceeds with zero costs: tighter than reality, never looser.
+func (p *PathTracker) Reply(child int) Reply {
+	s := &p.slots[child]
+	return Reply{Cm: vtime.Duration(s.cm.Load()), Cpath: vtime.Duration(s.cpath.Load())}
 }
 
 // PathCost returns the critical-path cost below this operator.
 func (p *PathTracker) PathCost() vtime.Duration {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	var m vtime.Duration
-	for _, r := range p.children {
-		if t := r.Total(); t > m {
-			m = t
-		}
-	}
-	return m
+	return p.HeadReply().Total()
 }
 
 // HeadReply returns the reply context of the most expensive child — the
 // (Cm, Cpath) pair a policy should subtract when computing a message
 // deadline toward this operator's downstream (Eq. 3 uses the target's cost
-// and the path below the target).
+// and the path below the target). Equally expensive children resolve to
+// the lowest index.
 func (p *PathTracker) HeadReply() Reply {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	var best Reply
-	for _, r := range p.children {
-		if r.Total() > best.Total() {
+	for i := range p.slots {
+		if r := p.Reply(i); r.Total() > best.Total() {
 			best = r
 		}
 	}
@@ -143,8 +158,8 @@ func (p *PathTracker) HeadReply() Reply {
 // the downstream critical path learned from acks. One OpProfile lives on
 // each operator instance.
 type OpProfile struct {
-	Cost *EWMA        // C_o: this operator's execution cost per message
-	Path *PathTracker // replies from downstream children
+	Cost EWMA        // C_o: this operator's execution cost per message
+	Path PathTracker // replies from downstream children, by instance index
 
 	// Noise optionally perturbs reported costs, for the Figure 16
 	// measurement-inaccuracy experiment. It is called (if non-nil) each time
@@ -152,9 +167,12 @@ type OpProfile struct {
 	Noise func(vtime.Duration) vtime.Duration
 }
 
-// NewOpProfile returns a profile with the given EWMA smoothing.
-func NewOpProfile(alpha float64) *OpProfile {
-	return &OpProfile{Cost: NewEWMA(alpha), Path: NewPathTracker()}
+// NewOpProfile returns a profile with the given EWMA smoothing for an
+// operator with the given number of downstream children.
+func NewOpProfile(alpha float64, children int) *OpProfile {
+	o := &OpProfile{Path: PathTracker{slots: make([]pathSlot, children)}}
+	o.Cost.init(alpha)
+	return o
 }
 
 // ReplyContext builds the reply this operator sends to its upstream

@@ -1,6 +1,7 @@
 package profile
 
 import (
+	"math"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -72,31 +73,83 @@ func TestEWMABadAlphaPanics(t *testing.T) {
 	}
 }
 
-func TestEWMAConcurrent(t *testing.T) {
+// TestEWMAMatchesReferenceFormula pins the lock-free implementation to the
+// mutex-era arithmetic bit for bit: the simulator's figures are functions
+// of these estimates, so not even the last ulp may drift.
+func TestEWMAMatchesReferenceFormula(t *testing.T) {
+	for _, alpha := range []float64{0.2, 0.5, 1, 0.037} {
+		e := NewEWMA(alpha)
+		var value float64 // the old implementation's state, verbatim
+		var n int64
+		x := uint64(0x9E3779B97F4A7C15)
+		for i := 0; i < 5000; i++ {
+			x ^= x << 13
+			x ^= x >> 7
+			x ^= x << 17
+			d := vtime.Duration(x % 1_000_000)
+			if n == 0 {
+				value = float64(d)
+			} else {
+				value = alpha*float64(d) + (1-alpha)*value
+			}
+			n++
+			e.Observe(d)
+			if got := math.Float64frombits(e.bits.Load()); got != value {
+				t.Fatalf("alpha %v, step %d: estimate %x, reference %x", alpha, i,
+					math.Float64bits(got), math.Float64bits(value))
+			}
+			if e.Value() != vtime.Duration(value) || e.Count() != n {
+				t.Fatalf("alpha %v, step %d: Value/Count = %v/%d, want %v/%d",
+					alpha, i, e.Value(), e.Count(), vtime.Duration(value), n)
+			}
+		}
+	}
+}
+
+// TestEWMASingleWriterReaders is the -race hammer for the estimator's
+// contract: one Observer, any number of concurrent readers.
+func TestEWMASingleWriterReaders(t *testing.T) {
 	e := NewEWMA(0.5)
 	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
+	stop := make(chan struct{})
+	for i := 0; i < 4; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for j := 0; j < 1000; j++ {
-				e.Observe(100)
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if v := e.Value(); v != 0 && v != 100 {
+					t.Errorf("reader saw estimate %v, want 0 or 100", v)
+					return
+				}
+				_ = e.Count()
 			}
 		}()
 	}
+	for j := 0; j < 8000; j++ {
+		e.Observe(100)
+	}
+	close(stop)
 	wg.Wait()
 	if e.Count() != 8000 || e.Value() != 100 {
-		t.Fatalf("concurrent EWMA: count=%d value=%v", e.Count(), e.Value())
+		t.Fatalf("EWMA after hammer: count=%d value=%v", e.Count(), e.Value())
 	}
 }
 
 func TestPathTrackerMax(t *testing.T) {
-	p := NewPathTracker()
+	p := NewPathTracker(2)
 	if p.PathCost() != 0 {
 		t.Fatal("empty tracker PathCost != 0")
 	}
-	p.OnReply("a", Reply{Cm: 10, Cpath: 5})  // total 15
-	p.OnReply("b", Reply{Cm: 20, Cpath: 30}) // total 50
+	if r := p.Reply(1); r != (Reply{}) {
+		t.Fatalf("cold Reply = %+v, want zero", r)
+	}
+	p.OnReply(0, Reply{Cm: 10, Cpath: 5})  // total 15
+	p.OnReply(1, Reply{Cm: 20, Cpath: 30}) // total 50
 	if got := p.PathCost(); got != 50 {
 		t.Fatalf("PathCost = %v, want 50", got)
 	}
@@ -105,9 +158,102 @@ func TestPathTrackerMax(t *testing.T) {
 		t.Fatalf("HeadReply = %+v", head)
 	}
 	// Later reply from the same child replaces, not accumulates.
-	p.OnReply("b", Reply{Cm: 1, Cpath: 1})
+	p.OnReply(1, Reply{Cm: 1, Cpath: 1})
 	if got := p.PathCost(); got != 15 {
 		t.Fatalf("PathCost after update = %v, want 15", got)
+	}
+}
+
+// Equally expensive children resolve to the lowest index, so the reply a
+// policy subtracts does not depend on iteration order.
+func TestPathTrackerHeadReplyTie(t *testing.T) {
+	p := NewPathTracker(3)
+	p.OnReply(2, Reply{Cm: 30, Cpath: 10})
+	p.OnReply(1, Reply{Cm: 10, Cpath: 30})
+	p.OnReply(0, Reply{Cm: 5, Cpath: 5})
+	for i := 0; i < 20; i++ {
+		if head := p.HeadReply(); head != (Reply{Cm: 10, Cpath: 30}) {
+			t.Fatalf("HeadReply = %+v, want child 1's {10 30}", head)
+		}
+	}
+}
+
+// A tracker is sized for its stage once; a child index outside it is a
+// wiring bug and must panic rather than grow the table.
+func TestPathTrackerOutOfRangePanics(t *testing.T) {
+	for _, child := range []int{-1, 2, 1 << 20} {
+		for name, f := range map[string]func(p *PathTracker){
+			"OnReply": func(p *PathTracker) { p.OnReply(child, Reply{Cm: 1}) },
+			"Reply":   func(p *PathTracker) { p.Reply(child) },
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s(%d) on a 2-child tracker did not panic", name, child)
+					}
+				}()
+				f(NewPathTracker(2))
+			}()
+		}
+	}
+}
+
+// TestPathTrackerHammer is the -race hammer: one writer per slot (the
+// worker executing that child) against concurrent readers of every
+// accessor. Each writer keeps Cm+Cpath constant, so whatever interleaving
+// a reader observes, every value it can compute is bounded by the
+// largest total.
+func TestPathTrackerHammer(t *testing.T) {
+	const children, rounds = 4, 20000
+	p := NewPathTracker(children)
+	var writers, readers sync.WaitGroup
+	stop := make(chan struct{})
+	for r := 0; r < 4; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				// A torn pair mixes two writes of one slot, each
+				// component ≤ its slot's total, so 2*max bounds it.
+				const limit = 2 * 100 * children
+				if c := p.PathCost(); c < 0 || c > limit {
+					t.Errorf("PathCost = %v outside [0, %d]", c, limit)
+					return
+				}
+				if h := p.HeadReply(); h.Total() > limit {
+					t.Errorf("HeadReply = %+v", h)
+					return
+				}
+				for c := 0; c < children; c++ {
+					if r := p.Reply(c); r.Cm < 0 || r.Cpath < 0 {
+						t.Errorf("Reply(%d) = %+v", c, r)
+						return
+					}
+				}
+			}
+		}()
+	}
+	for c := 0; c < children; c++ {
+		writers.Add(1)
+		go func(c int) {
+			defer writers.Done()
+			total := vtime.Duration(100 * (c + 1))
+			for i := 0; i < rounds; i++ {
+				cm := vtime.Duration(i) % (total + 1)
+				p.OnReply(c, Reply{Cm: cm, Cpath: total - cm})
+			}
+		}(c)
+	}
+	writers.Wait()
+	close(stop)
+	readers.Wait()
+	if got := p.PathCost(); got != 100*children {
+		t.Fatalf("PathCost after hammer = %v, want %d", got, 100*children)
 	}
 }
 
@@ -118,11 +264,11 @@ func TestPathTrackerProperty(t *testing.T) {
 		Cm    uint16
 		Cp    uint16
 	}) bool {
-		p := NewPathTracker()
+		p := NewPathTracker(26)
 		last := map[uint8]Reply{}
 		for _, r := range replies {
 			rep := Reply{Cm: vtime.Duration(r.Cm), Cpath: vtime.Duration(r.Cp)}
-			p.OnReply(string(rune('a'+r.Child%26)), rep)
+			p.OnReply(int(r.Child%26), rep)
 			last[r.Child%26] = rep
 		}
 		var want vtime.Duration
@@ -141,9 +287,9 @@ func TestPathTrackerProperty(t *testing.T) {
 func TestOpProfileReplyChain(t *testing.T) {
 	// Three-operator chain: sink <- mid <- src. Replies accumulate critical
 	// path exactly as Algorithm 1 prescribes.
-	sink := NewOpProfile(1)
-	mid := NewOpProfile(1)
-	src := NewOpProfile(1)
+	sink := NewOpProfile(1, 0)
+	mid := NewOpProfile(1, 1)
+	src := NewOpProfile(1, 1)
 
 	sink.Cost.Observe(30)
 	mid.Cost.Observe(20)
@@ -154,14 +300,14 @@ func TestOpProfileReplyChain(t *testing.T) {
 	if r.Cm != 30 || r.Cpath != 0 {
 		t.Fatalf("sink reply = %+v", r)
 	}
-	mid.Path.OnReply("sink", r)
+	mid.Path.OnReply(0, r)
 
 	// Mid replies to src: {Cm: 20, Cpath: 30}.
 	r = mid.ReplyContext()
 	if r.Cm != 20 || r.Cpath != 30 {
 		t.Fatalf("mid reply = %+v", r)
 	}
-	src.Path.OnReply("mid", r)
+	src.Path.OnReply(0, r)
 
 	// From src's perspective, scheduling a message toward mid must subtract
 	// C_mid=20 and Cpath(below mid)=30.
@@ -172,7 +318,7 @@ func TestOpProfileReplyChain(t *testing.T) {
 }
 
 func TestOpProfileNoise(t *testing.T) {
-	p := NewOpProfile(1)
+	p := NewOpProfile(1, 0)
 	p.Cost.Observe(100)
 	p.Noise = func(d vtime.Duration) vtime.Duration { return d - 500 } // drive negative
 	if r := p.ReplyContext(); r.Cm != 0 {

@@ -200,7 +200,7 @@ func (a *admission) fairShareAdmit(j *dataflow.Job, src, n int, jm int64) bool {
 func (a *admission) reject(j *dataflow.Job, src int) {
 	a.rejected.Add(1)
 	j.SrcRejected[src].Add(1)
-	a.e.rec.AddRejected(j.Spec.Name, 1)
+	j.Stats.Rejected.Add(1)
 }
 
 // pressured reports whether workers should opportunistically sweep doomed

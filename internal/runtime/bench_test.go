@@ -15,8 +15,10 @@ package runtime_test
 
 import (
 	"fmt"
+	stdruntime "runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -324,4 +326,95 @@ func BenchmarkPreemptDelay(b *testing.B) {
 			b.ReportMetric(us(95), "p95-µs")
 		})
 	}
+}
+
+// countingClock counts reads of the engine clock it wraps.
+type countingClock struct {
+	inner vtime.Clock
+	reads atomic.Int64
+}
+
+func (c *countingClock) Now() vtime.Time {
+	c.reads.Add(1)
+	return c.inner.Now()
+}
+
+// BenchmarkMessageFixedCost measures what one message costs the engine
+// when the operators do nothing — the fixed cost the paper's fine-grained
+// scheduling has to keep small (DESIGN.md §4, "What one message costs").
+// Two producers offer 1-tuple batches to two workers through a 2-stage
+// keyed pipeline (stage a ×2 forwards its partition, stage b ×1 consumes),
+// closed-loop against a 256-message budget like bench/'s saturate: every
+// admitted batch becomes four messages. One op is one batch; reported are
+// ns/msg on the default configuration, allocs/op, and — from a second,
+// shorter pass with a counting clock, kept out of the timed pass because
+// the shared counter is itself contention — clock reads per message.
+func BenchmarkMessageFixedCost(b *testing.B) {
+	const producers, workers = 2, 2
+	forward := func(int) dataflow.Handler {
+		out := make([]dataflow.Emission, 1) // per instance; consumed before its next call
+		return dataflow.HandlerFunc(func(_ *dataflow.Context, m *core.Message) []dataflow.Emission {
+			batch, _ := m.Payload.(*dataflow.Batch)
+			out[0] = dataflow.Emission{Batch: batch, P: m.P, T: m.T}
+			return out
+		})
+	}
+	// run offers batches per producer and returns the messages executed,
+	// the clock reads (0 unless counted) and the wall time.
+	run := func(batches int, counted bool) (msgs, reads int64, elapsed time.Duration) {
+		e := runtime.New(runtime.Config{Workers: workers})
+		var clock *countingClock
+		if counted {
+			e.WrapClock(func(c vtime.Clock) vtime.Clock {
+				clock = &countingClock{inner: c}
+				return clock
+			})
+		}
+		_, err := e.AddJob(dataflow.JobSpec{
+			Name: "j", Latency: vtime.Second, Sources: producers, MaxPending: 256,
+			Stages: []dataflow.StageSpec{
+				{Name: "a", Parallelism: 2, NewHandler: forward},
+				{Name: "b", Parallelism: 1, NewHandler: testkit.NopHandler},
+			},
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		e.Start()
+		defer e.Stop()
+		start := time.Now()
+		var wg sync.WaitGroup
+		for src := 0; src < producers; src++ {
+			wg.Add(1)
+			go func(src int) {
+				defer wg.Done()
+				for i := 1; i <= batches; i++ {
+					batch := e.LeaseBatch(1)
+					batch.Append(vtime.Time(i), int64(i), 1)
+					for e.TryIngest("j", src, batch, vtime.Time(i)) != nil {
+						stdruntime.Gosched() // over budget: the workers are behind
+					}
+				}
+			}(src)
+		}
+		wg.Wait()
+		if !e.Drain(30 * time.Second) {
+			b.Fatal("engine did not drain")
+		}
+		elapsed = time.Since(start)
+		if n := e.HandlerPanics(); n != 0 {
+			b.Fatalf("%d handler panics", n)
+		}
+		if clock != nil {
+			reads = clock.reads.Load()
+		}
+		return e.Executed(), reads, elapsed
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	msgs, _, elapsed := run((b.N+producers-1)/producers, false)
+	b.StopTimer()
+	b.ReportMetric(float64(elapsed.Nanoseconds())/float64(msgs), "ns/msg")
+	msgs, reads, _ := run(2000, true)
+	b.ReportMetric(float64(reads)/float64(msgs), "clock-reads/msg")
 }

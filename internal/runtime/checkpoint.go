@@ -134,8 +134,8 @@ func writeBatch(w *snap.Writer, b *dataflow.Batch) {
 // conservation (Created == Executed + Discarded) intact across a restore
 // boundary. If the reader is already poisoned the fields decode as zeros;
 // the caller checks r.Err() once and discards everything it created.
-func (e *Engine) readMessage(r *snap.Reader) *core.Message {
-	m := e.msgs.Get(-1)
+func (e *Engine) readMessage(r *snap.Reader, env *dataflow.Env) *core.Message {
+	m := env.NewMessage()
 	m.ID = e.nextID()
 	m.P = r.Time()
 	m.T = r.Time()
@@ -147,11 +147,11 @@ func (e *Engine) readMessage(r *snap.Reader) *core.Message {
 	m.PC.PMF = r.Time()
 	m.PC.TMF = r.Time()
 	m.PC.L = r.Dur()
-	m.Payload = e.readBatch(r)
+	m.Payload = readBatch(r, env)
 	return m
 }
 
-func (e *Engine) readBatch(r *snap.Reader) *dataflow.Batch {
+func readBatch(r *snap.Reader, env *dataflow.Env) *dataflow.Batch {
 	if !r.Bool() {
 		return nil
 	}
@@ -159,7 +159,7 @@ func (e *Engine) readBatch(r *snap.Reader) *dataflow.Batch {
 	if n > r.Remaining() { // each tuple needs ≥ 8 bytes; cheap bound check
 		n = 0
 	}
-	b := e.batches.Get(-1, n)
+	b := env.NewBatch(n)
 	for i := 0; i < n && r.Err() == nil; i++ {
 		b.Times = append(b.Times, r.Time())
 	}
@@ -279,6 +279,8 @@ func (e *Engine) RestoreJob(spec dataflow.JobSpec, data []byte) (*dataflow.Job, 
 	for i := range j.SourceProgress {
 		j.SourceProgress[i].Store(r.I64())
 	}
+	env := e.borrowEnv()
+	defer e.ingestEnvs.Put(env)
 	for _, op := range j.Operators() {
 		if r.Bool() {
 			s, ok := op.Handler.(dataflow.Snapshotter)
@@ -291,7 +293,7 @@ func (e *Engine) RestoreJob(spec dataflow.JobSpec, data []byte) (*dataflow.Job, 
 		}
 		n := int(r.U32())
 		for k := 0; k < n && r.Err() == nil; k++ {
-			m := e.readMessage(r)
+			m := e.readMessage(r, env)
 			e.outstanding.Add(1)
 			j.Outstanding.Add(1)
 			msgs = append(msgs, dataflow.ChildMessage{Target: op, Msg: m})

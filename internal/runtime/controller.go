@@ -10,7 +10,7 @@
 // # Drain controller
 //
 // One drainController per worker, consulted only at batch boundaries (the
-// instant the worker is about to take the home-shard lock for the next
+// instant the worker is about to take the operator lock for the next
 // pop). Two EWMA signals feed it:
 //
 //   - queue depth: the acquired operator's SchedState.Depth, a mirror of
@@ -193,7 +193,7 @@ func (t *budgetTuner) tick(elapsed vtime.Duration) {
 	var total int64
 	allMeasured := true
 	e.jobsMu.RLock()
-	for name, j := range e.jobs {
+	for _, j := range e.jobs {
 		st := t.state[j]
 		if st == nil {
 			st = &tunerJobState{lastRetired: j.Retired.Load()}
@@ -213,7 +213,7 @@ func (t *budgetTuner) tick(elapsed vtime.Duration) {
 			} else {
 				st.rate += tuneRateAlpha * (inst - st.rate)
 			}
-			e.rec.NoteDrainRate(name, st.rate)
+			j.Stats.SetDrainRate(st.rate)
 		}
 		if st.rate <= 0 {
 			allMeasured = false

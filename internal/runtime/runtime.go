@@ -14,12 +14,14 @@
 //   - DispatchSingleLock wraps the sequential core.Dispatcher in one
 //     engine-wide mutex — simple, supports every SchedulerKind, and is the
 //     reference the sharded paths are cross-checked against.
-//   - DispatchSharded (the default) shards operator state per worker so
-//     Ingest and the workers contend only on narrow per-shard locks. The
+//   - DispatchSharded (the default) locks each operator on its own (the
+//     mutex sits in its intrusive scheduling state) and shards the run
+//     queue per worker, so Ingest and the workers contend only on the
+//     operator a message is for and on one run-queue lane. The
 //     Cameo scheduler gets per-worker deadline heaps with a global
 //     overflow lane and priority-aware stealing (sharded.go); the Orleans
 //     and FIFO baselines get concurrent realizations of their own run
-//     queues over the same sharded state (shardedbaseline.go).
+//     queues over the same per-operator state (shardedbaseline.go).
 //
 // The steady-state message path is allocation-free: messages and
 // engine-created batches recycle through pools, execution emits into
@@ -224,7 +226,7 @@ func (c *Config) fill() {
 // Engine is a single-node real-time stream engine.
 type Engine struct {
 	cfg   Config
-	clock *vtime.WallClock
+	clock vtime.Clock
 
 	jobsMu     sync.RWMutex
 	jobs       map[string]*dataflow.Job
@@ -254,7 +256,6 @@ type Engine struct {
 	overhead      *metrics.Overhead
 	trace         *metrics.ScheduleTrace
 	msgID         atomic.Int64
-	executed      atomic.Int64
 	discarded     atomic.Int64
 	handlerPanics atomic.Int64
 	// lifeEpoch counts lifecycle transitions (pause, cancel) engine-wide.
@@ -262,7 +263,7 @@ type Engine struct {
 	// after each execution (one atomic load): an unchanged epoch proves no
 	// pause or cancel has completed anywhere since the batch left its
 	// queue, so the worker may keep draining without touching the
-	// operator's home-shard lock; a moved epoch sends it back to the lock
+	// operator's lock; a moved epoch sends it back to the lock
 	// for a phase check. This is what keeps batched draining at the same
 	// message-granular lifecycle responsiveness as the unbatched path.
 	// Each bump lands AFTER the path finished flipping phases, so a worker
@@ -345,21 +346,22 @@ type dispatchPath interface {
 // worker pool runs until Stop.
 func New(cfg Config) *Engine {
 	cfg.fill()
+	clock := vtime.NewWallClock()
+	if cfg.StartTime > 0 {
+		clock.Advance(cfg.StartTime)
+	}
 	e := &Engine{
 		cfg:        cfg,
-		clock:      vtime.NewWallClock(),
+		clock:      clock,
 		jobs:       make(map[string]*dataflow.Job),
 		paused:     make(map[string]bool),
 		cancelling: make(map[string]bool),
 		failed:     make(map[string]bool),
 		rec:        cfg.Recorder,
-		overhead:   &metrics.Overhead{},
+		overhead:   metrics.NewOverhead(cfg.Workers),
 	}
 	if e.rec == nil {
 		e.rec = metrics.NewRecorder()
-	}
-	if cfg.StartTime > 0 {
-		e.clock.Advance(cfg.StartTime)
 	}
 	if cfg.CheckpointDir != "" && cfg.CheckpointInterval > 0 {
 		e.ckpt = newCheckpointer(e, cfg.CheckpointDir, cfg.CheckpointInterval)
@@ -405,6 +407,11 @@ func (e *Engine) newEnv(worker int) *dataflow.Env {
 	return env
 }
 
+// borrowEnv lends the caller an external (non-worker) environment — its
+// route to the pools and to SourceMessages' scratch; hand it back with
+// ingestEnvs.Put once nothing it returned is in use.
+func (e *Engine) borrowEnv() *dataflow.Env { return e.ingestEnvs.Get().(*dataflow.Env) }
+
 // Dispatch reports the dispatch mode the engine resolved to.
 func (e *Engine) Dispatch() DispatchMode { return e.cfg.Dispatch }
 
@@ -420,8 +427,9 @@ func (e *Engine) Trace() *metrics.ScheduleTrace { return e.trace }
 // Now reports engine time (microseconds since engine creation).
 func (e *Engine) Now() vtime.Time { return e.clock.Now() }
 
-// Executed reports the number of messages executed so far.
-func (e *Engine) Executed() int64 { return e.executed.Load() }
+// Executed reports the number of messages executed so far — the sum of
+// the per-worker tallies in Overhead, exact at quiescence.
+func (e *Engine) Executed() int64 { return e.overhead.Snapshot().Messages }
 
 // Created reports the number of messages created so far (source fan-outs
 // plus derived children). Conservation holds at quiescence:
@@ -519,13 +527,10 @@ func (e *Engine) addJobLocked(spec dataflow.JobSpec, restored bool) (*dataflow.J
 	}
 	// The sharded Cameo path keeps an operator's run-queue lane in its
 	// intrusive scheduling state; "no lane" is a non-zero sentinel, so it
-	// must be stamped before the operator can be scheduled. The home
-	// state-shard index is fixed for the operator's lifetime, so it is
-	// hashed once here rather than on every push and pop.
+	// must be stamped before the operator can be scheduled.
 	for _, op := range job.Operators() {
 		st := op.Sched()
 		st.Lane = laneNone
-		st.Home = int32(homeIdx(op.Name, e.cfg.Workers))
 		if restored {
 			st.Phase = core.OpPaused
 		}
@@ -537,7 +542,7 @@ func (e *Engine) addJobLocked(spec dataflow.JobSpec, restored bool) (*dataflow.J
 	if !restored {
 		e.rec.DropJob(spec.Name) // stale stats from a cancelled incarnation, if any
 	}
-	e.rec.DeclareJob(spec.Name, spec.Latency)
+	job.Stats = e.rec.DeclareJob(spec.Name, spec.Latency)
 	return job, nil
 }
 
@@ -693,15 +698,17 @@ func (e *Engine) DrainJob(name string, timeout time.Duration) (bool, error) {
 
 // discardMessage settles a message that will never execute — one found
 // queued at a cancelled operator, or pushed to one in flight. Its payload
-// batch and the message itself return to the pools (through the shared
-// backstops: discards happen off any worker's free list) and every
-// counter that registered the message is balanced. The caller owns its
-// path's pending counter.
+// batch and the message itself return to the pools (through a borrowed
+// external env: discards happen in lifecycle, shed and delivery code that
+// owns no worker's free list) and every counter that registered the
+// message is balanced. The caller owns its path's pending counter.
 func (e *Engine) discardMessage(j *dataflow.Job, m *core.Message) {
+	env := e.borrowEnv()
 	if b, ok := m.Payload.(*dataflow.Batch); ok {
-		e.batches.Put(-1, b)
+		env.FreeBatch(b)
 	}
-	e.msgs.Put(-1, m)
+	env.FreeMessage(m)
+	e.ingestEnvs.Put(env)
 	e.discarded.Add(1)
 	e.outstanding.Add(-1)
 	j.Outstanding.Add(-1)
@@ -757,14 +764,13 @@ func noteSrcQueuedRun(op *dataflow.Operator, msgs []*core.Message, delta int64) 
 
 // noteShed records n shed messages against job j — the engine-wide shed
 // counter plus the per-job metrics entry. Called once per swept operator
-// (not per message), and the recorder mutex is a leaf no caller's lock
-// can wait behind.
+// (not per message).
 func (e *Engine) noteShed(j *dataflow.Job, n int) {
 	if n == 0 {
 		return
 	}
 	e.adm.shed.Add(int64(n))
-	e.rec.AddShed(j.Spec.Name, int64(n))
+	j.Stats.Shed.Add(int64(n))
 }
 
 // Start launches the worker pool (and the background checkpointer when
@@ -807,7 +813,7 @@ func (e *Engine) Stop() {
 // tuple batch, p the stream progress (logical time of the newest tuple).
 // The arrival time is stamped by the engine clock. Safe for concurrent use;
 // under the sharded dispatcher concurrent ingests from different sources
-// proceed in parallel, contending only per shard.
+// proceed in parallel, contending only per target operator and lane.
 //
 // Every ingest passes through the admission layer: when a pending-message
 // budget (Config.MaxPending, JobSpec.MaxPending) would be exceeded, the
@@ -868,9 +874,8 @@ func (e *Engine) ingest(job string, src int, b *dataflow.Batch, p vtime.Time, tr
 	// feeder can resume from there instead of regressing stage-0 frontiers.
 	j.NoteSourceProgress(src, p)
 	now := e.clock.Now()
-	env := e.ingestEnvs.Get().(*dataflow.Env)
+	env := e.borrowEnv()
 	msgs := dataflow.SourceMessages(j, src, b, p, now, env)
-	e.overhead.AddPriGen(e.clock.Now() - now)
 	for _, cm := range msgs {
 		cm.Msg.Enqueued = now
 	}
@@ -923,14 +928,19 @@ func (e *Engine) AppliedDrainBatch(w int) int {
 // is a hint for fresh allocations; recycled batches keep their grown
 // capacity, so steady-state leasing does not allocate.
 func (e *Engine) LeaseBatch(capacity int) *dataflow.Batch {
-	return e.batches.Get(-1, capacity)
+	env := e.borrowEnv()
+	b := env.NewBatch(capacity)
+	e.ingestEnvs.Put(env)
+	return b
 }
 
 // ReturnBatch releases a leased batch that was never successfully
 // ingested (a refused flush, a torn connection's pending buffer). Safe on
 // nil and on externally created batches (both are no-ops).
 func (e *Engine) ReturnBatch(b *dataflow.Batch) {
-	e.batches.Put(-1, b)
+	env := e.borrowEnv()
+	env.FreeBatch(b)
+	e.ingestEnvs.Put(env)
 }
 
 // JobShape reports the named job's ingest-facing shape: its source
@@ -1068,8 +1078,13 @@ func (e *Engine) safeInvoke(op *dataflow.Operator, m *core.Message, now vtime.Ti
 func (e *Engine) execMessage(op *dataflow.Operator, m *core.Message, env *dataflow.Env) ([]dataflow.ChildMessage, vtime.Time) {
 	start := e.clock.Now()
 	emissions, panicked := e.safeInvoke(op, m, start, env)
-	mid := e.clock.Now()
-	cost := mid - start
+	// Two clock reads bracket the handler: the second is both the end of
+	// the measured cost and the completion instant everything below is
+	// stamped with — Finish (profiling, routing, context conversion) runs
+	// under the clock's 1 µs grain, and a third read to time it was a
+	// measurable slice of a small message's fixed cost.
+	now := e.clock.Now()
+	cost := now - start
 	if cost <= 0 {
 		cost = 1
 	}
@@ -1086,18 +1101,11 @@ func (e *Engine) execMessage(op *dataflow.Operator, m *core.Message, env *datafl
 		e.quarantineJob(op.Job.Spec.Name)
 	}
 	outcome := dataflow.Finish(op, m, emissions, cost, env)
-	// Three clock reads bracket the whole execution — invoke cost is
-	// mid-start, priority-generation (Finish) time is now-mid — where a
-	// separate stopwatch per phase would pay two more reads per message;
-	// on the profiled hot path the clock reads themselves were a fifth of
-	// the scheduling overhead.
-	now := e.clock.Now()
-	prigen := now - mid
 
-	e.overhead.AddExec(cost)
-	e.overhead.AddPriGen(prigen)
-	e.executed.Add(1)
-	op.Job.Retired.Add(1)
+	e.overhead.AddExec(env.Worker, cost)
+	if e.tuner != nil {
+		op.Job.Retired.Add(1)
+	}
 	for _, o := range outcome.Outputs {
 		e.rec.Record(metrics.Output{
 			Job: op.Job.Spec.Name, Emitted: now, Ready: o.T, Window: int64(o.P),
@@ -1119,7 +1127,10 @@ func (e *Engine) execMessage(op *dataflow.Operator, m *core.Message, env *datafl
 	// over-counting briefly, never under-counting. The per-job counter
 	// follows the same rule (children never cross jobs), which is what
 	// makes CancelJob's quiesce wait and DrainJob sound.
-	e.outstanding.Add(int64(len(outcome.Children)) - 1)
-	op.Job.Outstanding.Add(int64(len(outcome.Children)) - 1)
+	// A message with exactly one child hands its count on unchanged.
+	if d := int64(len(outcome.Children)) - 1; d != 0 {
+		e.outstanding.Add(d)
+		op.Job.Outstanding.Add(d)
+	}
 	return outcome.Children, now
 }

@@ -2,7 +2,6 @@ package runtime
 
 import (
 	"math/bits"
-	"sync"
 	"sync/atomic"
 
 	"github.com/cameo-stream/cameo/internal/core"
@@ -15,27 +14,6 @@ import (
 // no messages, or acquired by a worker). It is stamped into every
 // operator's intrusive scheduling state when its job is added.
 const laneNone = -2
-
-// stateShard is one lock of the operator-state lock domain. The state it
-// guards — message heap, acquired flag, lane — lives intrusively on the
-// operators themselves (core.SchedState); the shard owns the operators
-// whose name hashes to it.
-type stateShard struct {
-	mu sync.Mutex
-	_  [40]byte // keep shard locks on separate cache lines
-}
-
-// homeIdx returns the state shard owning the named operator. The inline
-// FNV-1a hash of the stable operator name (rather than pointer identity)
-// keeps placement deterministic across runs — which the equivalence tests
-// rely on — and allocation-free, since it sits on every push and pop.
-func homeIdx(name string, shards int) int {
-	h := uint32(2166136261)
-	for i := 0; i < len(name); i++ {
-		h = (h ^ uint32(name[i])) * 16777619
-	}
-	return int(h % uint32(shards))
-}
 
 // parker coordinates worker sleep/wake for the sharded dispatch paths:
 // one buffered wake channel and a parked flag per worker, plus the stop
@@ -84,18 +62,20 @@ func (k *parker) wakeWorker(w int) {
 // local lanes, a shared overflow lane, stealing) built from two lock
 // domains —
 //
-//   - state shards: each operator's message heap and scheduling state live
-//     intrusively on the operator (core.SchedState) and are guarded by a
-//     fixed home shard lock (hash of the operator name);
+//   - operator locks: each operator's message heap and scheduling state live
+//     intrusively on the operator (core.SchedState) and are guarded by the
+//     mutex in that same struct, so delivering to or draining one operator
+//     contends with nothing but that operator's own traffic;
 //   - run-queue lanes: a queue.ShardedHeap of *runnable* operators keyed by
 //     the deadline (PriGlobal) of their head message — one lane per worker
 //     plus the global overflow lane, each with its own lock. Lane heaps
 //     track operator positions intrusively too (SchedState.Pos), so the
 //     whole scheduling cycle performs no map operations.
 //
-// The lock hierarchy is strict: a state-shard lock may be held while taking
-// one run-queue lane lock, never the reverse, and never two locks of the
-// same domain — so the structure is deadlock-free by construction.
+// The lock hierarchy is strict: an operator lock may be held while taking
+// one run-queue lane lock, never the reverse, and never two operator locks
+// (or two lane locks) at once — so the structure is deadlock-free by
+// construction.
 //
 // Worker protocol (the same acquire/drain/yield protocol as the sequential
 // dispatcher, made concurrent):
@@ -111,17 +91,15 @@ func (k *parker) wakeWorker(w int) {
 // Placement mirrors the Bag: children a worker generates make their target
 // operator runnable on the worker's own lane (locality), external arrivals
 // spread round-robin across lanes, overflowing to the global lane when the
-// chosen lane is running long. An operator's run-queue entry may therefore
-// sit on any lane while its state stays in its home shard; the actor
-// guarantee (one worker per operator) is enforced by the acquired flag
-// under the home-shard lock, which every acquisition and release passes
-// through — that lock is also the happens-before edge carrying operator
-// state between consecutive workers.
+// chosen lane is running long. The actor guarantee (one worker per
+// operator) is enforced by the acquired flag under the operator lock,
+// which every acquisition and release passes through — that lock is also
+// the happens-before edge carrying operator state (handler, cost profile)
+// between consecutive workers.
 type shardedPath struct {
 	e       *Engine
 	workers int
 	runq    *queue.ShardedHeap[*dataflow.Operator]
-	states  []stateShard
 	rr      atomic.Int64 // round-robin cursor for external arrivals
 
 	parker
@@ -133,18 +111,7 @@ func newShardedPath(e *Engine, workers int, rq core.RunQueueKind) *shardedPath {
 	if rq == core.RunQueueWheel {
 		runq = queue.NewSlotShardedWheel(workers, slot)
 	}
-	return &shardedPath{
-		e:       e,
-		workers: workers,
-		runq:    runq,
-		states:  make([]stateShard, workers),
-		parker:  newParker(workers),
-	}
-}
-
-// home returns the state shard owning op (index precomputed at AddJob).
-func (p *shardedPath) home(op *dataflow.Operator) *stateShard {
-	return &p.states[op.Sched().Home]
+	return &shardedPath{e: e, workers: workers, runq: runq, parker: newParker(workers)}
 }
 
 // laneFor picks the run-queue lane for a newly runnable operator. Workers
@@ -168,133 +135,83 @@ func (p *shardedPath) laneFor(producer int) int {
 	return lane
 }
 
-// push enqueues one message, making the target operator runnable if it was
-// idle. producer is the pushing worker, or -1 for external arrivals.
-// Pushes to dead operators (the target's job was cancelled while this
-// message was in flight) are dropped; pushes to paused operators enqueue
-// without scheduling.
-func (p *shardedPath) push(op *dataflow.Operator, m *core.Message, producer int) {
-	hs := p.home(op)
-	hs.mu.Lock()
-	st := op.Sched()
-	if st.Phase == core.OpDead {
-		hs.mu.Unlock()
-		p.e.discardMessage(op.Job, m)
-		return
-	}
-	oldHead := st.Q.Peek()
-	st.Q.Push(m)
-	st.Depth.Store(int32(st.Q.Len()))
-	p.e.adm.enqueued(op.Job)
-	noteSrcQueued(op, m, 1)
-	if st.Acquired || st.Phase == core.OpPaused {
-		// Acquired: the holding worker re-checks the heap before
-		// releasing, so the new message cannot be stranded; no signal
-		// needed. Paused: resume reschedules the operator.
-		hs.mu.Unlock()
-		return
-	}
-	if st.Lane != laneNone {
-		// Already runnable on some lane; re-key it if the head changed.
-		// A missed update (the operator was popped between our lock and
-		// the lane's) is benign: the popping worker sees the new message.
-		if head := st.Q.Peek(); head != oldHead {
-			p.runq.Update(int(st.Lane), op, core.GlobalPri(head))
-		}
-		hs.mu.Unlock()
-		return
-	}
-	lane := p.laneFor(producer)
-	st.Lane = int32(lane)
-	p.runq.Push(lane, op, core.GlobalPri(st.Q.Peek()))
-	hs.mu.Unlock()
-	p.signal(lane)
-}
-
-// ingest is the batched external-arrival path; the worker loop routes its
-// own children through the same grouped delivery with itself as producer.
+// ingest is the external-arrival path; the worker loop routes its own
+// children through the same grouped delivery with itself as producer.
 func (p *shardedPath) ingest(msgs []dataflow.ChildMessage) {
 	p.deliver(msgs, -1)
 }
 
-// deliver enqueues a batch of messages, walking it once per home shard so
-// each shard lock is taken once per batch (not once per message) and once
-// per *target* inside that lock, so each runnable operator gets exactly
-// one run-queue re-key or lane push for the whole group — the batched
-// counterpart of push. producer is the delivering worker, or -1 for
-// external arrivals. Consumed entries have their Msg nil'ed (the slice is
-// the caller's scratch, rebuilt on its next use). Batches are small (one
+// deliver enqueues a batch of messages grouped by target: each target's
+// operator lock is taken once for all of its messages, and the operator
+// gets exactly one run-queue re-key or lane push for the whole group.
+// producer is the delivering worker, or -1 for external arrivals. Pushes
+// to dead operators (the target's job was cancelled while the messages
+// were in flight) are dropped; pushes to paused operators enqueue without
+// scheduling. Consumed entries have their Msg nil'ed (the slice is the
+// caller's scratch, rebuilt on its next use). Batches are small (one
 // message per stage-0 instance, or one execution's fan-out), so the
-// grouping is a shard-indexed scan rather than an allocated index.
+// grouping is a rescan of the tail rather than an allocated index.
 func (p *shardedPath) deliver(msgs []dataflow.ChildMessage, producer int) {
-	if len(msgs) == 0 {
-		return
-	}
-	if len(msgs) == 1 || p.workers > 63 {
-		for _, cm := range msgs {
-			p.push(cm.Target, cm.Msg, producer)
+	var signalMask uint64 // bit lane+1, so GlobalLane(-1) folds to bit 0
+	for i := range msgs {
+		if msgs[i].Msg == nil {
+			continue
 		}
-		return
-	}
-	var signalMask uint64 // bit lane+1; lane counts are guarded <= 63 above
-	done := 0
-	for shard := 0; shard < p.workers && done < len(msgs); shard++ {
-		hs := &p.states[shard]
-		locked := false
-		for i := range msgs {
-			if msgs[i].Msg == nil || int(msgs[i].Target.Sched().Home) != shard {
-				continue
-			}
-			if !locked {
-				hs.mu.Lock()
-				locked = true
-			}
-			op := msgs[i].Target
-			st := op.Sched()
-			if st.Phase == core.OpDead {
-				// discardMessage takes no locks, so dropping under the
-				// shard lock is safe and keeps the one-lock-per-batch
-				// shape.
-				for j := i; j < len(msgs); j++ {
-					if msgs[j].Msg != nil && msgs[j].Target == op {
-						p.e.discardMessage(op.Job, msgs[j].Msg)
-						msgs[j].Msg = nil
-						done++
-					}
-				}
-				continue
-			}
-			oldHead := st.Q.Peek()
-			pushed := 0
+		op := msgs[i].Target
+		st := op.Sched()
+		st.Mu.Lock()
+		if st.Phase == core.OpDead {
+			// discardMessage takes no scheduling locks, so dropping under
+			// the operator lock is safe.
 			for j := i; j < len(msgs); j++ {
 				if msgs[j].Msg != nil && msgs[j].Target == op {
-					st.Q.Push(msgs[j].Msg)
-					noteSrcQueued(op, msgs[j].Msg, 1)
+					p.e.discardMessage(op.Job, msgs[j].Msg)
 					msgs[j].Msg = nil
-					pushed++
-					done++
 				}
 			}
-			st.Depth.Store(int32(st.Q.Len()))
-			p.e.adm.enqueuedN(op.Job, pushed)
-			switch {
-			case st.Acquired || st.Phase == core.OpPaused:
-			case st.Lane != laneNone:
-				if head := st.Q.Peek(); head != oldHead {
-					p.runq.Update(int(st.Lane), op, core.GlobalPri(head))
-				}
-			default:
-				lane := p.laneFor(producer)
-				st.Lane = int32(lane)
-				p.runq.Push(lane, op, core.GlobalPri(st.Q.Peek()))
-				signalMask |= 1 << uint(lane+1) // +1 folds GlobalLane(-1) to bit 0
+			st.Mu.Unlock()
+			continue
+		}
+		oldHead := st.Q.Peek()
+		pushed := 0
+		for j := i; j < len(msgs); j++ {
+			if msgs[j].Msg != nil && msgs[j].Target == op {
+				st.Q.Push(msgs[j].Msg)
+				noteSrcQueued(op, msgs[j].Msg, 1)
+				msgs[j].Msg = nil
+				pushed++
 			}
 		}
-		if locked {
-			hs.mu.Unlock()
+		st.Depth.Store(int32(st.Q.Len()))
+		p.e.adm.enqueuedN(op.Job, pushed)
+		wake := laneNone
+		switch {
+		case st.Acquired || st.Phase == core.OpPaused:
+			// Acquired: the holding worker re-checks the heap before
+			// releasing, so the new messages cannot be stranded; no signal
+			// needed. Paused: resume reschedules the operator.
+		case st.Lane != laneNone:
+			// Already runnable on some lane; re-key it if the head changed.
+			// A missed update (the operator was popped between our lock and
+			// the lane's) is benign: the popping worker sees the new head.
+			if head := st.Q.Peek(); head != oldHead {
+				p.runq.Update(int(st.Lane), op, core.GlobalPri(head))
+			}
+		default:
+			wake = p.laneFor(producer)
+			st.Lane = int32(wake)
+			p.runq.Push(wake, op, core.GlobalPri(st.Q.Peek()))
+		}
+		st.Mu.Unlock()
+		switch {
+		case wake == laneNone:
+		case wake < 63:
+			signalMask |= 1 << uint(wake+1)
+		default: // lanes past the mask's width wake one by one
+			p.signal(wake)
 		}
 	}
-	// Walk only the set bits instead of testing every lane.
+	// One wake per lane, however many targets landed on it.
 	for m := signalMask; m != 0; m &= m - 1 {
 		p.signal(bits.TrailingZeros64(m) - 1)
 	}
@@ -304,8 +221,8 @@ func (p *shardedPath) stopAll() {
 	close(p.stopCh)
 }
 
-// cancel implements dispatchPath. Per operator, under its home shard
-// lock: mark it dead (in-flight pushes now drop), discard its queued
+// cancel implements dispatchPath. Per operator, under its lock: mark it
+// dead (in-flight pushes now drop), discard its queued
 // messages, and remove its run-queue entry — the arbitrary-element
 // removal the lane heaps track intrusively via SchedState.Pos. An
 // operator concurrently popped by a worker is simply absent from its
@@ -313,9 +230,8 @@ func (p *shardedPath) stopAll() {
 // the operator unscheduled.
 func (p *shardedPath) cancel(job *dataflow.Job) {
 	for _, op := range job.Operators() {
-		hs := p.home(op)
-		hs.mu.Lock()
 		st := op.Sched()
+		st.Mu.Lock()
 		st.Phase = core.OpDead
 		for st.Q.Len() > 0 {
 			p.e.adm.dequeued(job)
@@ -326,13 +242,13 @@ func (p *shardedPath) cancel(job *dataflow.Job) {
 		st.Depth.Store(0)
 		// Clear the lane only when the removal actually hit: a miss means
 		// a worker popped the operator and is between its lane pop and its
-		// home-lock acquisition — that worker owns the Lane reset (in
-		// acquire), and overwriting it here would mark a possibly-still-
+		// first popMsgs — that worker owns the Lane reset (in
+		// popMsgs), and overwriting it here would mark a possibly-still-
 		// referenced operator as unqueued.
 		if st.Lane != laneNone && p.runq.Remove(int(st.Lane), op) {
 			st.Lane = laneNone
 		}
-		hs.mu.Unlock()
+		st.Mu.Unlock()
 	}
 }
 
@@ -341,9 +257,8 @@ func (p *shardedPath) cancel(job *dataflow.Job) {
 // next popMsg/release.
 func (p *shardedPath) pause(job *dataflow.Job) {
 	for _, op := range job.Operators() {
-		hs := p.home(op)
-		hs.mu.Lock()
 		st := op.Sched()
+		st.Mu.Lock()
 		if st.Phase == core.OpLive {
 			st.Phase = core.OpPaused
 			// Lane is cleared only on a successful removal (same reasoning
@@ -359,7 +274,7 @@ func (p *shardedPath) pause(job *dataflow.Job) {
 				st.Lane = laneNone
 			}
 		}
-		hs.mu.Unlock()
+		st.Mu.Unlock()
 	}
 }
 
@@ -368,11 +283,10 @@ func (p *shardedPath) pause(job *dataflow.Job) {
 // lane's worker is woken.
 func (p *shardedPath) resume(job *dataflow.Job) {
 	for _, op := range job.Operators() {
-		hs := p.home(op)
-		hs.mu.Lock()
 		st := op.Sched()
+		st.Mu.Lock()
 		if st.Phase != core.OpPaused {
-			hs.mu.Unlock()
+			st.Mu.Unlock()
 			continue
 		}
 		st.Phase = core.OpLive
@@ -383,7 +297,7 @@ func (p *shardedPath) resume(job *dataflow.Job) {
 			p.runq.Push(lane, op, core.GlobalPri(st.Q.Peek()))
 			wake = lane
 		}
-		hs.mu.Unlock()
+		st.Mu.Unlock()
 		if wake != -2 {
 			p.signal(wake)
 		}
@@ -391,15 +305,14 @@ func (p *shardedPath) resume(job *dataflow.Job) {
 }
 
 // eachQueued implements dispatchPath: walk op's queued messages under its
-// home shard lock. Callers (the checkpoint path) see a frozen queue — the
-// operator is paused and its job quiesced, so nothing pops concurrently —
-// but the lock is still what publishes the queue contents to this
-// goroutine.
+// lock. Callers (the checkpoint path) see a frozen queue — the operator is
+// paused and its job quiesced, so nothing pops concurrently — but the lock
+// is still what publishes the queue contents to this goroutine.
 func (p *shardedPath) eachQueued(op *dataflow.Operator, visit func(*core.Message)) {
-	hs := p.home(op)
-	hs.mu.Lock()
-	op.Sched().Q.Each(visit)
-	hs.mu.Unlock()
+	st := op.Sched()
+	st.Mu.Lock()
+	st.Q.Each(visit)
+	st.Mu.Unlock()
 }
 
 // shedDoomed implements dispatchPath: sweep each of job's live operators
@@ -415,7 +328,7 @@ func (p *shardedPath) shedDoomed(job *dataflow.Job, now vtime.Time) int {
 }
 
 // shedOpDoomed sweeps one operator's doomed queued messages under its
-// home shard lock, fixing its run-queue entry afterwards: removed when
+// lock, fixing its run-queue entry afterwards: removed when
 // the sweep emptied the queue (the arbitrary-element removal the lane
 // heaps track intrusively), re-keyed when it removed the head. Acquired
 // operators need no fix-up — their workers re-check the queue at release.
@@ -423,11 +336,10 @@ func (p *shardedPath) shedOpDoomed(op *dataflow.Operator, now vtime.Time) int {
 	e := p.e
 	aware := e.adm.deadlineAware
 	job := op.Job
-	hs := p.home(op)
-	hs.mu.Lock()
 	st := op.Sched()
+	st.Mu.Lock()
 	if st.Phase != core.OpLive || st.Q.Len() == 0 {
-		hs.mu.Unlock()
+		st.Mu.Unlock()
 		return 0
 	}
 	oldHead := st.Q.Peek()
@@ -446,7 +358,7 @@ func (p *shardedPath) shedOpDoomed(op *dataflow.Operator, now vtime.Time) int {
 			p.runq.Update(int(st.Lane), op, core.GlobalPri(head))
 		}
 	}
-	hs.mu.Unlock()
+	st.Mu.Unlock()
 	e.noteShed(job, n)
 	return n
 }
@@ -471,11 +383,10 @@ func (p *shardedPath) shedExcess(job *dataflow.Job, n int) int {
 func (p *shardedPath) shedOpTail(op *dataflow.Operator, n int) int {
 	e := p.e
 	job := op.Job
-	hs := p.home(op)
-	hs.mu.Lock()
 	st := op.Sched()
+	st.Mu.Lock()
 	if st.Phase != core.OpLive {
-		hs.mu.Unlock()
+		st.Mu.Unlock()
 		return 0
 	}
 	count := 0
@@ -495,7 +406,7 @@ func (p *shardedPath) shedOpTail(op *dataflow.Operator, n int) int {
 			st.Lane = laneNone
 		}
 	}
-	hs.mu.Unlock()
+	st.Mu.Unlock()
 	e.noteShed(job, count)
 	return count
 }
@@ -517,17 +428,16 @@ func (p *shardedPath) shedSrc(job *dataflow.Job, src, n int) int {
 }
 
 // shedOpSrc sweeps one stage-0 operator's queued messages from source
-// channel src under its home shard lock, with the same run-queue fix-ups
+// channel src under its lock, with the same run-queue fix-ups
 // as shedOpDoomed (removed when the sweep emptied the queue, re-keyed
 // when it removed the head).
 func (p *shardedPath) shedOpSrc(op *dataflow.Operator, src, limit int) int {
 	e := p.e
 	job := op.Job
-	hs := p.home(op)
-	hs.mu.Lock()
 	st := op.Sched()
+	st.Mu.Lock()
 	if st.Phase != core.OpLive || st.Q.Len() == 0 {
-		hs.mu.Unlock()
+		st.Mu.Unlock()
 		return 0
 	}
 	oldHead := st.Q.Peek()
@@ -545,13 +455,17 @@ func (p *shardedPath) shedOpSrc(op *dataflow.Operator, src, limit int) int {
 			p.runq.Update(int(st.Lane), op, core.GlobalPri(head))
 		}
 	}
-	hs.mu.Unlock()
+	st.Mu.Unlock()
 	e.noteShed(job, n)
 	return n
 }
 
-// acquire returns the next operator for worker w, marking it acquired, or
-// ok=false when the engine is stopping. It parks when no lane has work.
+// acquire takes the next operator for worker w off the run queue, or
+// reports ok=false when the engine is stopping; it parks when no lane has
+// work. The operator is not marked held yet — the worker's first popMsgs
+// does that under the same lock round-trip that pops its first batch.
+// Until then the operator looks runnable-on-a-lane to everyone else, whose
+// lane fix-ups miss harmlessly (see deliver, pause, cancel).
 func (p *shardedPath) acquire(w int) (*dataflow.Operator, bool) {
 	for {
 		if p.e.stopped.Load() {
@@ -562,12 +476,6 @@ func (p *shardedPath) acquire(w int) (*dataflow.Operator, bool) {
 			op, _, ok = p.runq.Steal(w)
 		}
 		if ok {
-			hs := p.home(op)
-			hs.mu.Lock()
-			st := op.Sched()
-			st.Acquired = true
-			st.Lane = laneNone
-			hs.mu.Unlock()
 			return op, true
 		}
 		// Park: declare intent, then re-check for work pushed between the
@@ -586,37 +494,34 @@ func (p *shardedPath) acquire(w int) (*dataflow.Operator, bool) {
 	}
 }
 
-// popMsgs removes up to len(buf) messages of an acquired operator in
-// PriLocal order under ONE home-shard lock — the batch-drain entry point
-// that amortizes what used to be a lock per pop. A non-live operator
-// yields nothing — a pause or cancel that landed between batches stops
-// the holding worker here; one that lands mid-batch is caught by the
-// worker's lifecycle-epoch check. (Drain does not watch the pending
-// count — e.outstanding retires a message only after execution — so the
-// pops create no idle window.)
+// popMsgs removes up to len(buf) messages of the operator worker w took
+// from the run queue, in PriLocal order under ONE operator lock — the
+// batch-drain entry point that amortizes what used to be a lock per pop.
+// It also opens and closes the activation in that same round-trip: every
+// call marks the operator held (a no-op after the first), and a call that
+// finds nothing to pop — queue empty, or a pause or cancel landed between
+// batches — releases it, so 0 means the worker no longer holds op. A
+// pause or cancel landing mid-batch is caught by the worker's
+// lifecycle-epoch check. (Drain does not watch the pending count —
+// e.outstanding retires a message only after execution — so the pops
+// create no idle window.)
 func (p *shardedPath) popMsgs(op *dataflow.Operator, buf []*core.Message) int {
-	hs := p.home(op)
-	hs.mu.Lock()
-	defer hs.mu.Unlock()
 	st := op.Sched()
-	if st.Phase != core.OpLive {
+	st.Mu.Lock()
+	defer st.Mu.Unlock()
+	st.Lane = laneNone
+	// Phase before queue: a cancelled job's queues are torn down once it
+	// quiesces.
+	if st.Phase != core.OpLive || st.Q.Len() == 0 {
+		st.Acquired = false
 		return 0
 	}
+	st.Acquired = true
 	n := st.Q.PopInto(buf)
 	st.Depth.Store(int32(st.Q.Len()))
 	p.e.adm.dequeuedN(op.Job, n)
 	noteSrcQueuedRun(op, buf[:n], -1)
 	return n
-}
-
-// opLive reports op's phase under its home-shard lock — the worker's
-// mid-batch re-check when the lifecycle epoch moved.
-func (p *shardedPath) opLive(op *dataflow.Operator) bool {
-	hs := p.home(op)
-	hs.mu.Lock()
-	live := op.Sched().Phase == core.OpLive
-	hs.mu.Unlock()
-	return live
 }
 
 // returnUndrained disposes of the unexecuted tail of a drain batch when
@@ -632,11 +537,10 @@ func (p *shardedPath) returnUndrained(op *dataflow.Operator, msgs []*core.Messag
 	if len(msgs) == 0 {
 		return
 	}
-	hs := p.home(op)
-	hs.mu.Lock()
 	st := op.Sched()
+	st.Mu.Lock()
 	if st.Phase == core.OpDead {
-		hs.mu.Unlock()
+		st.Mu.Unlock()
 		for _, m := range msgs {
 			p.e.discardMessage(op.Job, m)
 		}
@@ -648,7 +552,7 @@ func (p *shardedPath) returnUndrained(op *dataflow.Operator, msgs []*core.Messag
 	st.Depth.Store(int32(st.Q.Len()))
 	p.e.adm.enqueuedN(op.Job, len(msgs))
 	noteSrcQueuedRun(op, msgs, 1)
-	hs.mu.Unlock()
+	st.Mu.Unlock()
 }
 
 // release returns an acquired operator to the scheduler: requeued on the
@@ -657,17 +561,16 @@ func (p *shardedPath) returnUndrained(op *dataflow.Operator, msgs []*core.Messag
 // rests on the operator — there is no map entry to clean up). Paused
 // operators leave the schedule here; resume re-enters them.
 func (p *shardedPath) release(op *dataflow.Operator, w int) {
-	hs := p.home(op)
-	hs.mu.Lock()
 	st := op.Sched()
+	st.Mu.Lock()
 	st.Acquired = false
 	if st.Phase != core.OpLive || st.Q.Len() == 0 {
-		hs.mu.Unlock()
+		st.Mu.Unlock()
 		return
 	}
 	st.Lane = int32(w)
 	p.runq.Push(w, op, core.GlobalPri(st.Q.Peek()))
-	hs.mu.Unlock()
+	st.Mu.Unlock()
 	p.signal(w)
 }
 
@@ -677,7 +580,7 @@ func (p *shardedPath) release(op *dataflow.Operator, w int) {
 // next message. Mid-batch that message is next — the head of the drain
 // buffer's unexecuted tail, which the worker owns — so the whole decision
 // is lock-free; at a batch boundary next is nil and the operator's queue
-// head is read under its home-shard lock. Other workers' lanes are
+// head is read under its lock. Other workers' lanes are
 // deliberately not scanned — their owners or thieves will get to them, and
 // a cheap decision point is the point of the quantum. Both waiting-lane
 // peeks are lock-free top-cache reads (one atomic load each — no lane
@@ -688,17 +591,16 @@ func (p *shardedPath) shouldYield(op *dataflow.Operator, w int, next *core.Messa
 	if next != nil {
 		mine = core.GlobalPri(next)
 	} else {
-		hs := p.home(op)
-		hs.mu.Lock()
 		st := op.Sched()
+		st.Mu.Lock()
 		// Phase before queue (a cancelled job's queues are torn down once
 		// it quiesces); a non-live operator always yields.
 		if st.Phase != core.OpLive || st.Q.Len() == 0 {
-			hs.mu.Unlock()
+			st.Mu.Unlock()
 			return true
 		}
 		mine = core.GlobalPri(st.Q.Peek())
-		hs.mu.Unlock()
+		st.Mu.Unlock()
 	}
 	if lp, ok := p.runq.TopOf(w); ok && lp.Less(mine) {
 		return true
@@ -709,6 +611,16 @@ func (p *shardedPath) shouldYield(op *dataflow.Operator, w int, next *core.Messa
 	return false
 }
 
+// opLive reports op's phase under its lock — the worker's mid-batch
+// re-check when the lifecycle epoch moved.
+func opLive(op *dataflow.Operator) bool {
+	st := op.Sched()
+	st.Mu.Lock()
+	live := st.Phase == core.OpLive
+	st.Mu.Unlock()
+	return live
+}
+
 // worker implements dispatchPath with the shared sharded drain loop.
 func (p *shardedPath) worker(w int) { p.e.shardedWorker(p, w) }
 
@@ -717,11 +629,13 @@ func (p *shardedPath) worker(w int) { p.e.shardedWorker(p, w) }
 // discipline and in what "more urgent work is waiting" means (shouldYield);
 // the acquire/drain/yield protocol around those is one loop.
 type shardedOps interface {
+	// acquire takes the next operator off the run queue (parking while
+	// there is none); the first popMsgs marks it held, and a popMsgs that
+	// returns 0 has released it.
 	acquire(w int) (*dataflow.Operator, bool)
 	shedOpDoomed(op *dataflow.Operator, now vtime.Time) int
 	popMsgs(op *dataflow.Operator, buf []*core.Message) int
 	deliver(msgs []dataflow.ChildMessage, producer int)
-	opLive(op *dataflow.Operator) bool
 	returnUndrained(op *dataflow.Operator, msgs []*core.Message)
 	release(op *dataflow.Operator, w int)
 	// shouldYield is the path's re-scheduling rule once the quantum has
@@ -732,9 +646,12 @@ type shardedOps interface {
 
 // shardedWorker is the scheduling loop of one pool thread on either
 // sharded path. The drain phase is batched: up to Config.DrainBatch
-// messages leave the acquired operator's queue under one home-shard lock
+// messages leave the acquired operator's queue under one operator lock
 // (popMsgs) into the worker's scratch buffer, and children are delivered
-// grouped (one lock per target shard). A batch amortizes locking only — it
+// grouped (one lock per target). An activation that drains its operator
+// in one batch costs two operator-lock round-trips: popMsgs doubles as
+// the acquisition on its first call and as the release on the call that
+// finds the queue empty. A batch amortizes locking only — it
 // has no say over preemption: the quantum is tested at every message
 // boundary against the completion time execMessage already returns (one
 // integer compare, no clock read), and on expiry the worker asks
@@ -742,7 +659,7 @@ type shardedOps interface {
 // the operator's queue (returnUndrained), so urgent work waits at most one
 // quantum plus one message, whatever DrainBatch is. The other per-message
 // scheduling cost is two atomic loads (stop flag, lifecycle epoch); a
-// moved epoch sends the worker back to the home lock so pause and cancel
+// moved epoch sends the worker back to the operator lock so pause and cancel
 // keep their message-boundary responsiveness, with the tail returned or
 // discarded the same way so conservation holds.
 func (e *Engine) shardedWorker(p shardedOps, w int) {
@@ -775,8 +692,7 @@ func (e *Engine) shardedWorker(p shardedOps, w int) {
 			}
 			n := p.popMsgs(op, buf[:k])
 			if n == 0 {
-				p.release(op, w)
-				break
+				break // popMsgs released the operator
 			}
 			var now vtime.Time
 			yield := false
@@ -795,7 +711,7 @@ func (e *Engine) shardedWorker(p shardedOps, w int) {
 					// batch was popped; re-check our operator before
 					// executing more of its messages.
 					epoch = e.lifeEpoch.Load()
-					if !p.opLive(op) {
+					if !opLive(op) {
 						p.returnUndrained(op, tail)
 						p.release(op, w)
 						break drain

@@ -16,6 +16,11 @@ import (
 	"github.com/cameo-stream/cameo/internal/vtime"
 )
 
+// pushOne delivers a single message the way a one-child execution does.
+func pushOne(p *shardedPath, op *dataflow.Operator, m *core.Message, producer int) {
+	p.deliver([]dataflow.ChildMessage{{Target: op, Msg: m}}, producer)
+}
+
 // priMsg builds a message whose scheduling priority is exactly pri.
 func priMsg(id int64, pri vtime.Time) *core.Message {
 	return &core.Message{ID: id, P: pri, PC: core.PriorityContext{PriLocal: pri, PriGlobal: pri}}
@@ -34,9 +39,9 @@ func TestShardedAcquireStealsMostUrgent(t *testing.T) {
 	lax, urgent, mid := job.Stages[0][0], job.Stages[0][1], job.Stages[1][0]
 
 	// producer 0 places all three on worker 0's lane.
-	p.push(lax, priMsg(1, 300), 0)
-	p.push(urgent, priMsg(2, 10), 0)
-	p.push(mid, priMsg(3, 200), 0)
+	pushOne(p, lax, priMsg(1, 300), 0)
+	pushOne(p, urgent, priMsg(2, 10), 0)
+	pushOne(p, mid, priMsg(3, 200), 0)
 	if p.runq.LaneLen(0) != 3 {
 		t.Fatalf("lane 0 holds %d ops, want 3", p.runq.LaneLen(0))
 	}
@@ -68,10 +73,10 @@ func TestShardedRekeyOnNewHead(t *testing.T) {
 	}
 	p := e.path.(*shardedPath)
 	a, b := job.Stages[0][0], job.Stages[0][1]
-	p.push(a, priMsg(1, 100), -1)
-	p.push(b, priMsg(2, 50), -1)
+	pushOne(p, a, priMsg(1, 100), -1)
+	pushOne(p, b, priMsg(2, 50), -1)
 	// a becomes the most urgent only after this push.
-	p.push(a, priMsg(3, 5), -1)
+	pushOne(p, a, priMsg(3, 5), -1)
 	op, ok := p.acquire(0)
 	if !ok || op != a {
 		t.Fatalf("acquire = %v, want re-keyed op %v", op.Name, a.Name)
@@ -96,7 +101,7 @@ func TestShardedOverflowLane(t *testing.T) {
 	p := e.path.(*shardedPath)
 	// Worker 0 makes four operators runnable on its own lane.
 	for i := 0; i < 4; i++ {
-		p.push(job.Stages[0][i], priMsg(int64(i+1), 100), 0)
+		pushOne(p, job.Stages[0][i], priMsg(int64(i+1), 100), 0)
 	}
 	if lane := p.laneFor(-1); lane != queue.GlobalLane {
 		t.Fatalf("laneFor(-1) = %d, want overflow to the global lane", lane)

@@ -11,7 +11,7 @@ import (
 )
 
 // opRunQueue is the run-queue discipline behind shardedBaselinePath: it
-// orders *runnable operators* (message queues stay in the state shards).
+// orders *runnable operators* (message queues stay on the operators).
 // producer < 0 marks external arrivals. Remove deregisters a departing
 // (paused or cancelled) operator; false means a worker concurrently took
 // it.
@@ -37,8 +37,8 @@ func (q bagRunQueue) Len() int                                { return q.bag.Len
 // fifoRunQueue realizes the FIFO baseline concurrently: one mutex-guarded
 // global ring, preserving the sequential baseline's exact operator order.
 // The lock is narrow — taken once per operator acquisition/release, not
-// per message — so message-level work still scales through the state
-// shards.
+// per message — so message-level work still scales through the operator
+// locks.
 type fifoRunQueue struct {
 	mu sync.Mutex
 	r  queue.Ring[*dataflow.Operator]
@@ -77,34 +77,26 @@ func (q *fifoRunQueue) Len() int { return int(q.n.Load()) }
 //
 // It reuses the Cameo sharded path's two-domain structure: per-operator
 // FIFO message rings live intrusively on the operators (SchedState.FIFO,
-// guarded by hash-addressed state shard locks), while the run queue of
-// runnable operators is the discipline-specific opRunQueue. The OnQueue
-// flag has exactly the sequential dispatchers' "scheduled" meaning — set
-// while the operator is in the run queue or held by a worker — and is
-// flipped only under the operator's home shard lock, which makes the
-// single-run-queue-membership invariant (and the actor guarantee) hold.
-// Lock hierarchy: state shard → run-queue lane, never the reverse, never
-// two of a kind.
+// guarded by the operator's own lock), while the run queue of runnable
+// operators is the discipline-specific opRunQueue. The OnQueue flag has
+// exactly the sequential dispatchers' "scheduled" meaning — set while the
+// operator is in the run queue or held by a worker — and is flipped only
+// under the operator lock, which makes the single-run-queue-membership
+// invariant (and the actor guarantee) hold. Lock hierarchy: operator →
+// run-queue lane, never the reverse, never two of a kind.
 //
 // At one worker both realizations take operators and messages in exactly
 // the sequential baselines' order, which the equivalence tests pin.
 type shardedBaselinePath struct {
-	e       *Engine
-	workers int
-	name    string
-	runq    opRunQueue
-	states  []stateShard
+	e    *Engine
+	name string
+	runq opRunQueue
 
 	parker
 }
 
 func newShardedBaselinePath(e *Engine, cfg Config) *shardedBaselinePath {
-	p := &shardedBaselinePath{
-		e:       e,
-		workers: cfg.Workers,
-		states:  make([]stateShard, cfg.Workers),
-		parker:  newParker(cfg.Workers),
-	}
+	p := &shardedBaselinePath{e: e, parker: newParker(cfg.Workers)}
 	if cfg.Scheduler == core.OrleansScheduler {
 		p.name = "orleans"
 		p.runq = bagRunQueue{bag: queue.NewConcurrentBag[*dataflow.Operator](cfg.Workers)}
@@ -115,110 +107,57 @@ func newShardedBaselinePath(e *Engine, cfg Config) *shardedBaselinePath {
 	return p
 }
 
-// home returns the state shard owning op (index precomputed at AddJob).
-func (p *shardedBaselinePath) home(op *dataflow.Operator) *stateShard {
-	return &p.states[op.Sched().Home]
-}
-
-// push enqueues one message, scheduling the target operator if it was
-// neither queued nor held. Pushes to dead operators are dropped (the
-// in-flight half of cancellation); pushes to paused operators enqueue
-// without scheduling.
-func (p *shardedBaselinePath) push(op *dataflow.Operator, m *core.Message, producer int) {
-	hs := p.home(op)
-	hs.mu.Lock()
-	st := op.Sched()
-	if st.Phase == core.OpDead {
-		hs.mu.Unlock()
-		p.e.discardMessage(op.Job, m)
-		return
-	}
-	st.FIFO.PushBack(m)
-	st.Depth.Store(int32(st.FIFO.Len()))
-	p.e.adm.enqueued(op.Job)
-	noteSrcQueued(op, m, 1)
-	schedule := !st.OnQueue && st.Phase == core.OpLive
-	if schedule {
-		st.OnQueue = true
-		p.runq.Add(producer, op)
-	}
-	hs.mu.Unlock()
-	if schedule {
-		p.signal(producer)
-	}
-}
-
-// ingest is the batched external-arrival path; the worker loop routes its
-// own children through the same grouped delivery with itself as producer.
+// ingest is the external-arrival path; the worker loop routes its own
+// children through the same grouped delivery with itself as producer.
 func (p *shardedBaselinePath) ingest(msgs []dataflow.ChildMessage) {
 	p.deliver(msgs, -1)
 }
 
 // deliver enqueues a batch of messages, mirroring the Cameo sharded
-// path's grouped shape: the batch is walked once per home shard so each
-// state-shard lock is taken once per batch (not once per message), and
-// once per *target* inside that lock, so each newly runnable operator
-// gets exactly one run-queue Add (under the shard lock — the same
-// state-shard → run-queue hierarchy push uses). producer is the
-// delivering worker (bag locality), or -1 for external arrivals.
-// Consumed entries have their Msg nil'ed (the slice is caller scratch,
-// rebuilt on its next use); one signal at the end wakes the pool.
+// path's grouped shape: each target's operator lock is taken once for all
+// of its messages, and a newly runnable operator (neither queued nor
+// held) gets exactly one run-queue Add under that lock. Pushes to dead
+// operators are dropped (the in-flight half of cancellation); pushes to
+// paused operators enqueue without scheduling. producer is the delivering
+// worker (bag locality), or -1 for external arrivals. Consumed entries
+// have their Msg nil'ed (the slice is caller scratch, rebuilt on its next
+// use); one signal at the end wakes the pool.
 func (p *shardedBaselinePath) deliver(msgs []dataflow.ChildMessage, producer int) {
-	if len(msgs) == 0 {
-		return
-	}
-	if len(msgs) == 1 {
-		for _, cm := range msgs {
-			p.push(cm.Target, cm.Msg, producer)
-		}
-		return
-	}
 	scheduled := false
-	done := 0
-	for shard := 0; shard < p.workers && done < len(msgs); shard++ {
-		hs := &p.states[shard]
-		locked := false
-		for i := range msgs {
-			if msgs[i].Msg == nil || int(msgs[i].Target.Sched().Home) != shard {
-				continue
-			}
-			if !locked {
-				hs.mu.Lock()
-				locked = true
-			}
-			op := msgs[i].Target
-			st := op.Sched()
-			if st.Phase == core.OpDead {
-				for j := i; j < len(msgs); j++ {
-					if msgs[j].Msg != nil && msgs[j].Target == op {
-						p.e.discardMessage(op.Job, msgs[j].Msg)
-						msgs[j].Msg = nil
-						done++
-					}
-				}
-				continue
-			}
-			pushed := 0
+	for i := range msgs {
+		if msgs[i].Msg == nil {
+			continue
+		}
+		op := msgs[i].Target
+		st := op.Sched()
+		st.Mu.Lock()
+		if st.Phase == core.OpDead {
 			for j := i; j < len(msgs); j++ {
 				if msgs[j].Msg != nil && msgs[j].Target == op {
-					st.FIFO.PushBack(msgs[j].Msg)
-					noteSrcQueued(op, msgs[j].Msg, 1)
+					p.e.discardMessage(op.Job, msgs[j].Msg)
 					msgs[j].Msg = nil
-					pushed++
-					done++
 				}
 			}
-			st.Depth.Store(int32(st.FIFO.Len()))
-			p.e.adm.enqueuedN(op.Job, pushed)
-			if !st.OnQueue && st.Phase == core.OpLive {
-				st.OnQueue = true
-				p.runq.Add(producer, op)
-				scheduled = true
+			st.Mu.Unlock()
+			continue
+		}
+		pushed := 0
+		for j := i; j < len(msgs); j++ {
+			if msgs[j].Msg != nil && msgs[j].Target == op {
+				st.FIFO.PushBack(msgs[j].Msg)
+				noteSrcQueued(op, msgs[j].Msg, 1)
+				msgs[j].Msg = nil
+				pushed++
 			}
 		}
-		if locked {
-			hs.mu.Unlock()
+		st.Depth.Store(int32(st.FIFO.Len()))
+		p.e.adm.enqueuedN(op.Job, pushed)
+		if !st.OnQueue && st.Phase == core.OpLive {
+			st.OnQueue = true
+			p.runq.Add(producer, op)
+			scheduled = true
 		}
+		st.Mu.Unlock()
 	}
 	if scheduled {
 		p.signal(producer)
@@ -229,17 +168,16 @@ func (p *shardedBaselinePath) stopAll() {
 	close(p.stopCh)
 }
 
-// cancel implements dispatchPath. Per operator, under its home shard
-// lock: mark it dead, discard its ring, and deregister it from the run
+// cancel implements dispatchPath. Per operator, under its lock: mark it
+// dead, discard its ring, and deregister it from the run
 // queue (the Remove the baseline disciplines' structures gained for
 // exactly this). OnQueue with the removal missing means a worker holds
 // (or is taking) the operator; that worker's phase-gated release clears
 // the flag without requeueing.
 func (p *shardedBaselinePath) cancel(job *dataflow.Job) {
 	for _, op := range job.Operators() {
-		hs := p.home(op)
-		hs.mu.Lock()
 		st := op.Sched()
+		st.Mu.Lock()
 		st.Phase = core.OpDead
 		for {
 			m, ok := st.FIFO.PopFront()
@@ -254,7 +192,7 @@ func (p *shardedBaselinePath) cancel(job *dataflow.Job) {
 		if st.OnQueue && p.runq.Remove(op) {
 			st.OnQueue = false
 		}
-		hs.mu.Unlock()
+		st.Mu.Unlock()
 	}
 }
 
@@ -262,16 +200,15 @@ func (p *shardedBaselinePath) cancel(job *dataflow.Job) {
 // ones; held ones leave the schedule at their worker's release.
 func (p *shardedBaselinePath) pause(job *dataflow.Job) {
 	for _, op := range job.Operators() {
-		hs := p.home(op)
-		hs.mu.Lock()
 		st := op.Sched()
+		st.Mu.Lock()
 		if st.Phase == core.OpLive {
 			st.Phase = core.OpPaused
 			if st.OnQueue && p.runq.Remove(op) {
 				st.OnQueue = false
 			}
 		}
-		hs.mu.Unlock()
+		st.Mu.Unlock()
 	}
 }
 
@@ -279,11 +216,10 @@ func (p *shardedBaselinePath) pause(job *dataflow.Job) {
 // ones with retained messages as external arrivals.
 func (p *shardedBaselinePath) resume(job *dataflow.Job) {
 	for _, op := range job.Operators() {
-		hs := p.home(op)
-		hs.mu.Lock()
 		st := op.Sched()
+		st.Mu.Lock()
 		if st.Phase != core.OpPaused {
-			hs.mu.Unlock()
+			st.Mu.Unlock()
 			continue
 		}
 		st.Phase = core.OpLive
@@ -292,7 +228,7 @@ func (p *shardedBaselinePath) resume(job *dataflow.Job) {
 			st.OnQueue = true
 			p.runq.Add(-1, op)
 		}
-		hs.mu.Unlock()
+		st.Mu.Unlock()
 		if schedule {
 			p.signal(-1)
 		}
@@ -300,17 +236,16 @@ func (p *shardedBaselinePath) resume(job *dataflow.Job) {
 }
 
 // eachQueued implements dispatchPath: walk op's FIFO ring in arrival order
-// under its home shard lock. Used by the checkpoint path on paused,
+// under its lock. Used by the checkpoint path on paused,
 // quiesced operators, where the lock publishes the ring contents rather
 // than excluding concurrent pops.
 func (p *shardedBaselinePath) eachQueued(op *dataflow.Operator, visit func(*core.Message)) {
-	hs := p.home(op)
-	hs.mu.Lock()
 	st := op.Sched()
+	st.Mu.Lock()
 	for i := 0; i < st.FIFO.Len(); i++ {
 		visit(st.FIFO.At(i))
 	}
-	hs.mu.Unlock()
+	st.Mu.Unlock()
 }
 
 // shedDoomed implements dispatchPath: sweep each of job's live operators'
@@ -331,11 +266,10 @@ func (p *shardedBaselinePath) shedOpDoomed(op *dataflow.Operator, now vtime.Time
 	e := p.e
 	aware := e.adm.deadlineAware
 	job := op.Job
-	hs := p.home(op)
-	hs.mu.Lock()
 	st := op.Sched()
+	st.Mu.Lock()
 	if st.Phase != core.OpLive || st.FIFO.Len() == 0 {
-		hs.mu.Unlock()
+		st.Mu.Unlock()
 		return 0
 	}
 	n := st.FIFO.Shed(
@@ -348,7 +282,7 @@ func (p *shardedBaselinePath) shedOpDoomed(op *dataflow.Operator, now vtime.Time
 	if n > 0 && st.FIFO.Len() == 0 && st.OnQueue && p.runq.Remove(op) {
 		st.OnQueue = false
 	}
-	hs.mu.Unlock()
+	st.Mu.Unlock()
 	e.noteShed(job, n)
 	return n
 }
@@ -371,11 +305,10 @@ func (p *shardedBaselinePath) shedExcess(job *dataflow.Job, n int) int {
 func (p *shardedBaselinePath) shedOpTail(op *dataflow.Operator, n int) int {
 	e := p.e
 	job := op.Job
-	hs := p.home(op)
-	hs.mu.Lock()
 	st := op.Sched()
+	st.Mu.Lock()
 	if st.Phase != core.OpLive {
-		hs.mu.Unlock()
+		st.Mu.Unlock()
 		return 0
 	}
 	count := 0
@@ -391,7 +324,7 @@ func (p *shardedBaselinePath) shedOpTail(op *dataflow.Operator, n int) int {
 	if count > 0 && st.FIFO.Len() == 0 && st.OnQueue && p.runq.Remove(op) {
 		st.OnQueue = false
 	}
-	hs.mu.Unlock()
+	st.Mu.Unlock()
 	e.noteShed(job, count)
 	return count
 }
@@ -413,11 +346,10 @@ func (p *shardedBaselinePath) shedSrc(job *dataflow.Job, src, n int) int {
 func (p *shardedBaselinePath) shedOpSrc(op *dataflow.Operator, src, limit int) int {
 	e := p.e
 	job := op.Job
-	hs := p.home(op)
-	hs.mu.Lock()
 	st := op.Sched()
+	st.Mu.Lock()
 	if st.Phase != core.OpLive || st.FIFO.Len() == 0 {
-		hs.mu.Unlock()
+		st.Mu.Unlock()
 		return 0
 	}
 	count := 0
@@ -428,7 +360,7 @@ func (p *shardedBaselinePath) shedOpSrc(op *dataflow.Operator, src, limit int) i
 	if n > 0 && st.FIFO.Len() == 0 && st.OnQueue && p.runq.Remove(op) {
 		st.OnQueue = false
 	}
-	hs.mu.Unlock()
+	st.Mu.Unlock()
 	e.noteShed(job, n)
 	return n
 }
@@ -460,34 +392,24 @@ func (p *shardedBaselinePath) acquire(w int) (*dataflow.Operator, bool) {
 }
 
 // popMsgs removes up to len(buf) messages of a held operator in FIFO
-// order under ONE home-shard lock (see shardedPath.popMsgs). A non-live
-// operator yields nothing, stopping the holding worker at the next batch
-// boundary; mid-batch transitions are caught by the worker's
-// lifecycle-epoch check.
+// order under ONE operator lock, and like shardedPath.popMsgs it closes
+// the activation when there is nothing to pop: an empty, paused or
+// cancelled operator leaves the schedule (OnQueue cleared) and 0 tells the
+// worker it no longer holds it. Mid-batch transitions are caught by the
+// worker's lifecycle-epoch check.
 func (p *shardedBaselinePath) popMsgs(op *dataflow.Operator, buf []*core.Message) int {
-	hs := p.home(op)
-	hs.mu.Lock()
 	st := op.Sched()
-	if st.Phase != core.OpLive {
-		hs.mu.Unlock()
+	st.Mu.Lock()
+	defer st.Mu.Unlock()
+	if st.Phase != core.OpLive || st.FIFO.Len() == 0 {
+		st.OnQueue = false
 		return 0
 	}
 	n := st.FIFO.PopFrontInto(buf)
 	st.Depth.Store(int32(st.FIFO.Len()))
 	p.e.adm.dequeuedN(op.Job, n)
 	noteSrcQueuedRun(op, buf[:n], -1)
-	hs.mu.Unlock()
 	return n
-}
-
-// opLive reports op's phase under its home-shard lock — the worker's
-// mid-batch re-check when the lifecycle epoch moved.
-func (p *shardedBaselinePath) opLive(op *dataflow.Operator) bool {
-	hs := p.home(op)
-	hs.mu.Lock()
-	live := op.Sched().Phase == core.OpLive
-	hs.mu.Unlock()
-	return live
 }
 
 // returnUndrained disposes of the unexecuted tail of a drain batch when
@@ -499,11 +421,10 @@ func (p *shardedBaselinePath) returnUndrained(op *dataflow.Operator, msgs []*cor
 	if len(msgs) == 0 {
 		return
 	}
-	hs := p.home(op)
-	hs.mu.Lock()
 	st := op.Sched()
+	st.Mu.Lock()
 	if st.Phase == core.OpDead {
-		hs.mu.Unlock()
+		st.Mu.Unlock()
 		for _, m := range msgs {
 			p.e.discardMessage(op.Job, m)
 		}
@@ -513,7 +434,7 @@ func (p *shardedBaselinePath) returnUndrained(op *dataflow.Operator, msgs []*cor
 	st.Depth.Store(int32(st.FIFO.Len()))
 	p.e.adm.enqueuedN(op.Job, len(msgs))
 	noteSrcQueuedRun(op, msgs, 1)
-	hs.mu.Unlock()
+	st.Mu.Unlock()
 }
 
 // release returns a held operator: drained (or paused/cancelled)
@@ -521,16 +442,15 @@ func (p *shardedBaselinePath) returnUndrained(op *dataflow.Operator, msgs []*cor
 // remaining messages re-enter on the finishing worker's list (Orleans
 // locality) or the back of the global queue (FIFO).
 func (p *shardedBaselinePath) release(op *dataflow.Operator, w int) {
-	hs := p.home(op)
-	hs.mu.Lock()
 	st := op.Sched()
+	st.Mu.Lock()
 	if st.Phase != core.OpLive || st.FIFO.Len() == 0 {
 		st.OnQueue = false
-		hs.mu.Unlock()
+		st.Mu.Unlock()
 		return
 	}
 	p.runq.Add(w, op)
-	hs.mu.Unlock()
+	st.Mu.Unlock()
 	p.signal(w)
 }
 
