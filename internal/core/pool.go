@@ -15,13 +15,14 @@ const chunkLen = 64
 type chunk[T any] [chunkLen]*T
 
 // Stash is one goroutine's end of a FreeList: a stack of recycled objects
-// nobody else touches. Workers' stashes live in the FreeList, indexed by
-// worker; an external producer brings its own (the ingest-side
-// dataflow.Env holds one). The zero value is ready; a stash is used with
-// exactly one FreeList.
+// nobody else touches. Workers' stashes live in the FreeList (see Worker);
+// an external producer brings its own (the ingest-side dataflow.Env holds
+// one). The zero value is ready and keeps at most one chunk; a stash is
+// used with exactly one FreeList.
 type Stash[T any] struct {
 	items []*T
-	_     [40]byte // keep neighbouring stashes off each other's cache lines
+	extra int      // how far past one chunk the stash may grow (workers)
+	_     [32]byte // keep neighbouring stashes off each other's cache lines
 }
 
 // FreeList is the recycling structure behind MessagePool and
@@ -42,7 +43,6 @@ type Stash[T any] struct {
 // ownership marks belong to the typed pools wrapping it.
 type FreeList[T any] struct {
 	workers     []Stash[T]
-	limit       int
 	full, empty sync.Pool // of *chunk[T]
 }
 
@@ -56,64 +56,75 @@ func (f *FreeList[T]) Init(workers, limit int) {
 		workers = 0
 	}
 	f.workers = make([]Stash[T], workers)
-	f.limit = limit
+	for i := range f.workers {
+		f.workers[i].extra = limit - chunkLen
+	}
 }
 
-// Get pops a recycled object for the given worker, or returns nil when
-// there is none (the caller allocates) or worker is not a worker index.
-func (f *FreeList[T]) Get(worker int) *T {
+// Worker returns the given worker's stash, or nil when worker is not a
+// worker index — Get then finds nothing and Put drops for the garbage
+// collector: goroutines that are not workers bring their own Stash.
+func (f *FreeList[T]) Worker(worker int) *Stash[T] {
 	if worker < 0 || worker >= len(f.workers) {
 		return nil
 	}
-	return f.get(&f.workers[worker])
+	return &f.workers[worker]
 }
 
-// Put releases v on the given worker's stash. Outside a worker index v is
-// dropped for the garbage collector — external callers recycle through
-// their own Stash.
-func (f *FreeList[T]) Put(worker int, v *T) {
-	if worker >= 0 && worker < len(f.workers) {
-		f.put(&f.workers[worker], f.limit, v)
-	}
-}
-
-// GetExternal pops a recycled object from an external producer's stash,
-// or returns nil when neither it nor the shared pool has one.
-func (f *FreeList[T]) GetExternal(s *Stash[T]) *T { return f.get(s) }
-
-// PutExternal releases v into an external producer's stash.
-func (f *FreeList[T]) PutExternal(s *Stash[T], v *T) { f.put(s, chunkLen, v) }
-
-func (f *FreeList[T]) get(s *Stash[T]) *T {
-	if len(s.items) == 0 {
-		c, _ := f.full.Get().(*chunk[T])
-		if c == nil {
-			return nil
-		}
-		s.items = append(s.items, c[:]...)
-		clear(c[:])
-		f.empty.Put(c)
+// Get pops a recycled object from s, refilling it from the shared pool
+// when it is empty; nil when the pool has none either (the caller
+// allocates).
+func (f *FreeList[T]) Get(s *Stash[T]) *T {
+	if s == nil {
+		return nil
 	}
 	n := len(s.items) - 1
+	if n < 0 {
+		return f.refill(s)
+	}
 	v := s.items[n]
 	s.items[n] = nil
 	s.items = s.items[:n]
 	return v
 }
 
-func (f *FreeList[T]) put(s *Stash[T], limit int, v *T) {
-	if len(s.items) >= limit {
-		c, _ := f.empty.Get().(*chunk[T])
-		if c == nil {
-			c = new(chunk[T])
-		}
-		k := len(s.items) - chunkLen
-		copy(c[:], s.items[k:])
-		clear(s.items[k:])
-		s.items = s.items[:k]
-		f.full.Put(c)
+// Put releases v into s, first handing a chunk to the shared pool if s is
+// at its limit.
+func (f *FreeList[T]) Put(s *Stash[T], v *T) {
+	if s == nil {
+		return
+	}
+	if len(s.items) >= chunkLen+s.extra {
+		f.handOff(s)
 	}
 	s.items = append(s.items, v)
+}
+
+// refill moves one chunk from the shared pool into the empty stash s and
+// pops its last object, or returns nil when the pool has none.
+func (f *FreeList[T]) refill(s *Stash[T]) *T {
+	c, _ := f.full.Get().(*chunk[T])
+	if c == nil {
+		return nil
+	}
+	v := c[chunkLen-1]
+	s.items = append(s.items, c[:chunkLen-1]...)
+	clear(c[:])
+	f.empty.Put(c)
+	return v
+}
+
+// handOff moves the newest chunkLen objects of s to the shared pool.
+func (f *FreeList[T]) handOff(s *Stash[T]) {
+	c, _ := f.empty.Get().(*chunk[T])
+	if c == nil {
+		c = new(chunk[T])
+	}
+	k := len(s.items) - chunkLen
+	copy(c[:], s.items[k:])
+	clear(s.items[k:])
+	s.items = s.items[:k]
+	f.full.Put(c)
 }
 
 // PoisonedID is stamped into a Message's ID the moment it is released to a
@@ -185,7 +196,7 @@ func (p *MessagePool) Get(worker int) *Message {
 	if p == nil {
 		return &Message{}
 	}
-	return zeroed(p.fl.Get(worker))
+	return zeroed(p.fl.Get(p.fl.Worker(worker)))
 }
 
 // Put releases m on the calling worker's list.
@@ -194,7 +205,7 @@ func (p *MessagePool) Put(worker int, m *Message) {
 		return
 	}
 	poison(m)
-	p.fl.Put(worker, m)
+	p.fl.Put(p.fl.Worker(worker), m)
 }
 
 // GetExternal returns a zeroed message for an external producer.
@@ -202,7 +213,7 @@ func (p *MessagePool) GetExternal(s *MessageStash) *Message {
 	if p == nil {
 		return &Message{}
 	}
-	return zeroed(p.fl.GetExternal(s))
+	return zeroed(p.fl.Get(s))
 }
 
 // PutExternal releases m through an external producer's stash.
@@ -211,5 +222,5 @@ func (p *MessagePool) PutExternal(s *MessageStash, m *Message) {
 		return
 	}
 	poison(m)
-	p.fl.PutExternal(s, m)
+	p.fl.Put(s, m)
 }

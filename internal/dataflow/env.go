@@ -167,14 +167,14 @@ func (p *BatchPool) Get(worker, capacity int) *Batch {
 	if p == nil {
 		return NewBatch(capacity)
 	}
-	return lease(p.fl.Get(worker), capacity)
+	return lease(p.fl.Get(p.fl.Worker(worker)), capacity)
 }
 
 // Put releases b on the calling worker's list if it came from a pool;
 // external and already-released batches are ignored.
 func (p *BatchPool) Put(worker int, b *Batch) {
 	if p.unlease(b) {
-		p.fl.Put(worker, b)
+		p.fl.Put(p.fl.Worker(worker), b)
 	}
 }
 
@@ -183,12 +183,12 @@ func (p *BatchPool) GetExternal(s *BatchStash, capacity int) *Batch {
 	if p == nil {
 		return NewBatch(capacity)
 	}
-	return lease(p.fl.GetExternal(s), capacity)
+	return lease(p.fl.Get(s), capacity)
 }
 
 // PutExternal is Put for an external producer.
 func (p *BatchPool) PutExternal(s *BatchStash, b *Batch) {
 	if p.unlease(b) {
-		p.fl.PutExternal(s, b)
+		p.fl.Put(s, b)
 	}
 }
