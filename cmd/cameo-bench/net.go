@@ -170,7 +170,7 @@ func netRunWire(conns, coalesce int, seed uint64) netResult {
 	}
 	eng.Start()
 	defer eng.Stop()
-	srv, err := eng.Serve("127.0.0.1:0", cameo.ServeConfig{FlushEvents: coalesce, FlushAge: 2 * time.Millisecond})
+	srv, err := eng.Serve("127.0.0.1:0", cameo.ServeConfig{FlushEvents: coalesce})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "cameo-bench:", err)
 		os.Exit(1)
@@ -255,7 +255,7 @@ func netOverloadRun(conns int, seed uint64) netOvCell {
 	}
 	eng.Start()
 	defer eng.Stop()
-	srv, err := eng.Serve("127.0.0.1:0", cameo.ServeConfig{FlushEvents: perFrame, FlushAge: time.Millisecond})
+	srv, err := eng.Serve("127.0.0.1:0", cameo.ServeConfig{FlushEvents: perFrame})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "cameo-bench:", err)
 		os.Exit(1)

@@ -15,7 +15,7 @@
 //
 //	cameo-serve                         # builtin CI spec's jobs on :9070
 //	cameo-serve -addr :9100 -spec capacity.json
-//	cameo-serve -flush-events 16 -flush-age 1ms
+//	cameo-serve -flush-events 16
 package main
 
 import (
@@ -38,7 +38,6 @@ func main() {
 		specPath    = flag.String("spec", "", "JSON workload spec for the engine shape and jobs (empty = builtin CI spec)")
 		workers     = flag.Int("workers", 0, "override the spec's worker count (0 keeps the spec's)")
 		flushEvents = flag.Int("flush-events", 0, "coalesce size: tuples buffered per (job, source) stream before one engine ingest (0 = default 64; 1 disables coalescing)")
-		flushAge    = flag.Duration("flush-age", 0, "coalesce age bound: max time a buffered tuple waits for the coalesce size (0 = default 2ms)")
 		window      = flag.Int("window", 0, "credit window for jobs without a MaxPending budget (0 = default 256)")
 		maxFrame    = flag.Int("max-frame", 0, "max wire frame body in bytes (0 = default 1MiB)")
 		drainFor    = flag.Duration("drain-timeout", 30*time.Second, "max time to drain queued work on shutdown")
@@ -72,7 +71,6 @@ func main() {
 
 	srv := server.New(eng, server.Config{
 		FlushEvents: *flushEvents,
-		FlushAge:    *flushAge,
 		Window:      *window,
 		MaxFrame:    *maxFrame,
 	})

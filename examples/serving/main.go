@@ -172,13 +172,12 @@ func main() {
 	eng := newEngine()
 	defer eng.Stop()
 	srv, err := eng.Serve("127.0.0.1:0", cameo.ServeConfig{
-		// Coalesce up to 16 tuples or 5ms per stream: dashboard's
-		// 16-event batches flush on size instantly, while firehose's
-		// 4-event frames ride the age bound — its acks arrive on the
-		// flush cadence, which is exactly what keeps its tiny credit
-		// window honest.
+		// Coalesce up to 16 tuples per stream: dashboard's 16-event
+		// batches flush on size instantly, while firehose's 4-event
+		// frames flush once they fill its credit window of 2 — its acks
+		// arrive on the flush cadence, which is exactly what keeps its
+		// tiny credit window honest.
 		FlushEvents: 16,
-		FlushAge:    5 * time.Millisecond,
 	})
 	if err != nil {
 		log.Fatal(err)

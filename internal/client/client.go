@@ -17,8 +17,16 @@
 // per-source Rejected counts, which the equivalence tests pin.
 //
 // Streams are lazy: the first send on a (job, source) pair Binds it and
-// waits for the server's Credit grant. One Client is safe for concurrent
-// use; sends are serialized on the connection's single writer.
+// waits for the server's Credit grant, which carries the stream's credit
+// window and its wire.Slack — the job's latency target and first window
+// slide. The Slack decides when a written frame leaves the write buffer: a
+// frontier-advancing frame (every Advance, and every Events frame that
+// moves the stream into a later window) goes to the socket at once, taking
+// everything written before it along; any other frame may share a write
+// with its successors for at most the stream's hold bound, which one
+// one-shot timer — armed only while the buffer is non-empty — enforces.
+// One Client is safe for concurrent use; sends are serialized on the
+// connection's single writer.
 package client
 
 import (
@@ -77,26 +85,36 @@ type streamKey struct {
 	src int
 }
 
-type entry struct {
-	seq uint64
-	n   int
-}
-
 type cstream struct {
 	id      uint32
 	window  int
+	slack   wire.Slack
 	bound   bool
 	refused string
 
+	progress vtime.Time // highest progress announced so far
 	nextSeq  uint64
-	inflight []entry // FIFO: [head:] are unsettled sends
-	head     int
+	// inflight is a ring of window tuple counts, one per unsettled send,
+	// oldest at head; their sequence numbers are the count consecutive ones
+	// ending at nextSeq. Sized at Credit, it never grows: a send waits
+	// while count == window.
+	inflight    []int
+	head, count int
 
 	backoffUntil time.Time
 	backoffCode  uint8
 }
 
-func (st *cstream) pending() int { return len(st.inflight) - st.head }
+func (st *cstream) pending() int { return st.count }
+
+// push records one unsettled send of n tuples and returns its sequence
+// number. The caller holds the client's mu and has seen pending() < window.
+func (st *cstream) push(n int) uint64 {
+	st.inflight[(st.head+st.count)%len(st.inflight)] = n
+	st.count++
+	st.nextSeq++
+	return st.nextSeq
+}
 
 // Client is one wire-protocol connection.
 type Client struct {
@@ -105,13 +123,15 @@ type Client struct {
 
 	// The writer stack pipelines sends: frames accumulate in bw and hit
 	// the socket in one syscall per flush instead of one per frame. A
-	// send flushes before it waits (credit window full, Nack backoff,
-	// bind credit), Flush/Close flush eagerly, and a background flusher
-	// bounds how long an idle tail may sit buffered, so no frame is ever
-	// stranded behind a caller that stopped sending.
-	wmu sync.Mutex // serializes the writer; sends take wmu then mu
-	bw  *bufio.Writer
-	w   *wire.Writer
+	// frontier-advancing frame flushes as soon as it is written, a send
+	// flushes before it waits (credit window full, Nack backoff, bind
+	// credit), Flush/Close flush eagerly, and the hold timer bounds how
+	// long anything else may sit buffered, so no frame is ever stranded
+	// behind a caller that stopped sending.
+	wmu   sync.Mutex // serializes the writer and the timer; sends take wmu then mu
+	bw    *bufio.Writer
+	w     *wire.Writer
+	timer wire.HoldTimer // flushes bw; armed only while bw holds frames
 
 	mu      sync.Mutex // guards everything below; the reader takes only mu
 	cond    *sync.Cond
@@ -135,12 +155,17 @@ func Dial(addr string, opts Options) (*Client, error) {
 	if opts.DialTimeout <= 0 {
 		opts.DialTimeout = defaultTimeout
 	}
-	if opts.BindTimeout <= 0 {
-		opts.BindTimeout = defaultTimeout
-	}
 	nc, err := net.DialTimeout("tcp", addr, opts.DialTimeout)
 	if err != nil {
 		return nil, err
+	}
+	return start(nc, opts)
+}
+
+// start runs the protocol over an established connection.
+func start(nc net.Conn, opts Options) (*Client, error) {
+	if opts.BindTimeout <= 0 {
+		opts.BindTimeout = defaultTimeout
 	}
 	bw := bufio.NewWriterSize(nc, 16<<10)
 	c := &Client{
@@ -153,23 +178,23 @@ func Dial(addr string, opts Options) (*Client, error) {
 		readerDone: make(chan struct{}),
 	}
 	c.cond = sync.NewCond(&c.mu)
-	if err := c.w.Preamble(); err == nil {
+	c.timer.Expired = c.holdExpired
+	err := c.w.Preamble()
+	if err == nil {
 		err = bw.Flush()
-	} else {
-		nc.Close()
-		return nil, err
 	}
 	if err != nil {
 		nc.Close()
 		return nil, err
 	}
 	go c.readLoop()
-	go c.flushLoop()
 	return c, nil
 }
 
-// flushWire pushes buffered frames to the socket. Caller holds wmu.
+// flushWire pushes buffered frames to the socket and disarms the hold
+// timer. Caller holds wmu.
 func (c *Client) flushWire() error {
+	c.timer.Disarm()
 	if err := c.bw.Flush(); err != nil {
 		err = fmt.Errorf("%w: %v", ErrClosed, err)
 		c.fail(err)
@@ -178,25 +203,12 @@ func (c *Client) flushWire() error {
 	return nil
 }
 
-// flushLoop bounds the latency of a buffered tail: whatever the senders
-// left in the write buffer reaches the wire within a tick even if no
-// send, Flush, or Close comes along to push it.
-func (c *Client) flushLoop() {
-	t := time.NewTicker(500 * time.Microsecond)
-	defer t.Stop()
-	for range t.C {
-		c.mu.Lock()
-		stop := c.closing || c.readErr != nil
-		c.mu.Unlock()
-		if stop {
-			return
-		}
-		c.wmu.Lock()
-		if c.bw.Buffered() > 0 {
-			c.bw.Flush() // best-effort; sender paths surface errors
-		}
-		c.wmu.Unlock()
-	}
+// holdExpired is the timer callback: the oldest buffered frame has used up
+// its stream's hold bound.
+func (c *Client) holdExpired() {
+	c.wmu.Lock()
+	c.flushWire() // best-effort; sender paths surface errors
+	c.wmu.Unlock()
 }
 
 // fail poisons the connection: every in-flight and future call errors.
@@ -209,24 +221,20 @@ func (c *Client) fail(err error) {
 	c.mu.Unlock()
 }
 
-// settle pops every inflight entry with seq <= through off one stream's
-// FIFO, crediting it as acked or nacked. Caller holds c.mu.
+// settle pops every inflight send with seq <= through off one stream's
+// ring, crediting it as acked or nacked. Caller holds c.mu.
 func (c *Client) settle(st *cstream, through uint64, nacked bool, code uint8) {
-	for st.head < len(st.inflight) && st.inflight[st.head].seq <= through {
-		e := st.inflight[st.head]
-		st.head++
+	for ; st.count > 0 && st.nextSeq-uint64(st.count) < through; st.count-- {
+		n := int64(st.inflight[st.head])
+		st.head = (st.head + 1) % len(st.inflight)
 		if nacked {
 			c.nackedFrames++
-			c.nackedEvents += int64(e.n)
+			c.nackedEvents += n
 			c.nackedByCode[code%8]++
 		} else {
 			c.ackedFrames++
-			c.ackedEvents += int64(e.n)
+			c.ackedEvents += n
 		}
-	}
-	if st.head == len(st.inflight) {
-		st.inflight = st.inflight[:0]
-		st.head = 0
 	}
 	c.cond.Broadcast()
 }
@@ -246,13 +254,13 @@ func (c *Client) readLoop() {
 		}
 		switch typ {
 		case wire.FrameCredit:
-			id, window, code, msg := r.U32(), r.U32(), r.U8(), r.String()
+			id, window, sl, code, msg := r.U32(), r.U32(), r.Slack(), r.U8(), r.String()
 			if err := r.Done(); err != nil {
 				c.fail(err)
 				return
 			}
 			c.mu.Lock()
-			if st := c.byID[id]; st != nil {
+			if st := c.byID[id]; st != nil && !st.bound {
 				if code != 0 {
 					st.refused = msg
 					if st.refused == "" {
@@ -260,6 +268,8 @@ func (c *Client) readLoop() {
 					}
 				} else {
 					st.window = int(window)
+					st.inflight = make([]int, window)
+					st.slack = sl
 					st.bound = true
 				}
 			}
@@ -385,6 +395,7 @@ func (c *Client) send(job string, src int, b *dataflow.Batch, p vtime.Time, try 
 		return err
 	}
 	c.mu.Lock()
+	var now time.Time
 	for {
 		if c.readErr != nil || c.closing {
 			err := c.readErr
@@ -394,7 +405,7 @@ func (c *Client) send(job string, src int, b *dataflow.Batch, p vtime.Time, try 
 			}
 			return err
 		}
-		now := time.Now()
+		now = time.Now()
 		if now.Before(st.backoffUntil) {
 			if try {
 				code := st.backoffCode
@@ -411,12 +422,14 @@ func (c *Client) send(job string, src int, b *dataflow.Batch, p vtime.Time, try 
 			continue
 		}
 		if st.pending() >= st.window {
-			if try {
-				c.mu.Unlock()
-				return overloadErr(wire.NackOverloaded, "credit window full")
-			}
+			// Flush before refusing or waiting: frames of a spent window
+			// still in the write buffer are what the acks that reopen it
+			// would settle — holding them is pure stall.
 			c.mu.Unlock()
 			c.flushWire()
+			if try {
+				return overloadErr(wire.NackOverloaded, "credit window full")
+			}
 			c.mu.Lock()
 			if st.pending() >= st.window && c.readErr == nil && !c.closing {
 				c.waitLocked(time.Now().Add(time.Second))
@@ -425,13 +438,17 @@ func (c *Client) send(job string, src int, b *dataflow.Batch, p vtime.Time, try 
 		}
 		break
 	}
-	st.nextSeq++
-	seq := st.nextSeq
 	n := 0
 	if b != nil {
 		n = b.Len()
 	}
-	st.inflight = append(st.inflight, entry{seq: seq, n: n})
+	seq := st.push(n)
+	// An Advance always moves the frontier; an Events frame does when it
+	// enters a later window than the stream's progress so far.
+	frontier := b == nil || st.slack.Advances(st.progress, p)
+	if p > st.progress {
+		st.progress = p
+	}
 	c.sentFrames++
 	c.sentEvents += int64(n)
 	c.mu.Unlock()
@@ -444,6 +461,15 @@ func (c *Client) send(job string, src int, b *dataflow.Batch, p vtime.Time, try 
 		c.fail(fmt.Errorf("%w: %v", ErrClosed, err))
 		return fmt.Errorf("%w: %v", ErrClosed, err)
 	}
+	if frontier {
+		// It closes a window: on its way now, and everything written
+		// before it with it.
+		return c.flushWire()
+	}
+	// Nothing downstream can fire on it before the next frontier frame,
+	// which will push it out; it may wait for company until its stream's
+	// hold bound runs out.
+	c.timer.Arm(now.Add(st.slack.Hold()))
 	return nil
 }
 
@@ -487,13 +513,15 @@ func (c *Client) Window(job string, src int) int {
 }
 
 // Flush waits until every sent frame is settled (acked or nacked) or the
-// timeout expires, reporting whether all settled. The server's age-bound
-// flusher guarantees settlement of a partial coalesce buffer within its
-// FlushAge, so timeouts comfortably above that always succeed in health.
+// timeout expires, reporting whether all settled. It sends a Flush frame
+// first, on which the server flushes every stream of the connection and
+// answers with the verdicts, so in health a settle costs one round trip
+// however long the streams' hold bounds are.
 func (c *Client) Flush(timeout time.Duration) bool {
 	deadline := time.Now().Add(timeout)
 	c.wmu.Lock()
-	c.flushWire()
+	c.w.Flush()
+	c.flushWire() // surfaces a failed write: bufio errors are sticky
 	c.wmu.Unlock()
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -547,7 +575,7 @@ func (c *Client) Close() error {
 	c.mu.Unlock()
 	c.wmu.Lock()
 	c.w.Goodbye()
-	c.bw.Flush()
+	c.flushWire()
 	c.wmu.Unlock()
 	select {
 	case <-c.readerDone:

@@ -957,6 +957,25 @@ func (e *Engine) JobShape(name string) (sources, stage0 int, err error) {
 	return j.Spec.Sources, len(j.Stages[0]), nil
 }
 
+// JobSlack reports what bounds the urgency of the named job's input: its
+// latency target L and the slide S of the first windowed stage on the path
+// from the sources (0 if none — every input then triggers output). The
+// serving tier reads it once per bind and schedules its flushes by it.
+func (e *Engine) JobSlack(name string) (latency, slide vtime.Duration, err error) {
+	e.jobsMu.RLock()
+	j, ok := e.jobs[name]
+	e.jobsMu.RUnlock()
+	if !ok {
+		return 0, 0, fmt.Errorf("runtime: unknown job %q", name)
+	}
+	for _, st := range j.Spec.Stages {
+		if st.Slide > 0 {
+			return j.Spec.Latency, st.Slide, nil
+		}
+	}
+	return j.Spec.Latency, 0, nil
+}
+
 // JobBudget reports the named job's current effective pending budget
 // (0 = unlimited): the tuner-derived adaptive budget once the job's
 // drain rate has been measured, the static JobSpec.MaxPending before.

@@ -8,11 +8,23 @@
 // straight into a batch leased from the engine's batch pool (no
 // per-frame allocation — the alloc gate pins it), and consecutive frames
 // on one stream coalesce into that batch until a flush fires, so the
-// engine sees connection-scale batches rather than wire-scale ones. A
-// flush fires when the buffered batch reaches Config.FlushEvents tuples,
-// or when the oldest buffered event has waited Config.FlushAge — the
-// latency-headroom bound that keeps coalescing from eating the deadline
-// budget of a trickling source.
+// engine sees connection-scale batches rather than wire-scale ones.
+//
+// Flushes are scheduled the way the engine schedules messages: by what the
+// frame can trigger and how much slack its tenant has (wire.Slack, read
+// from the job at Bind and granted in Credit). A frontier-advancing frame —
+// one that moves its stream into a later window of the job's first
+// windowed stage — is the only kind that makes that stage emit output, so
+// it is never held: whatever is buffered is flushed under its own, older
+// progress, then the frame follows at once. A coalesced batch therefore
+// never straddles a window end, and never announces progress past its
+// oldest event's window. Every other frame waits for the next frontier
+// frame, or until the buffer reaches Config.FlushEvents tuples, or has
+// absorbed the stream's whole credit window (the client cannot send more),
+// or has been held for the stream's hold bound, a fixed fraction of its
+// latency target. One one-shot timer per connection, armed only while
+// something is on hold and only for the earliest deadline, enforces the
+// last; an idle connection wakes nobody.
 //
 // Flow control is credit-based and admission-derived: a stream's Bind is
 // answered with a credit window sized from its job's pending-message
@@ -51,9 +63,6 @@ const (
 	// DefaultFlushEvents is the coalesce size: buffered tuples per stream
 	// that trigger a flush.
 	DefaultFlushEvents = 64
-	// DefaultFlushAge bounds how long the oldest buffered event may wait
-	// before its stream is flushed regardless of size.
-	DefaultFlushAge = 2 * time.Millisecond
 	// DefaultWindow is the credit window for jobs without a pending
 	// budget to derive one from.
 	DefaultWindow = 256
@@ -65,15 +74,11 @@ const (
 
 // Config parameterizes a Server.
 type Config struct {
-	// FlushEvents is the coalesce size: a stream's buffered batch is
-	// flushed to the engine when it reaches this many tuples (default
-	// DefaultFlushEvents). 1 disables coalescing — every Events frame is
-	// its own TryIngest.
+	// FlushEvents is the coalesce size — the capacity of a stream's leased
+	// buffer: it is flushed to the engine when it reaches this many tuples
+	// (default DefaultFlushEvents). 1 disables coalescing — every Events
+	// frame is its own TryIngest.
 	FlushEvents int
-	// FlushAge is the age bound: a stream is flushed when its oldest
-	// buffered event has waited this long (default DefaultFlushAge), so
-	// trickling sources are not held hostage by the coalesce size.
-	FlushAge time.Duration
 	// MaxFrame bounds one wire frame's body (default wire.DefaultMaxFrame).
 	MaxFrame int
 	// Window is the credit window granted to streams whose job has no
@@ -87,9 +92,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.FlushEvents <= 0 {
 		c.FlushEvents = DefaultFlushEvents
-	}
-	if c.FlushAge <= 0 {
-		c.FlushAge = DefaultFlushAge
 	}
 	if c.MaxFrame <= 0 {
 		c.MaxFrame = wire.DefaultMaxFrame
@@ -229,8 +231,8 @@ func (s *Server) acceptLoop(ln net.Listener) {
 			bw:      bw,
 			w:       wire.NewWriter(bw),
 			streams: make(map[uint32]*stream),
-			stop:    make(chan struct{}),
 		}
+		c.timer.Expired = c.holdExpired
 		s.mu.Lock()
 		if s.closed {
 			s.mu.Unlock()
@@ -250,12 +252,14 @@ type stream struct {
 	id     uint32
 	job    string
 	src    int
-	window uint32
+	window int
+	slack  wire.Slack
 
-	pend         *dataflow.Batch // leased coalesce buffer, nil when empty
-	pendFirst    time.Time       // arrival of pend's first event
-	pendSeq      uint64          // highest buffered frame sequence
-	pendProgress vtime.Time      // max progress across buffered frames
+	progress   vtime.Time      // highest progress announced so far
+	pend       *dataflow.Batch // leased coalesce buffer, nil when empty
+	pendFrames int             // frames buffered in pend
+	pendSeq    uint64          // highest buffered frame sequence
+	deadline   time.Time       // when pend's hold bound runs out
 }
 
 type conn struct {
@@ -272,11 +276,10 @@ type conn struct {
 	bw  *bufio.Writer
 	w   *wire.Writer
 
-	mu      sync.Mutex // guards streams and their coalesce state
+	mu      sync.Mutex // guards everything below
 	streams map[uint32]*stream
-
-	stop     chan struct{} // closes when the reader exits
-	stopOnce sync.Once
+	held    int            // streams with a buffer on hold
+	timer   wire.HoldTimer // runs holdExpired; armed only while held > 0
 }
 
 func (c *conn) run() {
@@ -295,7 +298,6 @@ func (c *conn) run() {
 		c.s.protoErrs.Add(1)
 		return
 	}
-	go c.ageFlusher()
 	for {
 		// Flush-before-blocking-read: only when the socket has nothing
 		// more buffered do pending acks need to go out now — a replying
@@ -324,6 +326,11 @@ func (c *conn) run() {
 			herr = c.handleEvents()
 		case wire.FrameAdvance:
 			herr = c.handleAdvance()
+		case wire.FrameFlush:
+			if herr = c.r.Done(); herr == nil {
+				c.flushAll()
+				c.flushWire()
+			}
 		case wire.FrameGoodbye:
 			if herr = c.r.Done(); herr == nil {
 				c.flushAll()
@@ -354,9 +361,9 @@ func (c *conn) flushWire() {
 	c.wmu.Unlock()
 }
 
-// finish closes the connection and unregisters it.
+// finish closes the connection and unregisters it. The reader has emptied
+// every buffer on its way out, which disarmed the timer.
 func (c *conn) finish() {
-	c.stopOnce.Do(func() { close(c.stop) })
 	c.flushWire()
 	c.nc.Close()
 	c.s.mu.Lock()
@@ -374,28 +381,46 @@ func (c *conn) shutdown() {
 	c.nc.Close() // unblocks the reader; finish() completes teardown
 }
 
-// ageFlusher flushes streams whose oldest buffered event has waited
-// FlushAge. It polls at half the bound so the worst-case overstay is 1.5×.
-func (c *conn) ageFlusher() {
-	tick := time.NewTicker(c.s.cfg.FlushAge / 2)
-	defer tick.Stop()
-	for {
-		select {
-		case <-c.stop:
-			return
-		case now := <-tick.C:
-			c.mu.Lock()
-			for _, st := range c.streams {
-				if st.pend != nil && now.Sub(st.pendFirst) >= c.s.cfg.FlushAge {
-					c.flushLocked(st)
-				}
-			}
-			c.mu.Unlock()
-			// The read loop may be blocked mid-frame; push out whatever
-			// verdicts the pass above produced.
-			c.flushWire()
+// hold puts st's fresh buffer on hold: it is flushed when its hold bound
+// runs out, unless a frontier frame, the coalesce size or the credit window
+// gets there first. Caller holds c.mu.
+func (c *conn) hold(st *stream) {
+	st.deadline = time.Now().Add(st.slack.Hold())
+	c.held++
+	c.timer.Arm(st.deadline)
+}
+
+// release takes st's buffer off hold; with nothing left on hold the timer
+// is disarmed. Caller holds c.mu and has taken st.pend.
+func (c *conn) release(st *stream) {
+	if st.deadline.IsZero() {
+		return // flushed by the frame that leased it, never held
+	}
+	st.deadline = time.Time{}
+	if c.held--; c.held == 0 {
+		c.timer.Disarm()
+	}
+}
+
+// holdExpired is the timer callback: it flushes every stream whose hold
+// bound has run out and re-arms for the earliest one left.
+func (c *conn) holdExpired() {
+	c.mu.Lock()
+	c.timer.Disarm()
+	now := time.Now()
+	for _, st := range c.streams {
+		switch {
+		case st.deadline.IsZero():
+		case st.deadline.After(now):
+			c.timer.Arm(st.deadline)
+		default:
+			c.flushLocked(st)
 		}
 	}
+	c.mu.Unlock()
+	// The read loop may be blocked mid-frame; push out whatever verdicts
+	// the pass above produced.
+	c.flushWire()
 }
 
 func (c *conn) handleBind() error {
@@ -408,7 +433,7 @@ func (c *conn) handleBind() error {
 	refuse := func(msg string) error {
 		c.wmu.Lock()
 		defer c.wmu.Unlock()
-		return c.w.Credit(id, 0, wire.NackBadStream, msg)
+		return c.w.Credit(id, 0, wire.Slack{}, wire.NackBadStream, msg)
 	}
 	sources, stage0, err := c.s.eng.JobShape(job)
 	if err != nil {
@@ -426,7 +451,7 @@ func (c *conn) handleBind() error {
 		c.mu.Unlock()
 		return refuse("too many streams on connection")
 	}
-	window := uint32(c.s.cfg.Window)
+	window := c.s.cfg.Window
 	if budget, err := c.s.eng.JobBudget(job); err == nil && budget > 0 && stage0 > 0 {
 		// The tenant's share of its own admission budget: with window
 		// frames unacknowledged, a full coalesce flush cannot exceed the
@@ -438,13 +463,17 @@ func (c *conn) handleBind() error {
 		if w > maxWindow {
 			w = maxWindow
 		}
-		window = uint32(w)
+		window = int(w)
 	}
-	c.streams[id] = &stream{id: id, job: job, src: src, window: window}
+	// The stream's scheduling context, read once: what the engine derives
+	// priorities from, the wire tier derives flushes from.
+	var sl wire.Slack
+	sl.Latency, sl.Slide, _ = c.s.eng.JobSlack(job)
+	c.streams[id] = &stream{id: id, job: job, src: src, window: window, slack: sl}
 	c.mu.Unlock()
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	return c.w.Credit(id, window, 0, "")
+	return c.w.Credit(id, uint32(window), sl, 0, "")
 }
 
 func (c *conn) handleEvents() error {
@@ -468,13 +497,19 @@ func (c *conn) handleEvents() error {
 		defer c.wmu.Unlock()
 		return c.w.Nack(h.Stream, h.Seq, wire.NackBadStream, 0)
 	}
-	if st.pend == nil {
+	frontier := st.slack.Advances(st.progress, h.Progress)
+	if frontier {
+		// What is buffered belongs to the window this frame closes: it goes
+		// in first, under the progress it was sent with.
+		c.flushLocked(st)
+	}
+	fresh := st.pend == nil
+	if fresh {
 		capacity := c.s.cfg.FlushEvents
 		if h.Count > capacity {
 			capacity = h.Count
 		}
 		st.pend = c.s.eng.LeaseBatch(capacity)
-		st.pendFirst = time.Now()
 	}
 	if err := c.r.EventsInto(h, st.pend); err != nil {
 		// Partially appended columns die with the connection: the buffer
@@ -483,13 +518,19 @@ func (c *conn) handleEvents() error {
 		return err
 	}
 	st.pendSeq = h.Seq
-	if h.Progress > st.pendProgress {
-		st.pendProgress = h.Progress
+	st.pendFrames++
+	if h.Progress > st.progress {
+		st.progress = h.Progress
 	}
 	c.s.events.Add(int64(h.Count))
 	c.s.buffered.Add(int64(h.Count))
-	if st.pend.Len() >= c.s.cfg.FlushEvents {
+	switch {
+	case frontier || st.pend.Len() >= c.s.cfg.FlushEvents || st.pendFrames >= st.window:
+		// Window-closing, full, or all the client may send: waiting longer
+		// buys nothing.
 		c.flushLocked(st)
+	case fresh:
+		c.hold(st)
 	}
 	c.mu.Unlock()
 	return nil
@@ -512,10 +553,10 @@ func (c *conn) handleAdvance() error {
 	}
 	// Flush buffered events first so the watermark cannot overtake them.
 	c.flushLocked(st)
-	if p > st.pendProgress {
-		st.pendProgress = p
+	if p > st.progress {
+		st.progress = p
 	}
-	job, src := st.job, st.src
+	job, src, hold := st.job, st.src, st.slack.Hold()
 	c.mu.Unlock()
 	// Watermarks are exempt from admission budgets; only a paused job
 	// refuses one.
@@ -523,7 +564,7 @@ func (c *conn) handleAdvance() error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
 	if err != nil {
-		code, retry := c.nackFor(err)
+		code, retry := nackFor(err, hold)
 		return c.w.Nack(id, seq, code, retry)
 	}
 	return c.w.Ack(id, seq)
@@ -539,10 +580,11 @@ func (c *conn) flushLocked(st *stream) {
 	}
 	n := b.Len()
 	seq := st.pendSeq
-	st.pend = nil
+	st.pend, st.pendFrames = nil, 0
+	c.release(st)
 	c.s.flushes.Add(1)
 	c.s.buffered.Add(int64(-n))
-	err := c.s.eng.TryIngest(st.job, st.src, b, st.pendProgress)
+	err := c.s.eng.TryIngest(st.job, st.src, b, st.progress)
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
 	if err == nil {
@@ -555,14 +597,15 @@ func (c *conn) flushLocked(st *stream) {
 	c.s.eng.ReturnBatch(b)
 	c.s.nackedFlushes.Add(1)
 	c.s.nackedEvents.Add(int64(n))
-	code, retry := c.nackFor(err)
+	code, retry := nackFor(err, st.slack.Hold())
 	c.w.Nack(st.id, seq, code, retry)
 }
 
 // nackFor maps an admission refusal to its wire code and retry-after
-// hint. ErrJobOverloaded wraps ErrOverloaded, so it must match first.
-func (c *conn) nackFor(err error) (uint8, vtime.Duration) {
-	overloadRetry := vtime.FromStd(c.s.cfg.FlushAge)
+// hint: the stream's hold bound, the time a retry would spend coalescing
+// anyway. ErrJobOverloaded wraps ErrOverloaded, so it must match first.
+func nackFor(err error, hold time.Duration) (uint8, vtime.Duration) {
+	overloadRetry := vtime.FromStd(hold)
 	switch {
 	case errors.Is(err, runtime.ErrJobPaused):
 		return wire.NackPaused, 5 * overloadRetry
@@ -593,7 +636,8 @@ func (c *conn) discardAll() {
 		if st.pend != nil {
 			c.s.buffered.Add(int64(-st.pend.Len()))
 			c.s.eng.ReturnBatch(st.pend)
-			st.pend = nil
+			st.pend, st.pendFrames = nil, 0
+			c.release(st)
 		}
 	}
 }

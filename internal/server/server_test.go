@@ -42,7 +42,7 @@ func serve(t *testing.T, ecfg runtime.Config, scfg server.Config) (*runtime.Engi
 // is acked, flushed, and none refused.
 func TestServeLoopbackEndToEnd(t *testing.T) {
 	e, s, addr := serve(t, runtime.Config{Workers: 2},
-		server.Config{FlushEvents: 16, FlushAge: 2 * time.Millisecond})
+		server.Config{FlushEvents: 16})
 	if _, err := e.AddJob(testkit.AggSpec("j", 2, 2, testWin, 500*vtime.Millisecond)); err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +296,7 @@ func (rc *rawConn) expectCredit(t *testing.T, stream uint32) uint32 {
 		if typ != wire.FrameCredit {
 			t.Fatalf("expected credit, got frame type %d", typ)
 		}
-		id, window, code, msg := rc.r.U32(), rc.r.U32(), rc.r.U8(), rc.r.String()
+		id, window, _, code, msg := rc.r.U32(), rc.r.U32(), rc.r.Slack(), rc.r.U8(), rc.r.String()
 		if err := rc.r.Done(); err != nil {
 			t.Fatal(err)
 		}
@@ -310,6 +310,20 @@ func (rc *rawConn) expectCredit(t *testing.T, stream uint32) uint32 {
 	}
 }
 
+// expectAck reads one frame, which must be an Ack.
+func (rc *rawConn) expectAck(t *testing.T) (stream uint32, through uint64) {
+	t.Helper()
+	typ, err := rc.r.Next()
+	if err != nil || typ != wire.FrameAck {
+		t.Fatalf("expected ack, got frame type %d err %v", typ, err)
+	}
+	stream, through = rc.r.U32(), rc.r.U64()
+	if err := rc.r.Done(); err != nil {
+		t.Fatal(err)
+	}
+	return stream, through
+}
+
 func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -321,14 +335,14 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-// TestProtocolErrorDiscardsBuffered pins the no-partial-ingest guarantee:
-// events buffered behind an unflushed coalesce window die with the
-// connection when framing is lost — nothing half-verified reaches the
-// engine.
-func TestProtocolErrorDiscardsBuffered(t *testing.T) {
-	e, s, addr := serve(t, runtime.Config{Workers: 1},
-		server.Config{FlushEvents: 1 << 20, FlushAge: time.Hour})
-	if _, err := e.AddJob(testkit.AggSpec("j", 2, 2, testWin, 500*vtime.Millisecond)); err != nil {
+// parkOne binds stream 1 of a fresh long-target job over a raw connection
+// and leaves one frame parked in its coalesce buffer: the first frame moves
+// the stream into window 1, so it is flushed at once; the second stays in
+// that window, and with an hour of slack nothing but the peer will move it.
+func parkOne(t *testing.T, scfg server.Config) (*runtime.Engine, *server.Server, *rawConn, testkit.Workload) {
+	t.Helper()
+	e, s, addr := serve(t, runtime.Config{Workers: 1}, scfg)
+	if _, err := e.AddJob(testkit.AggSpec("j", 2, 2, testWin, vtime.Hour)); err != nil {
 		t.Fatal(err)
 	}
 	e.Start()
@@ -338,10 +352,31 @@ func TestProtocolErrorDiscardsBuffered(t *testing.T) {
 	}
 	rc.expectCredit(t, 1)
 	wl := testLoad(1)
-	if err := rc.w.Events(1, 1, wl.Progress(1), wl.Batch(0, 1)); err != nil {
-		t.Fatal(err)
+	for seq := uint64(1); seq <= 2; seq++ {
+		if err := rc.w.Events(1, seq, wl.Progress(1), wl.Batch(0, 1)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	waitFor(t, "events buffered", func() bool { return s.Stats().BufferedEvents == int64(wl.Tuples) })
+	waitFor(t, "one frame flushed, one buffered", func() bool {
+		ss := s.Stats()
+		return ss.FlushedEvents == int64(wl.Tuples) && ss.BufferedEvents == int64(wl.Tuples)
+	})
+	// Take the first frame's ack off the socket: closing with it unread
+	// would reset the connection instead of ending it cleanly.
+	if id, through := rc.expectAck(t); id != 1 || through != 1 {
+		t.Fatalf("ack (%d,%d), want (1,1)", id, through)
+	}
+	return e, s, rc, wl
+}
+
+// TestProtocolErrorDiscardsBuffered pins the no-partial-ingest guarantee:
+// events buffered behind an unflushed coalesce window die with the
+// connection when framing is lost — nothing half-verified reaches the
+// engine.
+func TestProtocolErrorDiscardsBuffered(t *testing.T) {
+	e, s, rc, wl := parkOne(t, server.Config{FlushEvents: 1 << 20})
+	testkit.DrainOrFail(t, e, 5*time.Second)
+	created := e.Created()
 	// Garbage after a valid frame: framing is lost, the connection must
 	// tear down and the buffered batch must never be ingested.
 	if _, err := rc.nc.Write([]byte{0xde, 0xad, 0xbe, 0xef, 0xde, 0xad, 0xbe, 0xef}); err != nil {
@@ -352,9 +387,12 @@ func TestProtocolErrorDiscardsBuffered(t *testing.T) {
 	if ss.BufferedEvents != 0 {
 		t.Errorf("buffered events after teardown = %d, want 0", ss.BufferedEvents)
 	}
-	if ss.FlushedEvents != 0 || e.Created() != 0 {
-		t.Errorf("partial ingest after torn framing: flushed %d, engine created %d",
-			ss.FlushedEvents, e.Created())
+	if ss.FlushedEvents != int64(wl.Tuples) || e.Created() != created {
+		t.Errorf("partial ingest after torn framing: flushed %d (want %d), engine created %d (want %d)",
+			ss.FlushedEvents, wl.Tuples, e.Created(), created)
+	}
+	if n := s.TimersArmed(); n != 0 {
+		t.Errorf("%d hold timers armed after teardown", n)
 	}
 }
 
@@ -362,38 +400,24 @@ func TestProtocolErrorDiscardsBuffered(t *testing.T) {
 // framing-intact close (EOF at a frame boundary) flushes what was
 // buffered — every one of those frames passed its CRC.
 func TestCleanEOFFlushesBuffered(t *testing.T) {
-	e, s, addr := serve(t, runtime.Config{Workers: 1},
-		server.Config{FlushEvents: 1 << 20, FlushAge: time.Hour})
-	if _, err := e.AddJob(testkit.AggSpec("j", 2, 2, testWin, 500*vtime.Millisecond)); err != nil {
-		t.Fatal(err)
-	}
-	e.Start()
-	rc := dialRaw(t, addr)
-	if err := rc.w.Bind(1, 0, "j"); err != nil {
-		t.Fatal(err)
-	}
-	rc.expectCredit(t, 1)
-	wl := testLoad(1)
-	if err := rc.w.Events(1, 1, wl.Progress(1), wl.Batch(0, 1)); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, "events buffered", func() bool { return s.Stats().BufferedEvents == int64(wl.Tuples) })
+	e, s, rc, wl := parkOne(t, server.Config{FlushEvents: 1 << 20})
 	rc.nc.Close()
-	waitFor(t, "EOF flush", func() bool { return s.Stats().FlushedEvents == int64(wl.Tuples) })
+	waitFor(t, "EOF flush", func() bool { return s.Stats().FlushedEvents == 2*int64(wl.Tuples) })
 	testkit.DrainOrFail(t, e, 5*time.Second)
 	if s.Stats().ProtocolErrors != 0 {
 		t.Errorf("clean EOF counted as protocol error")
 	}
 }
 
-// TestCreditWindowBlocksAndRecovers pins the flow-control loop: with
-// acks withheld (a huge coalesce window), TryIngestBatch refuses at
-// exactly the credit window, IngestBatch blocks, and the server's age
-// flusher eventually settles the backlog and unblocks the sender.
+// TestCreditWindowBlocksAndRecovers pins the flow-control loop: with acks
+// withheld (a huge coalesce size, an hour of slack, frames that close no
+// window), TryIngestBatch refuses at exactly the credit window and
+// IngestBatch blocks — and the server, seeing its buffer hold everything
+// the client may send, flushes without waiting for any hold bound, so the
+// blocked send returns in about a round trip.
 func TestCreditWindowBlocksAndRecovers(t *testing.T) {
-	e, _, addr := serve(t, runtime.Config{Workers: 1},
-		server.Config{FlushEvents: 1 << 20, FlushAge: 250 * time.Millisecond})
-	spec := testkit.AggSpec("j", 2, 2, testWin, 500*vtime.Millisecond)
+	e, s, addr := serve(t, runtime.Config{Workers: 1}, server.Config{FlushEvents: 1 << 20})
+	spec := testkit.AggSpec("j", 2, 2, testWin, vtime.Hour)
 	spec.MaxPending = 8 // stage-0 parallelism 2 → window 4
 	if _, err := e.AddJob(spec); err != nil {
 		t.Fatal(err)
@@ -404,35 +428,108 @@ func TestCreditWindowBlocksAndRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	wl := testLoad(12)
-	if err := c.TryIngestBatch("j", 0, wl.Batch(0, 1), wl.Progress(1)); err != nil {
+	wl := testLoad(1)
+	// The first frame enters window 1 and is flushed and acked at once.
+	if err := c.IngestBatch("j", 0, wl.Batch(0, 1), wl.Progress(1)); err != nil {
 		t.Fatal(err)
+	}
+	if !c.Flush(5 * time.Second) {
+		t.Fatalf("did not settle: %+v", c.Stats())
 	}
 	window := c.Window("j", 0)
 	if window != 4 {
 		t.Fatalf("window = %d, want 4", window)
 	}
-	for w := 2; w <= window; w++ {
-		if err := c.TryIngestBatch("j", 0, wl.Batch(0, w), wl.Progress(w)); err != nil {
-			t.Fatalf("send %d/%d refused early: %v", w, window, err)
+	// The next ones stay in window 1: nothing flushes them, nothing acks.
+	for i := 1; i <= window; i++ {
+		if err := c.TryIngestBatch("j", 0, wl.Batch(0, 1), wl.Progress(1)); err != nil {
+			t.Fatalf("send %d/%d refused early: %v", i, window, err)
 		}
 	}
 	// Window full, nothing acked yet: the non-blocking path must refuse...
-	if err := c.TryIngestBatch("j", 0, wl.Batch(0, window+1), wl.Progress(window+1)); !errors.Is(err, runtime.ErrOverloaded) {
+	if err := c.TryIngestBatch("j", 0, wl.Batch(0, 1), wl.Progress(1)); !errors.Is(err, runtime.ErrOverloaded) {
 		t.Errorf("TryIngestBatch with window full = %v, want ErrOverloaded", err)
 	}
-	// ...and the blocking path must wait for the age flush to free credit.
+	// ...and the blocking path waits only for the server to notice that its
+	// buffer holds the whole credit window — not for a hold bound, which
+	// here is seven minutes away.
 	start := time.Now()
-	if err := c.IngestBatch("j", 0, wl.Batch(0, window+1), wl.Progress(window+1)); err != nil {
+	if err := c.IngestBatch("j", 0, wl.Batch(0, 1), wl.Progress(1)); err != nil {
 		t.Fatal(err)
 	}
-	if waited := time.Since(start); waited < 100*time.Millisecond {
-		t.Errorf("blocking send returned in %v — did not actually wait for credit", waited)
+	if waited := time.Since(start); waited > 2*time.Second {
+		t.Errorf("blocking send took %v — waited for something other than the credit-window flush", waited)
+	}
+	if ss := s.Stats(); ss.Flushes != 2 || ss.FlushedEvents != int64((1+window)*wl.Tuples) {
+		t.Errorf("after the blocked send: %d flushes of %d events, want 2 (first frame, full window) of %d",
+			ss.Flushes, ss.FlushedEvents, (1+window)*wl.Tuples)
 	}
 	if !c.Flush(5 * time.Second) {
 		t.Fatalf("did not settle: %+v", c.Stats())
 	}
 	testkit.DrainOrFail(t, e, 5*time.Second)
+}
+
+// TestHoldBoundPerStream pins the slack-derived hold: two streams of one
+// connection whose jobs have different latency targets are each flushed
+// when their own bound (an eighth of the target) runs out, the tighter
+// one first, by one timer that is armed for the earliest deadline only
+// and not at all once nothing is buffered.
+func TestHoldBoundPerStream(t *testing.T) {
+	t.Cleanup(testkit.LeakCheck(t))                                        // runs after serve's cleanup: no timer goroutine outlives the server
+	const tight, loose = 160 * vtime.Millisecond, 1600 * vtime.Millisecond // hold 20 ms / 200 ms
+	e, s, addr := serve(t, runtime.Config{Workers: 1}, server.Config{FlushEvents: 1 << 20})
+	for name, l := range map[string]vtime.Duration{"tight": tight, "loose": loose} {
+		if _, err := e.AddJob(testkit.AggSpec(name, 1, 1, testWin, l)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e.Start()
+	rc := dialRaw(t, addr)
+	for id, job := range map[uint32]string{1: "loose", 2: "tight"} {
+		if err := rc.w.Bind(id, 0, job); err != nil {
+			t.Fatal(err)
+		}
+		rc.expectCredit(t, id)
+	}
+	if n := s.TimersArmed(); n != 0 {
+		t.Fatalf("%d timers armed on an idle bound connection", n)
+	}
+	// Progress 0 closes nothing: both frames are held, the loose one first.
+	wl := testLoad(1)
+	start := time.Now()
+	for _, id := range []uint32{1, 2} {
+		if err := rc.w.Events(id, 1, 0, wl.Batch(0, 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, "both buffered", func() bool { return s.Stats().BufferedEvents == 2*int64(wl.Tuples) })
+	if n := s.TimersArmed(); n != 1 {
+		t.Fatalf("%d timers armed with two buffers on hold, want 1", n)
+	}
+	for i, want := range []struct {
+		stream uint32
+		hold   time.Duration
+	}{{2, vtime.Std(tight) / 8}, {1, vtime.Std(loose) / 8}} {
+		id, through := rc.expectAck(t)
+		if id != want.stream || through != 1 {
+			t.Fatalf("verdict %d: ack (%d,%d), want stream %d", i, id, through, want.stream)
+		}
+		if held := time.Since(start); held < want.hold {
+			t.Errorf("stream %d flushed after %v, before its hold bound %v", id, held, want.hold)
+		}
+		if got := s.Stats().Flushes; got != int64(i+1) {
+			t.Errorf("%d flushes after verdict %d: the timer fired for more than the due stream", got, i)
+		}
+		if n := s.TimersArmed(); n != 1-i {
+			t.Errorf("%d timers armed after verdict %d, want %d", n, i, 1-i)
+		}
+	}
+	// Nothing buffered: nothing armed, and nothing fires again.
+	time.Sleep(vtime.Std(tight) / 4)
+	if ss := s.Stats(); ss.Flushes != 2 || s.TimersArmed() != 0 {
+		t.Errorf("idle connection: %d flushes, %d timers armed; want 2, 0", ss.Flushes, s.TimersArmed())
+	}
 }
 
 // TestAllocsServerSteadyStateDecode is the decode-path half of the alloc
@@ -448,8 +545,10 @@ func TestAllocsServerSteadyStateDecode(t *testing.T) {
 	}
 	const frames, tuples = 64, 16
 	e, _, addr := serve(t, runtime.Config{Workers: 1},
-		server.Config{FlushEvents: frames * tuples, FlushAge: time.Hour})
-	if _, err := e.AddJob(testkit.AggSpec("j", 2, 2, testWin, 500*vtime.Millisecond)); err != nil {
+		server.Config{FlushEvents: frames * tuples})
+	// An hour of slack: every cycle's buffer is on hold with the timer
+	// armed, and only the coalesce size ever flushes it.
+	if _, err := e.AddJob(testkit.AggSpec("j", 2, 2, testWin, vtime.Hour)); err != nil {
 		t.Fatal(err)
 	}
 	e.Start()

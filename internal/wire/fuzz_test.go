@@ -31,11 +31,13 @@ func FuzzWireDecode(f *testing.F) {
 	b.Append(300, 9, -0.25)
 	for _, err := range []error{
 		w.Bind(1, 0, "tenant-a"),
-		w.Credit(1, 64, 0, ""),
+		w.Credit(1, 64, Slack{Latency: 50 * vtime.Millisecond, Slide: 10 * vtime.Millisecond}, 0, ""),
+		w.Credit(2, 0, Slack{}, NackBadStream, "unknown job"),
 		w.Events(1, 1, 350, b),
 		w.Advance(1, 2, 400),
 		w.Ack(1, 2),
 		w.Nack(1, 3, NackOverloaded, 5*vtime.Millisecond),
+		w.Flush(),
 		w.Goodbye(),
 	} {
 		if err != nil {
@@ -94,6 +96,7 @@ func FuzzWireDecode(f *testing.F) {
 			case FrameCredit:
 				r.U32()
 				r.U32()
+				r.Slack()
 				r.U8()
 				_ = r.String()
 			case FrameAck:
@@ -104,7 +107,7 @@ func FuzzWireDecode(f *testing.F) {
 				r.U64()
 				r.U8()
 				r.Dur()
-			case FrameGoodbye:
+			case FrameGoodbye, FrameFlush:
 			default:
 				t.Fatalf("Next returned unassigned type %d without error", typ)
 			}

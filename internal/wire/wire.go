@@ -25,10 +25,12 @@
 //	             flags u8 | count u32 | times i64×count |
 //	             [keys i64×count] | [vals f64×count]
 //	Advance c→s  stream u32 | seq u64 | progress i64      (watermark)
-//	Credit  s→c  stream u32 | window u32 | code u8 | msg string
+//	Credit  s→c  stream u32 | window u32 | latency i64 | slide i64 |
+//	             code u8 | msg string                     (bind answer)
 //	Ack     s→c  stream u32 | through u64                 (cumulative)
 //	Nack    s→c  stream u32 | through u64 | code u8 | retry_after i64
 //	Goodbye  ↔   (empty)
+//	Flush   c→s  (empty)                (flush every stream, send verdicts)
 //
 // The Writer assembles each frame in one reused buffer and hands it to the
 // underlying io.Writer as a single Write; the Reader decodes into one
@@ -53,7 +55,8 @@ const Magic uint32 = 0x574d4143
 
 // Version is the current protocol version. Readers refuse peers speaking a
 // different version at the preamble, before any frame is interpreted.
-const Version uint32 = 1
+// Version 2 widened Credit with the stream's Slack and added Flush.
+const Version uint32 = 2
 
 // DefaultMaxFrame bounds one frame's body (type byte + payload): 1 MiB
 // holds a ~43k-tuple fully-columnar batch, far beyond any sane coalesce
@@ -72,7 +75,8 @@ const (
 	// FrameAdvance is a data-less watermark: progress only.
 	FrameAdvance byte = 3
 	// FrameCredit is the server's bind acknowledgement: the stream's
-	// credit window (max unacknowledged frames), or a refusal.
+	// credit window (max unacknowledged frames) and its Slack, or a
+	// refusal.
 	FrameCredit byte = 4
 	// FrameAck cumulatively acknowledges every frame up to a sequence
 	// number: the events were admitted into the engine.
@@ -83,12 +87,16 @@ const (
 	FrameNack byte = 6
 	// FrameGoodbye announces an orderly close in either direction.
 	FrameGoodbye byte = 7
+	// FrameFlush asks the server to flush every stream of the connection
+	// now and write the verdicts: an explicit settle costs one round trip
+	// whatever the streams' slack.
+	FrameFlush byte = 8
 )
 
 // frameTypeMax is the highest assigned frame type; Next rejects anything
 // above it up front so an unknown type is a typed error, not a payload
 // misinterpretation.
-const frameTypeMax = FrameGoodbye
+const frameTypeMax = FrameFlush
 
 // Events flags (bitmask).
 const (
@@ -239,12 +247,14 @@ func (w *Writer) Advance(stream uint32, seq uint64, progress vtime.Time) error {
 }
 
 // Credit emits the server's bind answer: the stream's credit window (the
-// number of frames the client may have unacknowledged). A non-zero code
-// refuses the bind; msg carries the human-readable reason.
-func (w *Writer) Credit(stream uint32, window uint32, code uint8, msg string) error {
+// number of frames the client may have unacknowledged) and its Slack. A
+// non-zero code refuses the bind; msg carries the human-readable reason.
+func (w *Writer) Credit(stream, window uint32, sl Slack, code uint8, msg string) error {
 	w.begin(FrameCredit)
 	w.u32(stream)
 	w.u32(window)
+	w.i64(int64(sl.Latency))
+	w.i64(int64(sl.Slide))
 	w.u8(code)
 	w.str(msg)
 	return w.finish()
@@ -274,6 +284,12 @@ func (w *Writer) Nack(stream uint32, through uint64, code uint8, retryAfter vtim
 // Goodbye announces an orderly close.
 func (w *Writer) Goodbye() error {
 	w.begin(FrameGoodbye)
+	return w.finish()
+}
+
+// Flush asks the server to flush every stream of this connection now.
+func (w *Writer) Flush() error {
+	w.begin(FrameFlush)
 	return w.finish()
 }
 
@@ -439,6 +455,9 @@ func (r *Reader) Time() vtime.Time { return vtime.Time(r.I64()) }
 
 // Dur reads a vtime.Duration.
 func (r *Reader) Dur() vtime.Duration { return vtime.Duration(r.I64()) }
+
+// Slack reads a Credit frame's scheduling context.
+func (r *Reader) Slack() Slack { return Slack{Latency: r.Dur(), Slide: r.Dur()} }
 
 // String reads a length-prefixed string. It allocates; strings appear only
 // on control frames (Bind, Credit), never the Events hot path.

@@ -7,6 +7,7 @@ import (
 	"io"
 	"runtime/debug"
 	"testing"
+	"time"
 
 	"github.com/cameo-stream/cameo/internal/dataflow"
 	"github.com/cameo-stream/cameo/internal/testkit"
@@ -29,11 +30,12 @@ func stream(t *testing.T) []byte {
 	b.Append(300, 9, -0.25)
 	steps := []error{
 		w.Bind(1, 0, "tenant-a"),
-		w.Credit(1, 64, 0, ""),
+		w.Credit(1, 64, Slack{Latency: 50 * vtime.Millisecond, Slide: 10 * vtime.Millisecond}, 0, ""),
 		w.Events(1, 1, 350, b),
 		w.Advance(1, 2, 400),
 		w.Ack(1, 2),
 		w.Nack(1, 3, NackOverloaded, 5*vtime.Millisecond),
+		w.Flush(),
 		w.Goodbye(),
 	}
 	for _, err := range steps {
@@ -66,8 +68,9 @@ func TestRoundTrip(t *testing.T) {
 	if err != nil || typ != FrameCredit {
 		t.Fatalf("frame 2: type %d err %v", typ, err)
 	}
-	if s, win, code, msg := r.U32(), r.U32(), r.U8(), r.String(); s != 1 || win != 64 || code != 0 || msg != "" {
-		t.Fatalf("credit decoded (%d,%d,%d,%q)", s, win, code, msg)
+	if s, win, sl, code, msg := r.U32(), r.U32(), r.Slack(), r.U8(), r.String(); s != 1 || win != 64 ||
+		sl != (Slack{Latency: 50 * vtime.Millisecond, Slide: 10 * vtime.Millisecond}) || code != 0 || msg != "" {
+		t.Fatalf("credit decoded (%d,%d,%+v,%d,%q)", s, win, sl, code, msg)
 	}
 	if err := r.Done(); err != nil {
 		t.Fatal(err)
@@ -132,8 +135,16 @@ func TestRoundTrip(t *testing.T) {
 	}
 
 	typ, err = r.Next()
-	if err != nil || typ != FrameGoodbye {
+	if err != nil || typ != FrameFlush {
 		t.Fatalf("frame 7: type %d err %v", typ, err)
+	}
+	if err := r.Done(); err != nil {
+		t.Fatal(err)
+	}
+
+	typ, err = r.Next()
+	if err != nil || typ != FrameGoodbye {
+		t.Fatalf("frame 8: type %d err %v", typ, err)
 	}
 	if err := r.Done(); err != nil {
 		t.Fatal(err)
@@ -378,11 +389,123 @@ func TestBadPreamble(t *testing.T) {
 		t.Fatalf("err %v (want ErrBadMagic)", err)
 	}
 
-	wrongVer := append([]byte(nil), good...)
-	binary.LittleEndian.PutUint32(wrongVer[4:8], Version+1)
-	r = NewReader(bytes.NewReader(wrongVer), 0)
-	if err := r.Preamble(); !errors.Is(err, ErrBadVersion) {
-		t.Fatalf("err %v (want ErrBadVersion)", err)
+	// A newer peer and a version-1 peer (narrow Credit, no Flush) alike are
+	// refused before any frame is interpreted.
+	for _, v := range []uint32{Version + 1, 1} {
+		wrongVer := append([]byte(nil), good...)
+		binary.LittleEndian.PutUint32(wrongVer[4:8], v)
+		r = NewReader(bytes.NewReader(wrongVer), 0)
+		if err := r.Preamble(); !errors.Is(err, ErrBadVersion) {
+			t.Fatalf("version %d: err %v (want ErrBadVersion)", v, err)
+		}
+		if _, err := r.Next(); !errors.Is(err, ErrBadVersion) {
+			t.Fatalf("version %d: frame read after a refused preamble: %v", v, err)
+		}
+	}
+}
+
+// TestCreditAndFlushPayloads pins the two frames version 2 changed: Credit
+// round-trips a grant and a refusal, a version-1 Credit (no Slack) and one
+// cut inside the Slack are ErrMalformed, and Flush carries no payload.
+func TestCreditAndFlushPayloads(t *testing.T) {
+	next := func(t *testing.T, frame func(w *Writer)) *Reader {
+		t.Helper()
+		var buf bytes.Buffer
+		w := NewWriter(&buf)
+		frame(w)
+		if err := w.finish(); err != nil {
+			t.Fatal(err)
+		}
+		r := NewReader(bytes.NewReader(buf.Bytes()), 0)
+		if _, err := r.Next(); err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	credit := func(r *Reader) (uint32, uint32, Slack, uint8, string, error) {
+		id, win, sl, code, msg := r.U32(), r.U32(), r.Slack(), r.U8(), r.String()
+		return id, win, sl, code, msg, r.Done()
+	}
+
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	grant := Slack{Latency: 5 * vtime.Second, Slide: 0}
+	if err := w.Credit(7, 1024, grant, 0, ""); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Credit(8, 0, Slack{}, NackBadStream, "unknown job \"x\""); err != nil {
+		t.Fatal(err)
+	}
+	r := NewReader(bytes.NewReader(buf.Bytes()), 0)
+	for i, want := range []struct {
+		id, win uint32
+		sl      Slack
+		code    uint8
+		msg     string
+	}{{7, 1024, grant, 0, ""}, {8, 0, Slack{}, NackBadStream, "unknown job \"x\""}} {
+		if typ, err := r.Next(); err != nil || typ != FrameCredit {
+			t.Fatalf("credit %d: type %d err %v", i, typ, err)
+		}
+		id, win, sl, code, msg, err := credit(r)
+		if err != nil || id != want.id || win != want.win || sl != want.sl || code != want.code || msg != want.msg {
+			t.Fatalf("credit %d decoded (%d,%d,%+v,%d,%q) err %v", i, id, win, sl, code, msg, err)
+		}
+	}
+
+	v1 := next(t, func(w *Writer) { // stream | window | code | msg, as version 1 sent it
+		w.begin(FrameCredit)
+		w.u32(1)
+		w.u32(64)
+		w.u8(0)
+		w.str("")
+	})
+	if _, _, _, _, _, err := credit(v1); !errors.Is(err, ErrMalformed) {
+		t.Errorf("version-1 credit: err %v (want ErrMalformed)", err)
+	}
+	short := next(t, func(w *Writer) { // cut inside the Slack
+		w.begin(FrameCredit)
+		w.u32(1)
+		w.u32(64)
+		w.i64(int64(vtime.Second))
+		w.u32(0)
+	})
+	if _, _, _, _, _, err := credit(short); !errors.Is(err, ErrMalformed) {
+		t.Errorf("short credit: err %v (want ErrMalformed)", err)
+	}
+	padded := next(t, func(w *Writer) {
+		w.begin(FrameFlush)
+		w.u8(1)
+	})
+	if err := padded.Done(); !errors.Is(err, ErrMalformed) {
+		t.Errorf("flush with a payload: err %v (want ErrMalformed)", err)
+	}
+}
+
+// TestSlack pins what both ends derive from a grant: which frames advance
+// the frontier, and how long the others may be held.
+func TestSlack(t *testing.T) {
+	windowed := Slack{Latency: 80 * vtime.Millisecond, Slide: 10 * vtime.Millisecond}
+	for _, tc := range []struct {
+		prev, p vtime.Time
+		want    bool
+	}{
+		{0, 0, false},
+		{0, 9_999, false},
+		{0, 10_000, true}, // reaches the end of window 0
+		{9_999, 10_000, true},
+		{10_000, 19_999, false},
+		{10_000, 45_000, true},  // several windows at once
+		{45_000, 40_000, false}, // late frame: closes nothing
+	} {
+		if got := windowed.Advances(tc.prev, tc.p); got != tc.want {
+			t.Errorf("S=10ms: Advances(%d, %d) = %v, want %v", tc.prev, tc.p, got, tc.want)
+		}
+	}
+	if (Slack{Latency: vtime.Second}).Advances(0, vtime.Hour) {
+		t.Error("S=0: an unwindowed stream has no frontier frames")
+	}
+	if got := windowed.Hold(); got != 10*time.Millisecond {
+		t.Errorf("Hold() = %v, want an eighth of 80 ms", got)
 	}
 }
 
@@ -432,5 +555,40 @@ func TestCodecAllocFree(t *testing.T) {
 	cycle() // warm the buffers
 	if allocs := testing.AllocsPerRun(100, cycle); allocs > 0 {
 		t.Errorf("events encode→decode round trip allocates %.1f times (want 0)", allocs)
+	}
+}
+
+// TestHoldTimer pins the timer both ends keep: it fires once, for the
+// earliest deadline armed, a later one never postpones it, and disarmed it
+// does not fire at all.
+func TestHoldTimer(t *testing.T) {
+	fired := make(chan time.Time, 4)
+	h := HoldTimer{Expired: func() { fired <- time.Now() }}
+	if h.Armed() {
+		t.Fatal("armed before Arm")
+	}
+	start := time.Now()
+	h.Arm(start.Add(time.Hour))
+	h.Arm(start.Add(20 * time.Millisecond)) // earlier: re-arms
+	h.Arm(start.Add(time.Minute))           // later: ignored
+	select {
+	case at := <-fired:
+		if d := at.Sub(start); d < 20*time.Millisecond {
+			t.Errorf("fired after %v, before the 20 ms deadline", d)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("did not fire for the earliest deadline")
+	}
+	// One-shot: the owner's callback disarms or re-arms; nothing repeats.
+	h.Disarm()
+	h.Arm(time.Now().Add(10 * time.Millisecond))
+	h.Disarm()
+	select {
+	case <-fired:
+		t.Error("fired after Disarm")
+	case <-time.After(50 * time.Millisecond):
+	}
+	if h.Armed() {
+		t.Error("armed after Disarm")
 	}
 }

@@ -120,7 +120,7 @@ func EngineNet(spec *workload.Spec) (*Verdict, error) {
 		return fail(err)
 	default:
 	}
-	// Settle every tenant's tail: the server's age flusher clears partial
+	// Settle every tenant's tail: Flush has the server clear partial
 	// coalesce buffers, so each client's in-flight frames all resolve.
 	clientStats := make([]client.Stats, len(clients))
 	for i, c := range clients {

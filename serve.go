@@ -6,8 +6,9 @@ package cameo
 // mirror the Engine methods of the same names — same signatures, same
 // sentinel errors, same backpressure semantics — except the batch
 // crosses a TCP connection, gets coalesced server-side into pool-leased
-// batches, and is flow-controlled by per-tenant credit windows derived
-// from each query's MaxPending budget. cmd/cameo-serve is the
+// batches — for as long as each query's own latency target and window
+// slide say a tuple can wait, no longer — and is flow-controlled by
+// per-tenant credit windows derived from each query's MaxPending budget. cmd/cameo-serve is the
 // standalone binary form; examples/serving is the two-tenant loopback
 // quickstart.
 
@@ -22,16 +23,16 @@ import (
 )
 
 // ServeConfig tunes the wire listener. The zero value is production
-// defaults: coalesce 64 tuples or 2ms of age per (job, source) stream,
-// 1 MiB frame bound, credit window 256 for unbudgeted jobs.
+// defaults: coalesce up to 64 tuples per (job, source) stream, 1 MiB frame
+// bound, credit window 256 for unbudgeted jobs. How long a tuple may wait
+// for the coalesce size is not configured but derived per stream from its
+// query: a frame that closes a window is never held, any other for at most
+// an eighth of the query's LatencyTarget.
 type ServeConfig struct {
 	// FlushEvents is the per-stream coalesce size: buffered tuples are
 	// flushed into the engine as one batch when they reach this count.
 	// 1 disables coalescing (every frame is its own ingest).
 	FlushEvents int
-	// FlushAge bounds how long a buffered tuple may wait for the
-	// coalesce size, so trickling sources still meet their deadlines.
-	FlushAge time.Duration
 	// MaxFrame bounds one frame's body in bytes.
 	MaxFrame int
 	// Window is the credit window (unacked frames in flight per stream)
@@ -73,7 +74,6 @@ type Server struct {
 func (e *Engine) Serve(addr string, cfg ServeConfig) (*Server, error) {
 	s := server.New(e.inner, server.Config{
 		FlushEvents: cfg.FlushEvents,
-		FlushAge:    cfg.FlushAge,
 		MaxFrame:    cfg.MaxFrame,
 		Window:      cfg.Window,
 		MaxStreams:  cfg.MaxStreams,
@@ -201,9 +201,10 @@ func (c *Client) AdvanceProgress(job string, source int, progress time.Duration)
 	return c.inner.Advance(job, source, vtime.FromStd(progress))
 }
 
-// Flush blocks until every in-flight frame has been acked or nacked
-// (or timeout elapses; returns false then). After a true return the
-// Stats ledger is settled.
+// Flush asks the server to flush this connection's coalesce buffers now
+// and blocks until every in-flight frame has been acked or nacked (or
+// timeout elapses; returns false then) — one round trip in health. After
+// a true return the Stats ledger is settled.
 func (c *Client) Flush(timeout time.Duration) bool { return c.inner.Flush(timeout) }
 
 // Stats snapshots the client's send/ack/nack ledger.

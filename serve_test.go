@@ -130,9 +130,10 @@ func TestDialPausedSentinel(t *testing.T) {
 	eng.Start()
 	defer eng.Stop()
 	// FlushEvents 1 disables coalescing so the first frame's Nack comes
-	// back immediately; the long FlushAge makes the resulting
-	// retry-after backoff (5x the flush age) outlast the test body.
-	srv, err := eng.Serve("127.0.0.1:0", cameo.ServeConfig{FlushEvents: 1, FlushAge: 500 * time.Millisecond})
+	// back immediately; the query's 1 s target makes the resulting
+	// retry-after backoff (5x its hold bound of 125 ms) outlast the test
+	// body.
+	srv, err := eng.Serve("127.0.0.1:0", cameo.ServeConfig{FlushEvents: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
