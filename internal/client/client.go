@@ -23,7 +23,7 @@
 // frontier-advancing frame (every Advance, and every Events frame that
 // moves the stream into a later window) goes to the socket at once, taking
 // everything written before it along; any other frame may share a write
-// with its successors for at most the stream's hold bound, which one
+// with its successors for at most half the stream's hold bound, which one
 // one-shot timer — armed only while the buffer is non-empty — enforces.
 // One Client is safe for concurrent use; sends are serialized on the
 // connection's single writer.
@@ -54,6 +54,10 @@ type Options struct {
 }
 
 const defaultTimeout = 5 * time.Second
+
+// maxWindow caps the credit window the client will use, whatever a Credit
+// grants: the in-flight ring is allocated at that size.
+const maxWindow = 1 << 16
 
 // ErrBindRefused is wrapped by errors a refused Bind produces (unknown
 // job, bad source, too many streams).
@@ -267,8 +271,10 @@ func (c *Client) readLoop() {
 						st.refused = "refused"
 					}
 				} else {
-					st.window = int(window)
-					st.inflight = make([]int, window)
+					// Using less credit than granted is always safe, and
+					// bounds what a peer's Credit can make us allocate.
+					st.window = int(min(window, maxWindow))
+					st.inflight = make([]int, st.window)
 					st.slack = sl
 					st.bound = true
 				}
@@ -467,9 +473,12 @@ func (c *Client) send(job string, src int, b *dataflow.Batch, p vtime.Time, try 
 		return c.flushWire()
 	}
 	// Nothing downstream can fire on it before the next frontier frame,
-	// which will push it out; it may wait for company until its stream's
-	// hold bound runs out.
-	c.timer.Arm(now.Add(st.slack.Hold()))
+	// which will push it out; until then it may wait for company — for
+	// half its stream's hold bound. A frame held here is one the server's
+	// coalescer has not seen: at half, a buffer on hold there meets the
+	// next write from here before its own bound runs out, so its flushes
+	// are cut by size and window ends, not by the two timers beating.
+	c.timer.Arm(now.Add(st.slack.Hold() / 2))
 	return nil
 }
 

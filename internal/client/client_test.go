@@ -224,11 +224,12 @@ func TestFrontierFramesNeedNoTimer(t *testing.T) {
 }
 
 // TestHoldBoundOneWrite: frames that close nothing leave when the oldest
-// of them has waited its stream's hold bound — an eighth of the latency
-// target, no sooner, not much later — and all in one write.
+// of them has waited the client's share of its stream's hold bound — half
+// of it, a sixteenth of the latency target; no sooner, not much later —
+// and all in one write.
 func TestHoldBoundOneWrite(t *testing.T) {
-	const latency = 400 * vtime.Millisecond
-	hold := vtime.Std(latency) / 8
+	const latency = 800 * vtime.Millisecond
+	hold := wire.Slack{Latency: latency}.Hold() / 2
 	c, p, cc := dialPipe(t, 64, wire.Slack{Latency: latency, Slide: slide})
 	if err := c.Advance("j", 0, 0); err != nil {
 		t.Fatal(err)
@@ -493,5 +494,18 @@ func TestInflightRingBounded(t *testing.T) {
 	c.settle(st, sends, true, wire.NackOverloaded)
 	if c.ackedFrames+c.nackedFrames != sends {
 		t.Errorf("repeated verdict counted: %d frames settled of %d", c.ackedFrames+c.nackedFrames, sends)
+	}
+}
+
+// TestCreditWindowClamped: a Credit cannot make the client allocate an
+// arbitrary ring; it uses at most maxWindow frames of whatever is granted.
+func TestCreditWindowClamped(t *testing.T) {
+	c, p, _ := dialPipe(t, 1<<31, wire.Slack{Latency: vtime.Hour})
+	if err := c.Advance("j", 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	p.next(t, 2*time.Second)
+	if got := c.Window("j", 0); got != maxWindow {
+		t.Errorf("window = %d after a grant of 2^31, want the cap %d", got, maxWindow)
 	}
 }
