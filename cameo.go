@@ -60,23 +60,6 @@ const (
 	SchedulerFIFO = core.FIFOScheduler
 )
 
-// RunQueueKind selects the data structure behind the Cameo scheduler's
-// deadline-ordered run queues (EngineConfig.RunQueue).
-type RunQueueKind = core.RunQueueKind
-
-// Run-queue structures: both pop operators in the identical exact
-// (deadline, ID) order, so the knob trades scheduling cost, never
-// scheduling behavior.
-const (
-	// RunQueueHeap (the default) keys runnable operators in an indexed
-	// binary min-heap: O(log n) comparison sifts per re-key.
-	RunQueueHeap = core.RunQueueHeap
-	// RunQueueWheel keys them in a hierarchical timing wheel: deadline
-	// buckets with intrusive lists, making the per-message re-key an
-	// amortized-O(1) pointer splice.
-	RunQueueWheel = core.RunQueueWheel
-)
-
 // Policy derives message priorities for the Cameo scheduler.
 type Policy = core.Policy
 

@@ -5,8 +5,6 @@
 //	cameo-bench -list
 //	cameo-bench -fig 7            # one figure (by number or slug)
 //	cameo-bench -all -seed 42     # the whole evaluation section
-//	cameo-bench -wheel -json BENCH_wheel.json
-//	cameo-bench -compare old.json new.json
 //
 // Output is the same rows/series the paper plots; EXPERIMENTS.md maps each
 // table back to the paper's claims. The real-time engine's end-to-end
@@ -32,38 +30,23 @@ func main() {
 		list       = flag.Bool("list", false, "list available figures")
 		seed       = flag.Uint64("seed", 1, "workload seed (fixed seed = identical rows)")
 		plot       = flag.Bool("plot", false, "also render each table's last numeric column as ASCII bars")
-		wheel      = flag.Bool("wheel", false, "benchmark the run-queue structures: paired heap vs timing-wheel A/B on the multitenant workload")
-		compare    = flag.Bool("compare", false, "compare two BENCH_*.json files (args: old.json new.json); refuses mismatched environments")
-		reps       = flag.Int("reps", 3, "repetitions per -wheel cell and structure")
-		jsonOut    = flag.String("json", "", "write machine-readable -wheel results to this file (e.g. BENCH_wheel.json)")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile = flag.String("memprofile", "", "write an allocation profile to this file at exit")
 	)
 	flag.Parse()
 	plotTables = *plot
 
-	// Validate the flag set before any work starts — a contradictory or
-	// out-of-range invocation exits with the usage code instead of
-	// silently picking one mode or clamping a knob (a clamped -reps would
-	// make a "best of N" claim the run never performed).
-	fail := func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, "cameo-bench: "+format+"\n", args...)
-		os.Exit(2)
-	}
+	// A contradictory invocation exits with the usage code before any work
+	// starts instead of silently picking one mode.
 	modes := 0
-	for _, set := range []bool{*wheel, *compare, *list, *all, *fig != ""} {
+	for _, set := range []bool{*list, *all, *fig != ""} {
 		if set {
 			modes++
 		}
 	}
 	if modes > 1 {
-		fail("pick exactly one mode of -wheel, -compare, -list, -all, -fig")
-	}
-	if *reps < 1 {
-		fail("-reps must be >= 1 (got %d)", *reps)
-	}
-	if *compare && flag.NArg() != 2 {
-		fail("-compare takes exactly two arguments: old.json new.json (got %d)", flag.NArg())
+		fmt.Fprintln(os.Stderr, "cameo-bench: pick exactly one mode of -list, -all, -fig")
+		os.Exit(2)
 	}
 
 	if *cpuProfile != "" {
@@ -95,10 +78,6 @@ func main() {
 	}
 
 	switch {
-	case *compare:
-		runCompare(flag.Arg(0), flag.Arg(1))
-	case *wheel:
-		runWheelSweep(*seed, *reps, *jsonOut)
 	case *list:
 		fmt.Println("available figures:")
 		for _, e := range experiments.Registry() {

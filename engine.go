@@ -60,26 +60,13 @@ type EngineConfig struct {
 	// waits at most Quantum plus one message, whatever DrainBatch is.
 	Quantum time.Duration
 	// DrainBatch is the number of messages a worker drains from an
-	// acquired operator per scheduler-lock acquisition (default 16).
-	// 1 disables batching — every pop takes its lock. Larger values
-	// amortize scheduling locks across the batch and cost no preemption
-	// granularity: a batch ends early at the message where the quantum
-	// expires and more urgent work waits, or where a pause or cancel is
-	// observed. Ignored when AdaptiveDrain is set.
+	// acquired operator per scheduler-lock acquisition (default 16; values
+	// above 1024 are silently capped at 1024). 1 disables batching — every
+	// pop takes its lock. Larger values amortize scheduling locks across
+	// the batch and cost no preemption granularity: a batch ends early at
+	// the message where the quantum expires and more urgent work waits, or
+	// where a pause or cancel is observed.
 	DrainBatch int
-	// AdaptiveDrain replaces the fixed DrainBatch with a per-worker
-	// feedback controller: the effective batch size follows the acquired
-	// operator's observed queue depth (deep backlog grows the batch to
-	// amortize scheduler locks, an idle queue shrinks it back) and is
-	// clamped so one batch fits a fraction of the query's latency target.
-	// Batch size changes only at batch boundaries, so mid-batch
-	// cancel/pause semantics are identical to the fixed path.
-	AdaptiveDrain bool
-	// DrainBatchMin and DrainBatchMax bound the adaptive controller
-	// (defaults 1 and 256). With Min == Max the controller is frozen and
-	// behaves exactly like DrainBatch = Min. Ignored unless AdaptiveDrain
-	// is set.
-	DrainBatchMin, DrainBatchMax int
 	// AdaptiveBudgets derives the pending-message budgets from measured
 	// capacity instead of the static MaxPending: a background tuner
 	// samples each query's drain rate and sets its budget to
@@ -91,12 +78,6 @@ type EngineConfig struct {
 	// TuneInterval is the budget tuner's sampling period (default 5ms).
 	// Ignored unless AdaptiveBudgets is set.
 	TuneInterval time.Duration
-	// RunQueue selects the structure behind the engine's per-worker
-	// deadline-ordered run queues: RunQueueHeap (default) or
-	// RunQueueWheel. Dispatch order is identical either way; the knob
-	// trades only per-message scheduling cost (see DESIGN.md §"Scheduling
-	// data structures" and `cameo-bench -wheel` for the measured A/B).
-	RunQueue RunQueueKind
 	// MaxPending caps the engine-wide count of queued (admitted but not
 	// yet executed) messages; 0 means unlimited. Enforced at ingest by the
 	// admission layer, with the response selected by Overload. Per-query
@@ -141,12 +122,8 @@ func NewEngine(cfg EngineConfig) *Engine {
 			Policy:             cfg.Policy,
 			Quantum:            vtime.FromStd(cfg.Quantum),
 			DrainBatch:         cfg.DrainBatch,
-			AdaptiveDrain:      cfg.AdaptiveDrain,
-			DrainBatchMin:      cfg.DrainBatchMin,
-			DrainBatchMax:      cfg.DrainBatchMax,
 			AdaptiveBudgets:    cfg.AdaptiveBudgets,
 			TuneInterval:       cfg.TuneInterval,
-			RunQueue:           cfg.RunQueue,
 			MaxPending:         cfg.MaxPending,
 			Overload:           cfg.Overload,
 			CheckpointDir:      cfg.CheckpointDir,
@@ -278,7 +255,7 @@ type Event struct {
 func (e *Engine) Now() time.Duration { return vtime.Std(e.inner.Now()) }
 
 // Executed reports the number of messages executed so far — the engine's
-// raw scheduling throughput counter (cameo-bench -wheel uses it).
+// raw scheduling throughput counter.
 func (e *Engine) Executed() int64 { return e.inner.Executed() }
 
 // Created reports the number of messages created so far. At quiescence
@@ -301,12 +278,6 @@ func (e *Engine) Shed() int64 { return e.inner.Shed() }
 // Rejected reports how many ingest attempts were refused with
 // ErrOverloaded across all queries (per-query counts are in Stats).
 func (e *Engine) Rejected() int64 { return e.inner.Rejected() }
-
-// AppliedDrainBatch reports the drain-batch size worker w's adaptive
-// controller most recently applied under EngineConfig.AdaptiveDrain. It
-// is 0 on an engine running the fixed DrainBatch, and for a worker index
-// out of range.
-func (e *Engine) AppliedDrainBatch(w int) int { return e.inner.AppliedDrainBatch(w) }
 
 // IngestBatch offers a batch of events on one source channel of a job,
 // advancing the channel's stream progress to the given value. Progress is

@@ -1,15 +1,8 @@
-// Adaptive: the closed-loop self-tuning hot path.
+// Adaptive: the self-tuning admission tier.
 //
-// The engine's three static performance knobs — DrainBatch, MaxPending,
-// and the shed high-water mark — each encode a guess about the workload.
-// This walkthrough arms the feedback loops that derive them from
-// observed behavior instead:
-//
-//   - AdaptiveDrain sizes each worker's drain batch from the acquired
-//     operator's queue depth: a light trickle keeps batches small
-//     (message-granular preemption), a burst grows them toward
-//     DrainBatchMax to amortize scheduler locking — watch
-//     AppliedDrainBatch move as the load shifts;
+// A static MaxPending encodes a guess about how much backlog the engine
+// can clear in time. This walkthrough arms the two feedback loops that
+// replace the guess with measurement:
 //
 //   - AdaptiveBudgets measures each query's drain rate and sets its
 //     pending budget to rate × latency target (the backlog the engine
@@ -17,10 +10,15 @@
 //     measured rate and the derived budget;
 //
 //   - per-source admission is fair: when one of a query's sources runs
-//     hot, the overload response is charged to the hot source's own
-//     backlog, and Stats.PerSource shows each source's ledger.
+//     hot past that budget, the overload response (here: shedding) is
+//     charged to the hot source's own backlog first — the cold source
+//     loses only what the deadline (doomed) and lax-end passes take — and
+//     Stats.PerSource shows each source's ledger.
 //
-//     go run ./examples/adaptive
+// It exits non-zero if no budget was derived, the engine does not drain,
+// or a message went missing (Created != Executed + Discarded).
+//
+//	go run ./examples/adaptive
 package main
 
 import (
@@ -45,8 +43,7 @@ func events(n int, progress time.Duration) []cameo.Event {
 	return out
 }
 
-// burn gives tuples a real processing cost so drain rates and queue
-// depths are meaningful.
+// burn gives tuples a real processing cost so drain rates are meaningful.
 func burn(_ time.Duration, k int64, v float64) (int64, float64) {
 	x := v
 	for i := 0; i < 8000; i++ {
@@ -58,7 +55,6 @@ func burn(_ time.Duration, k int64, v float64) (int64, float64) {
 func main() {
 	eng := cameo.NewEngine(cameo.EngineConfig{
 		Workers:         2,
-		AdaptiveDrain:   true, // batch size follows queue depth
 		AdaptiveBudgets: true, // budgets follow measured capacity
 		Overload:        cameo.OverloadShed,
 	})
@@ -74,21 +70,22 @@ func main() {
 	eng.Start()
 	defer eng.Stop()
 
-	// Phase 1: a light trickle on both sources. Queues stay shallow, so
-	// the controller keeps batches near 1 — preemption stays sharp.
+	// Phase 1: a light trickle on both sources. The tuner samples the
+	// query draining and derives its first budget.
 	fmt.Println("phase 1: light load (4 tuples/source/window)")
-	peak := feed(eng, 1, 40, 4, 4)
-	fmt.Printf("  peak applied drain batch: %d\n", peak)
+	feed(eng, 1, 40, 4, 4)
+	report(eng)
 
 	// Phase 2: source 0 turns into a firehose while source 1 keeps
-	// trickling. Deep backlogs grow the batches; the budget tuner has a
-	// drain rate by now, and the hot source pays for the overload it
-	// creates.
-	fmt.Println("phase 2: source 0 bursts (1200 tuples/window), source 1 trickles")
-	peak = feed(eng, 41, 80, 1200, 4)
-	fmt.Printf("  peak applied drain batch: %d\n", peak)
+	// trickling. The backlog outgrows the derived budget, and the hot
+	// source pays for the overload it creates.
+	fmt.Println("phase 2: source 0 bursts (6000 tuples/window), source 1 trickles")
+	feed(eng, 41, 60, 6000, 4)
+	report(eng)
 
-	eng.Drain(30 * time.Second)
+	if !eng.Drain(30 * time.Second) {
+		log.Fatal("engine did not drain")
+	}
 	st, err := eng.Stats("pipeline")
 	if err != nil {
 		log.Fatal(err)
@@ -100,28 +97,43 @@ func main() {
 		fmt.Printf("source %d: accepted %d, rejected %d, shed %d\n",
 			i, s.Accepted, s.Rejected, s.Shed)
 	}
-	fmt.Printf("conservation: created %d == executed %d + discarded %d\n",
-		eng.Created(), eng.Executed(), eng.Discarded())
+	created, executed, discarded := eng.Created(), eng.Executed(), eng.Discarded()
+	fmt.Printf("conservation: created %d == executed %d + discarded %d\n", created, executed, discarded)
+	if st.Budget <= 0 || st.DrainRate <= 0 {
+		log.Fatalf("no budget derived (budget %d, drain rate %.0f msg/s)", st.Budget, st.DrainRate)
+	}
+	if created != executed+discarded {
+		log.Fatalf("conservation violated: %d messages unaccounted for", created-executed-discarded)
+	}
+}
+
+// report prints the query's current derived budget and per-source shed
+// counts.
+func report(eng *cameo.Engine) {
+	st, err := eng.Stats("pipeline")
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("  budget %d messages, drain rate %.0f msg/s, shed by source:", st.Budget, st.DrainRate)
+	for _, s := range st.PerSource {
+		fmt.Printf(" %d", s.Shed)
+	}
+	fmt.Println()
 }
 
 // feed pushes windows [from, to] with nHot tuples on source 0 and nCold
 // on source 1, pacing roughly in real time so the engine clock and the
-// budget tuner's sampling advance alongside the feed. It returns the
-// largest drain-batch size any worker applied during the phase. A
-// shedding engine may refuse nothing here (IngestBatch under
-// OverloadShed always admits), so errors are fatal, not flow control.
-func feed(eng *cameo.Engine, from, to, nHot, nCold int) int {
-	peak := 0
+// budget tuner's sampling advance alongside the feed. A shedding engine
+// refuses nothing here (IngestBatch under OverloadShed always admits),
+// so errors are fatal, not flow control.
+func feed(eng *cameo.Engine, from, to, nHot, nCold int) {
 	for w := from; w <= to; w++ {
 		progress := time.Duration(w) * window
 		// A batch fans out into one message per stage-0 operator whatever
 		// its tuple count, so backlog depth comes from batch count: the
 		// hot source delivers its window as a burst of small batches.
 		for sent := 0; sent < nHot; sent += 20 {
-			n := nHot - sent
-			if n > 20 {
-				n = 20
-			}
+			n := min(nHot-sent, 20)
 			if err := eng.IngestBatch("pipeline", 0, events(n, progress), progress); err != nil {
 				log.Fatal(err)
 			}
@@ -129,12 +141,6 @@ func feed(eng *cameo.Engine, from, to, nHot, nCold int) int {
 		if err := eng.IngestBatch("pipeline", 1, events(nCold, progress), progress); err != nil {
 			log.Fatal(err)
 		}
-		for wk := 0; wk < 2; wk++ {
-			if b := eng.AppliedDrainBatch(wk); b > peak {
-				peak = b
-			}
-		}
 		time.Sleep(window / 4)
 	}
-	return peak
 }

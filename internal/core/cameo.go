@@ -15,29 +15,15 @@ import "github.com/cameo-stream/cameo/internal/queue"
 // allocations (message heaps and the waiting heap retain their capacity
 // across drain/refill cycles).
 type CameoDispatcher[O Handle] struct {
-	waiting queue.RunQueue[O] // operators not currently acquired
+	waiting *queue.IndexedHeap[O] // operators not currently acquired
 	pending int
 }
 
-// NewCameoDispatcher returns an empty Cameo dispatcher with the default
-// heap-backed waiting queue.
+// NewCameoDispatcher returns an empty Cameo dispatcher.
 func NewCameoDispatcher[O Handle]() *CameoDispatcher[O] {
-	return NewCameoDispatcherRunQueue[O](RunQueueHeap)
-}
-
-// NewCameoDispatcherRunQueue returns an empty Cameo dispatcher whose
-// waiting queue is backed by the given run-queue structure — the indexed
-// heap or the timing wheel. Both pop in exact (PriGlobal, ID) order, so
-// the choice changes scheduling cost, never scheduling meaning.
-func NewCameoDispatcherRunQueue[O Handle](rq RunQueueKind) *CameoDispatcher[O] {
-	slot := func(op O) *int32 { return &op.Sched().Pos }
-	d := &CameoDispatcher[O]{}
-	if rq == RunQueueWheel {
-		d.waiting = queue.NewSlotWheel(slot)
-	} else {
-		d.waiting = queue.NewSlotHeap(slot)
+	return &CameoDispatcher[O]{
+		waiting: queue.NewSlotHeap(func(op O) *int32 { return &op.Sched().Pos }),
 	}
-	return d
 }
 
 // Name implements Dispatcher.

@@ -29,48 +29,15 @@ func (k SchedulerKind) String() string {
 	return fmt.Sprintf("scheduler(%d)", int(k))
 }
 
-// RunQueueKind selects the data structure behind the deadline-ordered
-// operator run queues (the Cameo dispatcher's waiting queue and the
-// real-time engine's lanes). It is a no-op for the Orleans and FIFO baselines,
-// whose run queues are not priority-ordered (a bag and a ring).
-type RunQueueKind int
-
-const (
-	// RunQueueHeap (the default) is the indexed binary min-heap: exact
-	// order via O(log n) comparison sifts.
-	RunQueueHeap RunQueueKind = iota
-	// RunQueueWheel is the hierarchical timing wheel: the same exact pop
-	// order via amortized-O(1) deadline-bucket splices (queue.TimingWheel).
-	RunQueueWheel
-)
-
-// String names the run-queue kind.
-func (k RunQueueKind) String() string {
-	switch k {
-	case RunQueueHeap:
-		return "heap"
-	case RunQueueWheel:
-		return "wheel"
-	}
-	return fmt.Sprintf("runqueue(%d)", int(k))
-}
-
 // NewDispatcher constructs the dispatcher for kind; workers is the node's
 // worker-pool size (used by the Orleans bag's per-worker locality lists).
 func NewDispatcher[O Handle](kind SchedulerKind, workers int) Dispatcher[O] {
-	return NewDispatcherRunQueue[O](kind, workers, RunQueueHeap)
-}
-
-// NewDispatcherRunQueue is NewDispatcher with an explicit run-queue
-// backing structure for the Cameo dispatcher's waiting queue; the
-// baselines ignore rq (their run queues are not priority-ordered).
-func NewDispatcherRunQueue[O Handle](kind SchedulerKind, workers int, rq RunQueueKind) Dispatcher[O] {
 	switch kind {
 	case OrleansScheduler:
 		return NewOrleansDispatcher[O](workers)
 	case FIFOScheduler:
 		return NewFIFODispatcher[O]()
 	default:
-		return NewCameoDispatcherRunQueue[O](rq)
+		return NewCameoDispatcher[O]()
 	}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"github.com/cameo-stream/cameo/internal/queue"
 )
@@ -58,13 +57,6 @@ type SchedState struct {
 	// Lane is the run-queue lane currently holding the operator on the
 	// real-time engine's path, or that path's laneNone sentinel.
 	Lane int32
-	// Depth mirrors the length of Q for lock-free readers. The real-time
-	// engine's path stores it under Mu at every queue mutation; the
-	// adaptive drain controller reads it before taking any lock to size
-	// the next batch. Unlike the other fields it is an atomic, because its readers
-	// are exactly the ones that do NOT hold the dispatcher's lock. A
-	// stale read only mis-sizes one batch, never breaks conservation.
-	Depth atomic.Int32
 }
 
 // OpPhase is the lifecycle phase of an operator's scheduling state — the

@@ -5,13 +5,13 @@ import (
 	"testing"
 )
 
-// Structure-level microbenchmarks: heap vs wheel on the run-queue
+// Structure-level microbenchmarks: the slot-mode heap on the run-queue
 // operations the dispatch hot path issues (Push, PopMin, PushOrUpdate
 // re-key, Remove), at depths spanning a lightly loaded engine (1k)
 // to a deep multi-tenant backlog (100k), under uniform and skewed
 // (clustered-deadline) key distributions. These isolate the data-structure
-// constant factors from engine effects; `cameo-bench -wheel` measures the
-// end-to-end impact.
+// constant factors from engine effects; bench/ (BENCHMARK.json) measures
+// the end-to-end impact.
 //
 // Run with: go test -bench . -benchmem ./internal/queue
 
@@ -20,8 +20,20 @@ type benchItem struct {
 	pos int32
 }
 
+// benchRNG is a splitmix64 generator so the key sets are seeded and
+// reproducible without math/rand.
+type benchRNG uint64
+
+func (r *benchRNG) next() uint64 {
+	*r += 0x9e3779b97f4a7c15
+	z := uint64(*r)
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return z ^ (z >> 31)
+}
+
 func benchKeys(n int, skewed bool, seed uint64) []int64 {
-	rng := wheelRNG(seed)
+	rng := benchRNG(seed)
 	keys := make([]int64, n)
 	for i := range keys {
 		if skewed {
@@ -39,12 +51,8 @@ func benchKeys(n int, skewed bool, seed uint64) []int64 {
 	return keys
 }
 
-func benchQueues(items []*benchItem) map[string]func() RunQueue[*benchItem] {
-	slot := func(it *benchItem) *int32 { return &it.pos }
-	return map[string]func() RunQueue[*benchItem]{
-		"heap":  func() RunQueue[*benchItem] { return NewSlotHeap(slot) },
-		"wheel": func() RunQueue[*benchItem] { return NewSlotWheel(slot) },
-	}
+func newBenchHeap() *IndexedHeap[*benchItem] {
+	return NewSlotHeap(func(it *benchItem) *int32 { return &it.pos })
 }
 
 func benchDepths() []int { return []int{1_000, 10_000, 100_000} }
@@ -74,21 +82,19 @@ func BenchmarkRunQueuePushPop(b *testing.B) {
 		for _, depth := range benchDepths() {
 			items := benchItems(depth + 1)
 			keys := benchKeys(depth+1, shape.skewed, 7)
-			for name, mk := range benchQueues(items) {
-				b.Run(fmt.Sprintf("%s/%s/depth=%d", name, shape.name, depth), func(b *testing.B) {
-					q := mk()
-					for i := 0; i < depth; i++ {
-						q.Push(items[i], Pri{Key: keys[i], Tie: int64(i)})
-					}
-					spare := items[depth]
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						q.Push(spare, Pri{Key: keys[i%depth], Tie: int64(depth + i)})
-						v, _, _ := q.PopMin()
-						spare = v
-					}
-				})
-			}
+			b.Run(fmt.Sprintf("heap/%s/depth=%d", shape.name, depth), func(b *testing.B) {
+				q := newBenchHeap()
+				for i := 0; i < depth; i++ {
+					q.Push(items[i], Pri{Key: keys[i], Tie: int64(i)})
+				}
+				spare := items[depth]
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					q.Push(spare, Pri{Key: keys[i%depth], Tie: int64(depth + i)})
+					v, _, _ := q.PopMin()
+					spare = v
+				}
+			})
 		}
 	}
 }
@@ -100,19 +106,17 @@ func BenchmarkRunQueueUpdate(b *testing.B) {
 		for _, depth := range benchDepths() {
 			items := benchItems(depth)
 			keys := benchKeys(2*depth, shape.skewed, 11)
-			for name, mk := range benchQueues(items) {
-				b.Run(fmt.Sprintf("%s/%s/depth=%d", name, shape.name, depth), func(b *testing.B) {
-					q := mk()
-					for i := 0; i < depth; i++ {
-						q.Push(items[i], Pri{Key: keys[i], Tie: int64(i)})
-					}
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						j := i % depth
-						q.PushOrUpdate(items[j], Pri{Key: keys[depth+(i%depth)], Tie: int64(j)})
-					}
-				})
-			}
+			b.Run(fmt.Sprintf("heap/%s/depth=%d", shape.name, depth), func(b *testing.B) {
+				q := newBenchHeap()
+				for i := 0; i < depth; i++ {
+					q.Push(items[i], Pri{Key: keys[i], Tie: int64(i)})
+				}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					j := i % depth
+					q.PushOrUpdate(items[j], Pri{Key: keys[depth+(i%depth)], Tie: int64(j)})
+				}
+			})
 		}
 	}
 }
@@ -124,20 +128,18 @@ func BenchmarkRunQueueRemove(b *testing.B) {
 		for _, depth := range benchDepths() {
 			items := benchItems(depth)
 			keys := benchKeys(depth, shape.skewed, 13)
-			for name, mk := range benchQueues(items) {
-				b.Run(fmt.Sprintf("%s/%s/depth=%d", name, shape.name, depth), func(b *testing.B) {
-					q := mk()
-					for i := 0; i < depth; i++ {
-						q.Push(items[i], Pri{Key: keys[i], Tie: int64(i)})
-					}
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						j := i % depth
-						q.Remove(items[j])
-						q.Push(items[j], Pri{Key: keys[j], Tie: int64(j)})
-					}
-				})
-			}
+			b.Run(fmt.Sprintf("heap/%s/depth=%d", shape.name, depth), func(b *testing.B) {
+				q := newBenchHeap()
+				for i := 0; i < depth; i++ {
+					q.Push(items[i], Pri{Key: keys[i], Tie: int64(i)})
+				}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					j := i % depth
+					q.Remove(items[j])
+					q.Push(items[j], Pri{Key: keys[j], Tie: int64(j)})
+				}
+			})
 		}
 	}
 }
@@ -148,20 +150,18 @@ func BenchmarkRunQueuePopAll(b *testing.B) {
 	for _, depth := range benchDepths() {
 		items := benchItems(depth)
 		keys := benchKeys(depth, false, 19)
-		for name, mk := range benchQueues(items) {
-			b.Run(fmt.Sprintf("%s/depth=%d", name, depth), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					q := mk()
-					for j := 0; j < depth; j++ {
-						q.Push(items[j], Pri{Key: keys[j], Tie: int64(j)})
-					}
-					for {
-						if _, _, ok := q.PopMin(); !ok {
-							break
-						}
+		b.Run(fmt.Sprintf("heap/depth=%d", depth), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				q := newBenchHeap()
+				for j := 0; j < depth; j++ {
+					q.Push(items[j], Pri{Key: keys[j], Tie: int64(j)})
+				}
+				for {
+					if _, _, ok := q.PopMin(); !ok {
+						break
 					}
 				}
-			})
-		}
+			}
+		})
 	}
 }

@@ -48,16 +48,20 @@ func (t *laneTop) read() (p Pri, has, valid bool) {
 	return p, has, true
 }
 
+// shardLane is one lane of a ShardedHeap, laid out as two 64-byte cache
+// lines: the lock-free top cache alone on the first, the mutex and heap
+// pointer on the second. TestShardLaneLayout pins both properties.
 type shardLane[T comparable] struct {
 	// top is read lock-free by every peek-shaped operation (shouldYield,
 	// steal scans, the acquisition peek); it leads the struct with padding
 	// behind it so those reads never share a cache line with the bouncing
-	// mutex word.
+	// mutex word — its own lane's, or (lanes sit back to back in a slice)
+	// the previous lane's.
 	top laneTop
 	_   [32]byte
 	mu  sync.Mutex
-	h   RunQueue[T]
-	_   [40]byte // pad to a cache line so shard locks don't false-share
+	h   *IndexedHeap[T]
+	_   [48]byte // pad the lane to a whole number of cache lines
 }
 
 // publishTop refreshes the lane's top cache from its heap. Caller holds
@@ -94,7 +98,7 @@ type ShardedHeap[T comparable] struct {
 
 // NewShardedHeap returns a heap with the given number of worker shards.
 func NewShardedHeap[T comparable](shards int) *ShardedHeap[T] {
-	return newShardedHeap(shards, func() RunQueue[T] { return NewIndexedHeap[T]() })
+	return newShardedHeap(shards, NewIndexedHeap[T])
 }
 
 // NewSlotShardedHeap returns a sharded heap whose lanes track positions
@@ -105,20 +109,10 @@ func NewShardedHeap[T comparable](shards int) *ShardedHeap[T] {
 // to lanes are externally serialized (removals may race freely), so the
 // slot is never written under two different lane locks at once.
 func NewSlotShardedHeap[T comparable](shards int, slot func(T) *int32) *ShardedHeap[T] {
-	return newShardedHeap(shards, func() RunQueue[T] { return NewSlotHeap(slot) })
+	return newShardedHeap(shards, func() *IndexedHeap[T] { return NewSlotHeap(slot) })
 }
 
-// NewSlotShardedWheel is NewSlotShardedHeap with every lane backed by a
-// TimingWheel instead of an IndexedHeap (Config.RunQueue = wheel): the
-// same lane/steal/top-cache machinery over amortized-O(1) bucket splices.
-// The slot invariants are identical — wheels verify the arena entry behind
-// a slot exactly as heaps verify the entry index, so a stale slot from a
-// sibling lane is tolerated.
-func NewSlotShardedWheel[T comparable](shards int, slot func(T) *int32) *ShardedHeap[T] {
-	return newShardedHeap(shards, func() RunQueue[T] { return NewSlotWheel(slot) })
-}
-
-func newShardedHeap[T comparable](shards int, mk func() RunQueue[T]) *ShardedHeap[T] {
+func newShardedHeap[T comparable](shards int, mk func() *IndexedHeap[T]) *ShardedHeap[T] {
 	if shards <= 0 {
 		panic("queue: ShardedHeap needs at least one shard")
 	}

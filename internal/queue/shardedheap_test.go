@@ -3,7 +3,24 @@ package queue
 import (
 	"sync"
 	"testing"
+	"unsafe"
 )
+
+// TestShardLaneLayout pins the lane padding: lanes sit back to back in
+// ShardedHeap.shards, so a lane size that is not a whole number of cache
+// lines would put one lane's lock-free top cache on the line holding the
+// previous lane's mutex, and a mutex less than a line behind top would
+// share a line with its own lane's cache.
+func TestShardLaneLayout(t *testing.T) {
+	const line = 64
+	var l shardLane[int]
+	if size := unsafe.Sizeof(l); size%line != 0 {
+		t.Errorf("shardLane size %d is not a multiple of %d", size, line)
+	}
+	if gap := unsafe.Offsetof(l.mu) - unsafe.Offsetof(l.top); gap < line {
+		t.Errorf("shardLane.mu starts %d bytes after top, want at least %d", gap, line)
+	}
+}
 
 func TestShardedHeapLaneOrdering(t *testing.T) {
 	s := NewShardedHeap[string](2)

@@ -1,15 +1,10 @@
 package runtime_test
 
-// Engine-level coverage for the closed-loop self-tuning hot path
-// (ISSUE 8): the adaptive drain controller, the capacity-derived
-// budgets, and the per-source fairness tier.
+// Engine-level coverage for the self-tuning admission tier: the
+// capacity-derived budgets and the per-source fairness tier.
 //
-//   - A frozen controller (DrainBatchMin == DrainBatchMax) must be
-//     message-for-message identical to the fixed DrainBatch of the same
-//     size — adapting only at batch boundaries means an in-flight batch
-//     is indistinguishable from a fixed one.
-//   - Lifecycle events landing mid-adaptation (cancel, pause) must
-//     preserve conservation exactly as on the fixed path.
+//   - Lifecycle events landing while the tuner is live (cancel, pause)
+//     must preserve conservation exactly as on a static configuration.
 //   - The per-source admission ledger must reconcile: rejected counts
 //     sum to the job total, and per-source shed plus downstream shed
 //     sum to the job's shed total.
@@ -19,7 +14,6 @@ package runtime_test
 
 import (
 	"errors"
-	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -29,36 +23,8 @@ import (
 	"github.com/cameo-stream/cameo/internal/vtime"
 )
 
-// TestAdaptiveFrozenOrderEquivalence pins the controller's semantic
-// neutrality: frozen at size B it must reproduce the fixed DrainBatch=B
-// schedule exactly, under progress priorities and under arrival-order
-// (FIFO) priorities.
-func TestAdaptiveFrozenOrderEquivalence(t *testing.T) {
-	progress := func(c runtime.Config) runtime.Config {
-		c.Policy = testkit.ProgressPolicy{}
-		return c
-	}
-	for _, cell := range []runtime.EngineCell{
-		{Name: "cameo/sharded", Cfg: progress},
-		{Name: "fifo/sharded", Cfg: runtime.ArrivalOrder},
-	} {
-		t.Run(cell.Name, func(t *testing.T) {
-			for _, batch := range []int{1, 16} {
-				ref := runtimeOrderCfg(t, cell.Cfg(runtime.Config{DrainBatch: batch}))
-				if len(ref) == 0 {
-					t.Fatal("reference run executed nothing")
-				}
-				got := runtimeOrderCfg(t, cell.Cfg(runtime.Config{
-					AdaptiveDrain: true, DrainBatchMin: batch, DrainBatchMax: batch,
-				}))
-				diffOrders(t, fmt.Sprintf("frozen adaptive=%d vs fixed", batch), ref, got)
-			}
-		})
-	}
-}
-
-// ingestRetry feeds one window, retrying on backpressure: a fully
-// armed engine derives finite budgets mid-run, so a fast test feed can
+// ingestRetry feeds one window, retrying on backpressure: an engine with
+// the tuner armed derives finite budgets mid-run, so a fast test feed can
 // legitimately be refused while the measured budget is still small. The
 // batch is re-rendered per attempt (a refused batch is not retained).
 func ingestRetry(e *runtime.Engine, job string, wl testkit.Workload, src, w int) error {
@@ -72,30 +38,27 @@ func ingestRetry(e *runtime.Engine, job string, wl testkit.Workload, src, w int)
 	}
 }
 
-// adaptiveConfig is the fully armed configuration the behavior tests
-// run under: live controller with the default wide bounds plus the
-// budget tuner at a fast sampling period.
+// adaptiveConfig is the configuration the behavior tests run under: the
+// budget tuner armed at a fast sampling period.
 func adaptiveConfig(workers int) runtime.Config {
 	return runtime.Config{
 		Workers:         workers,
-		AdaptiveDrain:   true,
 		AdaptiveBudgets: true,
 		TuneInterval:    time.Millisecond,
 	}
 }
 
-// TestAdaptiveConservationUnderLoad: concurrent producers against a
-// fully armed engine; conservation holds and the queued accounting
-// returns to zero. (The -race run is the data-race check on the
-// controller and tuner.)
+// TestAdaptiveConservationUnderLoad: concurrent producers against an
+// engine with the tuner armed; conservation holds and the queued
+// accounting returns to zero. (The -race run is the data-race check on
+// the tuner.)
 func TestAdaptiveConservationUnderLoad(t *testing.T) {
 	defer testkit.LeakCheck(t)()
 	for _, cell := range runtime.PathCells {
 		t.Run(cell.Name, func(t *testing.T) {
 			const producers = 4
 			win := 10 * vtime.Millisecond
-			cfg := cell.Cfg(adaptiveConfig(4))
-			e := runtime.New(cfg)
+			e := runtime.New(cell.Cfg(adaptiveConfig(4)))
 			if _, err := e.AddJob(testkit.AggSpec("j", producers, 4, win, vtime.Second)); err != nil {
 				t.Fatal(err)
 			}
@@ -123,19 +86,12 @@ func TestAdaptiveConservationUnderLoad(t *testing.T) {
 			if e.Pending() != 0 {
 				t.Fatalf("pending = %d after drain", e.Pending())
 			}
-			// After traffic every controller has applied a size inside
-			// its bounds (the defaults, 1 and 256).
-			for w := 0; w < cfg.Workers; w++ {
-				if got := e.AppliedDrainBatch(w); got < 1 || got > 256 {
-					t.Errorf("AppliedDrainBatch(%d) = %d, outside [1, 256]", w, got)
-				}
-			}
 		})
 	}
 }
 
 // TestAdaptiveMidAdaptationCancelPause: lifecycle events land while the
-// controller is live and mid-batch on a slow job. Cancel must keep
+// tuner is live and workers are mid-batch on a slow job. Cancel must keep
 // conservation exact; a pause must retain (never lose) the backlog and
 // a checkpoint of the paused job must capture it.
 func TestAdaptiveMidAdaptationCancelPause(t *testing.T) {
@@ -207,11 +163,10 @@ func TestPerSourceCountersReconcile(t *testing.T) {
 		t.Run(cell.Name, func(t *testing.T) {
 			const sources = 4
 			win := 10 * vtime.Millisecond
-			cfg := cell.Cfg(runtime.Config{
+			e := runtime.New(cell.Cfg(runtime.Config{
 				Workers:    2,
 				MaxPending: 32, Overload: runtime.OverloadShed,
-			})
-			e := runtime.New(cfg)
+			}))
 			if _, err := e.AddJob(testkit.AggSpec("j", sources, 4, win, 20*vtime.Millisecond)); err != nil {
 				t.Fatal(err)
 			}
@@ -267,12 +222,6 @@ func TestPerSourceCountersReconcile(t *testing.T) {
 			}
 			if queued != 0 {
 				t.Errorf("per-source queued sum %d after drain", queued)
-			}
-			// A fixed-DrainBatch engine has no controller to report.
-			for w := 0; w < cfg.Workers; w++ {
-				if got := e.AppliedDrainBatch(w); got != 0 {
-					t.Errorf("AppliedDrainBatch(%d) = %d on a fixed-DrainBatch engine, want 0", w, got)
-				}
 			}
 			if created, settled := e.Created(), e.Executed()+e.Discarded(); created != settled {
 				t.Errorf("conservation: created %d, executed+discarded %d", created, settled)

@@ -15,7 +15,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/cameo-stream/cameo/internal/core"
 	"github.com/cameo-stream/cameo/internal/dataflow"
 	"github.com/cameo-stream/cameo/internal/runtime"
 	"github.com/cameo-stream/cameo/internal/testkit"
@@ -199,14 +198,12 @@ func TestAllocsEngineSteadyStateDrainBatch(t *testing.T) {
 }
 
 // TestAllocsEngineSteadyStateAdaptive extends the alloc gate to the
-// self-tuning hot path (ISSUE 8 acceptance): with the drain controller
-// AND the budget tuner armed, the steady-state window cycle must stay
-// inside the same budget as the fixed configuration. The controller is
-// worker-stack state consulted at batch boundaries (float math, no
-// heap), the per-source counters are pre-sized atomic slices, and the
-// tuner's per-job scratch is allocated once at first sight — so
-// adapting must add zero steady-state allocations. The tuner ticks on
-// its own goroutine during the measurement; its steady-state tick is
+// self-tuning hot path: with the budget tuner armed, the steady-state
+// window cycle must stay inside the same budget as the static
+// configuration. The per-source counters are pre-sized atomic slices and
+// the tuner's per-job scratch is allocated once at first sight, so
+// tuning must add zero steady-state allocations. The tuner ticks on its
+// own goroutine during the measurement; its steady-state tick is
 // allocation-free and AllocsPerRun's global accounting would catch it
 // regressing.
 func TestAllocsEngineSteadyStateAdaptive(t *testing.T) {
@@ -217,8 +214,7 @@ func TestAllocsEngineSteadyStateAdaptive(t *testing.T) {
 		defer debug.SetGCPercent(debug.SetGCPercent(-1))
 		const sources, warm, runs = 4, 60, 80
 		win := 10 * vtime.Millisecond
-		e := runtime.New(runtime.Config{Workers: 1,
-			AdaptiveDrain: true, AdaptiveBudgets: true})
+		e := runtime.New(runtime.Config{Workers: 1, AdaptiveBudgets: true})
 		if _, err := e.AddJob(testkit.AggSpec("j", sources, 4, win, 100*vtime.Millisecond)); err != nil {
 			t.Fatal(err)
 		}
@@ -249,7 +245,7 @@ func TestAllocsEngineSteadyStateAdaptive(t *testing.T) {
 			cycle()
 		}
 		allocs := testing.AllocsPerRun(runs, cycle)
-		t.Logf("%.2f allocs per window cycle with adaptive drain + budgets armed", allocs)
+		t.Logf("%.2f allocs per window cycle with adaptive budgets armed", allocs)
 		if allocs > maxAllocsPerWindowCycle {
 			t.Errorf("adaptive window cycle allocates %.1f times, budget %.0f — the self-tuning path allocates",
 				allocs, maxAllocsPerWindowCycle)
@@ -408,61 +404,6 @@ func TestAllocsEngineSteadyStateAfterChurn(t *testing.T) {
 			}
 			if p := e.Pending(); p != 0 {
 				t.Errorf("%d messages still pending after churn + drain", p)
-			}
-		})
-	}
-}
-
-// TestAllocsEngineSteadyStateWheel extends the alloc gate to the timing-
-// wheel run queue (ISSUE 9): with Config.RunQueue = wheel, the window cycle
-// must hold the same budget as heap mode. The wheel's node arena and ready
-// heap grow during warm-up and recycle thereafter — per-insert allocation (a
-// non-pooled bucket node, a re-allocated ready slice) would show up here as
-// ~21 extra allocations per cycle.
-func TestAllocsEngineSteadyStateWheel(t *testing.T) {
-	if testkit.RaceEnabled {
-		t.Skip("allocation accounting is not meaningful under -race")
-	}
-	for _, cell := range runtime.PathCells {
-		t.Run(cell.Name, func(t *testing.T) {
-			defer debug.SetGCPercent(debug.SetGCPercent(-1))
-			const sources, warm, runs = 4, 60, 80
-			win := 10 * vtime.Millisecond
-			e := runtime.New(cell.Cfg(runtime.Config{Workers: 1, RunQueue: core.RunQueueWheel}))
-			if _, err := e.AddJob(testkit.AggSpec("j", sources, 4, win, 100*vtime.Millisecond)); err != nil {
-				t.Fatal(err)
-			}
-			e.Start()
-			defer e.Stop()
-
-			wl := testkit.Workload{Seed: 9, Sources: sources, Windows: warm + runs + 2, Tuples: 4, Keys: 16, Win: win}
-			batches := make([][]*dataflow.Batch, wl.Windows+1)
-			for w := 1; w <= wl.Windows; w++ {
-				batches[w] = make([]*dataflow.Batch, sources)
-				for src := 0; src < sources; src++ {
-					batches[w][src] = wl.Batch(src, w)
-				}
-			}
-			w := 0
-			cycle := func() {
-				w++
-				for src := 0; src < sources; src++ {
-					if err := e.Ingest("j", src, batches[w][src], wl.Progress(w)); err != nil {
-						t.Fatal(err)
-					}
-				}
-				if !e.Drain(10 * time.Second) {
-					t.Fatal("engine did not drain")
-				}
-			}
-			for i := 0; i < warm; i++ {
-				cycle()
-			}
-			allocs := testing.AllocsPerRun(runs, cycle)
-			t.Logf("%.2f allocs per window cycle with wheel run queue", allocs)
-			if allocs > maxAllocsPerWindowCycle {
-				t.Errorf("wheel-mode window cycle allocates %.1f times, budget %.0f — the wheel hot path allocates",
-					allocs, maxAllocsPerWindowCycle)
 			}
 		})
 	}

@@ -24,7 +24,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/cameo-stream/cameo/internal/core"
 	"github.com/cameo-stream/cameo/internal/metrics"
 	"github.com/cameo-stream/cameo/internal/runtime"
 	"github.com/cameo-stream/cameo/internal/sim"
@@ -55,18 +54,13 @@ func keysOf(events []metrics.ScheduleEvent) []execKey {
 }
 
 // simOrder is the reference schedule: the equivalence workload on the
-// simulator with the default heap run queue.
+// simulator.
 func simOrder(t *testing.T) []execKey {
-	return simOrderRQ(t, core.RunQueueHeap)
-}
-
-func simOrderRQ(t *testing.T, rq core.RunQueueKind) []execKey {
 	t.Helper()
 	wl := equivWorkload()
 	cl := sim.New(sim.Config{
 		Nodes: 1, WorkersPerNode: 1,
 		Scheduler:  sim.Cameo,
-		RunQueue:   rq,
 		Policy:     testkit.ProgressPolicy{},
 		Quantum:    vtime.Hour, // never yield: ordering is pure dispatcher choice
 		End:        10 * vtime.Hour,
@@ -87,20 +81,15 @@ func runtimeOrder(t *testing.T) []execKey {
 }
 
 func runtimeOrderBatch(t *testing.T, drainBatch int) []execKey {
-	return runtimeOrderRQ(t, drainBatch, core.RunQueueHeap)
-}
-
-func runtimeOrderRQ(t *testing.T, drainBatch int, rq core.RunQueueKind) []execKey {
 	return runtimeOrderCfg(t, runtime.Config{
 		Policy:     testkit.ProgressPolicy{},
 		DrainBatch: drainBatch,
-		RunQueue:   rq,
 	})
 }
 
-// runtimeOrderCfg runs the equivalence workload under cfg's policy, drain
-// and run-queue settings, at one worker with an effectively infinite
-// quantum and a strictClock.
+// runtimeOrderCfg runs the equivalence workload under cfg's policy and
+// drain settings, at one worker with an effectively infinite quantum and a
+// strictClock.
 func runtimeOrderCfg(t *testing.T, cfg runtime.Config) []execKey {
 	t.Helper()
 	wl := equivWorkload()

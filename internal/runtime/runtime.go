@@ -67,22 +67,6 @@ type Config struct {
 	// unbatched one-lock-per-pop behavior exactly and is what the
 	// order-equivalence tests pin.
 	DrainBatch int
-	// AdaptiveDrain arms the per-worker drain controller: instead of the
-	// fixed DrainBatch, each worker sizes every batch from the acquired
-	// operator's observed queue depth and its job's latency target —
-	// deep backlog grows the batch toward DrainBatchMax (amortizing lock
-	// acquisitions when there is work to amortize over), an idle queue
-	// shrinks it toward DrainBatchMin. The size is recomputed only at batch
-	// boundaries, so the mid-batch lifecycle machinery (lifeEpoch
-	// re-checks, conservation on cancel/pause) is identical to the fixed
-	// path; a controller frozen with DrainBatchMin == DrainBatchMax is
-	// message-for-message equivalent to that fixed DrainBatch (pinned by
-	// the order-equivalence tests). See controller.go.
-	AdaptiveDrain bool
-	// DrainBatchMin / DrainBatchMax bound the adaptive controller
-	// (defaults 1 and 256, max capped at 1024 like DrainBatch). Ignored
-	// unless AdaptiveDrain is set.
-	DrainBatchMin, DrainBatchMax int
 	// AdaptiveBudgets derives the admission budgets from measured
 	// capacity: a background tuner differentiates each job's retired-
 	// message counter into an EWMA drain rate (recorded in the metrics
@@ -95,13 +79,6 @@ type Config struct {
 	AdaptiveBudgets bool
 	// TuneInterval is the budget tuner's sampling period (default 5ms).
 	TuneInterval time.Duration
-	// RunQueue selects the structure behind the per-worker run-queue lanes
-	// (default RunQueueHeap): the indexed binary min-heap, or the
-	// hierarchical timing wheel whose bucket splices make the per-message
-	// re-key amortized O(1). Both produce the identical dispatch order
-	// (pinned by the order-equivalence tests); the knob trades only
-	// constant factors.
-	RunQueue core.RunQueueKind
 	// TraceLimit, when positive, records up to this many executions in a
 	// schedule trace (mirrors sim.Config.TraceLimit), exposed via Trace.
 	TraceLimit int
@@ -153,18 +130,6 @@ func (c *Config) fill() {
 	if c.DrainBatch > 1024 {
 		c.DrainBatch = 1024
 	}
-	if c.DrainBatchMin <= 0 {
-		c.DrainBatchMin = 1
-	}
-	if c.DrainBatchMax <= 0 {
-		c.DrainBatchMax = 256
-	}
-	if c.DrainBatchMax > 1024 {
-		c.DrainBatchMax = 1024
-	}
-	if c.DrainBatchMin > c.DrainBatchMax {
-		c.DrainBatchMin = c.DrainBatchMax
-	}
 	if c.TuneInterval <= 0 {
 		c.TuneInterval = 5 * time.Millisecond
 	}
@@ -189,12 +154,9 @@ type Engine struct {
 	started atomic.Bool
 	stopped atomic.Bool
 
-	// ckpt is the background checkpointer (nil unless configured).
-	ckpt *checkpointer
-	// ctls holds one drain controller per worker (nil unless
-	// Config.AdaptiveDrain); tuner is the background budget tuner (nil
-	// unless Config.AdaptiveBudgets).
-	ctls  []drainController
+	// ckpt is the background checkpointer (nil unless configured); tuner
+	// is the background budget tuner (nil unless Config.AdaptiveBudgets).
+	ckpt  *checkpointer
 	tuner *budgetTuner
 
 	path *shardedPath
@@ -267,12 +229,6 @@ func New(cfg Config) *Engine {
 	e.msgs = core.NewMessagePool(cfg.Workers)
 	e.batches = dataflow.NewBatchPool(cfg.Workers)
 	e.adm = newAdmission(e, cfg)
-	if cfg.AdaptiveDrain {
-		e.ctls = make([]drainController, cfg.Workers)
-		for i := range e.ctls {
-			e.ctls[i].init(cfg.DrainBatchMin, cfg.DrainBatchMax)
-		}
-	}
 	if cfg.AdaptiveBudgets {
 		e.tuner = newBudgetTuner(e)
 	}
@@ -281,7 +237,7 @@ func New(cfg Config) *Engine {
 		e.envs[i] = e.newEnv(i)
 	}
 	e.ingestEnvs.New = func() any { return e.newEnv(-1) }
-	e.path = newShardedPath(e, cfg.Workers, cfg.RunQueue)
+	e.path = newShardedPath(e, cfg.Workers)
 	return e
 }
 
@@ -774,34 +730,6 @@ func (e *Engine) ingest(job string, src int, b *dataflow.Batch, p vtime.Time, tr
 	e.ingestEnvs.Put(env)
 	e.adm.enforce(j, now)
 	return nil
-}
-
-// drainCtl returns worker w's drain controller, or nil when the engine
-// runs fixed drain batches.
-func (e *Engine) drainCtl(w int) *drainController {
-	if e.ctls == nil {
-		return nil
-	}
-	return &e.ctls[w]
-}
-
-// drainBufCap is the worker drain buffer capacity: the controller's upper
-// bound when adaptive, the fixed DrainBatch otherwise.
-func (e *Engine) drainBufCap() int {
-	if e.cfg.AdaptiveDrain {
-		return e.cfg.DrainBatchMax
-	}
-	return e.cfg.DrainBatch
-}
-
-// AppliedDrainBatch reports the batch size worker w's drain controller
-// last applied, or 0 when the engine runs fixed drain batches — the
-// observability hook the adaptive example and benchmarks read.
-func (e *Engine) AppliedDrainBatch(w int) int {
-	if e.ctls == nil || w < 0 || w >= len(e.ctls) {
-		return 0
-	}
-	return int(e.ctls[w].applied.Load())
 }
 
 // LeaseBatch draws an empty batch from the engine's batch pool for an

@@ -75,14 +75,10 @@ type shardedPath struct {
 	stopCh chan struct{}
 }
 
-func newShardedPath(e *Engine, workers int, rq core.RunQueueKind) *shardedPath {
-	slot := func(op *dataflow.Operator) *int32 { return &op.Sched().Pos }
-	runq := queue.NewSlotShardedHeap(workers, slot)
-	if rq == core.RunQueueWheel {
-		runq = queue.NewSlotShardedWheel(workers, slot)
-	}
+func newShardedPath(e *Engine, workers int) *shardedPath {
 	p := &shardedPath{
-		e: e, workers: workers, runq: runq,
+		e: e, workers: workers,
+		runq:   queue.NewSlotShardedHeap(workers, func(op *dataflow.Operator) *int32 { return &op.Sched().Pos }),
 		parked: make([]atomic.Bool, workers),
 		wake:   make([]chan struct{}, workers),
 		stopCh: make(chan struct{}),
@@ -176,7 +172,6 @@ func (p *shardedPath) deliver(msgs []dataflow.ChildMessage, producer int) {
 				pushed++
 			}
 		}
-		st.Depth.Store(int32(st.Q.Len()))
 		p.e.adm.enqueuedN(op.Job, pushed)
 		wake := laneNone
 		switch {
@@ -230,7 +225,6 @@ func (p *shardedPath) cancel(job *dataflow.Job) {
 			noteSrcQueued(op, m, -1)
 			p.e.discardMessage(job, m)
 		}
-		st.Depth.Store(0)
 		// Clear the lane only when the removal actually hit: a miss means
 		// a worker popped the operator and is between its lane pop and its
 		// first popMsgs — that worker owns the Lane reset (in
@@ -341,7 +335,6 @@ func (p *shardedPath) shedOpDoomed(op *dataflow.Operator, now vtime.Time) int {
 	n := st.Q.Shed(
 		func(m *core.Message) bool { return core.Doomed(m, now, aware) },
 		func(m *core.Message) { e.shedQueued(job, op, m) })
-	st.Depth.Store(int32(st.Q.Len()))
 	if n > 0 && !st.Acquired && st.Lane != laneNone {
 		if st.Q.Len() == 0 {
 			// Clear the lane only when the removal hit (same reasoning as
@@ -394,7 +387,6 @@ func (p *shardedPath) shedOpTail(op *dataflow.Operator, n int) int {
 		e.shedQueued(job, op, m)
 		count++
 	}
-	st.Depth.Store(int32(st.Q.Len()))
 	// PopTail never changes a non-emptied heap's head, so the only
 	// run-queue fix-up is the empty-queue removal.
 	if count > 0 && !st.Acquired && st.Lane != laneNone && st.Q.Len() == 0 {
@@ -441,7 +433,6 @@ func (p *shardedPath) shedOpSrc(op *dataflow.Operator, src, limit int) int {
 	n := st.Q.Shed(
 		func(m *core.Message) bool { return count < limit && m.Channel == src },
 		func(m *core.Message) { count++; e.shedQueued(job, op, m) })
-	st.Depth.Store(int32(st.Q.Len()))
 	if n > 0 && !st.Acquired && st.Lane != laneNone {
 		if st.Q.Len() == 0 {
 			if p.runq.Remove(int(st.Lane), op) {
@@ -514,7 +505,6 @@ func (p *shardedPath) popMsgs(op *dataflow.Operator, buf []*core.Message) int {
 	}
 	st.Acquired = true
 	n := st.Q.PopInto(buf)
-	st.Depth.Store(int32(st.Q.Len()))
 	p.e.adm.dequeuedN(op.Job, n)
 	noteSrcQueuedRun(op, buf[:n], -1)
 	return n
@@ -545,7 +535,6 @@ func (p *shardedPath) returnUndrained(op *dataflow.Operator, msgs []*core.Messag
 	for _, m := range msgs {
 		st.Q.Push(m)
 	}
-	st.Depth.Store(int32(st.Q.Len()))
 	p.e.adm.enqueuedN(op.Job, len(msgs))
 	noteSrcQueuedRun(op, msgs, 1)
 	st.Mu.Unlock()
@@ -638,8 +627,7 @@ func opLive(op *dataflow.Operator) bool {
 func (p *shardedPath) worker(w int) {
 	e := p.e
 	env := e.envs[w]
-	ctl := e.drainCtl(w) // nil on the fixed-DrainBatch path
-	buf := make([]*core.Message, e.drainBufCap())
+	buf := make([]*core.Message, e.cfg.DrainBatch)
 	defer e.wg.Done()
 	for {
 		op, ok := p.acquire(w)
@@ -653,26 +641,16 @@ func (p *shardedPath) worker(w int) {
 			p.shedOpDoomed(op, e.clock.Now())
 		}
 		acquired := e.clock.Now()
-		last := acquired
 	drain:
 		for {
 			epoch := e.lifeEpoch.Load()
-			k := len(buf)
-			if ctl != nil {
-				// Batch boundary: size the next batch from the operator's
-				// lock-free depth mirror and its job's latency target. The
-				// batch in flight is never resized — see controller.go.
-				k = ctl.size(int(op.Sched().Depth.Load()), op.Job.Spec.Latency)
-			}
-			n := p.popMsgs(op, buf[:k])
+			n := p.popMsgs(op, buf)
 			if n == 0 {
 				break // popMsgs released the operator
 			}
-			var now vtime.Time
 			yield := false
 			for i := 0; i < n; i++ {
-				var children []dataflow.ChildMessage
-				children, now = e.execMessage(op, buf[i], env)
+				children, now := e.execMessage(op, buf[i], env)
 				p.deliver(children, w)
 				tail := buf[i+1 : n]
 				if e.stopped.Load() {
@@ -700,17 +678,11 @@ func (p *shardedPath) worker(w int) {
 					}
 					if p.shouldYield(op, w, next) {
 						p.returnUndrained(op, tail)
-						n, yield = i+1, true // the batch ends here
+						yield = true // the batch ends here
 						break
 					}
 					acquired = now
 				}
-			}
-			if ctl != nil {
-				// The clock reads bracketing the batch are the ones the
-				// loop already does — observation costs no extra reads.
-				ctl.observe(n, now-last)
-				last = now
 			}
 			if yield {
 				p.release(op, w)

@@ -49,11 +49,6 @@ type Config struct {
 	Nodes, WorkersPerNode int
 	// Scheduler selects the dispatcher on every node.
 	Scheduler SchedulerKind
-	// RunQueue selects the structure behind the Cameo dispatcher's
-	// waiting queue (default heap; the wheel pops in the identical order,
-	// so simulated figures are bit-identical either way — pinned by the
-	// equivalence tests). The baselines ignore it.
-	RunQueue core.RunQueueKind
 	// Policy generates message priorities. Defaults to LLF for the Cameo
 	// scheduler and arrival order for the baselines.
 	Policy core.Policy
@@ -194,17 +189,13 @@ func New(cfg Config) *Cluster {
 	}
 	c.env = dataflow.NewEnv(c.cfg.Policy, c.nextMsgID, -1)
 	for i := 0; i < cfg.Nodes; i++ {
-		n := &node{id: i, disp: newDispatcher(cfg)}
+		n := &node{id: i, disp: core.NewDispatcher[*dataflow.Operator](cfg.Scheduler, cfg.WorkersPerNode)}
 		for w := 0; w < cfg.WorkersPerNode; w++ {
 			n.workers = append(n.workers, &worker{id: w, node: n})
 		}
 		c.nodes = append(c.nodes, n)
 	}
 	return c
-}
-
-func newDispatcher(cfg Config) core.Dispatcher[*dataflow.Operator] {
-	return core.NewDispatcherRunQueue[*dataflow.Operator](cfg.Scheduler, cfg.WorkersPerNode, cfg.RunQueue)
 }
 
 // AddJob instantiates spec, places its operators, and wires its source feed.

@@ -124,16 +124,6 @@ func schedulerKind(name string) (core.SchedulerKind, error) {
 	return 0, fmt.Errorf("replay: unknown scheduler %q", name)
 }
 
-func runQueueKind(name string) (core.RunQueueKind, error) {
-	switch name {
-	case "heap":
-		return core.RunQueueHeap, nil
-	case "wheel":
-		return core.RunQueueWheel, nil
-	}
-	return 0, fmt.Errorf("replay: unknown run_queue %q", name)
-}
-
 func overloadPolicy(name string) (runtime.OverloadPolicy, error) {
 	switch name {
 	case "backpressure":
@@ -146,9 +136,9 @@ func overloadPolicy(name string) (runtime.OverloadPolicy, error) {
 
 // EngineConfigFor translates a validated spec's engine shape into the
 // runtime configuration every real-time replay driver (and
-// cmd/cameo-serve) builds from — run queue, drain tuning, admission
-// budgets. The real-time engine runs the Cameo scheduler only, so a spec
-// naming a baseline scheduler is refused here: it replays on the
+// cmd/cameo-serve) builds from — drain batch, admission budgets. The
+// real-time engine runs the Cameo scheduler only, so a spec naming a
+// baseline scheduler is refused here: it replays on the
 // simulator (Sim, cameo-replay -mode sim). StartTime and Recorder stay
 // zero; callers that need them set them on the returned value.
 func EngineConfigFor(spec *workload.Spec) (runtime.Config, error) {
@@ -165,15 +155,9 @@ func EngineConfigFor(spec *workload.Spec) (runtime.Config, error) {
 	if err != nil {
 		return runtime.Config{}, err
 	}
-	rq, err := runQueueKind(spec.RunQueue)
-	if err != nil {
-		return runtime.Config{}, err
-	}
 	return runtime.Config{
 		Workers:         spec.Workers,
-		RunQueue:        rq,
-		DrainBatch:      spec.DrainBatch.Size,
-		AdaptiveDrain:   spec.DrainBatch.Adaptive,
+		DrainBatch:      spec.DrainBatch,
 		AdaptiveBudgets: spec.AdaptiveBudgets,
 		MaxPending:      spec.MaxPending,
 		Overload:        policy,
@@ -212,14 +196,9 @@ func Sim(spec *workload.Spec) (*Verdict, error) {
 	if err != nil {
 		return nil, err
 	}
-	rq, err := runQueueKind(spec.RunQueue)
-	if err != nil {
-		return nil, err
-	}
 	c := sim.New(sim.Config{
 		Nodes: 1, WorkersPerNode: spec.Workers,
 		Scheduler: kind,
-		RunQueue:  rq,
 		End:       vtime.Time(spec.DurationUS + flushTail(spec)),
 	})
 	offers := make([]*offered, len(spec.Tenants))

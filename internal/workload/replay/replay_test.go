@@ -272,32 +272,3 @@ func TestParseSpecRejectsGarbage(t *testing.T) {
 		}
 	}
 }
-
-// TestSimVerdictRunQueueInvariant pins the run-queue knob's contract at
-// the verdict level: the timing-wheel run queue dispatches in exactly the
-// heap's order, so replaying the same spec with run_queue "wheel" must
-// produce verdict JSON byte-identical to the heap replay — every latency
-// percentile, shed count, and SLO verdict included.
-func TestSimVerdictRunQueueInvariant(t *testing.T) {
-	heap, err := Sim(testSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ws := testSpec()
-	ws.RunQueue = "wheel"
-	wheel, err := Sim(ws)
-	if err != nil {
-		t.Fatal(err)
-	}
-	jh, err := json.Marshal(heap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	jw, err := json.Marshal(wheel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(jh, jw) {
-		t.Fatalf("wheel verdict differs from heap verdict:\n%s\n%s", jh, jw)
-	}
-}

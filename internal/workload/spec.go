@@ -39,17 +39,9 @@ type Spec struct {
 	// "orleans", or "fifo". The two baselines replay on the simulator
 	// only; the real-time engine runs Cameo alone.
 	Scheduler string `json:"scheduler,omitempty"`
-	// RunQueue selects the structure behind the Cameo scheduler's
-	// deadline-ordered run queues: "heap" (default) or "wheel". Dispatch
-	// order — and therefore the verdict — is identical either way; the
-	// knob exists so capacity plans can be replayed under the structure
-	// the production engine will run.
-	RunQueue string `json:"run_queue,omitempty"`
-	// DrainBatch is the real-time engine's per-lock message drain count:
-	// a JSON integer fixes the size (0 = engine default), the string
-	// "adaptive" arms the per-worker feedback controller. The simulator
-	// ignores it.
-	DrainBatch DrainBatchSpec `json:"drain_batch,omitzero"`
+	// DrainBatch is the real-time engine's per-lock message drain count
+	// (0 = engine default). The simulator ignores it.
+	DrainBatch int `json:"drain_batch,omitempty"`
 	// AdaptiveBudgets derives the engine's pending budgets from measured
 	// drain capacity instead of the static max_pending values. The
 	// simulator ignores it.
@@ -107,53 +99,6 @@ type SLOSpec struct {
 	// MaxShedFrac bounds the fraction of offered stage-0 load the engine
 	// may shed or reject (0 = none tolerated).
 	MaxShedFrac float64 `json:"max_shed_frac,omitempty"`
-}
-
-// DrainBatchSpec is the drain_batch knob's union type: a fixed batch
-// size (encoded as a JSON integer, 0 meaning the engine default) or the
-// adaptive controller (encoded as the JSON string "adaptive"). The
-// zero value means "unset" and is omitted from marshaled specs.
-type DrainBatchSpec struct {
-	// Adaptive arms the engine's per-worker drain-batch controller;
-	// Size is ignored when set.
-	Adaptive bool
-	// Size is the fixed per-lock drain count (0 = engine default).
-	Size int
-}
-
-// IsZero reports the unset state, letting the omitzero tag drop the
-// field from marshaled specs.
-func (d DrainBatchSpec) IsZero() bool { return !d.Adaptive && d.Size == 0 }
-
-// MarshalJSON encodes the union: "adaptive" or the integer size.
-func (d DrainBatchSpec) MarshalJSON() ([]byte, error) {
-	if d.Adaptive {
-		return []byte(`"adaptive"`), nil
-	}
-	return json.Marshal(d.Size)
-}
-
-// UnmarshalJSON decodes either form; any other string is an error — a
-// misspelled "adaptive" silently parsing as fixed would invert the A/B
-// comparison the knob exists for.
-func (d *DrainBatchSpec) UnmarshalJSON(data []byte) error {
-	if len(data) > 0 && data[0] == '"' {
-		var s string
-		if err := json.Unmarshal(data, &s); err != nil {
-			return fmt.Errorf("workload: parsing drain_batch: %w", err)
-		}
-		if s != "adaptive" {
-			return fmt.Errorf(`workload: drain_batch must be an integer or "adaptive" (got %q)`, s)
-		}
-		*d = DrainBatchSpec{Adaptive: true}
-		return nil
-	}
-	var n int
-	if err := json.Unmarshal(data, &n); err != nil {
-		return fmt.Errorf(`workload: drain_batch must be an integer or "adaptive": %w`, err)
-	}
-	*d = DrainBatchSpec{Size: n}
-	return nil
 }
 
 // ArrivalSpec selects and parameterizes a tenant's arrival process. Kind
@@ -240,7 +185,6 @@ func (a *ArrivalSpec) Schedule(interval vtime.Duration) (RateSchedule, error) {
 // at parse time, not mid-replay.
 var (
 	specSchedulers = map[string]bool{"cameo": true, "orleans": true, "fifo": true}
-	specRunQueues  = map[string]bool{"heap": true, "wheel": true}
 	specOverloads  = map[string]bool{"backpressure": true, "shed": true}
 )
 
@@ -278,19 +222,13 @@ func (s *Spec) Validate() error {
 	if !specSchedulers[s.Scheduler] {
 		return fmt.Errorf("workload: spec %q: unknown scheduler %q", s.Name, s.Scheduler)
 	}
-	if s.RunQueue == "" {
-		s.RunQueue = "heap"
-	}
-	if !specRunQueues[s.RunQueue] {
-		return fmt.Errorf("workload: spec %q: unknown run_queue %q", s.Name, s.RunQueue)
-	}
 	if s.Overload == "" {
 		s.Overload = "backpressure"
 	}
 	if !specOverloads[s.Overload] {
 		return fmt.Errorf("workload: spec %q: unknown overload policy %q", s.Name, s.Overload)
 	}
-	if s.DrainBatch.Size < 0 || s.MaxPending < 0 {
+	if s.DrainBatch < 0 || s.MaxPending < 0 {
 		return fmt.Errorf("workload: spec %q: negative drain_batch/max_pending", s.Name)
 	}
 	if len(s.Tenants) == 0 {

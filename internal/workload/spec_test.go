@@ -1,12 +1,13 @@
 package workload
 
-// Spec-serialization coverage for the drain_batch union (ISSUE 8
-// satellite): an integer fixes the batch size, the string "adaptive"
-// arms the controller, anything else is a loud parse error, and both
-// forms round-trip byte-stably so A/B spec pairs diff cleanly.
+// Spec-serialization coverage for the engine-shape fields: drain_batch is
+// a plain integer that round-trips byte-stably so A/B spec pairs diff
+// cleanly, and removed knobs (run_queue, the "adaptive" drain_batch form)
+// are loud parse errors rather than silently ignored.
 
 import (
 	"encoding/json"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -35,28 +36,29 @@ func TestParseSpecDrainBatchForms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fixed.DrainBatch.Adaptive || fixed.DrainBatch.Size != 16 {
-		t.Fatalf("fixed form parsed as %+v", fixed.DrainBatch)
+	if fixed.DrainBatch != 16 {
+		t.Fatalf("fixed form parsed as %d", fixed.DrainBatch)
 	}
-	adaptive, err := ParseSpec([]byte(minimalSpecJSON(`"drain_batch": "adaptive", "adaptive_budgets": true,`)))
+	budgets, err := ParseSpec([]byte(minimalSpecJSON(`"drain_batch": 16, "adaptive_budgets": true,`)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !adaptive.DrainBatch.Adaptive || !adaptive.AdaptiveBudgets {
-		t.Fatalf("adaptive form parsed as %+v budgets=%v", adaptive.DrainBatch, adaptive.AdaptiveBudgets)
+	if budgets.DrainBatch != 16 || !budgets.AdaptiveBudgets {
+		t.Fatalf("drain_batch with adaptive budgets parsed as %d budgets=%v", budgets.DrainBatch, budgets.AdaptiveBudgets)
 	}
 	unset, err := ParseSpec([]byte(minimalSpecJSON("")))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !unset.DrainBatch.IsZero() {
-		t.Fatalf("absent drain_batch parsed as %+v", unset.DrainBatch)
+	if unset.DrainBatch != 0 {
+		t.Fatalf("absent drain_batch parsed as %d", unset.DrainBatch)
 	}
 }
 
 func TestParseSpecDrainBatchRejectsGarbage(t *testing.T) {
 	for _, bad := range []string{
-		`"drain_batch": "adaptve",`, // a typo must not silently mean "fixed default"
+		`"drain_batch": "adaptive",`, // removed forms fail, not fall back
+		`"run_queue": "heap",`,
 		`"drain_batch": true,`,
 		`"drain_batch": 1.5,`,
 		`"drain_batch": -1,`,
@@ -67,26 +69,39 @@ func TestParseSpecDrainBatchRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestDrainBatchSpecRoundTrip pins that a set drain_batch survives
+// parse -> marshal -> parse and that the re-marshaled bytes are stable.
 func TestDrainBatchSpecRoundTrip(t *testing.T) {
-	for _, d := range []DrainBatchSpec{{Size: 64}, {Adaptive: true}} {
-		buf, err := json.Marshal(d)
+	for _, size := range []int{1, 64} {
+		s, err := ParseSpec([]byte(minimalSpecJSON(`"drain_batch": ` + strconv.Itoa(size) + `,`)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		var back DrainBatchSpec
-		if err := json.Unmarshal(buf, &back); err != nil {
+		buf, err := json.Marshal(s)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if back != d {
-			t.Errorf("round trip %+v -> %s -> %+v", d, buf, back)
+		back, err := ParseSpec(buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if back.DrainBatch != size {
+			t.Errorf("round trip %d -> %s -> %d", size, buf, back.DrainBatch)
+		}
+		again, err := json.Marshal(back)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(again) != string(buf) {
+			t.Errorf("re-marshal not byte-stable:\n%s\n%s", buf, again)
 		}
 	}
 }
 
-// TestSpecMarshalOmitsUnsetDrainBatch pins the omitzero behavior: a
+// TestSpecMarshalOmitsUnsetDrainBatch pins the omitempty behavior — a
 // spec that never mentions drain_batch must not grow a "drain_batch": 0
-// field when re-marshaled — re-serialized specs stay diffable against
-// their sources.
+// field when re-marshaled, so re-serialized specs stay diffable against
+// their sources — while a set drain_batch is written and read back.
 func TestSpecMarshalOmitsUnsetDrainBatch(t *testing.T) {
 	s := &Spec{
 		Name: "t", Seed: 1, DurationUS: vtime.Second,
@@ -103,19 +118,19 @@ func TestSpecMarshalOmitsUnsetDrainBatch(t *testing.T) {
 	if strings.Contains(string(buf), "drain_batch") {
 		t.Fatalf("unset drain_batch serialized: %s", buf)
 	}
-	s.DrainBatch = DrainBatchSpec{Adaptive: true}
+	s.DrainBatch = 16
 	buf, err = json.Marshal(s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(buf), `"drain_batch":"adaptive"`) {
-		t.Fatalf("adaptive drain_batch not serialized: %s", buf)
+	if !strings.Contains(string(buf), `"drain_batch":16`) {
+		t.Fatalf("set drain_batch not serialized: %s", buf)
 	}
 	back, err := ParseSpec(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !back.DrainBatch.Adaptive {
-		t.Fatalf("marshal->parse lost the adaptive flag: %+v", back.DrainBatch)
+	if back.DrainBatch != 16 {
+		t.Fatalf("marshal->parse lost drain_batch: %d", back.DrainBatch)
 	}
 }
