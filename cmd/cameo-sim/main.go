@@ -89,15 +89,15 @@ func main() {
 		kind, *policy, *nodes, *workers, res.Utilization*100, res.Messages)
 	fmt.Printf("%-8s %10s %10s %10s %10s %9s\n", "job", "outputs", "p50(ms)", "p95(ms)", "p99(ms)", "success")
 	for _, js := range res.Recorder.Jobs() {
-		if js.Latencies.Len() == 0 {
+		if js.Count() == 0 {
 			fmt.Printf("%-8s %10d %10s %10s %10s %9s\n", js.Job, 0, "-", "-", "-", "-")
 			continue
 		}
 		fmt.Printf("%-8s %10d %10.2f %10.2f %10.2f %8.1f%%\n",
-			js.Job, js.Latencies.Len(),
-			js.Latencies.Quantile(0.5)/1000,
-			js.Latencies.Quantile(0.95)/1000,
-			js.Latencies.Quantile(0.99)/1000,
+			js.Job, js.Count(),
+			js.Quantile(0.5)/1000,
+			js.Quantile(0.95)/1000,
+			js.Quantile(0.99)/1000,
 			js.SuccessRate()*100)
 	}
 }

@@ -89,8 +89,8 @@ type Job struct {
 	// engines without one, and the simulator, leave it zero.
 	Retired atomic.Int64
 	// Stats is the job's entry in the real-time engine's metrics recorder,
-	// resolved once when the job is added so the refusal, shed and
-	// drain-rate paths update it with plain atomics instead of a locked
+	// resolved once when the job is added so the sink-output, refusal, shed
+	// and drain-rate paths update it with plain atomics instead of a locked
 	// lookup by name per event. It outlives the job in the recorder (a
 	// cancelled job's counts stay readable until its name is reused), so a
 	// shed racing the cancellation still lands on the right incarnation.

@@ -16,8 +16,11 @@ func TestRecorderLatencyAndSuccess(t *testing.T) {
 	r.Record(Output{Job: "j1", Ready: 0, Emitted: 100 * vtime.Millisecond})
 	r.Record(Output{Job: "j1", Ready: 100 * vtime.Millisecond, Emitted: 250 * vtime.Millisecond})
 	j := r.Job("j1")
-	if j.Latencies.Len() != 3 {
-		t.Fatalf("latency count = %d", j.Latencies.Len())
+	if j.Count() != 3 {
+		t.Fatalf("output count = %d", j.Count())
+	}
+	if j.Latencies != nil || j.Outputs != nil {
+		t.Fatal("a recorder without history kept outputs")
 	}
 	if got := j.SuccessRate(); got < 0.66 || got > 0.67 {
 		t.Fatalf("SuccessRate = %v, want 2/3", got)
@@ -46,7 +49,7 @@ func TestRecorderRedeclare(t *testing.T) {
 }
 
 func TestRecorderMerged(t *testing.T) {
-	r := NewRecorder()
+	r := NewHistoryRecorder()
 	r.DeclareJob("ls-1", 10)
 	r.DeclareJob("ls-2", 10)
 	r.DeclareJob("ba-1", 1000)
@@ -70,7 +73,7 @@ func TestRecorderMerged(t *testing.T) {
 }
 
 func TestRecorderConcurrent(t *testing.T) {
-	r := NewRecorder()
+	r := NewHistoryRecorder()
 	r.DeclareJob("j", vtime.Second)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
@@ -83,9 +86,30 @@ func TestRecorderConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if n := r.Job("j").Latencies.Len(); n != 8000 {
-		t.Fatalf("recorded %d, want 8000", n)
+	j := r.Job("j")
+	if n := j.Latencies.Len(); n != 8000 || len(j.Outputs) != 8000 || j.Count() != 8000 {
+		t.Fatalf("recorded %d latencies, %d outputs, count %d; want 8000", n, len(j.Outputs), j.Count())
 	}
+}
+
+// TestRecorderMergedNeedsHistory: a recorder without history cannot pool
+// latencies, and says which constructor can; the success rate, read from
+// the exact counters, works on both kinds.
+func TestRecorderMergedNeedsHistory(t *testing.T) {
+	r := NewRecorder()
+	r.DeclareJob("j", 10)
+	r.Record(Output{Job: "j", Emitted: 5})
+	r.Record(Output{Job: "j", Emitted: 20})
+	if sr := r.MergedSuccessRate(nil); sr != 0.5 {
+		t.Fatalf("merged success = %v, want 0.5", sr)
+	}
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "NewHistoryRecorder") {
+			t.Fatalf("Merged without history: panic %q, want one naming NewHistoryRecorder", msg)
+		}
+	}()
+	r.Merged(nil)
 }
 
 func TestTimelineSeries(t *testing.T) {
@@ -146,23 +170,5 @@ func TestOverheadAccounting(t *testing.T) {
 	}
 	if empty := NewOverhead(1); empty.Fraction() != 0 {
 		t.Fatal("empty Fraction should be 0")
-	}
-}
-
-func TestCounter(t *testing.T) {
-	var c Counter
-	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 1000; j++ {
-				c.Add(1)
-			}
-		}()
-	}
-	wg.Wait()
-	if c.Value() != 4000 {
-		t.Fatalf("Counter = %d, want 4000", c.Value())
 	}
 }

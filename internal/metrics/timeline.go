@@ -119,26 +119,6 @@ func (st *ScheduleTrace) Events() []ScheduleEvent {
 	return st.events
 }
 
-// Counter is a concurrency-safe monotonically increasing tally.
-type Counter struct {
-	mu sync.Mutex
-	v  int64
-}
-
-// Add increases the counter by d.
-func (c *Counter) Add(d int64) {
-	c.mu.Lock()
-	c.v += d
-	c.mu.Unlock()
-}
-
-// Value returns the current tally.
-func (c *Counter) Value() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.v
-}
-
 // OverheadSnapshot is a point-in-time copy of an Overhead's accounting.
 type OverheadSnapshot struct {
 	Exec, Sched, PriGen vtime.Duration

@@ -185,7 +185,7 @@ func TestDrainBatchMidBatchCancel(t *testing.T) {
 			if e.Pending() != 0 {
 				t.Fatalf("pending = %d after cancel+drain", e.Pending())
 			}
-			if e.Recorder().Job("bystander").Latencies.Len() == 0 {
+			if e.Recorder().Job("bystander").Count() == 0 {
 				t.Fatal("bystander produced no outputs")
 			}
 		})

@@ -12,6 +12,7 @@ package runtime
 import (
 	"bytes"
 	"errors"
+	"math"
 	"os"
 	"sort"
 	"sync"
@@ -24,11 +25,24 @@ import (
 	"github.com/cameo-stream/cameo/internal/vtime"
 )
 
-// outputWindows returns the job's recorded output windows, sorted.
-func outputWindows(rec *metrics.Recorder, job string) []int64 {
+// withHistory gives cfg a fresh recorder that keeps every output, so the
+// run's output windows can be diffed.
+func withHistory(cfg Config) Config {
+	cfg.Recorder = metrics.NewHistoryRecorder()
+	return cfg
+}
+
+// outputWindows returns the job's recorded output windows, sorted. The
+// recorder must keep history (withHistory): one that keeps only counts
+// would make every window diff vacuous.
+func outputWindows(t *testing.T, rec *metrics.Recorder, job string) []int64 {
+	t.Helper()
 	js := rec.Job(job)
 	if js == nil {
 		return nil
+	}
+	if js.Latencies == nil {
+		t.Fatalf("job %q: recorder keeps no output history; build it with metrics.NewHistoryRecorder", job)
 	}
 	out := make([]int64, 0, len(js.Outputs))
 	for _, o := range js.Outputs {
@@ -43,7 +57,7 @@ func outputWindows(rec *metrics.Recorder, job string) []int64 {
 // an interrupted-and-restored run must reproduce exactly.
 func referenceWindows(t *testing.T, cfg Config, wl testkit.Workload) []int64 {
 	t.Helper()
-	e := New(cfg)
+	e := New(withHistory(cfg))
 	if _, err := e.AddJob(lsSpec("j")); err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +65,7 @@ func referenceWindows(t *testing.T, cfg Config, wl testkit.Workload) []int64 {
 	defer e.Stop()
 	wl.IngestAll(t, e, "j")
 	testkit.DrainOrFail(t, e, 20*time.Second)
-	return outputWindows(e.Recorder(), "j")
+	return outputWindows(t, e.Recorder(), "j")
 }
 
 func diffWindows(t *testing.T, context string, want, got []int64) {
@@ -85,7 +99,7 @@ func TestCheckpointRestoreRoundTrip(t *testing.T) {
 				t.Fatalf("reference run produced only %d windows", len(want))
 			}
 
-			a := New(cell.Cfg(Config{Workers: 2}))
+			a := New(withHistory(cell.Cfg(Config{Workers: 2})))
 			if _, err := a.AddJob(lsSpec("j")); err != nil {
 				t.Fatal(err)
 			}
@@ -155,7 +169,7 @@ func TestCheckpointRestoreRoundTrip(t *testing.T) {
 			}
 			testkit.DrainOrFail(t, b, 20*time.Second)
 
-			diffWindows(t, "restored run", want, outputWindows(rec, "j"))
+			diffWindows(t, "restored run", want, outputWindows(t, rec, "j"))
 			if created, executed, discarded := b.Created(), b.Executed(), b.Discarded(); created != executed+discarded {
 				t.Fatalf("target engine conservation: created %d != executed %d + discarded %d",
 					created, executed, discarded)
@@ -401,7 +415,7 @@ func TestKillRestoreUnderLoad(t *testing.T) {
 			cfg := cell.Cfg(Config{Workers: 2})
 			want := referenceWindows(t, cfg, wl)
 
-			a := New(cfg)
+			a := New(withHistory(cfg))
 			if _, err := a.AddJob(lsSpec("j")); err != nil {
 				t.Fatal(err)
 			}
@@ -460,7 +474,7 @@ func TestKillRestoreUnderLoad(t *testing.T) {
 			}
 			testkit.DrainOrFail(t, b, 20*time.Second)
 
-			diffWindows(t, "kill+restore under load", want, outputWindows(rec, "j"))
+			diffWindows(t, "kill+restore under load", want, outputWindows(t, rec, "j"))
 			if created, executed, discarded := b.Created(), b.Executed(), b.Discarded(); created != executed+discarded {
 				t.Fatalf("target conservation: created %d != executed %d + discarded %d",
 					created, executed, discarded)
@@ -484,7 +498,7 @@ func TestLiveMigration(t *testing.T) {
 			wl := testLoad(windows)
 			want := referenceWindows(t, cell.Cfg(Config{Workers: 2}), wl)
 
-			a := New(cell.Cfg(Config{Workers: 2}))
+			a := New(withHistory(cell.Cfg(Config{Workers: 2})))
 			for _, name := range []string{"mig", "stay"} {
 				if _, err := a.AddJob(lsSpec(name)); err != nil {
 					t.Fatal(err)
@@ -543,7 +557,16 @@ func TestLiveMigration(t *testing.T) {
 			testkit.DrainOrFail(t, a, 20*time.Second)
 			testkit.DrainOrFail(t, b, 20*time.Second)
 
-			diffWindows(t, "migrated job", want, outputWindows(a.Recorder(), "mig"))
+			diffWindows(t, "migrated job", want, outputWindows(t, a.Recorder(), "mig"))
+			// The shared recorder's entry accumulated across both engines:
+			// its exact count and histogram cover every window.
+			js := a.Recorder().Job("mig")
+			if js.Count() != int64(len(want)) {
+				t.Fatalf("migrated job's stats count %d outputs, reference %d", js.Count(), len(want))
+			}
+			if h, x := js.Quantile(1), js.Latencies.Quantile(1); math.Abs(h-x) > x/8 {
+				t.Fatalf("migrated job's histogram max %v µs, exact %v µs", h, x)
+			}
 			if created, executed, discarded := a.Created(), a.Executed(), a.Discarded(); created != executed+discarded {
 				t.Fatalf("source conservation: created %d != executed %d + discarded %d",
 					created, executed, discarded)
@@ -553,7 +576,7 @@ func TestLiveMigration(t *testing.T) {
 					created, executed, discarded)
 			}
 			// The bystander on the source saw the full stream, unperturbed.
-			stay := outputWindows(a.Recorder(), "stay")
+			stay := outputWindows(t, a.Recorder(), "stay")
 			if len(stay) != len(want) {
 				t.Fatalf("bystander produced %d windows, reference %d — migration perturbed it",
 					len(stay), len(want))

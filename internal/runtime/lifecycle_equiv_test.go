@@ -30,6 +30,7 @@ import (
 
 	"github.com/cameo-stream/cameo/internal/core"
 	"github.com/cameo-stream/cameo/internal/dataflow"
+	"github.com/cameo-stream/cameo/internal/metrics"
 	"github.com/cameo-stream/cameo/internal/runtime"
 	"github.com/cameo-stream/cameo/internal/testkit"
 	"github.com/cameo-stream/cameo/internal/vtime"
@@ -149,6 +150,7 @@ func churnScript(t *testing.T, pol core.Policy, churn bool) *runtime.Engine {
 		Quantum:    vtime.Hour,
 		DrainBatch: 1, // pin the unbatched schedule (see runtimeOrder)
 		TraceLimit: equivTraceLimit,
+		Recorder:   metrics.NewHistoryRecorder(), // the bystander check diffs output windows
 	})
 	e.WrapClock(newStrictClock)
 	if _, err := e.AddJob(testkit.AggSpec("keep", keep.Sources, 2, keep.Win, vtime.Second)); err != nil {
@@ -246,6 +248,9 @@ func TestLifecycleScriptEquivalence(t *testing.T) {
 			}
 			soloOut := solo.Recorder().Job("keep").Outputs
 			churnOut := first.Recorder().Job("keep").Outputs
+			if len(soloOut) == 0 {
+				t.Fatal("solo reference emitted nothing")
+			}
 			if len(soloOut) != len(churnOut) {
 				t.Fatalf("surviving job emitted %d outputs under churn, %d solo", len(churnOut), len(soloOut))
 			}

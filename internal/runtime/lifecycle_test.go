@@ -42,7 +42,7 @@ func TestEngineHotSubmit(t *testing.T) {
 			testLoad(5).IngestAll(t, e, "hot")
 			testkit.DrainOrFail(t, e, 10*time.Second)
 			for _, job := range []string{"old", "hot"} {
-				if n := e.Recorder().Job(job).Latencies.Len(); n < 4 {
+				if n := e.Recorder().Job(job).Count(); n < 4 {
 					t.Errorf("%s: outputs = %d, want >= 4", job, n)
 				}
 			}
@@ -94,7 +94,7 @@ func TestEnginePauseResume(t *testing.T) {
 				t.Fatal(err)
 			}
 			testkit.DrainOrFail(t, e, 10*time.Second)
-			if n := e.Recorder().Job("j").Latencies.Len(); n < 8 {
+			if n := e.Recorder().Job("j").Count(); n < 8 {
 				t.Fatalf("outputs after resume = %d, want >= 8", n)
 			}
 			if created, executed := e.msgID.Load(), e.Executed(); created != executed {
@@ -396,7 +396,7 @@ func TestEngineNameReuse(t *testing.T) {
 	if js.Constraint != 100*vtime.Millisecond {
 		t.Fatalf("reused job kept stale constraint %v", js.Constraint)
 	}
-	firstOutputs := js.Latencies.Len()
+	firstOutputs := js.Count()
 	if firstOutputs < 2 {
 		t.Fatalf("reused job produced %d outputs", firstOutputs)
 	}
@@ -410,7 +410,7 @@ func TestEngineNameReuse(t *testing.T) {
 	}
 	testLoad(4).IngestAll(t, e, "x")
 	testkit.DrainOrFail(t, e, 5*time.Second)
-	if got := e.Recorder().Job("x").Latencies.Len(); got > firstOutputs {
+	if got := e.Recorder().Job("x").Count(); got > firstOutputs {
 		t.Fatalf("same-constraint reuse merged stats: %d outputs, want <= %d (fresh)", got, firstOutputs)
 	}
 }

@@ -938,7 +938,7 @@ func (e *Engine) execMessage(op *dataflow.Operator, m *core.Message, env *datafl
 		op.Job.Retired.Add(1)
 	}
 	for _, o := range outcome.Outputs {
-		e.rec.Record(metrics.Output{
+		op.Job.Stats.Record(metrics.Output{
 			Job: op.Job.Spec.Name, Emitted: now, Ready: o.T, Window: int64(o.P),
 		})
 	}

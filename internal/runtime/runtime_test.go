@@ -37,8 +37,8 @@ func TestEngineEndToEnd(t *testing.T) {
 			testkit.DrainOrFail(t, e, 5*time.Second)
 			e.Stop()
 			js := e.Recorder().Job("j")
-			if js.Latencies.Len() < 8 {
-				t.Fatalf("outputs = %d, want >= 8", js.Latencies.Len())
+			if js.Count() < 8 {
+				t.Fatalf("outputs = %d, want >= 8", js.Count())
 			}
 			if e.Executed() == 0 {
 				t.Fatal("no messages executed")
@@ -74,8 +74,8 @@ func TestEngineConcurrentIngest(t *testing.T) {
 	}
 	wg.Wait()
 	testkit.DrainOrFail(t, e, 5*time.Second)
-	if e.Recorder().Job("j").Latencies.Len() < 40 {
-		t.Fatalf("outputs = %d", e.Recorder().Job("j").Latencies.Len())
+	if e.Recorder().Job("j").Count() < 40 {
+		t.Fatalf("outputs = %d", e.Recorder().Job("j").Count())
 	}
 	e.Stop()
 }
@@ -213,8 +213,8 @@ func TestEnginePanicIsolation(t *testing.T) {
 	if drained, err := e.DrainJob("healthy", 10*time.Second); err != nil || !drained {
 		t.Fatalf("healthy job did not drain (drained=%v err=%v)", drained, err)
 	}
-	if e.Recorder().Job("healthy").Latencies.Len() < 4 {
-		t.Fatalf("healthy outputs = %d, want >= 4", e.Recorder().Job("healthy").Latencies.Len())
+	if e.Recorder().Job("healthy").Count() < 4 {
+		t.Fatalf("healthy outputs = %d, want >= 4", e.Recorder().Job("healthy").Count())
 	}
 	if e.JobFailed("healthy") {
 		t.Fatal("healthy job marked failed")

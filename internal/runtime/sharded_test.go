@@ -150,7 +150,7 @@ func TestShardedConcurrentProducersConsumers(t *testing.T) {
 	if e.Pending() != 0 {
 		t.Fatalf("pending = %d after drain", e.Pending())
 	}
-	if e.Recorder().Job("j").Latencies.Len() == 0 {
+	if e.Recorder().Job("j").Count() == 0 {
 		t.Fatal("no outputs recorded")
 	}
 }

@@ -71,7 +71,7 @@ func TestServeLoopbackEndToEnd(t *testing.T) {
 	}
 	testkit.DrainOrFail(t, e, 5*time.Second)
 
-	if got := e.Recorder().Job("j").Latencies.Len(); got < 8 {
+	if got := e.Recorder().Job("j").Count(); got < 8 {
 		t.Errorf("outputs = %d, want >= 8", got)
 	}
 	want := int64(wl.Windows * wl.Sources * wl.Tuples)

@@ -180,7 +180,7 @@ func New(cfg Config) *Cluster {
 		cfg:       cfg,
 		clock:     vtime.NewVirtualClock(0),
 		placement: make(map[*dataflow.Operator]*node),
-		rec:       metrics.NewRecorder(),
+		rec:       metrics.NewHistoryRecorder(),
 		thr:       make(map[string]*metrics.Timeline),
 		tuples:    make(map[string]int64),
 	}

@@ -189,12 +189,19 @@ func (c *countingFeed) Next(src int) (*dataflow.Batch, vtime.Time, vtime.Time, b
 // Sim replays spec on the virtual-time simulator and returns its verdict.
 // Identical spec and seed produce byte-identical verdicts.
 func Sim(spec *workload.Spec) (*Verdict, error) {
+	v, _, err := simulate(spec)
+	return v, err
+}
+
+// simulate is Sim, also returning the simulator's recorder, which keeps
+// every output.
+func simulate(spec *workload.Spec) (*Verdict, *metrics.Recorder, error) {
 	if err := spec.Validate(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	kind, err := schedulerKind(spec.Scheduler)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	c := sim.New(sim.Config{
 		Nodes: 1, WorkersPerNode: spec.Workers,
@@ -205,11 +212,11 @@ func Sim(spec *workload.Spec) (*Verdict, error) {
 	for i := range spec.Tenants {
 		feed, err := spec.FeedFor(i)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		offers[i] = &offered{}
 		if _, err := c.AddJob(spec.Tenants[i].JobSpec(), &countingFeed{feed: feed, off: offers[i]}); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
 	res := c.Run()
@@ -218,7 +225,7 @@ func Sim(spec *workload.Spec) (*Verdict, error) {
 		v.Tenants = append(v.Tenants, tenantVerdict(&spec.Tenants[i], res.Recorder, offers[i]))
 	}
 	v.Pass = allPass(v.Tenants)
-	return v, nil
+	return v, res.Recorder, nil
 }
 
 // Engine replays spec on the real-time engine: one paced, open-loop source
@@ -475,10 +482,10 @@ func tenantVerdict(t *workload.TenantSpec, rec *metrics.Recorder, off *offered) 
 		OfferedTuples:  off.tuples,
 	}
 	if js := rec.Job(t.Name); js != nil {
-		tv.Outputs = int64(js.Latencies.Len())
+		tv.Outputs = js.Count()
 		if tv.Outputs > 0 {
-			tv.P50MS = js.Latencies.Quantile(0.5) / 1000
-			tv.P99MS = js.Latencies.Quantile(0.99) / 1000
+			tv.P50MS = js.Quantile(0.5) / 1000
+			tv.P99MS = js.Quantile(0.99) / 1000
 			tv.SuccessRate = js.SuccessRate()
 		}
 		tv.Shed = js.Shed.Load()

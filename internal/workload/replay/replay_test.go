@@ -3,6 +3,7 @@ package replay
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 
@@ -133,6 +134,43 @@ func TestSimVerdictByteIdentical(t *testing.T) {
 	}
 	if !bytes.Equal(ja, jb) {
 		t.Fatalf("sim verdicts differ across replays:\n%s\n%s", ja, jb)
+	}
+}
+
+// TestSimVerdictHistogramPin: verdicts read latency from each tenant's
+// fixed-size histogram, the simulator also keeps every output. On the
+// builtin spec (three seeds) the verdict's outputs and success rate equal
+// the exact history's, its percentiles lie within one bucket (12.5 %) of
+// the exact ones, and no tenant's latency verdict flips against the one
+// the exact p99 gives.
+func TestSimVerdictHistogramPin(t *testing.T) {
+	for seed := uint64(1); seed <= 3; seed++ {
+		spec := workload.BuiltinCISpec()
+		spec.Seed = seed
+		v, rec, err := simulate(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tv := range v.Tenants {
+			js := rec.Job(tv.Tenant)
+			exact := js.Latencies
+			if tv.Outputs == 0 || tv.Outputs != int64(exact.Len()) {
+				t.Fatalf("seed %d, tenant %s: %d outputs, history holds %d", seed, tv.Tenant, tv.Outputs, exact.Len())
+			}
+			if want := 1 - exact.FractionAbove(float64(js.Constraint)); math.Abs(tv.SuccessRate-want) > 1e-12 {
+				t.Errorf("seed %d, tenant %s: success rate %v, exact %v", seed, tv.Tenant, tv.SuccessRate, want)
+			}
+			for _, p := range []struct {
+				q, got float64
+			}{{0.5, tv.P50MS}, {0.99, tv.P99MS}} {
+				if x := exact.Quantile(p.q) / 1000; math.Abs(p.got-x) > x/8 {
+					t.Errorf("seed %d, tenant %s: q%v = %v ms, exact %v ms", seed, tv.Tenant, p.q, p.got, x)
+				}
+			}
+			if exactPass := exact.Quantile(0.99)/1000 <= tv.DeadlineMS; tv.PassLatency != exactPass {
+				t.Errorf("seed %d, tenant %s: latency verdict %v, exact p99 gives %v", seed, tv.Tenant, tv.PassLatency, exactPass)
+			}
+		}
 	}
 }
 

@@ -115,11 +115,11 @@ func (s *Simulation) Run() SimulationResult {
 		jobs:        make(map[string]JobStats),
 	}
 	for _, js := range res.Recorder.Jobs() {
-		st := JobStats{Outputs: js.Latencies.Len(), SuccessRate: js.SuccessRate()}
+		st := JobStats{Outputs: int(js.Count()), SuccessRate: js.SuccessRate()}
 		if st.Outputs > 0 {
-			st.P50 = vtime.Std(vtime.Time(js.Latencies.Quantile(0.50)))
-			st.P95 = vtime.Std(vtime.Time(js.Latencies.Quantile(0.95)))
-			st.P99 = vtime.Std(vtime.Time(js.Latencies.Quantile(0.99)))
+			st.P50 = vtime.Std(vtime.Time(js.Quantile(0.50)))
+			st.P95 = vtime.Std(vtime.Time(js.Quantile(0.95)))
+			st.P99 = vtime.Std(vtime.Time(js.Quantile(0.99)))
 		}
 		out.jobs[js.Job] = st
 	}
