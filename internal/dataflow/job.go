@@ -119,6 +119,13 @@ type Job struct {
 	// ShedDownstream counts shed messages from stages > 0, which have no
 	// single source attribution.
 	ShedDownstream atomic.Int64
+	// Paused is the real-time engine's pause flag: set by a pause (explicit,
+	// a checkpoint's, or a quarantine) and by a restore until resumed, and
+	// read by every ingest, which refuses a paused job's new work. Writers
+	// serialize under the engine's lifecycle lock; the flag is stored before
+	// the pausing call returns, so every later ingest observes it. The
+	// simulator leaves it false.
+	Paused atomic.Bool
 }
 
 // EffectiveBudget is the job's current pending budget: the adaptive one

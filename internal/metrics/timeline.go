@@ -133,8 +133,9 @@ type OverheadSnapshot struct {
 // read: a mid-flight Snapshot may observe the cells at slightly different
 // instants; at quiescence (post-drain, where every report reads it) the
 // numbers are exact. The real-time engine feeds Exec and Messages only: it
-// reads the clock twice per message, around the handler, so context
-// generation is not timed separately (it is below the clock's 1 µs grain).
+// reads the clock once per message, at completion, so a message's Exec
+// also covers the previous message's context generation and delivery,
+// which are not timed separately.
 type Overhead struct {
 	cells []overheadCell
 }

@@ -53,12 +53,22 @@ func writeFrontier(w *snap.Writer, f *progress.Frontier) {
 	})
 }
 
-func readFrontier(r *snap.Reader, f *progress.Frontier) {
+// readFrontier restores a frontier written by writeFrontier. A channel the
+// handler does not have, or a regressing pair, is a corrupt snapshot and
+// fails the restore.
+func readFrontier(r *snap.Reader, f *progress.Frontier) error {
 	n := int(r.U32())
 	for i := 0; i < n && r.Err() == nil; i++ {
 		ch := int(r.I64())
-		f.Restore(ch, r.Time())
+		p := r.Time()
+		if r.Err() != nil {
+			break
+		}
+		if err := f.Restore(ch, p); err != nil {
+			return err
+		}
 	}
+	return r.Err()
 }
 
 func checkKind(r *snap.Reader, want uint8, name string) error {
@@ -121,7 +131,9 @@ func (w *windowAgg) RestoreState(r *snap.Reader) error {
 	}
 	w.emitted = r.Time()
 	w.late = r.I64()
-	readFrontier(r, w.frontier)
+	if err := readFrontier(r, w.frontier); err != nil {
+		return err
+	}
 	nw := int(r.U32())
 	for i := 0; i < nw && r.Err() == nil; i++ {
 		end := r.Time()
@@ -174,7 +186,9 @@ func (w *windowJoin) RestoreState(r *snap.Reader) error {
 	}
 	w.emitted = r.Time()
 	w.late = r.I64()
-	readFrontier(r, w.frontier)
+	if err := readFrontier(r, w.frontier); err != nil {
+		return err
+	}
 	nw := int(r.U32())
 	for i := 0; i < nw && r.Err() == nil; i++ {
 		end := r.Time()
@@ -226,7 +240,9 @@ func (w *topK) RestoreState(r *snap.Reader) error {
 	}
 	w.emitted = r.Time()
 	w.late = r.I64()
-	readFrontier(r, w.frontier)
+	if err := readFrontier(r, w.frontier); err != nil {
+		return err
+	}
 	nw := int(r.U32())
 	for i := 0; i < nw && r.Err() == nil; i++ {
 		end := r.Time()
@@ -276,7 +292,9 @@ func (w *distinctCount) RestoreState(r *snap.Reader) error {
 	}
 	w.emitted = r.Time()
 	w.late = r.I64()
-	readFrontier(r, w.frontier)
+	if err := readFrontier(r, w.frontier); err != nil {
+		return err
+	}
 	nw := int(r.U32())
 	for i := 0; i < nw && r.Err() == nil; i++ {
 		end := r.Time()

@@ -6,7 +6,8 @@
 package progress
 
 import (
-	"sort"
+	"fmt"
+	"math"
 	"sync"
 
 	"github.com/cameo-stream/cameo/internal/stats"
@@ -103,72 +104,120 @@ func (m *RegressionMapper) Observe(p, t vtime.Time) {
 // windowed operator will not produce output until frontier progresses are
 // observed at all source operators"). Channel-wise in-order delivery is a
 // runtime guarantee, so per-channel progress is just the last seen value.
+//
+// Channels are dense in [0, channels): the source index at stage 0, the
+// upstream instance index downstream. Progress is one slot per channel,
+// and the minimum is cached and recomputed only when the channel that may
+// hold it advances, so an Advance is O(1) unless it moves the minimum.
 type Frontier struct {
-	channels map[int]vtime.Time
-	expected int
+	progress []vtime.Time // per channel; Unset until the channel reports
+	seen     int          // channels that have reported
+	min      vtime.Time   // minimum over progress once seen == len(progress)
 }
 
-// NewFrontier returns a frontier over the given number of input channels.
+// Unset is the one progress value no channel may report: a Frontier stores
+// it to mark a channel that has not reported yet. It sorts below every
+// other value, so a first report never reads as a regression. Ingest
+// refuses it, since a channel reporting it would count as heard from
+// twice and stall its operators' frontiers.
+const Unset = vtime.Time(math.MinInt64)
+
+// NewFrontier returns a frontier over input channels [0, channels).
 // Progress is reported only after every channel has been heard from.
-func NewFrontier(expected int) *Frontier {
-	return &Frontier{channels: make(map[int]vtime.Time, expected), expected: expected}
+func NewFrontier(channels int) *Frontier {
+	f := &Frontier{progress: make([]vtime.Time, channels)}
+	for i := range f.progress {
+		f.progress[i] = Unset
+	}
+	return f
 }
 
 // Advance records progress p on channel ch and returns the new global
-// frontier (the minimum across channels), with ok=false while some expected
-// channel has not reported yet. Regressing progress on a channel panics:
-// in-order delivery is an engine invariant, and silently accepting a
-// regression would mask a routing bug.
+// frontier (the minimum across channels), with ok=false while some channel
+// has not reported yet. A regressing progress, the reserved Unset value or
+// a channel outside [0, channels) panics: in-order delivery, ingest
+// validation and routing are engine invariants, and accepting any of them
+// would mask a bug — an unknown channel would complete the frontier
+// without a real one and close windows early.
 func (f *Frontier) Advance(ch int, p vtime.Time) (vtime.Time, bool) {
-	if prev, seen := f.channels[ch]; seen && p < prev {
+	if uint(ch) >= uint(len(f.progress)) {
+		panic(fmt.Sprintf("progress: channel %d outside [0,%d)", ch, len(f.progress)))
+	}
+	if p == Unset {
+		panic(fmt.Sprintf("progress: channel %d reported the reserved Unset value", ch))
+	}
+	if p < f.progress[ch] {
 		panic("progress: channel progress moved backwards")
 	}
-	f.channels[ch] = p
+	f.set(ch, p)
 	return f.Min()
 }
 
-// Snapshot hands every (channel, progress) pair to visit in ascending
-// channel order — the deterministic iteration checkpoint encoders need
-// (map order would make snapshot bytes run-dependent).
-func (f *Frontier) Snapshot(visit func(ch int, p vtime.Time)) {
-	chans := make([]int, 0, len(f.channels))
-	for ch := range f.channels {
-		chans = append(chans, ch)
+// set stores p on channel ch (validated by the caller) and keeps seen and
+// the cached minimum current.
+func (f *Frontier) set(ch int, p vtime.Time) {
+	prev := f.progress[ch]
+	f.progress[ch] = p
+	if prev == Unset {
+		f.seen++
+		if f.seen == len(f.progress) {
+			f.min = f.scan()
+		}
+		return
 	}
-	sort.Ints(chans)
-	for _, ch := range chans {
-		visit(ch, f.channels[ch])
+	// Progress only rises, so the minimum can move only when a channel
+	// holding it advances.
+	if prev == f.min && p != prev && f.seen == len(f.progress) {
+		f.min = f.scan()
+	}
+}
+
+func (f *Frontier) scan() vtime.Time {
+	m := f.progress[0]
+	for _, p := range f.progress[1:] {
+		if p < m {
+			m = p
+		}
+	}
+	return m
+}
+
+// Snapshot hands every reported (channel, progress) pair to visit in
+// ascending channel order — the deterministic iteration checkpoint
+// encoders need.
+func (f *Frontier) Snapshot(visit func(ch int, p vtime.Time)) {
+	for ch, p := range f.progress {
+		if p != Unset {
+			visit(ch, p)
+		}
 	}
 }
 
 // Len reports how many channels have reported.
-func (f *Frontier) Len() int { return len(f.channels) }
+func (f *Frontier) Len() int { return f.seen }
 
 // Restore reinstates a snapshotted (channel, progress) pair. Unlike
-// Advance it tolerates being applied to a fresh frontier in any order, but
-// it keeps the monotonicity invariant: restoring below already-recorded
-// progress panics like a regressed Advance would, so a stale snapshot can
-// never rewind a live frontier.
-func (f *Frontier) Restore(ch int, p vtime.Time) {
-	if prev, seen := f.channels[ch]; seen && p < prev {
-		panic("progress: snapshot would regress channel progress")
+// Advance it tolerates being applied to a fresh frontier in any order, and
+// since its input is a decoded snapshot it reports bad input as an error:
+// a channel outside [0, channels), the reserved Unset value, or progress
+// below what is already recorded — a stale snapshot can never rewind a
+// live frontier.
+func (f *Frontier) Restore(ch int, p vtime.Time) error {
+	if uint(ch) >= uint(len(f.progress)) {
+		return fmt.Errorf("progress: snapshot channel %d outside [0,%d)", ch, len(f.progress))
 	}
-	f.channels[ch] = p
+	if p == Unset || p < f.progress[ch] {
+		return fmt.Errorf("progress: snapshot would regress channel %d progress", ch)
+	}
+	f.set(ch, p)
+	return nil
 }
 
 // Min returns the minimum progress across channels; ok=false until all
-// expected channels have reported.
+// channels have reported.
 func (f *Frontier) Min() (vtime.Time, bool) {
-	if len(f.channels) < f.expected {
+	if f.seen < len(f.progress) {
 		return 0, false
 	}
-	first := true
-	var m vtime.Time
-	for _, p := range f.channels {
-		if first || p < m {
-			m = p
-			first = false
-		}
-	}
-	return m, true
+	return f.min, true
 }

@@ -1,6 +1,9 @@
 package progress
 
 import (
+	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -177,5 +180,136 @@ func TestFrontierProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// mapFrontier is the frontier as it was before it became an array: a map
+// from channel to last progress, with the minimum recomputed over the map
+// on every call. TestFrontierMatchesMapReference checks the array
+// frontier against it. It accepts any channel, so the test hands it only
+// in-range operations.
+type mapFrontier struct {
+	channels map[int]vtime.Time
+	expected int
+}
+
+func (f *mapFrontier) min() (vtime.Time, bool) {
+	if len(f.channels) < f.expected {
+		return 0, false
+	}
+	first := true
+	var m vtime.Time
+	for _, p := range f.channels {
+		if first || p < m {
+			m, first = p, false
+		}
+	}
+	return m, true
+}
+
+func (f *mapFrontier) snapshot() [][2]int64 {
+	chans := make([]int, 0, len(f.channels))
+	for ch := range f.channels {
+		chans = append(chans, ch)
+	}
+	sort.Ints(chans)
+	var out [][2]int64
+	for _, ch := range chans {
+		out = append(out, [2]int64{int64(ch), int64(f.channels[ch])})
+	}
+	return out
+}
+
+// advance calls f.Advance and reports whether it panicked.
+func advance(f *Frontier, ch int, p vtime.Time) (m vtime.Time, ok, panicked bool) {
+	defer func() {
+		if recover() != nil {
+			panicked = true
+		}
+	}()
+	m, ok = f.Advance(ch, p)
+	return m, ok, false
+}
+
+// TestFrontierMatchesMapReference drives the array frontier and the map
+// reference through the same seeded random Advance/Restore sequences over
+// 1–8 channels. After every operation they must agree on Min/ok, Len and
+// the Snapshot sequence (ascending channels). A regressing Advance, one
+// reporting the reserved Unset value and one on a channel outside
+// [0, channels) must panic, and Restore must return an error for the same
+// inputs — without changing any state.
+func TestFrontierMatchesMapReference(t *testing.T) {
+	cases := []struct {
+		name              string
+		seed              int64
+		channels          int
+		restore           float64 // share of operations that are Restores
+		misroute, regress float64 // share of out-of-range / regressing operations
+		reserved          float64 // share of operations reporting Unset
+	}{
+		{"1ch", 1, 1, 0.2, 0.05, 0.05, 0.05},
+		{"2ch-advance-only", 2, 2, 0, 0, 0, 0},
+		{"2ch-reserved", 9, 2, 0.2, 0, 0, 0.3},
+		{"3ch", 3, 3, 0.3, 0.05, 0.1, 0},
+		{"4ch-restore-heavy", 4, 4, 0.8, 0.05, 0.05, 0.05},
+		{"5ch-misrouted", 5, 5, 0.1, 0.3, 0, 0},
+		{"6ch-regressing", 6, 6, 0.1, 0, 0.3, 0},
+		{"7ch-clean", 7, 7, 0.1, 0, 0, 0},
+		{"8ch", 8, 8, 0.3, 0.1, 0.1, 0.05},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(c.seed))
+			got := NewFrontier(c.channels)
+			ref := &mapFrontier{channels: map[int]vtime.Time{}, expected: c.channels}
+			for step := 0; step < 4000; step++ {
+				ch := rng.Intn(c.channels)
+				prev, seen := ref.channels[ch]
+				p := prev + vtime.Time(rng.Intn(3)) // equal progress is frequent
+				switch r := rng.Float64(); {
+				case r < c.misroute:
+					ch = c.channels + rng.Intn(4)
+					if rng.Intn(2) == 0 {
+						ch = -1 - rng.Intn(4)
+					}
+				case r < c.misroute+c.regress && seen && prev > 0:
+					p = prev - 1 - vtime.Time(rng.Int63n(int64(prev)))
+				case r < c.misroute+c.regress+c.reserved:
+					p = Unset
+				}
+				bad := ch < 0 || ch >= c.channels || p == Unset || (seen && p < prev)
+				if rng.Float64() < c.restore {
+					if err := got.Restore(ch, p); bad != (err != nil) {
+						t.Fatalf("step %d: Restore(%d, %v) = %v, bad input %v", step, ch, p, err, bad)
+					}
+					if !bad {
+						ref.channels[ch] = p
+					}
+				} else {
+					m, ok, panicked := advance(got, ch, p)
+					if bad != panicked {
+						t.Fatalf("step %d: Advance(%d, %v) panicked %v, bad input %v", step, ch, p, panicked, bad)
+					}
+					if !bad {
+						ref.channels[ch] = p
+						if wm, wok := ref.min(); m != wm || ok != wok {
+							t.Fatalf("step %d: Advance(%d, %v) = %v/%v, reference %v/%v", step, ch, p, m, ok, wm, wok)
+						}
+					}
+				}
+				m, ok := got.Min()
+				if wm, wok := ref.min(); m != wm || ok != wok {
+					t.Fatalf("step %d: Min = %v/%v, reference %v/%v", step, m, ok, wm, wok)
+				}
+				if got.Len() != len(ref.channels) {
+					t.Fatalf("step %d: Len = %d, reference %d", step, got.Len(), len(ref.channels))
+				}
+				var snap [][2]int64
+				got.Snapshot(func(ch int, p vtime.Time) { snap = append(snap, [2]int64{int64(ch), int64(p)}) })
+				if want := ref.snapshot(); !reflect.DeepEqual(snap, want) {
+					t.Fatalf("step %d: Snapshot = %v, reference %v", step, snap, want)
+				}
+			}
+		})
 	}
 }

@@ -278,26 +278,20 @@ func (a *admission) shedFair(j *dataflow.Job, over int, jm int64) {
 func (a *admission) shedEngine(now vtime.Time) {
 	e := a.e
 	max := a.max.Load()
-	e.jobsMu.RLock()
-	defer e.jobsMu.RUnlock()
-	for _, j := range e.jobs {
-		if a.queued.Load() <= max {
-			return
+	e.eachJob(func(j *dataflow.Job) {
+		if a.queued.Load() > max {
+			e.path.shedDoomed(j, now)
 		}
-		e.path.shedDoomed(j, now)
-	}
+	})
 	var skip map[*dataflow.Job]bool
 	for a.queued.Load() > max {
 		var victim *dataflow.Job
 		var most int64
-		for _, j := range e.jobs {
-			if skip[j] {
-				continue
-			}
-			if q := j.Queued.Load(); q > most {
+		e.eachJob(func(j *dataflow.Job) {
+			if q := j.Queued.Load(); q > most && !skip[j] {
 				most, victim = q, j
 			}
-		}
+		})
 		if victim == nil {
 			return
 		}
@@ -307,7 +301,7 @@ func (a *admission) shedEngine(now vtime.Time) {
 		}
 		if e.path.shedExcess(victim, int(over)) == 0 {
 			if skip == nil {
-				skip = make(map[*dataflow.Job]bool, len(e.jobs))
+				skip = make(map[*dataflow.Job]bool)
 			}
 			skip[victim] = true
 		}

@@ -79,6 +79,23 @@ func TestAllocsEngineSteadyState(t *testing.T) {
 	})
 }
 
+// TestAllocsJobLookup pins the job-registry lookup every ingest starts
+// with at zero allocations: the registry is a sync.Map keyed by name, and
+// a key boxed onto the heap would cost one allocation per batch.
+func TestAllocsJobLookup(t *testing.T) {
+	if testkit.RaceEnabled {
+		t.Skip("allocation accounting is not meaningful under -race")
+	}
+	e := runtime.New(runtime.Config{Workers: 1})
+	if _, err := e.AddJob(testkit.AggSpec("j", 2, 2, 10*vtime.Millisecond, 100*vtime.Millisecond)); err != nil {
+		t.Fatal(err)
+	}
+	name := fmt.Sprint("j") // built at run time, as a caller's name is
+	if n := testing.AllocsPerRun(1000, func() { e.JobPaused(name) }); n != 0 {
+		t.Errorf("job lookup allocates %.1f times per call, want 0", n)
+	}
+}
+
 // TestAllocsEngineSteadyStateAdmission extends the alloc gate to the
 // admission layer (ISSUE satellite): with pending-message budgets
 // configured (engine-wide AND per-job) and the shed policy armed, the

@@ -208,13 +208,11 @@ func quiesceJob(j *dataflow.Job) {
 // job (pause/resume/cancel from other goroutines) are the caller's
 // coordination problem, exactly as they are for PauseJob itself.
 func (e *Engine) CheckpointJob(name string, w *snap.Writer) error {
-	e.jobsMu.RLock()
-	j, ok := e.jobs[name]
-	wasPaused := e.paused[name]
-	e.jobsMu.RUnlock()
+	j, ok := e.job(name)
 	if !ok {
 		return fmt.Errorf("runtime: unknown job %q", name)
 	}
+	wasPaused := j.Paused.Load()
 	if !wasPaused {
 		if err := e.PauseJob(name); err != nil {
 			return err
@@ -395,17 +393,18 @@ func (c *checkpointer) stop() { close(c.stopCh) }
 
 func (c *checkpointer) tick() {
 	e := c.e
+	var names []string
 	e.jobsMu.RLock()
-	names := make([]string, 0, len(e.jobs))
-	for name := range e.jobs {
+	e.eachJob(func(j *dataflow.Job) {
 		// A paused job is skipped rather than checkpointed: pausing it again
 		// would be a no-op, but resuming it afterwards would override the
 		// owner's pause. Failed (quarantined) jobs are excluded so a
 		// checkpoint never captures post-panic handler state.
-		if !e.paused[name] && !e.failed[name] && !e.cancelling[name] {
+		name := j.Spec.Name
+		if !j.Paused.Load() && !e.failed[name] && !e.cancelling[name] {
 			names = append(names, name)
 		}
-	}
+	})
 	e.jobsMu.RUnlock()
 	sort.Strings(names)
 	for _, name := range names {

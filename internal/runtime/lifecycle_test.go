@@ -11,6 +11,7 @@ package runtime
 
 import (
 	"errors"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -239,12 +240,19 @@ func TestEnginePauseResumeStorm(t *testing.T) {
 	for _, cell := range EngineCells {
 		t.Run(cell.Name, func(t *testing.T) {
 			defer testkit.LeakCheck(t)()
+			// One-second windows over 2 s of progress: one window closes
+			// mid-run, and every batch is ingested long before the end of the
+			// window it lands in. A batch ingested after that end would keep
+			// its raw progress as PriLocal and overtake its channel's queued
+			// batches (ROADMAP item 1(b)), and the window stage would
+			// quarantine the job on the regression — with 50 ms windows a run
+			// slower than 50 ms did exactly that.
 			e := New(cell.Cfg(Config{Workers: 4}))
-			if _, err := e.AddJob(lsSpec("j")); err != nil {
+			if _, err := e.AddJob(testkit.AggSpec("j", 2, 2, vtime.Second, 500*vtime.Millisecond)); err != nil {
 				t.Fatal(err)
 			}
 			e.Start()
-			wl := testkit.Workload{Seed: 5, Sources: 2, Windows: 80, Tuples: 6, Keys: 8, Win: vtime.Millisecond}
+			wl := testkit.Workload{Seed: 5, Sources: 2, Windows: 80, Tuples: 6, Keys: 8, Win: 25 * vtime.Millisecond}
 			var wg sync.WaitGroup
 			for src := 0; src < wl.Sources; src++ {
 				wg.Add(1)
@@ -460,5 +468,191 @@ func TestEngineConcurrentCancel(t *testing.T) {
 				t.Errorf("outstanding = %d after concurrent cancels", out)
 			}
 		})
+	}
+}
+
+// TestIngestLookupUnderChurn is the -race pin for the lock-free job
+// registry: four producers ingest into two names while one goroutine
+// pauses, resumes, cancels and resubmits them, round after round. Each
+// name's lifecycle state is published around every transition, so a
+// producer that reads one state before and after its ingest knows which
+// transitions had completed: after PauseJob returned the ingest must get
+// ErrJobPaused; after CancelJob returned it must get "unknown job" until
+// the name is resubmitted, and an accepted ingest then belongs to the new
+// incarnation. Producers stand off a name while it drains for its cancel,
+// so every accepted tuple must reach the sink of exactly the incarnation
+// it was attributed to — a batch handed to a stale, cancelled job would
+// be discarded and show up as a shortfall.
+func TestIngestLookupUnderChurn(t *testing.T) {
+	defer testkit.LeakCheck(t)()
+	const producers, rounds, tuples = 4, 12, 2
+	// A name's published state is transition<<8 | incarnation<<3 | phase.
+	// The transition count makes every published value unique, so equal
+	// reads on both sides of an ingest prove no transition landed between.
+	const (
+		live = iota
+		pausing
+		paused
+		resuming
+		closing    // draining for the cancel; producers stand off
+		cancelled  // CancelJob has returned
+		submitting // AddJob of the next incarnation has begun
+	)
+	type churned struct {
+		name     string
+		seq      int64 // transitions published; lifecycle goroutine only
+		state    atomic.Int64
+		inflight atomic.Int64 // producers between their two state reads
+		straddle atomic.Int64 // last state a producer read on both sides of an ingest
+		accepted [rounds + 1]atomic.Int64
+		executed [rounds + 1]atomic.Int64
+	}
+	names := []*churned{{name: "x"}, {name: "y"}}
+	// The budget keeps each name's backlog short (refusals are legitimate
+	// outcomes here), so draining for a cancel stays quick under -race.
+	spec := func(n *churned, inc int) dataflow.JobSpec {
+		return dataflow.JobSpec{
+			Name: n.name, Latency: vtime.Second, Sources: producers, MaxPending: 256,
+			Stages: []dataflow.StageSpec{
+				{Name: "fwd", Parallelism: 2, NewHandler: func(int) dataflow.Handler {
+					return dataflow.HandlerFunc(func(_ *dataflow.Context, m *core.Message) []dataflow.Emission {
+						b, _ := m.Payload.(*dataflow.Batch)
+						return []dataflow.Emission{{Batch: b, P: m.P, T: m.T}}
+					})
+				}},
+				{Name: "sink", Parallelism: 1, NewHandler: func(int) dataflow.Handler {
+					return dataflow.HandlerFunc(func(_ *dataflow.Context, m *core.Message) []dataflow.Emission {
+						if b, _ := m.Payload.(*dataflow.Batch); b != nil {
+							n.executed[inc].Add(int64(b.Len()))
+						}
+						return nil
+					})
+				}},
+			},
+		}
+	}
+	e := New(Config{Workers: 2})
+	for _, n := range names {
+		if _, err := e.AddJob(spec(n, 0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e.Start()
+	defer e.Stop()
+
+	var done atomic.Bool
+	var wg sync.WaitGroup
+	defer func() { // producers stop before the engine does, on every path
+		done.Store(true)
+		wg.Wait()
+	}()
+	for src := 0; src < producers; src++ {
+		wg.Add(1)
+		go func(src int) {
+			defer wg.Done()
+			for seq := 1; !done.Load(); seq++ {
+				n := names[seq%len(names)]
+				n.inflight.Add(1)
+				s1 := n.state.Load()
+				if s1&7 == closing {
+					n.inflight.Add(-1)
+					continue
+				}
+				b := dataflow.NewBatch(tuples)
+				for k := 0; k < tuples; k++ {
+					b.Append(vtime.Time(seq), int64(k), 1)
+				}
+				err := e.Ingest(n.name, src, b, vtime.Time(seq))
+				s2 := n.state.Load()
+				n.inflight.Add(-1)
+				inc, phase := s1>>3&31, s1&7
+				if phase == cancelled || phase == submitting {
+					inc++ // the old incarnation is gone; only the next can accept
+				}
+				unknown := err != nil && strings.Contains(err.Error(), "unknown job")
+				switch {
+				case err == nil:
+					n.accepted[inc].Add(tuples)
+				case errors.Is(err, ErrJobPaused), errors.Is(err, ErrOverloaded), unknown:
+				default:
+					t.Errorf("ingest %s: %v", n.name, err)
+					return
+				}
+				if s1 != s2 {
+					continue
+				}
+				n.straddle.Store(s1)
+				if (phase == paused && !errors.Is(err, ErrJobPaused)) ||
+					(phase == cancelled && !unknown) || (phase == live && err != nil && !errors.Is(err, ErrOverloaded)) {
+					t.Errorf("ingest %s in phase %d of incarnation %d = %v", n.name, phase, s1>>3&31, err)
+					return
+				}
+			}
+		}(src)
+	}
+
+	// publish stores a new state; await waits until some producer has
+	// ingested entirely within it, so every checked phase is exercised.
+	publish := func(n *churned, inc, phase int) int64 {
+		n.seq++
+		st := n.seq<<8 | int64(inc)<<3 | int64(phase)
+		n.state.Store(st)
+		return st
+	}
+	await := func(n *churned, st int64) {
+		deadline := time.Now().Add(10 * time.Second)
+		for n.straddle.Load() != st {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: no producer ingested within state %d", n.name, st)
+			}
+			time.Sleep(20 * time.Microsecond)
+		}
+	}
+	for r := 0; r < rounds; r++ {
+		for _, n := range names {
+			publish(n, r, pausing)
+			if err := e.PauseJob(n.name); err != nil {
+				t.Fatal(err)
+			}
+			await(n, publish(n, r, paused))
+			publish(n, r, resuming)
+			if err := e.ResumeJob(n.name); err != nil {
+				t.Fatal(err)
+			}
+			await(n, publish(n, r, live))
+			publish(n, r, closing)
+			for n.inflight.Load() != 0 {
+				time.Sleep(20 * time.Microsecond)
+			}
+			if ok, err := e.DrainJob(n.name, 10*time.Second); !ok || err != nil {
+				t.Fatalf("%s did not drain for its cancel: %v", n.name, err)
+			}
+			if err := e.CancelJob(n.name); err != nil {
+				t.Fatal(err)
+			}
+			await(n, publish(n, r, cancelled))
+			publish(n, r, submitting)
+			if _, err := e.AddJob(spec(n, r+1)); err != nil {
+				t.Fatal(err)
+			}
+			await(n, publish(n, r+1, live))
+		}
+	}
+	done.Store(true)
+	wg.Wait()
+	testkit.DrainOrFail(t, e, 10*time.Second)
+
+	for _, n := range names {
+		for inc := range n.accepted {
+			if a, x := n.accepted[inc].Load(), n.executed[inc].Load(); a != x {
+				t.Errorf("%s incarnation %d: accepted %d tuples, its sink saw %d", n.name, inc, a, x)
+			}
+		}
+	}
+	if created, executed, discarded := e.Created(), e.Executed(), e.Discarded(); created != executed+discarded {
+		t.Errorf("created %d messages, executed %d + discarded %d", created, executed, discarded)
+	}
+	if p := e.Pending(); p != 0 {
+		t.Errorf("%d messages pending after drain", p)
 	}
 }

@@ -16,6 +16,7 @@ import (
 
 	"github.com/cameo-stream/cameo/internal/core"
 	"github.com/cameo-stream/cameo/internal/dataflow"
+	"github.com/cameo-stream/cameo/internal/progress"
 	"github.com/cameo-stream/cameo/internal/testkit"
 	"github.com/cameo-stream/cameo/internal/vtime"
 )
@@ -42,6 +43,43 @@ func TestIngestSourceOutOfRange(t *testing.T) {
 			}
 			if e.Created() != 0 {
 				t.Errorf("out-of-range ingests created %d messages", e.Created())
+			}
+		})
+	}
+}
+
+// TestIngestReservedProgress: progress.Unset is the frontiers'
+// not-yet-reported marker, so an ingest carrying it must be refused with
+// an error before it reaches an operator — accepted, it would stall the
+// job's windows for good (or, caught only by the frontier, quarantine it).
+// The job must go on producing every window afterwards.
+func TestIngestReservedProgress(t *testing.T) {
+	for _, cell := range EngineCells {
+		t.Run(cell.Name, func(t *testing.T) {
+			defer testkit.LeakCheck(t)()
+			e := New(cell.Cfg(Config{Workers: 2}))
+			if _, err := e.AddJob(lsSpec("j")); err != nil {
+				t.Fatal(err)
+			}
+			e.Start()
+			defer e.Stop()
+			wl := testLoad(10)
+			if err := e.Ingest("j", 0, nil, progress.Unset); err == nil {
+				t.Error("Ingest accepted the reserved progress value")
+			}
+			if err := e.TryIngest("j", 1, wl.Batch(1, 1), progress.Unset); err == nil {
+				t.Error("TryIngest accepted the reserved progress value")
+			}
+			if e.Created() != 0 {
+				t.Errorf("refused ingests created %d messages", e.Created())
+			}
+			wl.IngestAll(t, e, "j")
+			testkit.DrainOrFail(t, e, 5*time.Second)
+			if e.JobPaused("j") {
+				t.Error("job was quarantined")
+			}
+			if n := e.Recorder().Job("j").Count(); n < 8 {
+				t.Errorf("outputs = %d after the refused ingests, want >= 8", n)
 			}
 		})
 	}

@@ -36,6 +36,7 @@ import (
 	"github.com/cameo-stream/cameo/internal/core"
 	"github.com/cameo-stream/cameo/internal/dataflow"
 	"github.com/cameo-stream/cameo/internal/metrics"
+	"github.com/cameo-stream/cameo/internal/progress"
 	"github.com/cameo-stream/cameo/internal/vtime"
 )
 
@@ -143,9 +144,14 @@ type Engine struct {
 	cfg   Config
 	clock vtime.Clock
 
+	// jobs maps a name to its live *dataflow.Job. Reads (every ingest and
+	// the per-job queries) are lock-free: a sync.Map load writes no shared
+	// cache line, where a read lock writes its reader count. Stores and
+	// deletes happen only in AddJob/RestoreJob and CancelJob, under jobsMu,
+	// which also serializes every lifecycle transition and guards
+	// cancelling and failed. A job's paused state is its own Paused flag.
 	jobsMu     sync.RWMutex
-	jobs       map[string]*dataflow.Job
-	paused     map[string]bool
+	jobs       sync.Map
 	cancelling map[string]bool
 	// failed marks jobs quarantined after a handler panic: paused, held
 	// out of the background checkpointer, and reported via JobFailed.
@@ -210,8 +216,6 @@ func New(cfg Config) *Engine {
 	e := &Engine{
 		cfg:        cfg,
 		clock:      clock,
-		jobs:       make(map[string]*dataflow.Job),
-		paused:     make(map[string]bool),
 		cancelling: make(map[string]bool),
 		failed:     make(map[string]bool),
 		rec:        cfg.Recorder,
@@ -317,17 +321,43 @@ func (e *Engine) JobFailed(name string) bool {
 func (e *Engine) quarantineJob(name string) {
 	e.jobsMu.Lock()
 	defer e.jobsMu.Unlock()
-	j, ok := e.jobs[name]
+	j, ok := e.job(name)
 	if !ok || e.cancelling[name] {
 		return
 	}
 	e.failed[name] = true
-	if e.paused[name] {
+	e.pauseLocked(j)
+}
+
+// pauseLocked pauses j unless it already is; the caller holds jobsMu
+// exclusively. The flag is set before the operators park, so an ingest
+// that sees it unset was admitted before the pause and is retained like
+// the rest of the backlog.
+func (e *Engine) pauseLocked(j *dataflow.Job) {
+	if j.Paused.Swap(true) {
 		return
 	}
-	e.paused[name] = true
 	e.path.pause(j)
 	e.lifeEpoch.Add(1) // after the phases are set; see lifeEpoch
+}
+
+// job looks up a live job by name without taking a lock.
+func (e *Engine) job(name string) (*dataflow.Job, bool) {
+	v, ok := e.jobs.Load(name)
+	if !ok {
+		return nil, false
+	}
+	return v.(*dataflow.Job), true
+}
+
+// eachJob hands every live job to visit. Like sync.Map.Range it is no
+// consistent snapshot: a job submitted or cancelled concurrently may or
+// may not be visited.
+func (e *Engine) eachJob(visit func(*dataflow.Job)) {
+	e.jobs.Range(func(_, v any) bool {
+		visit(v.(*dataflow.Job))
+		return true
+	})
 }
 
 // AddJob instantiates a job on this engine — before Start or on a live,
@@ -358,7 +388,7 @@ func (e *Engine) addJobLocked(spec dataflow.JobSpec, restored bool) (*dataflow.J
 	if e.stopped.Load() {
 		return nil, fmt.Errorf("runtime: AddJob on stopped engine")
 	}
-	if _, dup := e.jobs[spec.Name]; dup {
+	if _, dup := e.job(spec.Name); dup {
 		return nil, fmt.Errorf("runtime: duplicate job %q", spec.Name)
 	}
 	job, err := dataflow.NewJob(spec)
@@ -375,14 +405,14 @@ func (e *Engine) addJobLocked(spec dataflow.JobSpec, restored bool) (*dataflow.J
 			st.Phase = core.OpPaused
 		}
 	}
-	if restored {
-		e.paused[spec.Name] = true
-	}
-	e.jobs[spec.Name] = job
 	if !restored {
 		e.rec.DropJob(spec.Name) // stale stats from a cancelled incarnation, if any
 	}
 	job.Stats = e.rec.DeclareJob(spec.Name, spec.Latency)
+	job.Paused.Store(restored)
+	// Publish last: lookups take no lock, so the job must be complete
+	// before its name resolves.
+	e.jobs.Store(spec.Name, job)
 	return job, nil
 }
 
@@ -408,7 +438,7 @@ func (e *Engine) addJobLocked(spec dataflow.JobSpec, restored bool) (*dataflow.J
 // signal another goroutine to cancel.
 func (e *Engine) CancelJob(name string) error {
 	e.jobsMu.Lock()
-	j, ok := e.jobs[name]
+	j, ok := e.job(name)
 	if !ok {
 		e.jobsMu.Unlock()
 		return fmt.Errorf("runtime: unknown job %q", name)
@@ -420,10 +450,7 @@ func (e *Engine) CancelJob(name string) error {
 		// returning early would break "no worker references the job".
 		e.jobsMu.Unlock()
 		for {
-			e.jobsMu.RLock()
-			cur := e.jobs[name]
-			e.jobsMu.RUnlock()
-			if cur != j {
+			if cur, _ := e.job(name); cur != j {
 				return nil
 			}
 			time.Sleep(50 * time.Microsecond)
@@ -442,8 +469,7 @@ func (e *Engine) CancelJob(name string) error {
 		time.Sleep(50 * time.Microsecond)
 	}
 	e.jobsMu.Lock()
-	delete(e.jobs, name)
-	delete(e.paused, name)
+	e.jobs.Delete(name)
 	delete(e.failed, name)
 	delete(e.cancelling, name)
 	e.jobsMu.Unlock()
@@ -462,16 +488,11 @@ func (e *Engine) CancelJob(name string) error {
 func (e *Engine) PauseJob(name string) error {
 	e.jobsMu.Lock()
 	defer e.jobsMu.Unlock()
-	j, ok := e.jobs[name]
+	j, ok := e.job(name)
 	if !ok {
 		return fmt.Errorf("runtime: unknown job %q", name)
 	}
-	if e.paused[name] {
-		return nil
-	}
-	e.paused[name] = true
-	e.path.pause(j)
-	e.lifeEpoch.Add(1) // after the phases are set; see lifeEpoch
+	e.pauseLocked(j)
 	return nil
 }
 
@@ -481,33 +502,26 @@ func (e *Engine) PauseJob(name string) error {
 func (e *Engine) ResumeJob(name string) error {
 	e.jobsMu.Lock()
 	defer e.jobsMu.Unlock()
-	j, ok := e.jobs[name]
+	j, ok := e.job(name)
 	if !ok {
 		return fmt.Errorf("runtime: unknown job %q", name)
 	}
-	if !e.paused[name] {
-		return nil
+	if j.Paused.Swap(false) {
+		e.path.resume(j)
 	}
-	delete(e.paused, name)
-	e.path.resume(j)
 	return nil
 }
 
 // JobPaused reports whether the named job is currently paused.
 func (e *Engine) JobPaused(name string) bool {
-	e.jobsMu.RLock()
-	defer e.jobsMu.RUnlock()
-	return e.paused[name]
+	j, ok := e.job(name)
+	return ok && j.Paused.Load()
 }
 
 // Jobs returns the names of the currently submitted (not cancelled) jobs.
 func (e *Engine) Jobs() []string {
-	e.jobsMu.RLock()
-	defer e.jobsMu.RUnlock()
-	out := make([]string, 0, len(e.jobs))
-	for name := range e.jobs {
-		out = append(out, name)
-	}
+	var out []string
+	e.eachJob(func(j *dataflow.Job) { out = append(out, j.Spec.Name) })
 	return out
 }
 
@@ -518,9 +532,7 @@ func (e *Engine) Jobs() []string {
 // atomic counting rule, so a single read is a consistent idle test for
 // that job.
 func (e *Engine) DrainJob(name string, timeout time.Duration) (bool, error) {
-	e.jobsMu.RLock()
-	j, ok := e.jobs[name]
-	e.jobsMu.RUnlock()
+	j, ok := e.job(name)
 	if !ok {
 		return false, fmt.Errorf("runtime: unknown job %q", name)
 	}
@@ -675,26 +687,29 @@ func (e *Engine) TryIngest(job string, src int, b *dataflow.Batch, p vtime.Time)
 }
 
 func (e *Engine) ingest(job string, src int, b *dataflow.Batch, p vtime.Time, try bool) error {
-	e.jobsMu.RLock()
-	j, ok := e.jobs[job]
-	pausedJob := e.paused[job]
-	e.jobsMu.RUnlock()
+	j, ok := e.job(job)
 	if !ok {
 		return fmt.Errorf("runtime: unknown job %q", job)
 	}
-	if pausedJob {
+	if j.Paused.Load() {
 		// A paused job retains its already-admitted backlog but refuses new
 		// work — growing an unschedulable queue without bound would turn
 		// pause into a memory leak, and checkpoint/migration rely on a
 		// paused job's queues being frozen. The check races a concurrent
 		// PauseJob by design (a batch admitted just before the pause lands
-		// is retained like the rest of the backlog); once PauseJob has
-		// returned, every subsequent ingest observes the pause.
+		// is retained like the rest of the backlog); PauseJob stores the
+		// flag before it returns, so every later ingest observes the pause.
 		return fmt.Errorf("%w: job %q", ErrJobPaused, job)
 	}
 	if src < 0 || src >= j.Spec.Sources {
 		return fmt.Errorf("runtime: job %q: source %d out of range [0,%d)",
 			job, src, j.Spec.Sources)
+	}
+	if p == progress.Unset {
+		// The frontiers' not-yet-reported marker: accepted, it would count
+		// the channel as heard from without a value and stall every
+		// window downstream of it.
+		return fmt.Errorf("runtime: job %q: source %d: progress %d is reserved", job, src, p)
 	}
 	// The admission check precedes message creation — the fan-out width is
 	// stage-0 parallelism, known up front — so a refused batch allocates
@@ -760,9 +775,7 @@ func (e *Engine) ReturnBatch(b *dataflow.Batch) {
 // multiplies into). The serving tier derives per-stream credit windows
 // from it together with JobBudget.
 func (e *Engine) JobShape(name string) (sources, stage0 int, err error) {
-	e.jobsMu.RLock()
-	j, ok := e.jobs[name]
-	e.jobsMu.RUnlock()
+	j, ok := e.job(name)
 	if !ok {
 		return 0, 0, fmt.Errorf("runtime: unknown job %q", name)
 	}
@@ -774,9 +787,7 @@ func (e *Engine) JobShape(name string) (sources, stage0 int, err error) {
 // from the sources (0 if none — every input then triggers output). The
 // serving tier reads it once per bind and schedules its flushes by it.
 func (e *Engine) JobSlack(name string) (latency, slide vtime.Duration, err error) {
-	e.jobsMu.RLock()
-	j, ok := e.jobs[name]
-	e.jobsMu.RUnlock()
+	j, ok := e.job(name)
 	if !ok {
 		return 0, 0, fmt.Errorf("runtime: unknown job %q", name)
 	}
@@ -792,9 +803,7 @@ func (e *Engine) JobSlack(name string) (latency, slide vtime.Duration, err error
 // (0 = unlimited): the tuner-derived adaptive budget once the job's
 // drain rate has been measured, the static JobSpec.MaxPending before.
 func (e *Engine) JobBudget(name string) (int64, error) {
-	e.jobsMu.RLock()
-	j, ok := e.jobs[name]
-	e.jobsMu.RUnlock()
+	j, ok := e.job(name)
 	if !ok {
 		return 0, fmt.Errorf("runtime: unknown job %q", name)
 	}
@@ -816,9 +825,7 @@ type SourceCounters struct {
 // and the per-source shed counts plus the job's downstream-shed count
 // sum to its shed total — the reconciliation the fairness tests pin.
 func (e *Engine) PerSource(name string) ([]SourceCounters, error) {
-	e.jobsMu.RLock()
-	j, ok := e.jobs[name]
-	e.jobsMu.RUnlock()
+	j, ok := e.job(name)
 	if !ok {
 		return nil, fmt.Errorf("runtime: unknown job %q", name)
 	}
@@ -837,9 +844,7 @@ func (e *Engine) PerSource(name string) ([]SourceCounters, error) {
 // ShedDownstream reports how many of the named job's shed messages came
 // from stages past 0 — shed work with no single source attribution.
 func (e *Engine) ShedDownstream(name string) (int64, error) {
-	e.jobsMu.RLock()
-	j, ok := e.jobs[name]
-	e.jobsMu.RUnlock()
+	j, ok := e.job(name)
 	if !ok {
 		return 0, fmt.Errorf("runtime: unknown job %q", name)
 	}
@@ -852,9 +857,7 @@ func (e *Engine) Pending() int { return int(e.adm.queued.Load()) }
 
 // JobPending reports one job's queued (not yet executed) message count.
 func (e *Engine) JobPending(name string) (int, error) {
-	e.jobsMu.RLock()
-	j, ok := e.jobs[name]
-	e.jobsMu.RUnlock()
+	j, ok := e.job(name)
 	if !ok {
 		return 0, fmt.Errorf("runtime: unknown job %q", name)
 	}
@@ -901,19 +904,25 @@ func (e *Engine) safeInvoke(op *dataflow.Operator, m *core.Message, now vtime.Ti
 // operator under the actor guarantee, the env by construction) or
 // internally synchronized.
 //
+// start is when the message began: the previous message's completion
+// instant inside an activation, the activation's own clock read for its
+// first message, or a fresh read after a wait for an operator lock. The
+// one clock read here is both the end of the measured cost and the
+// completion instant everything below is stamped with. The cost therefore
+// also covers the previous message's Finish (profiling, routing, context
+// conversion) and the uncontended delivery of its children — well under a
+// microsecond, the whole fixed cost of a message being about 0.5 µs — and
+// a second read per message to exclude them was a measurable slice of
+// a small message's fixed cost. Lock waits are excluded (see the worker
+// loop): a holder preempted by the OS can stretch one to milliseconds.
+//
 // The executed message is recycled here — after every child has copied
 // what it needs from the parent's priority context and the trace has read
 // its identity — per the pool's "released by the finishing worker" rule.
 // The returned children are env scratch: the caller must push them before
 // executing its next message through the same env.
-func (e *Engine) execMessage(op *dataflow.Operator, m *core.Message, env *dataflow.Env) ([]dataflow.ChildMessage, vtime.Time) {
-	start := e.clock.Now()
+func (e *Engine) execMessage(op *dataflow.Operator, m *core.Message, start vtime.Time, env *dataflow.Env) ([]dataflow.ChildMessage, vtime.Time) {
 	emissions, panicked := e.safeInvoke(op, m, start, env)
-	// Two clock reads bracket the handler: the second is both the end of
-	// the measured cost and the completion instant everything below is
-	// stamped with — Finish (profiling, routing, context conversion) runs
-	// under the clock's 1 µs grain, and a third read to time it was a
-	// measurable slice of a small message's fixed cost.
 	now := e.clock.Now()
 	cost := now - start
 	if cost <= 0 {

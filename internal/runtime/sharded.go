@@ -140,8 +140,11 @@ func (p *shardedPath) laneFor(producer int) int {
 // without scheduling. Consumed entries have their Msg nil'ed (the slice is
 // the caller's scratch, rebuilt on its next use). Batches are small (one
 // message per stage-0 instance, or one execution's fan-out), so the grouping
-// is a rescan of the tail rather than an allocated index.
-func (p *shardedPath) deliver(msgs []dataflow.ChildMessage, producer int) {
+// is a rescan of the tail rather than an allocated index. waited reports
+// that some target's lock was held by another goroutine when deliver
+// arrived, so a worker can leave that wait out of its next message's
+// measured cost.
+func (p *shardedPath) deliver(msgs []dataflow.ChildMessage, producer int) (waited bool) {
 	var signalMask uint64 // bit lane+1, so GlobalLane(-1) folds to bit 0
 	for i := range msgs {
 		if msgs[i].Msg == nil {
@@ -149,7 +152,10 @@ func (p *shardedPath) deliver(msgs []dataflow.ChildMessage, producer int) {
 		}
 		op := msgs[i].Target
 		st := op.Sched()
-		st.Mu.Lock()
+		if !st.Mu.TryLock() {
+			st.Mu.Lock()
+			waited = true
+		}
 		if st.Phase == core.OpDead {
 			// discardMessage takes no scheduling locks, so dropping under
 			// the operator lock is safe.
@@ -204,6 +210,7 @@ func (p *shardedPath) deliver(msgs []dataflow.ChildMessage, producer int) {
 	for m := signalMask; m != 0; m &= m - 1 {
 		p.signal(bits.TrailingZeros64(m) - 1)
 	}
+	return waited
 }
 
 // cancel marks every operator of job dead, discards its queued messages
@@ -491,23 +498,27 @@ func (p *shardedPath) acquire(w int) (*dataflow.Operator, bool) {
 // pause or cancel landing mid-batch is caught by the worker's
 // lifecycle-epoch check. (Drain does not watch the pending count —
 // e.outstanding retires a message only after execution — so the pops
-// create no idle window.)
-func (p *shardedPath) popMsgs(op *dataflow.Operator, buf []*core.Message) int {
+// create no idle window.) waited reports that the operator's lock was held
+// by another goroutine when popMsgs arrived (see deliver).
+func (p *shardedPath) popMsgs(op *dataflow.Operator, buf []*core.Message) (n int, waited bool) {
 	st := op.Sched()
-	st.Mu.Lock()
+	if !st.Mu.TryLock() {
+		st.Mu.Lock()
+		waited = true
+	}
 	defer st.Mu.Unlock()
 	st.Lane = laneNone
 	// Phase before queue: a cancelled job's queues are torn down once it
 	// quiesces.
 	if st.Phase != core.OpLive || st.Q.Len() == 0 {
 		st.Acquired = false
-		return 0
+		return 0, waited
 	}
 	st.Acquired = true
-	n := st.Q.PopInto(buf)
+	n = st.Q.PopInto(buf)
 	p.e.adm.dequeuedN(op.Job, n)
 	noteSrcQueuedRun(op, buf[:n], -1)
-	return n
+	return n, waited
 }
 
 // returnUndrained disposes of the unexecuted tail of a drain batch when
@@ -640,18 +651,31 @@ func (p *shardedPath) worker(w int) {
 			// execution time on them.
 			p.shedOpDoomed(op, e.clock.Now())
 		}
+		// The activation's one clock read: it opens the quantum and starts
+		// the first message; every later message starts where the one
+		// before it completed (see execMessage). Only a wait for a lock
+		// another goroutine held costs a fresh read, so that the wait — a
+		// preempted holder can make it longer than any handler — is not
+		// charged to the next message's profiled cost.
 		acquired := e.clock.Now()
+		start := acquired
 	drain:
 		for {
 			epoch := e.lifeEpoch.Load()
-			n := p.popMsgs(op, buf)
+			n, waited := p.popMsgs(op, buf)
 			if n == 0 {
 				break // popMsgs released the operator
 			}
+			if waited {
+				start = e.clock.Now()
+			}
 			yield := false
 			for i := 0; i < n; i++ {
-				children, now := e.execMessage(op, buf[i], env)
-				p.deliver(children, w)
+				children, now := e.execMessage(op, buf[i], start, env)
+				start = now
+				if p.deliver(children, w) {
+					start = e.clock.Now()
+				}
 				tail := buf[i+1 : n]
 				if e.stopped.Load() {
 					p.returnUndrained(op, tail)

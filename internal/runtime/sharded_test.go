@@ -52,7 +52,7 @@ func TestShardedAcquireStealsMostUrgent(t *testing.T) {
 			t.Fatalf("acquire(1) = %v, want %v", op.Name, want.Name)
 		}
 		var buf [1]*core.Message
-		if n := p.popMsgs(op, buf[:]); n != 1 {
+		if n, _ := p.popMsgs(op, buf[:]); n != 1 {
 			t.Fatalf("stolen op %v has no message", op.Name)
 		}
 		p.release(op, 1)
@@ -82,11 +82,70 @@ func TestShardedRekeyOnNewHead(t *testing.T) {
 		t.Fatalf("acquire = %v, want re-keyed op %v", op.Name, a.Name)
 	}
 	var buf [1]*core.Message
-	if n := p.popMsgs(op, buf[:]); n != 1 {
+	if n, _ := p.popMsgs(op, buf[:]); n != 1 {
 		t.Fatalf("popMsgs = %d, want 1", n)
 	}
 	if buf[0].ID != 3 {
 		t.Fatalf("head message ID = %d, want 3 (PriLocal order)", buf[0].ID)
+	}
+}
+
+// TestShardedLockWaitReported: deliver and popMsgs report a wait for an
+// operator lock another goroutine held — the worker then re-reads the
+// clock, so the wait is not profiled as its next message's cost — and
+// report none when the lock was free.
+func TestShardedLockWaitReported(t *testing.T) {
+	e := New(Config{Workers: 1})
+	job, err := e.AddJob(testkit.NopSpec("j"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := e.path
+	op := job.Stages[0][0]
+	st := op.Sched()
+	var buf [1]*core.Message
+	id := int64(0)
+	push := func() bool {
+		id++
+		return p.deliver([]dataflow.ChildMessage{{Target: op, Msg: priMsg(id, 10)}}, -1)
+	}
+	pop := func() bool {
+		n, waited := p.popMsgs(op, buf[:])
+		if n != 1 {
+			t.Errorf("popMsgs = %d, want 1", n)
+		}
+		return waited
+	}
+	// whileHeld runs f in another goroutine while this one holds the
+	// operator lock; the hold is retried longer if f got there only after
+	// the unlock.
+	whileHeld := func(f func() bool) bool {
+		for hold := time.Millisecond; hold <= 64*time.Millisecond; hold *= 2 {
+			st.Mu.Lock()
+			done := make(chan bool)
+			go func() { done <- f() }()
+			time.Sleep(hold)
+			st.Mu.Unlock()
+			if <-done {
+				return true
+			}
+		}
+		return false
+	}
+	if push() {
+		t.Error("deliver reported a wait on a free lock")
+	}
+	if pop() {
+		t.Error("popMsgs reported a wait on a free lock")
+	}
+	if !whileHeld(push) {
+		t.Error("deliver reported no wait on a held lock")
+	}
+	for e.Pending() < 8 { // one message for every hold whileHeld may try
+		push()
+	}
+	if !whileHeld(pop) {
+		t.Error("popMsgs reported no wait on a held lock")
 	}
 }
 

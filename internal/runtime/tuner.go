@@ -84,8 +84,9 @@ func (t *budgetTuner) tick(elapsed vtime.Duration) {
 	secs := float64(elapsed) / float64(vtime.Second)
 	var total int64
 	allMeasured := true
-	e.jobsMu.RLock()
-	for _, j := range e.jobs {
+	live := 0
+	e.eachJob(func(j *dataflow.Job) {
+		live++
 		st := t.state[j]
 		if st == nil {
 			st = &tunerJobState{lastRetired: j.Retired.Load()}
@@ -109,7 +110,7 @@ func (t *budgetTuner) tick(elapsed vtime.Duration) {
 		}
 		if st.rate <= 0 {
 			allMeasured = false
-			continue
+			return
 		}
 		b := int64(st.rate * float64(j.Spec.Latency) / float64(vtime.Second))
 		if floor := int64(tuneBudgetFloor * len(j.Stages[0])); b < floor {
@@ -117,9 +118,7 @@ func (t *budgetTuner) tick(elapsed vtime.Duration) {
 		}
 		j.Budget.Store(b)
 		total += b
-	}
-	live := len(e.jobs)
-	e.jobsMu.RUnlock()
+	})
 	// The engine-wide budget follows once every live job has a measured
 	// rate — summing a mix of measured budgets and unmeasured zeros would
 	// understate capacity and shed work a static budget would have kept.

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"github.com/cameo-stream/cameo/internal/client"
+	"github.com/cameo-stream/cameo/internal/progress"
 	"github.com/cameo-stream/cameo/internal/runtime"
 	"github.com/cameo-stream/cameo/internal/server"
 	"github.com/cameo-stream/cameo/internal/testkit"
@@ -257,6 +258,54 @@ func TestPausedJobNack(t *testing.T) {
 	err = c.TryIngestBatch("j", 0, wl.Batch(0, 1), wl.Progress(3))
 	if !errors.Is(err, runtime.ErrJobPaused) {
 		t.Errorf("TryIngestBatch during paused backoff = %v, want ErrJobPaused", err)
+	}
+}
+
+// TestReservedProgressNacked: an Advance frame carrying progress.Unset —
+// the frontiers' not-yet-reported marker — is nacked, and the job goes on
+// closing every window the stream's later frames complete.
+func TestReservedProgressNacked(t *testing.T) {
+	e, _, addr := serve(t, runtime.Config{Workers: 2}, server.Config{FlushEvents: 16})
+	if _, err := e.AddJob(testkit.AggSpec("j", 2, 2, testWin, 500*vtime.Millisecond)); err != nil {
+		t.Fatal(err)
+	}
+	e.Start()
+	c, err := client.Dial(addr, client.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.Advance("j", 0, progress.Unset); err != nil {
+		t.Fatal(err)
+	}
+	if !c.Flush(5 * time.Second) {
+		t.Fatalf("reserved advance did not settle: %+v, err %v", c.Stats(), c.Err())
+	}
+	if n := c.Stats().NackedByCode[wire.NackInternal]; n != 1 {
+		t.Fatalf("reserved advance: %d NackInternal, want 1", n)
+	}
+	wl := testLoad(10)
+	for w := 1; w <= wl.Windows; w++ {
+		for src := 0; src < wl.Sources; src++ {
+			if err := c.IngestBatch("j", src, wl.Batch(src, w), wl.Progress(w)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for src := 0; src < wl.Sources; src++ {
+		if err := c.Advance("j", src, wl.Progress(wl.Windows+1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !c.Flush(5 * time.Second) {
+		t.Fatalf("client did not settle: %+v, err %v", c.Stats(), c.Err())
+	}
+	testkit.DrainOrFail(t, e, 5*time.Second)
+	if e.JobPaused("j") {
+		t.Error("job was quarantined")
+	}
+	if got := e.Recorder().Job("j").Count(); got < 8 {
+		t.Errorf("outputs = %d after the reserved advance, want >= 8", got)
 	}
 }
 
