@@ -67,17 +67,6 @@ type EngineConfig struct {
 	// the message where the quantum expires and more urgent work waits, or
 	// where a pause or cancel is observed.
 	DrainBatch int
-	// AdaptiveBudgets derives the pending-message budgets from measured
-	// capacity instead of the static MaxPending: a background tuner
-	// samples each query's drain rate and sets its budget to
-	// rate × latency target — the backlog the engine demonstrably clears
-	// within one deadline — with the engine-wide budget and shed
-	// high-water mark following as the sum. MaxPending (engine-wide and
-	// per-query) still applies until the first measurement lands.
-	AdaptiveBudgets bool
-	// TuneInterval is the budget tuner's sampling period (default 5ms).
-	// Ignored unless AdaptiveBudgets is set.
-	TuneInterval time.Duration
 	// MaxPending caps the engine-wide count of queued (admitted but not
 	// yet executed) messages; 0 means unlimited. Enforced at ingest by the
 	// admission layer, with the response selected by Overload. Per-query
@@ -122,8 +111,6 @@ func NewEngine(cfg EngineConfig) *Engine {
 			Policy:             cfg.Policy,
 			Quantum:            vtime.FromStd(cfg.Quantum),
 			DrainBatch:         cfg.DrainBatch,
-			AdaptiveBudgets:    cfg.AdaptiveBudgets,
-			TuneInterval:       cfg.TuneInterval,
 			MaxPending:         cfg.MaxPending,
 			Overload:           cfg.Overload,
 			CheckpointDir:      cfg.CheckpointDir,
@@ -363,14 +350,6 @@ type JobStats struct {
 	// ShedDownstream counts this job's shed messages that were past stage
 	// 0 and so cannot be attributed to one source.
 	ShedDownstream int64
-	// DrainRate is the job's measured drain capacity in messages per
-	// second (EWMA); zero until the budget tuner (AdaptiveBudgets) has
-	// sampled the job draining.
-	DrainRate float64
-	// Budget is the job's effective pending-message budget: the
-	// tuner-derived value under AdaptiveBudgets once measured, otherwise
-	// the static MaxPending (0 = unlimited).
-	Budget int64
 }
 
 // SourceStats is one source channel's admission ledger within JobStats.
@@ -398,7 +377,6 @@ func (e *Engine) Stats(job string) (JobStats, error) {
 		Shed:         js.Shed.Load(),
 		Backpressure: js.Rejected.Load(),
 		Failed:       e.inner.JobFailed(job),
-		DrainRate:    js.DrainRate(),
 	}
 	if per, err := e.inner.PerSource(job); err == nil {
 		out.PerSource = make([]SourceStats, len(per))
@@ -413,9 +391,6 @@ func (e *Engine) Stats(job string) (JobStats, error) {
 	}
 	if ds, err := e.inner.ShedDownstream(job); err == nil {
 		out.ShedDownstream = ds
-	}
-	if b, err := e.inner.JobBudget(job); err == nil {
-		out.Budget = b
 	}
 	if out.Outputs > 0 {
 		out.P50 = vtime.Std(vtime.Time(js.Quantile(0.50)))

@@ -83,24 +83,14 @@ type Job struct {
 	// drivers can resume feeding from there instead of regressing the
 	// stage-0 frontiers. The simulator leaves it zero.
 	SourceProgress []atomic.Int64
-	// Retired counts this job's executed messages (all stages) — the raw
-	// signal the budget tuner differentiates into a drain rate. Monotone,
-	// incremented once per executed message while a tuner is running;
-	// engines without one, and the simulator, leave it zero.
-	Retired atomic.Int64
 	// Stats is the job's entry in the real-time engine's metrics recorder,
-	// resolved once when the job is added so the sink-output, refusal, shed
-	// and drain-rate paths update it with plain atomics instead of a locked
-	// lookup by name per event. It outlives the job in the recorder (a
-	// cancelled job's counts stay readable until its name is reused), so a
-	// shed racing the cancellation still lands on the right incarnation.
-	// The simulator leaves it nil.
+	// resolved once when the job is added so the sink-output, refusal and
+	// shed paths update it with plain atomics instead of a locked lookup by
+	// name per event. It outlives the job in the recorder (a cancelled
+	// job's counts stay readable until its name is reused), so a shed
+	// racing the cancellation still lands on the right incarnation. The
+	// simulator leaves it nil.
 	Stats *metrics.JobStats
-	// Budget is the adaptive pending budget derived from the measured
-	// drain rate × the job's latency headroom. Zero means "not measured
-	// yet" and admission falls back to the static Spec.MaxPending (see
-	// EffectiveBudget). Written only by the engine's budget tuner.
-	Budget atomic.Int64
 	// SrcQueued counts admitted-but-not-yet-popped *stage-0* messages per
 	// source channel — the signal behind per-source fair admission and
 	// fair shedding (a hot source's backlog is attributed to it, so its
@@ -126,16 +116,6 @@ type Job struct {
 	// the pausing call returns, so every later ingest observes it. The
 	// simulator leaves it false.
 	Paused atomic.Bool
-}
-
-// EffectiveBudget is the job's current pending budget: the adaptive one
-// when the tuner has measured a drain rate, the static Spec.MaxPending
-// otherwise. Zero means unlimited.
-func (j *Job) EffectiveBudget() int64 {
-	if b := j.Budget.Load(); b > 0 {
-		return b
-	}
-	return int64(j.Spec.MaxPending)
 }
 
 // NoteSourceProgress folds progress p on source channel src into

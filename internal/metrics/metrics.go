@@ -9,7 +9,6 @@ package metrics
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -54,22 +53,6 @@ type JobStats struct {
 	// them, and callers read them, outside the Recorder's mutex.
 	Shed     atomic.Int64
 	Rejected atomic.Int64
-	// drainRate holds the EWMA-smoothed drain rate (messages retired per
-	// second) measured by the engine's budget tuner, as float64 bits —
-	// atomic for the same lock-free-reader reason as Shed/Rejected. Zero
-	// until the tuner has observed the job actually draining.
-	drainRate atomic.Uint64
-}
-
-// SetDrainRate stores the job's measured drain rate in messages/second.
-func (j *JobStats) SetDrainRate(rate float64) {
-	j.drainRate.Store(math.Float64bits(rate))
-}
-
-// DrainRate reports the job's EWMA-smoothed measured drain rate in
-// messages/second, or 0 when it has not been measured.
-func (j *JobStats) DrainRate() float64 {
-	return math.Float64frombits(j.drainRate.Load())
 }
 
 // Record adds one output of this job: a histogram add and two counter adds,

@@ -75,14 +75,13 @@ var ErrJobOverloaded = fmt.Errorf("runtime: job over pending-message budget: %w"
 // enqueue and dequeue passes through. One instance per engine.
 type admission struct {
 	e *Engine
-	// max is the engine-wide queued-message budget (0 = unlimited);
-	// highWater is the pressure threshold (7/8 of max) past which workers
-	// opportunistically sweep doomed messages under OverloadShed. Both
-	// are atomics because the budget tuner (Config.AdaptiveBudgets)
-	// rewrites them on a live engine from measured drain capacity; with
-	// static budgets they are written once at construction.
-	max       atomic.Int64
-	highWater atomic.Int64
+	// max is the engine-wide queued-message budget, Config.MaxPending
+	// (0 = unlimited); highWater is the pressure threshold (7/8 of max)
+	// past which workers opportunistically sweep doomed messages under
+	// OverloadShed. Both are written once, at construction; a job's own
+	// budget is its JobSpec.MaxPending.
+	max       int64
+	highWater int64
 	policy    OverloadPolicy
 	// deadlineAware records whether the engine's policy stamps start
 	// deadlines into PriGlobal (LLF/EDF), selecting the laxity test
@@ -99,24 +98,12 @@ type admission struct {
 }
 
 func newAdmission(e *Engine, cfg Config) *admission {
-	a := &admission{e: e, policy: cfg.Overload}
-	a.setMax(int64(cfg.MaxPending))
+	m := int64(cfg.MaxPending)
+	a := &admission{e: e, max: m, highWater: m - m/8, policy: cfg.Overload}
 	if da, ok := cfg.Policy.(core.DeadlineAware); ok && da.DeadlineAware() {
 		a.deadlineAware = true
 	}
 	return a
-}
-
-// setMax installs a new engine-wide budget and re-derives the shed
-// high-water mark (7/8 of max). Called at construction with the static
-// Config.MaxPending and by the budget tuner with measured capacity.
-func (a *admission) setMax(m int64) {
-	a.max.Store(m)
-	if m > 0 {
-		a.highWater.Store(m - m/8)
-	} else {
-		a.highWater.Store(0)
-	}
 }
 
 // enqueued and dequeued are the accounting hooks the dispatch path calls:
@@ -166,12 +153,12 @@ func (a *admission) dequeuedN(j *dataflow.Job, n int) {
 // memory back-pressure, not an exact semaphore.
 func (a *admission) admit(j *dataflow.Job, src, n int, try bool) error {
 	backpressure := try || a.policy == OverloadBackpressure
-	if jm := j.EffectiveBudget(); jm > 0 && backpressure &&
+	if jm := int64(j.Spec.MaxPending); jm > 0 && backpressure &&
 		j.Queued.Load()+int64(n) > jm && !a.fairShareAdmit(j, src, n, jm) {
 		a.reject(j, src)
 		return ErrJobOverloaded
 	}
-	if m := a.max.Load(); m > 0 && backpressure && a.queued.Load()+int64(n) > m {
+	if a.max > 0 && backpressure && a.queued.Load()+int64(n) > a.max {
 		a.reject(j, src)
 		return ErrOverloaded
 	}
@@ -210,8 +197,7 @@ func (a *admission) pressured() bool {
 	if a.policy != OverloadShed {
 		return false
 	}
-	hw := a.highWater.Load()
-	return hw > 0 && a.queued.Load() >= hw
+	return a.highWater > 0 && a.queued.Load() >= a.highWater
 }
 
 // enforce brings the queued counts back under budget after an ingest was
@@ -222,13 +208,13 @@ func (a *admission) enforce(j *dataflow.Job, now vtime.Time) {
 	if a.policy != OverloadShed {
 		return
 	}
-	if jm := j.EffectiveBudget(); jm > 0 && j.Queued.Load() > jm {
+	if jm := int64(j.Spec.MaxPending); jm > 0 && j.Queued.Load() > jm {
 		a.e.path.shedDoomed(j, now)
 		if over := j.Queued.Load() - jm; over > 0 {
 			a.shedFair(j, int(over), jm)
 		}
 	}
-	if m := a.max.Load(); m > 0 && a.queued.Load() > m {
+	if a.max > 0 && a.queued.Load() > a.max {
 		a.shedEngine(now)
 	}
 }
@@ -277,14 +263,13 @@ func (a *admission) shedFair(j *dataflow.Job, over int, jm int64) {
 // next-largest tried, so one unsheddable job cannot shield the others.
 func (a *admission) shedEngine(now vtime.Time) {
 	e := a.e
-	max := a.max.Load()
 	e.eachJob(func(j *dataflow.Job) {
-		if a.queued.Load() > max {
+		if a.queued.Load() > a.max {
 			e.path.shedDoomed(j, now)
 		}
 	})
 	var skip map[*dataflow.Job]bool
-	for a.queued.Load() > max {
+	for a.queued.Load() > a.max {
 		var victim *dataflow.Job
 		var most int64
 		e.eachJob(func(j *dataflow.Job) {
@@ -295,7 +280,7 @@ func (a *admission) shedEngine(now vtime.Time) {
 		if victim == nil {
 			return
 		}
-		over := a.queued.Load() - max
+		over := a.queued.Load() - a.max
 		if over > most {
 			over = most
 		}

@@ -214,62 +214,6 @@ func TestAllocsEngineSteadyStateDrainBatch(t *testing.T) {
 	}
 }
 
-// TestAllocsEngineSteadyStateAdaptive extends the alloc gate to the
-// self-tuning hot path: with the budget tuner armed, the steady-state
-// window cycle must stay inside the same budget as the static
-// configuration. The per-source counters are pre-sized atomic slices and
-// the tuner's per-job scratch is allocated once at first sight, so
-// tuning must add zero steady-state allocations. The tuner ticks on its
-// own goroutine during the measurement; its steady-state tick is
-// allocation-free and AllocsPerRun's global accounting would catch it
-// regressing.
-func TestAllocsEngineSteadyStateAdaptive(t *testing.T) {
-	if testkit.RaceEnabled {
-		t.Skip("allocation accounting is not meaningful under -race")
-	}
-	t.Run("sharded", func(t *testing.T) {
-		defer debug.SetGCPercent(debug.SetGCPercent(-1))
-		const sources, warm, runs = 4, 60, 80
-		win := 10 * vtime.Millisecond
-		e := runtime.New(runtime.Config{Workers: 1, AdaptiveBudgets: true})
-		if _, err := e.AddJob(testkit.AggSpec("j", sources, 4, win, 100*vtime.Millisecond)); err != nil {
-			t.Fatal(err)
-		}
-		e.Start()
-		defer e.Stop()
-
-		wl := testkit.Workload{Seed: 9, Sources: sources, Windows: warm + runs + 2, Tuples: 4, Keys: 16, Win: win}
-		batches := make([][]*dataflow.Batch, wl.Windows+1)
-		for w := 1; w <= wl.Windows; w++ {
-			batches[w] = make([]*dataflow.Batch, sources)
-			for src := 0; src < sources; src++ {
-				batches[w][src] = wl.Batch(src, w)
-			}
-		}
-		w := 0
-		cycle := func() {
-			w++
-			for src := 0; src < sources; src++ {
-				if err := e.Ingest("j", src, batches[w][src], wl.Progress(w)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if !e.Drain(10 * time.Second) {
-				t.Fatal("engine did not drain")
-			}
-		}
-		for i := 0; i < warm; i++ {
-			cycle()
-		}
-		allocs := testing.AllocsPerRun(runs, cycle)
-		t.Logf("%.2f allocs per window cycle with adaptive budgets armed", allocs)
-		if allocs > maxAllocsPerWindowCycle {
-			t.Errorf("adaptive window cycle allocates %.1f times, budget %.0f — the self-tuning path allocates",
-				allocs, maxAllocsPerWindowCycle)
-		}
-	})
-}
-
 // TestAllocsEngineSteadyStateCheckpointing extends the alloc gate to the
 // checkpoint subsystem (ISSUE acceptance): with the background
 // checkpointer configured but idle between ticks, the steady-state window

@@ -3,7 +3,7 @@ package runtime
 import "github.com/cameo-stream/cameo/internal/core"
 
 // The behavior tables (lifecycle, admission, checkpoint, batching,
-// adaptation, allocation gates) pin each behavior on up to three configurations of the one
+// fairness, allocation gates) pin each behavior on up to three configurations of the one
 // dispatch path. The row names are the scheduler/dispatch cells these
 // tables carried while the engine had three schedulers and two dispatch
 // paths; each now names the configuration below.

@@ -1,10 +1,7 @@
 package runtime_test
 
-// Engine-level coverage for the self-tuning admission tier: the
-// capacity-derived budgets and the per-source fairness tier.
+// Engine-level coverage for the per-source fairness tier of admission:
 //
-//   - Lifecycle events landing while the tuner is live (cancel, pause)
-//     must preserve conservation exactly as on a static configuration.
 //   - The per-source admission ledger must reconcile: rejected counts
 //     sum to the job total, and per-source shed plus downstream shed
 //     sum to the job's shed total.
@@ -22,135 +19,6 @@ import (
 	"github.com/cameo-stream/cameo/internal/testkit"
 	"github.com/cameo-stream/cameo/internal/vtime"
 )
-
-// ingestRetry feeds one window, retrying on backpressure: an engine with
-// the tuner armed derives finite budgets mid-run, so a fast test feed can
-// legitimately be refused while the measured budget is still small. The
-// batch is re-rendered per attempt (a refused batch is not retained).
-func ingestRetry(e *runtime.Engine, job string, wl testkit.Workload, src, w int) error {
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		err := e.Ingest(job, src, wl.Batch(src, w), wl.Progress(w))
-		if err == nil || !errors.Is(err, runtime.ErrOverloaded) || time.Now().After(deadline) {
-			return err
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
-}
-
-// adaptiveConfig is the configuration the behavior tests run under: the
-// budget tuner armed at a fast sampling period.
-func adaptiveConfig(workers int) runtime.Config {
-	return runtime.Config{
-		Workers:         workers,
-		AdaptiveBudgets: true,
-		TuneInterval:    time.Millisecond,
-	}
-}
-
-// TestAdaptiveConservationUnderLoad: concurrent producers against an
-// engine with the tuner armed; conservation holds and the queued
-// accounting returns to zero. (The -race run is the data-race check on
-// the tuner.)
-func TestAdaptiveConservationUnderLoad(t *testing.T) {
-	defer testkit.LeakCheck(t)()
-	for _, cell := range runtime.PathCells {
-		t.Run(cell.Name, func(t *testing.T) {
-			const producers = 4
-			win := 10 * vtime.Millisecond
-			e := runtime.New(cell.Cfg(adaptiveConfig(4)))
-			if _, err := e.AddJob(testkit.AggSpec("j", producers, 4, win, vtime.Second)); err != nil {
-				t.Fatal(err)
-			}
-			e.Start()
-			wl := testkit.Workload{Seed: 19, Sources: producers, Windows: 40, Tuples: 8, Keys: 16, Win: win}
-			var wg sync.WaitGroup
-			for src := 0; src < producers; src++ {
-				wg.Add(1)
-				go func(src int) {
-					defer wg.Done()
-					for w := 1; w <= wl.Windows; w++ {
-						if err := ingestRetry(e, "j", wl, src, w); err != nil {
-							t.Error(err)
-							return
-						}
-					}
-				}(src)
-			}
-			wg.Wait()
-			testkit.DrainOrFail(t, e, 10*time.Second)
-			e.Stop()
-			if created, settled := e.Created(), e.Executed()+e.Discarded(); created != settled {
-				t.Fatalf("conservation: created %d, executed+discarded %d", created, settled)
-			}
-			if e.Pending() != 0 {
-				t.Fatalf("pending = %d after drain", e.Pending())
-			}
-		})
-	}
-}
-
-// TestAdaptiveMidAdaptationCancelPause: lifecycle events land while the
-// tuner is live and workers are mid-batch on a slow job. Cancel must keep
-// conservation exact; a pause must retain (never lose) the backlog and
-// a checkpoint of the paused job must capture it.
-func TestAdaptiveMidAdaptationCancelPause(t *testing.T) {
-	defer testkit.LeakCheck(t)()
-	for _, cell := range runtime.PathCells {
-		t.Run(cell.Name, func(t *testing.T) {
-			const sources = 2
-			win := vtime.Millisecond
-			e := runtime.New(cell.Cfg(adaptiveConfig(2)))
-			if _, err := e.AddJob(slowSpec("victim", sources)); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := e.AddJob(slowSpec("paused", sources)); err != nil {
-				t.Fatal(err)
-			}
-			e.Start()
-			defer e.Stop()
-
-			wl := testkit.Workload{Seed: 37, Sources: sources, Windows: 150, Tuples: 4, Keys: 8, Win: win}
-			for w := 1; w <= wl.Windows; w++ {
-				for src := 0; src < sources; src++ {
-					if err := ingestRetry(e, "victim", wl, src, w); err != nil {
-						t.Fatal(err)
-					}
-					if err := ingestRetry(e, "paused", wl, src, w); err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
-			time.Sleep(2 * time.Millisecond) // let workers go mid-batch
-			if err := e.PauseJob("paused"); err != nil {
-				t.Fatal(err)
-			}
-			if err := e.CancelJob("victim"); err != nil {
-				t.Fatal(err)
-			}
-			if e.Discarded() == 0 {
-				t.Fatal("cancel discarded nothing; the mid-batch path went unexercised")
-			}
-			retained, err := e.JobPending("paused")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if retained == 0 {
-				t.Fatal("pause retained no backlog")
-			}
-			if err := e.ResumeJob("paused"); err != nil {
-				t.Fatal(err)
-			}
-			testkit.DrainOrFail(t, e, 10*time.Second)
-			if created, settled := e.Created(), e.Executed()+e.Discarded(); created != settled {
-				t.Fatalf("conservation: created %d, executed+discarded %d", created, settled)
-			}
-			if e.Pending() != 0 {
-				t.Fatalf("pending = %d after drain", e.Pending())
-			}
-		})
-	}
-}
 
 // TestPerSourceCountersReconcile pins the admission ledger's sums: the
 // per-source rejected counts must equal the engine's rejected total and
@@ -319,52 +187,4 @@ func TestFairShedHotSource(t *testing.T) {
 			t.Errorf("conservation: created %d, executed+discarded %d", created, settled)
 		}
 	})
-}
-
-// TestAdaptiveBudgetDerivation: with the tuner armed, a draining job's
-// budget must become a measured quantity — at least the safety floor,
-// recorded alongside a positive drain rate — replacing the unlimited
-// static default.
-func TestAdaptiveBudgetDerivation(t *testing.T) {
-	defer testkit.LeakCheck(t)()
-	win := 10 * vtime.Millisecond
-	e := runtime.New(adaptiveConfig(2))
-	if _, err := e.AddJob(testkit.AggSpec("j", 2, 4, win, vtime.Second)); err != nil {
-		t.Fatal(err)
-	}
-	e.Start()
-	defer e.Stop()
-	wl := testkit.Workload{Seed: 11, Sources: 2, Windows: 80, Tuples: 6, Keys: 16, Win: win}
-	for w := 1; w <= wl.Windows; w++ {
-		for src := 0; src < 2; src++ {
-			if err := ingestRetry(e, "j", wl, src, w); err != nil {
-				t.Fatal(err)
-			}
-		}
-		// Pace the feed so tuner ticks observe the job actually draining.
-		time.Sleep(200 * time.Microsecond)
-	}
-	testkit.DrainOrFail(t, e, 10*time.Second)
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		b, err := e.JobBudget("j")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if b > 0 {
-			// The floor is 8 × stage-0 fan-out (4): no measured budget may
-			// pinch below it.
-			if b < 32 {
-				t.Fatalf("derived budget %d below floor 32", b)
-			}
-			if rate := e.Recorder().Job("j").DrainRate(); rate <= 0 {
-				t.Fatalf("budget %d derived but recorded drain rate %v", b, rate)
-			}
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("tuner never derived a budget for a draining job")
-		}
-		time.Sleep(time.Millisecond)
-	}
 }

@@ -68,18 +68,6 @@ type Config struct {
 	// unbatched one-lock-per-pop behavior exactly and is what the
 	// order-equivalence tests pin.
 	DrainBatch int
-	// AdaptiveBudgets derives the admission budgets from measured
-	// capacity: a background tuner differentiates each job's retired-
-	// message counter into an EWMA drain rate (recorded in the metrics
-	// Recorder) and sets the job's pending budget to rate × latency
-	// target — the backlog the engine can actually clear within one
-	// deadline — floored so a burst can always get a foothold. The
-	// engine-wide budget and shed high-water mark follow as the sum over
-	// measured jobs. Static MaxPending values serve as the budget until
-	// a job's rate has been measured.
-	AdaptiveBudgets bool
-	// TuneInterval is the budget tuner's sampling period (default 5ms).
-	TuneInterval time.Duration
 	// TraceLimit, when positive, records up to this many executions in a
 	// schedule trace (mirrors sim.Config.TraceLimit), exposed via Trace.
 	TraceLimit int
@@ -131,9 +119,6 @@ func (c *Config) fill() {
 	if c.DrainBatch > 1024 {
 		c.DrainBatch = 1024
 	}
-	if c.TuneInterval <= 0 {
-		c.TuneInterval = 5 * time.Millisecond
-	}
 	if c.Policy == nil {
 		c.Policy = &core.DeadlinePolicy{Kind: core.KindLLF}
 	}
@@ -160,10 +145,8 @@ type Engine struct {
 	started atomic.Bool
 	stopped atomic.Bool
 
-	// ckpt is the background checkpointer (nil unless configured); tuner
-	// is the background budget tuner (nil unless Config.AdaptiveBudgets).
-	ckpt  *checkpointer
-	tuner *budgetTuner
+	// ckpt is the background checkpointer (nil unless configured).
+	ckpt *checkpointer
 
 	path *shardedPath
 	// adm is the admission layer: pending-message budgets, overload
@@ -233,9 +216,6 @@ func New(cfg Config) *Engine {
 	e.msgs = core.NewMessagePool(cfg.Workers)
 	e.batches = dataflow.NewBatchPool(cfg.Workers)
 	e.adm = newAdmission(e, cfg)
-	if cfg.AdaptiveBudgets {
-		e.tuner = newBudgetTuner(e)
-	}
 	e.envs = make([]*dataflow.Env, cfg.Workers)
 	for i := range e.envs {
 		e.envs[i] = e.newEnv(i)
@@ -639,10 +619,6 @@ func (e *Engine) Start() {
 		e.wg.Add(1)
 		go e.ckpt.run()
 	}
-	if e.tuner != nil {
-		e.wg.Add(1)
-		go e.tuner.run()
-	}
 }
 
 // Stop shuts the workers down and waits for them to exit. Pending messages
@@ -653,9 +629,6 @@ func (e *Engine) Stop() {
 	}
 	if e.ckpt != nil {
 		e.ckpt.stop()
-	}
-	if e.tuner != nil {
-		e.tuner.stop()
 	}
 	close(e.path.stopCh) // wakes every parked worker to observe e.stopped
 	e.wg.Wait()
@@ -799,15 +772,14 @@ func (e *Engine) JobSlack(name string) (latency, slide vtime.Duration, err error
 	return j.Spec.Latency, 0, nil
 }
 
-// JobBudget reports the named job's current effective pending budget
-// (0 = unlimited): the tuner-derived adaptive budget once the job's
-// drain rate has been measured, the static JobSpec.MaxPending before.
+// JobBudget reports the named job's pending budget, JobSpec.MaxPending
+// (0 = unlimited).
 func (e *Engine) JobBudget(name string) (int64, error) {
 	j, ok := e.job(name)
 	if !ok {
 		return 0, fmt.Errorf("runtime: unknown job %q", name)
 	}
-	return j.EffectiveBudget(), nil
+	return int64(j.Spec.MaxPending), nil
 }
 
 // SourceCounters is one source channel's admission ledger (see
@@ -943,9 +915,6 @@ func (e *Engine) execMessage(op *dataflow.Operator, m *core.Message, start vtime
 	outcome := dataflow.Finish(op, m, emissions, cost, env)
 
 	e.overhead.AddExec(env.Worker, cost)
-	if e.tuner != nil {
-		op.Job.Retired.Add(1)
-	}
 	for _, o := range outcome.Outputs {
 		op.Job.Stats.Record(metrics.Output{
 			Job: op.Job.Spec.Name, Emitted: now, Ready: o.T, Window: int64(o.P),

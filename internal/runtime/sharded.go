@@ -309,53 +309,31 @@ func (p *shardedPath) eachQueued(op *dataflow.Operator, visit func(*core.Message
 	st.Mu.Unlock()
 }
 
+// shedRule picks the victims of one operator's shed sweep (shedOp). A
+// doomed rule takes every message that can no longer meet its deadline
+// at now (core.Doomed). The others take at most limit messages: those
+// ingested on source channel src (Message.Channel, so stage 0 only) when
+// fromSrc is set, else heap leaves off the tail, so the operator's most
+// urgent message is the last to go.
+type shedRule struct {
+	doomed  bool
+	now     vtime.Time
+	fromSrc bool
+	src     int
+	limit   int
+}
+
 // shedDoomed discards job's queued messages that can no longer meet their
-// deadline at instant now (core.Doomed), one live operator at a time.
-// Paused and dead operators are skipped (pause retains backlog; cancel
-// owns dead queues). Returns the number shed.
+// deadline at instant now, one live operator at a time. Returns the
+// number shed.
 func (p *shardedPath) shedDoomed(job *dataflow.Job, now vtime.Time) int {
 	total := 0
 	for _, stage := range job.Stages {
 		for _, op := range stage {
-			total += p.shedOpDoomed(op, now)
+			total += p.shedOp(op, shedRule{doomed: true, now: now})
 		}
 	}
 	return total
-}
-
-// shedOpDoomed sweeps one operator's doomed queued messages under its
-// lock, fixing its run-queue entry afterwards: removed when
-// the sweep emptied the queue (the arbitrary-element removal the lane
-// heaps track intrusively), re-keyed when it removed the head. Acquired
-// operators need no fix-up — their workers re-check the queue at release.
-func (p *shardedPath) shedOpDoomed(op *dataflow.Operator, now vtime.Time) int {
-	e := p.e
-	aware := e.adm.deadlineAware
-	job := op.Job
-	st := op.Sched()
-	st.Mu.Lock()
-	if st.Phase != core.OpLive || st.Q.Len() == 0 {
-		st.Mu.Unlock()
-		return 0
-	}
-	oldHead := st.Q.Peek()
-	n := st.Q.Shed(
-		func(m *core.Message) bool { return core.Doomed(m, now, aware) },
-		func(m *core.Message) { e.shedQueued(job, op, m) })
-	if n > 0 && !st.Acquired && st.Lane != laneNone {
-		if st.Q.Len() == 0 {
-			// Clear the lane only when the removal hit (same reasoning as
-			// cancel: a miss means a worker owns the Lane reset).
-			if p.runq.Remove(int(st.Lane), op) {
-				st.Lane = laneNone
-			}
-		} else if head := st.Q.Peek(); head != oldHead {
-			p.runq.Update(int(st.Lane), op, core.GlobalPri(head))
-		}
-	}
-	st.Mu.Unlock()
-	e.noteShed(job, n)
-	return n
 }
 
 // shedExcess discards up to n queued messages of job, walking stage 0
@@ -370,63 +348,37 @@ func (p *shardedPath) shedExcess(job *dataflow.Job, n int) int {
 			if total >= n {
 				return total
 			}
-			total += p.shedOpTail(op, n-total)
+			total += p.shedOp(op, shedRule{limit: n - total})
 		}
 	}
 	return total
 }
 
-func (p *shardedPath) shedOpTail(op *dataflow.Operator, n int) int {
-	e := p.e
-	job := op.Job
-	st := op.Sched()
-	st.Mu.Lock()
-	if st.Phase != core.OpLive {
-		st.Mu.Unlock()
-		return 0
-	}
-	count := 0
-	for count < n {
-		m := st.Q.PopTail()
-		if m == nil {
-			break
-		}
-		e.shedQueued(job, op, m)
-		count++
-	}
-	// PopTail never changes a non-emptied heap's head, so the only
-	// run-queue fix-up is the empty-queue removal.
-	if count > 0 && !st.Acquired && st.Lane != laneNone && st.Q.Len() == 0 {
-		if p.runq.Remove(int(st.Lane), op) {
-			st.Lane = laneNone
-		}
-	}
-	st.Mu.Unlock()
-	e.noteShed(job, count)
-	return count
-}
-
 // shedSrc discards up to n of job's queued stage-0 messages ingested on
-// source channel src (Message.Channel) — the fair-shed path's victim
-// selection (a hot source's own backlog pays for the pressure it
-// created). Only stage 0 is walked: downstream messages have no single
-// source attribution. Returns the number shed (may be short).
+// source channel src — the fair-shed path's victim selection (a hot
+// source's own backlog pays for the pressure it created). Only stage 0 is
+// walked: downstream messages have no single source attribution. Returns
+// the number shed (may be short).
 func (p *shardedPath) shedSrc(job *dataflow.Job, src, n int) int {
 	total := 0
 	for _, op := range job.Stages[0] {
 		if total >= n {
 			break
 		}
-		total += p.shedOpSrc(op, src, n-total)
+		total += p.shedOp(op, shedRule{fromSrc: true, src: src, limit: n - total})
 	}
 	return total
 }
 
-// shedOpSrc sweeps one stage-0 operator's queued messages from source
-// channel src under its lock, with the same run-queue fix-ups
-// as shedOpDoomed (removed when the sweep emptied the queue, re-keyed
-// when it removed the head).
-func (p *shardedPath) shedOpSrc(op *dataflow.Operator, src, limit int) int {
+// shedOp sweeps one operator's queued victims under its lock and then
+// fixes its run-queue entry: removed when the sweep emptied the queue
+// (the arbitrary-element removal the lane heaps track intrusively),
+// re-keyed when it removed the head. A tail sweep never changes a
+// non-empty queue's head, so it only ever needs the removal. Acquired
+// operators need no fix-up — their workers re-check the queue at release.
+// Paused and dead operators are skipped (pause retains backlog; cancel
+// owns dead queues). Returns the number shed.
+func (p *shardedPath) shedOp(op *dataflow.Operator, r shedRule) int {
 	e := p.e
 	job := op.Job
 	st := op.Sched()
@@ -436,12 +388,23 @@ func (p *shardedPath) shedOpSrc(op *dataflow.Operator, src, limit int) int {
 		return 0
 	}
 	oldHead := st.Q.Peek()
-	count := 0
-	n := st.Q.Shed(
-		func(m *core.Message) bool { return count < limit && m.Channel == src },
-		func(m *core.Message) { count++; e.shedQueued(job, op, m) })
+	n := 0
+	shed := func(m *core.Message) { n++; e.shedQueued(job, op, m) }
+	switch {
+	case r.doomed:
+		aware := e.adm.deadlineAware
+		st.Q.Shed(func(m *core.Message) bool { return core.Doomed(m, r.now, aware) }, shed)
+	case r.fromSrc:
+		st.Q.Shed(func(m *core.Message) bool { return n < r.limit && m.Channel == r.src }, shed)
+	default:
+		for n < r.limit && st.Q.Len() > 0 {
+			shed(st.Q.PopTail())
+		}
+	}
 	if n > 0 && !st.Acquired && st.Lane != laneNone {
 		if st.Q.Len() == 0 {
+			// Clear the lane only when the removal hit (same reasoning as
+			// cancel: a miss means a worker owns the Lane reset).
 			if p.runq.Remove(int(st.Lane), op) {
 				st.Lane = laneNone
 			}
@@ -649,7 +612,7 @@ func (p *shardedPath) worker(w int) {
 			// The background laxity sweep: under sustained pressure, drop
 			// the acquired operator's doomed messages before spending
 			// execution time on them.
-			p.shedOpDoomed(op, e.clock.Now())
+			p.shedOp(op, shedRule{doomed: true, now: e.clock.Now()})
 		}
 		// The activation's one clock read: it opens the quantum and starts
 		// the first message; every later message starts where the one

@@ -156,11 +156,10 @@ func EngineConfigFor(spec *workload.Spec) (runtime.Config, error) {
 		return runtime.Config{}, err
 	}
 	return runtime.Config{
-		Workers:         spec.Workers,
-		DrainBatch:      spec.DrainBatch,
-		AdaptiveBudgets: spec.AdaptiveBudgets,
-		MaxPending:      spec.MaxPending,
-		Overload:        policy,
+		Workers:    spec.Workers,
+		DrainBatch: spec.DrainBatch,
+		MaxPending: spec.MaxPending,
+		Overload:   policy,
 	}, nil
 }
 

@@ -42,10 +42,6 @@ type Spec struct {
 	// DrainBatch is the real-time engine's per-lock message drain count
 	// (0 = engine default). The simulator ignores it.
 	DrainBatch int `json:"drain_batch,omitempty"`
-	// AdaptiveBudgets derives the engine's pending budgets from measured
-	// drain capacity instead of the static max_pending values. The
-	// simulator ignores it.
-	AdaptiveBudgets bool `json:"adaptive_budgets,omitempty"`
 	// MaxPending caps the engine-wide admitted-but-unexecuted message
 	// count (0 = unlimited). The simulator ignores it (no admission layer).
 	MaxPending int `json:"max_pending,omitempty"`

@@ -2,8 +2,8 @@ package workload
 
 // Spec-serialization coverage for the engine-shape fields: drain_batch is
 // a plain integer that round-trips byte-stably so A/B spec pairs diff
-// cleanly, and removed knobs (run_queue, the "adaptive" drain_batch form)
-// are loud parse errors rather than silently ignored.
+// cleanly, and removed knobs (run_queue, adaptive_budgets, the "adaptive"
+// drain_batch form) are loud parse errors rather than silently ignored.
 
 import (
 	"encoding/json"
@@ -39,13 +39,6 @@ func TestParseSpecDrainBatchForms(t *testing.T) {
 	if fixed.DrainBatch != 16 {
 		t.Fatalf("fixed form parsed as %d", fixed.DrainBatch)
 	}
-	budgets, err := ParseSpec([]byte(minimalSpecJSON(`"drain_batch": 16, "adaptive_budgets": true,`)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if budgets.DrainBatch != 16 || !budgets.AdaptiveBudgets {
-		t.Fatalf("drain_batch with adaptive budgets parsed as %d budgets=%v", budgets.DrainBatch, budgets.AdaptiveBudgets)
-	}
 	unset, err := ParseSpec([]byte(minimalSpecJSON("")))
 	if err != nil {
 		t.Fatal(err)
@@ -59,6 +52,7 @@ func TestParseSpecDrainBatchRejectsGarbage(t *testing.T) {
 	for _, bad := range []string{
 		`"drain_batch": "adaptive",`, // removed forms fail, not fall back
 		`"run_queue": "heap",`,
+		`"adaptive_budgets": true,`,
 		`"drain_batch": true,`,
 		`"drain_batch": 1.5,`,
 		`"drain_batch": -1,`,
