@@ -154,3 +154,28 @@ func (w *windowJoin) result(ctx *dataflow.Context, end vtime.Time, win *joinWind
 	}
 	return b
 }
+
+// emitScratch holds the emit-cycle buffers the join reuses across
+// invocations: the sorted list of closed window ends and the
+// emission slice handed back to the engine. Reuse is safe because handler
+// instances are single-threaded (the actor guarantee) and the engine fully
+// consumes an invocation's emissions before the next invocation — the same
+// contract that lets the engine recycle batches (see dataflow.Context).
+type emitScratch struct {
+	ends []vtime.Time
+	out  []dataflow.Emission
+}
+
+// closedEnds collects the ends <= boundary from wins into the reusable
+// ends buffer, ascending.
+func closedEnds[W any](s *emitScratch, wins map[vtime.Time]W, boundary vtime.Time) []vtime.Time {
+	ends := s.ends[:0]
+	for end := range wins {
+		if end <= boundary {
+			ends = append(ends, end)
+		}
+	}
+	sort.Slice(ends, func(i, j int) bool { return ends[i] < ends[j] })
+	s.ends = ends
+	return ends
+}

@@ -25,14 +25,22 @@ func batchOf(tuples ...[3]int64) *dataflow.Batch { // (time-sec, key, val)
 	return b
 }
 
+// endsOf lists the window ends windowEnds spans for logical time p.
+func endsOf(p vtime.Time, size, slide vtime.Duration) []vtime.Time {
+	var ends []vtime.Time
+	first, last := windowEnds(p, size, slide)
+	for e := first; e <= last; e += slide {
+		ends = append(ends, e)
+	}
+	return ends
+}
+
 func TestWindowEndsTumbling(t *testing.T) {
-	var got []vtime.Time
-	windowEnds(sec(3), sec(10), sec(10), func(e vtime.Time) { got = append(got, e) })
+	got := endsOf(sec(3), sec(10), sec(10))
 	if len(got) != 1 || got[0] != sec(10) {
 		t.Fatalf("tumbling ends = %v", got)
 	}
-	got = nil
-	windowEnds(sec(10), sec(10), sec(10), func(e vtime.Time) { got = append(got, e) })
+	got = endsOf(sec(10), sec(10), sec(10))
 	if len(got) != 1 || got[0] != sec(20) {
 		t.Fatalf("boundary tuple ends = %v", got)
 	}
@@ -40,8 +48,7 @@ func TestWindowEndsTumbling(t *testing.T) {
 
 func TestWindowEndsSliding(t *testing.T) {
 	// size 10, slide 2: tuple at 5 belongs to windows ending 6,8,10,12,14.
-	var got []vtime.Time
-	windowEnds(sec(5), sec(10), sec(2), func(e vtime.Time) { got = append(got, e) })
+	got := endsOf(sec(5), sec(10), sec(2))
 	want := []vtime.Time{sec(6), sec(8), sec(10), sec(12), sec(14)}
 	if len(got) != len(want) {
 		t.Fatalf("sliding ends = %v, want %v", got, want)
@@ -63,13 +70,13 @@ func TestWindowEndsProperty(t *testing.T) {
 		p := vtime.Time(p16) * vtime.Millisecond
 		count := 0
 		okAll := true
-		windowEnds(p, size, slide, func(e vtime.Time) {
+		for _, e := range endsOf(p, size, slide) {
 			count++
 			// Window [e-size, e) must contain p, and e aligned to slide.
 			if !(e-size <= p && p < e) || e%slide != 0 {
 				okAll = false
 			}
-		})
+		}
 		// The number of slide-aligned ends in (p, p+size] is size/slide
 		// when slide divides size, and otherwise floor or ceil of the
 		// ratio depending on p's offset.

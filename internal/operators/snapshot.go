@@ -14,19 +14,19 @@ import (
 // windowed aggregation, windowed join, top-k, and distinct count. The
 // encoding rules that keep snapshots deterministic and restartable:
 //
-//   - Maps are serialized in sorted key order (window ends ascending, then
+//   - State is serialized in sorted order (window ends ascending, then
 //     tuple keys ascending), so the same handler state always yields the
 //     same bytes.
 //   - Only dynamic state is captured: open windows, the emitted watermark,
-//     the late counter, and the per-channel frontier. Specs, pools, free
-//     lists, and scratch buffers are reconstruction artifacts — the spec
-//     comes back from the job spec's NewHandler, pools refill as windows
-//     recycle.
+//     the late counter, and the per-channel frontier. Specs, spare
+//     tables, free lists, and scratch buffers are reconstruction
+//     artifacts — the spec comes back from the job spec's NewHandler,
+//     spares and free lists refill as windows recycle.
 //   - Each operator writes a one-byte kind tag so a snapshot applied to
 //     the wrong handler type fails loudly instead of half-decoding.
 //
 // RestoreState is only ever invoked on a freshly constructed handler, so
-// it builds state through the same pool/free-list paths OnMessage uses.
+// it builds state through the same paths OnMessage uses.
 
 // The four stateful operators satisfy the snapshot half of the operator
 // contract; stateless handlers (HandlerFunc closures) deliberately don't.
@@ -97,61 +97,101 @@ func sortedKeys[V any](buf []int64, m map[int64]V) []int64 {
 	return buf
 }
 
-// SnapshotState implements dataflow.Snapshotter.
-func (w *windowAgg) SnapshotState(sw *snap.Writer) {
-	sw.U8(snapKindAgg)
-	sw.Time(w.emitted)
-	sw.I64(w.late)
-	writeFrontier(sw, w.frontier)
-	ends := sortedTimes(w.scratch.ends, w.wins)
-	w.scratch.ends = ends
-	sw.U32(uint32(len(ends)))
-	for _, end := range ends {
-		win := w.wins[end]
-		sw.Time(end)
+// snapshot writes the section the keyed window operators share: kind,
+// emitted watermark, late count, frontier, then every open window (end,
+// maxT, its keys ascending, and each key's accumulator when accs is set).
+// Sorting reorders a window's entries in place, which nothing observes:
+// snapshots run under the actor guarantee, like OnMessage.
+func (s *windowState) snapshot(sw *snap.Writer, kind uint8, accs bool) {
+	sw.U8(kind)
+	sw.Time(s.emitted)
+	sw.I64(s.late)
+	writeFrontier(sw, s.frontier)
+	sw.U32(uint32(len(s.wins)))
+	for i := range s.wins {
+		win := &s.wins[i]
+		sw.Time(win.end)
 		sw.Time(win.maxT)
-		keys := sortedKeys(w.keys, win.accs)
-		w.keys = keys
-		sw.U32(uint32(len(keys)))
-		for _, k := range keys {
-			a := win.accs[k]
-			sw.I64(k)
-			sw.F64(a.sum)
-			sw.I64(a.count)
-			sw.F64(a.min)
-			sw.F64(a.max)
+		win.keys.sortByKey()
+		sw.U32(uint32(len(win.keys.entries)))
+		for _, e := range win.keys.entries {
+			sw.I64(e.key)
+			if accs {
+				sw.F64(e.sum)
+				sw.I64(e.count)
+				sw.F64(e.min)
+				sw.F64(e.max)
+			}
 		}
 	}
 }
 
-// RestoreState implements dataflow.Snapshotter.
-func (w *windowAgg) RestoreState(r *snap.Reader) error {
-	if err := checkKind(r, snapKindAgg, "windowAgg"); err != nil {
+// restore reads a section written by snapshot. Window ends that do not
+// strictly ascend, or a key repeated inside one window, are a corrupt
+// snapshot and fail the restore: either would otherwise merge state into
+// a wrong result.
+func (s *windowState) restore(r *snap.Reader, kind uint8, name string, accs bool) error {
+	if err := checkKind(r, kind, name); err != nil {
 		return err
 	}
-	w.emitted = r.Time()
-	w.late = r.I64()
-	if err := readFrontier(r, w.frontier); err != nil {
+	s.emitted = r.Time()
+	s.late = r.I64()
+	if err := readFrontier(r, s.frontier); err != nil {
 		return err
 	}
 	nw := int(r.U32())
 	for i := 0; i < nw && r.Err() == nil; i++ {
 		end := r.Time()
-		win := w.pool.getWindow()
+		if r.Err() != nil {
+			break
+		}
+		if n := len(s.wins); n > 0 && end <= s.wins[n-1].end {
+			return fmt.Errorf("operators: %s snapshot window end %v does not follow %v", name, end, s.wins[n-1].end)
+		}
+		win := s.windowAt(end)
 		win.maxT = r.Time()
-		w.wins[end] = win
-		na := int(r.U32())
-		for k := 0; k < na && r.Err() == nil; k++ {
+		nk := int(r.U32())
+		for k := 0; k < nk && r.Err() == nil; k++ {
 			key := r.I64()
-			a := w.pool.getAcc()
-			a.sum = r.F64()
-			a.count = r.I64()
-			a.min = r.F64()
-			a.max = r.F64()
-			win.accs[key] = a
+			if r.Err() != nil {
+				break
+			}
+			n := len(win.keys.entries)
+			a := win.keys.get(key)
+			if len(win.keys.entries) == n {
+				return fmt.Errorf("operators: %s snapshot repeats key %d in window %v", name, key, end)
+			}
+			if accs {
+				a.sum = r.F64()
+				a.count = r.I64()
+				a.min = r.F64()
+				a.max = r.F64()
+			}
 		}
 	}
 	return r.Err()
+}
+
+// SnapshotState implements dataflow.Snapshotter.
+func (w *windowAgg) SnapshotState(sw *snap.Writer) { w.snapshot(sw, snapKindAgg, true) }
+
+// RestoreState implements dataflow.Snapshotter.
+func (w *windowAgg) RestoreState(r *snap.Reader) error {
+	return w.restore(r, snapKindAgg, "windowAgg", true)
+}
+
+// SnapshotState implements dataflow.Snapshotter.
+func (w *topK) SnapshotState(sw *snap.Writer) { w.snapshot(sw, snapKindTopK, true) }
+
+// RestoreState implements dataflow.Snapshotter.
+func (w *topK) RestoreState(r *snap.Reader) error { return w.restore(r, snapKindTopK, "topK", true) }
+
+// SnapshotState implements dataflow.Snapshotter.
+func (w *distinctCount) SnapshotState(sw *snap.Writer) { w.snapshot(sw, snapKindDistinct, false) }
+
+// RestoreState implements dataflow.Snapshotter.
+func (w *distinctCount) RestoreState(r *snap.Reader) error {
+	return w.restore(r, snapKindDistinct, "distinctCount", false)
 }
 
 // SnapshotState implements dataflow.Snapshotter.
@@ -201,109 +241,6 @@ func (w *windowJoin) RestoreState(r *snap.Reader) error {
 				key := r.I64()
 				win.sides[side][key] = r.F64()
 			}
-		}
-	}
-	return r.Err()
-}
-
-// SnapshotState implements dataflow.Snapshotter.
-func (w *topK) SnapshotState(sw *snap.Writer) {
-	sw.U8(snapKindTopK)
-	sw.Time(w.emitted)
-	sw.I64(w.late)
-	writeFrontier(sw, w.frontier)
-	ends := sortedTimes(w.scratch.ends, w.wins)
-	w.scratch.ends = ends
-	sw.U32(uint32(len(ends)))
-	for _, end := range ends {
-		win := w.wins[end]
-		sw.Time(end)
-		sw.Time(win.maxT)
-		keys := make([]int64, 0, len(win.accs))
-		keys = sortedKeys(keys, win.accs)
-		sw.U32(uint32(len(keys)))
-		for _, k := range keys {
-			a := win.accs[k]
-			sw.I64(k)
-			sw.F64(a.sum)
-			sw.I64(a.count)
-			sw.F64(a.min)
-			sw.F64(a.max)
-		}
-	}
-}
-
-// RestoreState implements dataflow.Snapshotter.
-func (w *topK) RestoreState(r *snap.Reader) error {
-	if err := checkKind(r, snapKindTopK, "topK"); err != nil {
-		return err
-	}
-	w.emitted = r.Time()
-	w.late = r.I64()
-	if err := readFrontier(r, w.frontier); err != nil {
-		return err
-	}
-	nw := int(r.U32())
-	for i := 0; i < nw && r.Err() == nil; i++ {
-		end := r.Time()
-		win := w.pool.getWindow()
-		win.maxT = r.Time()
-		w.wins[end] = win
-		na := int(r.U32())
-		for k := 0; k < na && r.Err() == nil; k++ {
-			key := r.I64()
-			a := w.pool.getAcc()
-			a.sum = r.F64()
-			a.count = r.I64()
-			a.min = r.F64()
-			a.max = r.F64()
-			win.accs[key] = a
-		}
-	}
-	return r.Err()
-}
-
-// SnapshotState implements dataflow.Snapshotter.
-func (w *distinctCount) SnapshotState(sw *snap.Writer) {
-	sw.U8(snapKindDistinct)
-	sw.Time(w.emitted)
-	sw.I64(w.late)
-	writeFrontier(sw, w.frontier)
-	ends := sortedTimes(w.scratch.ends, w.wins)
-	w.scratch.ends = ends
-	sw.U32(uint32(len(ends)))
-	for _, end := range ends {
-		win := w.wins[end]
-		sw.Time(end)
-		sw.Time(win.maxT)
-		keys := make([]int64, 0, len(win.keys))
-		keys = sortedKeys(keys, win.keys)
-		sw.U32(uint32(len(keys)))
-		for _, k := range keys {
-			sw.I64(k)
-		}
-	}
-}
-
-// RestoreState implements dataflow.Snapshotter.
-func (w *distinctCount) RestoreState(r *snap.Reader) error {
-	if err := checkKind(r, snapKindDistinct, "distinctCount"); err != nil {
-		return err
-	}
-	w.emitted = r.Time()
-	w.late = r.I64()
-	if err := readFrontier(r, w.frontier); err != nil {
-		return err
-	}
-	nw := int(r.U32())
-	for i := 0; i < nw && r.Err() == nil; i++ {
-		end := r.Time()
-		win := w.getWindow()
-		win.maxT = r.Time()
-		w.wins[end] = win
-		nk := int(r.U32())
-		for k := 0; k < nk && r.Err() == nil; k++ {
-			win.keys[r.I64()] = struct{}{}
 		}
 	}
 	return r.Err()

@@ -1,0 +1,161 @@
+package operators
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand/v2"
+	"slices"
+	"testing"
+
+	"github.com/cameo-stream/cameo/internal/core"
+	"github.com/cameo-stream/cameo/internal/dataflow"
+	"github.com/cameo-stream/cameo/internal/snap"
+	"github.com/cameo-stream/cameo/internal/vtime"
+)
+
+// TestWindowStateMatchesMapReference runs seeded random message sequences
+// through each keyed window operator and through its map-based reference
+// (reference_test.go) side by side: {tumbling, sliding} × {keyed, global}
+// × every aggregation for windowAgg, plus topK at three k and
+// distinctCount, each over {1, 2, 3} input channels and {on-time, late
+// tuples, progress-only messages}. After every message the emissions —
+// progress, time, batch presence, and every tuple's time, key and value
+// in order — and the late count must be identical. Every 37 messages the
+// snapshots must be byte-identical, and the operator under test continues
+// from a fresh handler restored from its own snapshot.
+func TestWindowStateMatchesMapReference(t *testing.T) {
+	ms := vtime.Millisecond
+	type pair struct {
+		name     string
+		got, ref func(int) dataflow.Handler
+		slide    vtime.Duration
+	}
+	var ops []pair
+	for _, shape := range []struct {
+		name        string
+		size, slide vtime.Duration
+	}{{"tumbling", 100 * ms, 100 * ms}, {"sliding", 300 * ms, 100 * ms}} {
+		for _, global := range []bool{false, true} {
+			for agg := Sum; agg <= Mean; agg++ {
+				spec := WindowAggSpec{Size: shape.size, Slide: shape.slide, Agg: agg, Global: global}
+				ops = append(ops, pair{fmt.Sprintf("windowAgg/%s/global=%v/%v", shape.name, global, agg),
+					WindowAgg(spec), refWindowAggFactory(spec), shape.slide})
+			}
+		}
+	}
+	for _, k := range []int{1, 3, 100} {
+		spec := TopKSpec{Size: 100 * ms, K: k}
+		ops = append(ops, pair{fmt.Sprintf("topK/k=%d", k), TopK(spec), refTopKFactory(spec), spec.Size})
+	}
+	dspec := DistinctCountSpec{Size: 100 * ms}
+	ops = append(ops, pair{"distinctCount", DistinctCount(dspec), refDistinctCountFactory(dspec), dspec.Size})
+
+	seed := uint64(0)
+	for _, op := range ops {
+		for channels := 1; channels <= 3; channels++ {
+			for _, mode := range []string{"on-time", "late", "progress-only"} {
+				seed++
+				rng := rand.New(rand.NewPCG(seed, 26))
+				t.Run(fmt.Sprintf("%s/ch%d/%s", op.name, channels, mode), func(t *testing.T) {
+					got, ref := op.got(channels), op.ref(channels)
+					spread := []int64{3, 40, 1000}[rng.IntN(3)]
+					key := func() int64 {
+						if rng.IntN(50) == 0 {
+							return []int64{1 << 40, -1 << 50, 0}[rng.IntN(3)]
+						}
+						return rng.Int64N(2*spread+1) - spread
+					}
+					prog := make([]vtime.Time, channels)
+					var now vtime.Time
+					for i := 1; i <= 400; i++ {
+						ch := rng.IntN(channels)
+						lo := prog[ch]
+						prog[ch] += vtime.Time(rng.Int64N(int64(2 * op.slide)))
+						now += vtime.Time(rng.Int64N(int64(ms)))
+						m := &core.Message{P: prog[ch], T: now, Channel: ch}
+						switch {
+						case mode == "progress-only" && rng.IntN(3) == 0:
+							switch rng.IntN(3) {
+							case 0: // no payload
+							case 1:
+								m.Payload = dataflow.NewBatch(0)
+							case 2: // times only: every tuple is key 0, value 0
+								m.Payload = &dataflow.Batch{Times: []vtime.Time{lo, prog[ch]}}
+							}
+						default:
+							n := rng.IntN(12)
+							b := dataflow.NewBatch(n)
+							for j := 0; j < n; j++ {
+								p := lo + vtime.Time(rng.Int64N(int64(prog[ch]-lo)+1))
+								if mode == "late" && rng.IntN(4) == 0 {
+									p = vtime.Time(rng.Int64N(int64(prog[ch]) + 1))
+								}
+								b.Append(p, key(), float64(rng.IntN(2000)-1000)/8)
+							}
+							m.Payload = b
+						}
+						want := ref.OnMessage(testCtx, m)
+						if diff := diffEmissions(got.OnMessage(testCtx, m), want); diff != "" {
+							t.Fatalf("message %d: %s", i, diff)
+						}
+						gl, rl := got.(interface{ LateTuples() int64 }).LateTuples(), ref.(interface{ LateTuples() int64 }).LateTuples()
+						if gl != rl {
+							t.Fatalf("message %d: late tuples %d, reference %d", i, gl, rl)
+						}
+						if i%37 == 0 {
+							got = restoredCopy(t, got, ref, channels, op.got)
+						}
+					}
+					late := ref.(interface{ LateTuples() int64 }).LateTuples()
+					if (mode == "late") != (late > 0) {
+						t.Fatalf("%s sequence dropped %d late tuples", mode, late)
+					}
+				})
+			}
+		}
+	}
+}
+
+// restoredCopy checks that got snapshots the same bytes as ref, and
+// returns a fresh handler restored from those bytes.
+func restoredCopy(t *testing.T, got, ref dataflow.Handler, channels int, mk func(int) dataflow.Handler) dataflow.Handler {
+	t.Helper()
+	gw, rw := snap.NewWriter(), snap.NewWriter()
+	got.(dataflow.Snapshotter).SnapshotState(gw)
+	ref.(interface{ SnapshotState(*snap.Writer) }).SnapshotState(rw)
+	if !bytes.Equal(gw.Bytes(), rw.Bytes()) {
+		t.Fatal("snapshot bytes differ from the reference")
+	}
+	r, err := snap.NewReader(gw.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := mk(channels)
+	if err := fresh.(dataflow.Snapshotter).RestoreState(r); err != nil {
+		t.Fatalf("restore: %v", err)
+	}
+	return fresh
+}
+
+// diffEmissions describes the first difference between two emission
+// lists, or returns "" when they are identical.
+func diffEmissions(got, want []dataflow.Emission) string {
+	if len(got) != len(want) {
+		return fmt.Sprintf("%d emissions, reference %d", len(got), len(want))
+	}
+	for i, g := range got {
+		w := want[i]
+		switch {
+		case g.P != w.P || g.T != w.T:
+			return fmt.Sprintf("emission %d at (P %v, T %v), reference (P %v, T %v)", i, g.P, g.T, w.P, w.T)
+		case (g.Batch == nil) != (w.Batch == nil):
+			return fmt.Sprintf("emission %d batch presence %v, reference %v", i, g.Batch != nil, w.Batch != nil)
+		case g.Batch == nil:
+		case !slices.Equal(g.Batch.Times, w.Batch.Times) || !slices.Equal(g.Batch.Keys, w.Batch.Keys) ||
+			!slices.Equal(g.Batch.Vals, w.Batch.Vals):
+			return fmt.Sprintf("emission %d at P %v: tuples %v %v %v, reference %v %v %v", i, g.P,
+				g.Batch.Times, g.Batch.Keys, g.Batch.Vals, w.Batch.Times, w.Batch.Keys, w.Batch.Vals)
+		}
+	}
+	return ""
+}

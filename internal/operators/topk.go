@@ -1,11 +1,11 @@
 package operators
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"github.com/cameo-stream/cameo/internal/core"
 	"github.com/cameo-stream/cameo/internal/dataflow"
-	"github.com/cameo-stream/cameo/internal/progress"
 	"github.com/cameo-stream/cameo/internal/vtime"
 )
 
@@ -26,113 +26,38 @@ func TopK(spec TopKSpec) func(inChannels int) dataflow.Handler {
 		panic("operators: TopK needs positive window size and k")
 	}
 	return func(inChannels int) dataflow.Handler {
-		return &topK{
-			spec:     spec,
-			frontier: progress.NewFrontier(inChannels),
-			wins:     make(map[vtime.Time]*aggWindow),
-		}
+		return &topK{spec: spec, windowState: newWindowState(spec.Size, spec.Size, false, inChannels)}
 	}
 }
 
 type topK struct {
-	spec     TopKSpec
-	frontier *progress.Frontier
-	wins     map[vtime.Time]*aggWindow
-	emitted  vtime.Time
-	late     int64
-
-	pool    aggPool
-	scratch emitScratch
-	ranked  []topkEntry // result ranking buffer, reused per emit
+	spec TopKSpec
+	windowState
 }
-
-type topkEntry struct {
-	key int64
-	sum float64
-}
-
-// LateTuples reports dropped late tuples.
-func (w *topK) LateTuples() int64 { return w.late }
 
 // OnMessage implements dataflow.Handler.
 func (w *topK) OnMessage(ctx *dataflow.Context, m *core.Message) []dataflow.Emission {
-	if b, _ := m.Payload.(*dataflow.Batch); b != nil {
-		for i, p := range b.Times {
-			end := (p/w.spec.Size + 1) * w.spec.Size
-			if end <= w.emitted {
-				w.late++
-				continue
-			}
-			win := w.wins[end]
-			if win == nil {
-				win = w.pool.getWindow()
-				w.wins[end] = win
-			}
-			var key int64
-			if b.Keys != nil {
-				key = b.Keys[i]
-			}
-			var val float64
-			if b.Vals != nil {
-				val = b.Vals[i]
-			}
-			a := win.accs[key]
-			if a == nil {
-				a = w.pool.getAcc()
-				win.accs[key] = a
-			}
-			a.add(val)
-			if m.T > win.maxT {
-				win.maxT = m.T
-			}
-		}
-	}
-
-	f, ok := w.frontier.Advance(m.Channel, m.P)
+	boundary, ok := w.ingest(m)
 	if !ok {
 		return nil
 	}
-	boundary := (f / w.spec.Size) * w.spec.Size
-	if boundary <= w.emitted {
-		return nil
-	}
-
-	ends := closedEnds(&w.scratch, w.wins, boundary)
-	out := w.scratch.out[:0]
-	for _, end := range ends {
-		win := w.wins[end]
-		delete(w.wins, end)
-		out = append(out, dataflow.Emission{Batch: w.result(ctx, end, win), P: end, T: win.maxT})
-		w.pool.putWindow(win)
-	}
-	if len(ends) == 0 || ends[len(ends)-1] < boundary {
-		out = append(out, dataflow.Emission{Batch: nil, P: boundary, T: m.T})
-	}
-	w.emitted = boundary
-	w.scratch.out = out
-	return out
+	return w.emit(boundary, m.T, func(win *window) *dataflow.Batch { return w.result(ctx, win) })
 }
 
-func (w *topK) result(ctx *dataflow.Context, end vtime.Time, win *aggWindow) *dataflow.Batch {
-	all := w.ranked[:0]
-	for k, a := range win.accs {
-		all = append(all, topkEntry{k, a.sum})
-	}
-	// Descending by sum; key ascending breaks ties deterministically.
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].sum != all[j].sum {
-			return all[i].sum > all[j].sum
+func (w *topK) result(ctx *dataflow.Context, win *window) *dataflow.Batch {
+	// Descending by sum; key ascending breaks ties deterministically. The
+	// window is released after this emit, so its index need not follow.
+	all := win.keys.entries
+	slices.SortFunc(all, func(a, b keyAcc) int {
+		if c := cmp.Compare(b.sum, a.sum); c != 0 {
+			return c
 		}
-		return all[i].key < all[j].key
+		return cmp.Compare(a.key, b.key)
 	})
-	w.ranked = all
-	n := w.spec.K
-	if n > len(all) {
-		n = len(all)
-	}
+	n := min(w.spec.K, len(all))
 	b := ctx.NewBatch(n)
 	for _, e := range all[:n] {
-		b.Append(end-1, e.key, e.sum) // stamped just inside the window
+		b.Append(win.end-1, e.key, e.sum) // stamped just inside the window
 	}
 	return b
 }
@@ -153,94 +78,23 @@ func DistinctCount(spec DistinctCountSpec) func(inChannels int) dataflow.Handler
 		panic("operators: DistinctCount needs a positive window size")
 	}
 	return func(inChannels int) dataflow.Handler {
-		return &distinctCount{
-			size:     spec.Size,
-			frontier: progress.NewFrontier(inChannels),
-			wins:     make(map[vtime.Time]*distinctWindow),
-		}
+		return &distinctCount{newWindowState(spec.Size, spec.Size, false, inChannels)}
 	}
-}
-
-type distinctWindow struct {
-	keys map[int64]struct{}
-	maxT vtime.Time
 }
 
 type distinctCount struct {
-	size     vtime.Duration
-	frontier *progress.Frontier
-	wins     map[vtime.Time]*distinctWindow
-	emitted  vtime.Time
-	late     int64
-
-	winFree []*distinctWindow
-	scratch emitScratch
+	windowState
 }
-
-// getWindow draws a cleared window from the free list.
-func (w *distinctCount) getWindow() *distinctWindow {
-	if n := len(w.winFree); n > 0 {
-		win := w.winFree[n-1]
-		w.winFree[n-1] = nil
-		w.winFree = w.winFree[:n-1]
-		win.maxT = 0
-		clear(win.keys)
-		return win
-	}
-	return &distinctWindow{keys: make(map[int64]struct{})}
-}
-
-// LateTuples reports dropped late tuples.
-func (w *distinctCount) LateTuples() int64 { return w.late }
 
 // OnMessage implements dataflow.Handler.
 func (w *distinctCount) OnMessage(ctx *dataflow.Context, m *core.Message) []dataflow.Emission {
-	if b, _ := m.Payload.(*dataflow.Batch); b != nil {
-		for i, p := range b.Times {
-			end := (p/w.size + 1) * w.size
-			if end <= w.emitted {
-				w.late++
-				continue
-			}
-			win := w.wins[end]
-			if win == nil {
-				win = w.getWindow()
-				w.wins[end] = win
-			}
-			var key int64
-			if b.Keys != nil {
-				key = b.Keys[i]
-			}
-			win.keys[key] = struct{}{}
-			if m.T > win.maxT {
-				win.maxT = m.T
-			}
-		}
-	}
-
-	f, ok := w.frontier.Advance(m.Channel, m.P)
+	boundary, ok := w.ingest(m)
 	if !ok {
 		return nil
 	}
-	boundary := (f / w.size) * w.size
-	if boundary <= w.emitted {
-		return nil
-	}
-
-	ends := closedEnds(&w.scratch, w.wins, boundary)
-	out := w.scratch.out[:0]
-	for _, end := range ends {
-		win := w.wins[end]
-		delete(w.wins, end)
+	return w.emit(boundary, m.T, func(win *window) *dataflow.Batch {
 		b := ctx.NewBatch(1)
-		b.Append(end-1, 0, float64(len(win.keys)))
-		out = append(out, dataflow.Emission{Batch: b, P: end, T: win.maxT})
-		w.winFree = append(w.winFree, win)
-	}
-	if len(ends) == 0 || ends[len(ends)-1] < boundary {
-		out = append(out, dataflow.Emission{Batch: nil, P: boundary, T: m.T})
-	}
-	w.emitted = boundary
-	w.scratch.out = out
-	return out
+		b.Append(win.end-1, 0, float64(len(win.keys.entries)))
+		return b
+	})
 }

@@ -11,11 +11,10 @@ package operators
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"github.com/cameo-stream/cameo/internal/core"
 	"github.com/cameo-stream/cameo/internal/dataflow"
-	"github.com/cameo-stream/cameo/internal/progress"
 	"github.com/cameo-stream/cameo/internal/vtime"
 )
 
@@ -115,133 +114,37 @@ func (s WindowAggSpec) validate() {
 func WindowAgg(spec WindowAggSpec) func(inChannels int) dataflow.Handler {
 	spec.validate()
 	return func(inChannels int) dataflow.Handler {
-		return &windowAgg{
-			spec:     spec,
-			frontier: progress.NewFrontier(inChannels),
-			wins:     make(map[vtime.Time]*aggWindow),
-		}
+		return &windowAgg{spec: spec, windowState: newWindowState(spec.Size, spec.Slide, spec.Global, inChannels)}
 	}
-}
-
-type aggWindow struct {
-	accs map[int64]*acc
-	maxT vtime.Time
 }
 
 type windowAgg struct {
-	spec     WindowAggSpec
-	frontier *progress.Frontier
-	wins     map[vtime.Time]*aggWindow // keyed by window end
-	emitted  vtime.Time                // highest window end emitted (0 before first trigger)
-	late     int64
-
-	// Steady-state scratch: window/accumulator free lists (aggPool), the
-	// emit-cycle buffers (emitScratch), and the result key-sort buffer.
-	pool    aggPool
-	scratch emitScratch
-	keys    []int64
-}
-
-// LateTuples reports tuples that arrived after their window was emitted
-// (dropped). Nonzero values indicate a progress violation upstream.
-func (w *windowAgg) LateTuples() int64 { return w.late }
-
-// windowEnds iterates the ends of every window containing logical time p:
-// ends e with p < e <= p+size, aligned to the slide.
-func windowEnds(p vtime.Time, size, slide vtime.Duration, f func(end vtime.Time)) {
-	first := (p/slide + 1) * slide
-	for e := first; e <= p+size; e += slide {
-		f(e)
-	}
+	spec WindowAggSpec
+	windowState
 }
 
 // OnMessage implements dataflow.Handler.
 func (w *windowAgg) OnMessage(ctx *dataflow.Context, m *core.Message) []dataflow.Emission {
-	if b, _ := m.Payload.(*dataflow.Batch); b != nil {
-		for i, p := range b.Times {
-			var key int64
-			if !w.spec.Global && b.Keys != nil {
-				key = b.Keys[i]
-			}
-			var val float64
-			if b.Vals != nil {
-				val = b.Vals[i]
-			}
-			fresh := false
-			windowEnds(p, w.spec.Size, w.spec.Slide, func(end vtime.Time) {
-				if end <= w.emitted {
-					return // window already emitted: tuple is late for it
-				}
-				fresh = true
-				win := w.wins[end]
-				if win == nil {
-					win = w.pool.getWindow()
-					w.wins[end] = win
-				}
-				a := win.accs[key]
-				if a == nil {
-					a = w.pool.getAcc()
-					win.accs[key] = a
-				}
-				a.add(val)
-				if m.T > win.maxT {
-					win.maxT = m.T
-				}
-			})
-			if !fresh {
-				w.late++
-			}
-		}
-	}
-
-	f, ok := w.frontier.Advance(m.Channel, m.P)
+	boundary, ok := w.ingest(m)
 	if !ok {
 		return nil
 	}
-	boundary := (f / w.spec.Slide) * w.spec.Slide // highest complete window end
-	if boundary <= w.emitted {
-		return nil
-	}
-	return w.emitThrough(ctx, boundary, m.T)
+	return w.emit(boundary, m.T, func(win *window) *dataflow.Batch { return w.result(ctx, win) })
 }
 
-// emitThrough emits every stored window with end <= boundary in end order,
-// plus one trailing progress-only emission at the boundary itself so
-// downstream frontiers advance even when this partition had no data
-// (the punctuation role of watermark heartbeats). The returned slice and
-// the emitted batches are engine-owned scratch/pool memory.
-func (w *windowAgg) emitThrough(ctx *dataflow.Context, boundary vtime.Time, t vtime.Time) []dataflow.Emission {
-	ends := closedEnds(&w.scratch, w.wins, boundary)
-	out := w.scratch.out[:0]
-	for _, end := range ends {
-		win := w.wins[end]
-		delete(w.wins, end)
-		out = append(out, dataflow.Emission{Batch: w.result(ctx, end, win), P: end, T: win.maxT})
-		w.pool.putWindow(win)
-	}
-	if len(ends) == 0 || ends[len(ends)-1] < boundary {
-		out = append(out, dataflow.Emission{Batch: nil, P: boundary, T: t})
-	}
-	w.emitted = boundary
-	w.scratch.out = out
-	return out
-}
-
-func (w *windowAgg) result(ctx *dataflow.Context, end vtime.Time, win *aggWindow) *dataflow.Batch {
-	keys := w.keys[:0]
-	for k := range win.accs {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	w.keys = keys
+func (w *windowAgg) result(ctx *dataflow.Context, win *window) *dataflow.Batch {
+	// The window is released after this emit, so its index need not
+	// follow the sort.
+	keys := win.keys.entries
+	slices.SortFunc(keys, byKey)
 	b := ctx.NewBatch(len(keys))
-	for _, k := range keys {
+	for i := range keys {
 		// Result tuples are stamped just inside the window (end-1) so a
 		// downstream windowed stage with the same boundaries aggregates
 		// them in the *same* window — otherwise every stage would add a
 		// full window of latency. The message progress stays at `end`
 		// (the paper: the resultant message's logical time is p_MF).
-		b.Append(end-1, k, win.accs[k].result(w.spec.Agg))
+		b.Append(win.end-1, keys[i].key, keys[i].result(w.spec.Agg))
 	}
 	return b
 }

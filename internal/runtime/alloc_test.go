@@ -5,9 +5,10 @@ package runtime_test
 // window cycle, with GC pinned off so sync.Pool backstops are not cleared
 // mid-measurement. The budget asserts the zero-allocation hot-path work
 // stays done: before message/batch pooling and intrusive scheduling state
-// the same cycle cost several allocations *per message*; pooled, the whole
-// multi-message cycle is budgeted at a handful (window-map churn in the
-// aggregation handlers — amortized, not per-message).
+// the same cycle cost several allocations *per message*; pooled, and with
+// the aggregation handlers' windows recycling one flat table each, the
+// whole multi-message cycle reads 0–4 (amortized growth, not per
+// message).
 
 import (
 	"fmt"
@@ -23,11 +24,12 @@ import (
 
 // maxAllocsPerWindowCycle budgets one window cycle: 4 source ingests →
 // 16 stage-0 messages + 5 derived messages, executed and drained. The
-// steady state measures ~13 allocations (map-bucket churn as windows
-// rotate through aggregation state, plus amortized metrics growth); 24
-// leaves headroom for allocator jitter while still failing loudly if
-// per-message allocation returns (which would cost 100+ per cycle).
-const maxAllocsPerWindowCycle = 24.0
+// steady state measures 0–4 allocations (amortized growth of engine
+// buffers; a window opens on its operator's spare table); 8 leaves
+// headroom for allocator jitter while failing if one allocation per
+// derived message, or the aggregation handlers' old map churn (14–15 per
+// cycle), returns.
+const maxAllocsPerWindowCycle = 8.0
 
 func TestAllocsEngineSteadyState(t *testing.T) {
 	if testkit.RaceEnabled {
