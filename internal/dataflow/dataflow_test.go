@@ -176,65 +176,6 @@ func TestTargetInfoColdAndWarm(t *testing.T) {
 	}
 }
 
-func TestRouteEmissionDeliversToAllTargets(t *testing.T) {
-	j, _ := NewJob(JobSpec{
-		Name: "r", Latency: 1, Sources: 1,
-		Stages: []StageSpec{
-			{Name: "a", Parallelism: 1, NewHandler: nopHandler},
-			{Name: "b", Parallelism: 3, NewHandler: nopHandler},
-		},
-	})
-	from := j.Stages[0][0]
-	b := NewBatch(4)
-	for k := int64(0); k < 4; k++ {
-		b.Append(vtime.Time(k), k, 1)
-	}
-	ds := j.RouteEmission(from, Emission{Batch: b, P: 10, T: 20})
-	if len(ds) != 3 {
-		t.Fatalf("deliveries = %d, want 3 (all targets, empties included)", len(ds))
-	}
-	total := 0
-	for _, d := range ds {
-		if d.P != 10 || d.T != 20 || d.Channel != 0 {
-			t.Fatalf("delivery meta = %+v", d)
-		}
-		total += d.Batch.Len()
-	}
-	if total != 4 {
-		t.Fatalf("tuples delivered = %d, want 4", total)
-	}
-	// Sink emissions are not routed.
-	if ds := j.RouteEmission(j.Stages[1][0], Emission{}); ds != nil {
-		t.Fatal("sink emission was routed")
-	}
-}
-
-func TestRouteSourceBatchPorts(t *testing.T) {
-	j, _ := NewJob(JobSpec{
-		Name: "p", Latency: 1, Sources: 4, SourcePorts: 2,
-		Stages: []StageSpec{{Name: "join", Parallelism: 2, NewHandler: nopHandler}},
-	})
-	// Sources 0,1 -> port 0; sources 2,3 -> port 1.
-	ds := j.RouteSourceBatch(1, NewBatch(0), 5, 6)
-	if len(ds) != 2 || ds[0].Port != 0 {
-		t.Fatalf("src1 deliveries = %+v", ds)
-	}
-	ds = j.RouteSourceBatch(2, NewBatch(0), 5, 6)
-	if ds[0].Port != 1 || ds[0].Channel != 2 {
-		t.Fatalf("src2 delivery = %+v", ds[0])
-	}
-}
-
-func TestRouteSourceBatchOutOfRangePanics(t *testing.T) {
-	j, _ := NewJob(twoStageSpec())
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	j.RouteSourceBatch(99, NewBatch(0), 0, 0)
-}
-
 func TestStageNameDefaults(t *testing.T) {
 	spec := JobSpec{Name: "d", Latency: 1, Sources: 1,
 		Stages: []StageSpec{{Parallelism: 1, NewHandler: nopHandler}}}

@@ -85,10 +85,8 @@ func Finish(op *Operator, m *core.Message, emissions []Emission, cost vtime.Dura
 			continue
 		}
 		// Fan the emission out to the next stage, partitioning by key, with
-		// a delivery to every instance (empty partitions carry the progress
-		// downstream frontiers need — the watermark-heartbeat role). This
-		// inlines Job.RouteEmission's semantics into env scratch; the
-		// drift-prone pieces (partition rule, source ports) are shared.
+		// a child for every instance (empty partitions carry the progress
+		// downstream frontiers need — the watermark-heartbeat role).
 		targets := op.Job.Stages[op.Stage+1]
 		parts, split := env.partition(e.Batch, len(targets))
 		for i, target := range targets {
@@ -140,7 +138,7 @@ func SourceMessages(j *Job, src int, b *Batch, p, t vtime.Time, env *Env) []Chil
 	if src < 0 || src >= j.Spec.Sources {
 		panic("dataflow: source out of range for job " + j.Spec.Name)
 	}
-	port := j.sourcePort(src)
+	port := src / (j.Spec.Sources / j.Spec.SourcePorts) // SourcePorts equal runs, in index order
 	targets := j.Stages[0]
 	parts, split := env.partition(b, len(targets))
 	if split {

@@ -146,3 +146,117 @@ func TestExecuteCriticalPathAccumulates(t *testing.T) {
 		t.Fatalf("TargetInfo = %+v", ti)
 	}
 }
+
+// TestExecuteFansOutToEveryTarget: a non-sink emission reaches every
+// next-stage instance, empty partitions included — they carry the progress
+// the target's frontier needs — each child stamped with the emission's P
+// and T and the sender's index as its channel, with every tuple delivered
+// once. A sink routes nothing.
+func TestExecuteFansOutToEveryTarget(t *testing.T) {
+	var emit Emission
+	j, err := NewJob(JobSpec{
+		Name: "r", Latency: 1, Sources: 1,
+		Stages: []StageSpec{
+			{Name: "a", Parallelism: 2, NewHandler: func(int) Handler {
+				return HandlerFunc(func(*Context, *core.Message) []Emission { return []Emission{emit} })
+			}},
+			{Name: "b", Parallelism: 3, NewHandler: passthroughHandler},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var id int64
+	env := NewEnv(&core.DeadlinePolicy{Kind: core.KindLLF}, func() int64 { id++; return id }, -1)
+	from := j.Stages[0][1]
+
+	spread, one := NewBatch(4), NewBatch(3)
+	for k := int64(0); k < 4; k++ {
+		spread.Append(vtime.Time(k), k, 1)
+	}
+	for i := 0; i < 3; i++ {
+		one.Append(vtime.Time(i), 7, 1) // one key: two partitions stay empty
+	}
+	for _, c := range []struct {
+		name  string
+		batch *Batch
+		empty int // children whose partition is empty, at least
+	}{{"spread keys", spread, 0}, {"one key", one, 2}, {"progress only", nil, 3}} {
+		emit = Emission{Batch: c.batch, P: 10, T: 20}
+		want := c.batch.Len()
+		out := Execute(from, &core.Message{ID: 1, P: 10, T: 20}, 30, 1, env)
+		if len(out.Children) != 3 || len(out.Outputs) != 0 {
+			t.Fatalf("%s: %d children, %d outputs; want one child per target, no outputs",
+				c.name, len(out.Children), len(out.Outputs))
+		}
+		total, empty := 0, 0
+		for i, ch := range out.Children {
+			if ch.Target != j.Stages[1][i] {
+				t.Fatalf("%s: child %d targets %s", c.name, i, ch.Target.Name)
+			}
+			if ch.Msg.P != 10 || ch.Msg.T != 20 || ch.Msg.Channel != from.Index {
+				t.Fatalf("%s: child %d at (P %v, T %v, channel %d), want (10, 20, %d)",
+					c.name, i, ch.Msg.P, ch.Msg.T, ch.Msg.Channel, from.Index)
+			}
+			b, _ := ch.Msg.Payload.(*Batch)
+			total += b.Len()
+			if b.Len() == 0 {
+				empty++
+			}
+		}
+		if total != want || empty < c.empty {
+			t.Fatalf("%s: %d tuples in %d empty children, want %d tuples, at least %d empty",
+				c.name, total, empty, want, c.empty)
+		}
+	}
+
+	sink := j.Stages[1][0]
+	out := Execute(sink, &core.Message{ID: 2, P: 10, T: 20, Payload: spread}, 40, 1, env)
+	if len(out.Children) != 0 || len(out.Outputs) != 1 {
+		t.Fatalf("sink routed %d children and recorded %d outputs, want 0 and 1",
+			len(out.Children), len(out.Outputs))
+	}
+}
+
+// TestSourceMessagesPorts: a source's messages go to every stage-0
+// instance on the source's channel, and their port follows SourcePorts —
+// the sources split into equal runs in index order.
+func TestSourceMessagesPorts(t *testing.T) {
+	j, err := NewJob(JobSpec{
+		Name: "p", Latency: 1, Sources: 4, SourcePorts: 2,
+		Stages: []StageSpec{{Name: "join", Parallelism: 2, NewHandler: passthroughHandler}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := NewEnv(&core.DeadlinePolicy{Kind: core.KindLLF}, func() int64 { return 1 }, -1)
+	for src, port := range []int{0, 0, 1, 1} {
+		msgs := SourceMessages(j, src, NewBatch(0), 5, 6, env)
+		if len(msgs) != 2 {
+			t.Fatalf("source %d: %d messages, want 2", src, len(msgs))
+		}
+		for i, cm := range msgs {
+			if cm.Target != j.Stages[0][i] || cm.Msg.Port != port || cm.Msg.Channel != src {
+				t.Fatalf("source %d message %d: target %s port %d channel %d, want port %d channel %d",
+					src, i, cm.Target.Name, cm.Msg.Port, cm.Msg.Channel, port, src)
+			}
+		}
+	}
+}
+
+// TestSourceMessagesOutOfRangePanics: a source index the job does not have
+// panics instead of misrouting a batch onto another source's channel.
+func TestSourceMessagesOutOfRangePanics(t *testing.T) {
+	j := exampleJob(t)
+	env := NewEnv(&core.DeadlinePolicy{Kind: core.KindLLF}, func() int64 { return 1 }, -1)
+	for _, src := range []int{-1, j.Spec.Sources, 99} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("source %d: expected panic", src)
+				}
+			}()
+			SourceMessages(j, src, NewBatch(0), 0, 0, env)
+		}()
+	}
+}

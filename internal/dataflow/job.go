@@ -179,8 +179,8 @@ func NewJob(spec JobSpec) (*Job, error) {
 
 // Teardown releases the memory a departing job's operators accumulated:
 // grown message-heap capacity in the intrusive scheduling state,
-// and the handler (whose window maps and per-instance free lists dominate
-// a long-lived job's footprint). Without it a high-churn engine would
+// and the handler (whose open windows and spare tables dominate a
+// long-lived job's footprint). Without it a high-churn engine would
 // retain every departed job's steady-state capacity for as long as
 // anything referenced the job.
 //
@@ -205,9 +205,6 @@ func (j *Job) Operators() []*Operator {
 	}
 	return out
 }
-
-// SinkStage returns the operators of the last stage.
-func (j *Job) SinkStage() []*Operator { return j.Stages[len(j.Stages)-1] }
 
 // TargetInfo assembles the core.TargetInfo for a message sent from `from`
 // (nil when the sender is a source) to `target` — the paper's
@@ -242,79 +239,4 @@ func (j *Job) DeliverReply(from *Operator, target *Operator, rc profile.Reply) {
 		return
 	}
 	from.Profile.Path.OnReply(target.Index, rc)
-}
-
-// Delivery is one routed message-to-be: a sub-batch bound for a target
-// operator instance.
-type Delivery struct {
-	Target  *Operator
-	Batch   *Batch
-	P, T    vtime.Time
-	Channel int
-	Port    int
-}
-
-// RouteEmission fans an emission from operator `from` out to the next
-// stage, partitioning the batch by key across the stage's instances.
-// Instances whose partition is empty still receive a (nil-batch) delivery:
-// it carries the stream progress they need to advance their frontier —
-// the punctuation/heartbeat role of dataflow watermarks. Returns nil when
-// `from` is the sink stage (the engine records an output instead).
-//
-// This is the allocating reference form of the fan-out; Finish inlines
-// the same semantics into env scratch for the engines' hot path. The
-// parts that could drift — the partitioning rule and the source-port
-// derivation — are shared (partitionInto, Job.sourcePort); keep the
-// remaining loop shape in lockstep with Finish when changing either.
-func (j *Job) RouteEmission(from *Operator, e Emission) []Delivery {
-	next := from.Stage + 1
-	if next >= len(j.Stages) {
-		return nil
-	}
-	targets := j.Stages[next]
-	parts := e.Batch.Partition(len(targets))
-	out := make([]Delivery, 0, len(targets))
-	for i, target := range targets {
-		out = append(out, Delivery{
-			Target:  target,
-			Batch:   parts[i],
-			P:       e.P,
-			T:       e.T,
-			Channel: from.Index,
-		})
-	}
-	return out
-}
-
-// sourcePort derives the logical input port of a source channel (shared
-// by RouteSourceBatch and SourceMessages so the mapping cannot diverge).
-func (j *Job) sourcePort(src int) int {
-	return src / (j.Spec.Sources / j.Spec.SourcePorts)
-}
-
-// RouteSourceBatch fans one source batch (from source channel src, logical
-// progress p observed at physical time t) out to stage 0, partitioned by
-// key. Every stage-0 instance receives a delivery so frontiers advance
-// uniformly. The source's port is derived from its channel index. Like
-// RouteEmission, this is the allocating reference form of the fan-out
-// SourceMessages inlines for the hot path.
-func (j *Job) RouteSourceBatch(src int, b *Batch, p, t vtime.Time) []Delivery {
-	if src < 0 || src >= j.Spec.Sources {
-		panic(fmt.Sprintf("dataflow: source %d out of range for job %q", src, j.Spec.Name))
-	}
-	port := j.sourcePort(src)
-	targets := j.Stages[0]
-	parts := b.Partition(len(targets))
-	out := make([]Delivery, 0, len(targets))
-	for i, target := range targets {
-		out = append(out, Delivery{
-			Target:  target,
-			Batch:   parts[i],
-			P:       p,
-			T:       t,
-			Channel: src,
-			Port:    port,
-		})
-	}
-	return out
 }

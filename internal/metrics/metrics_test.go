@@ -159,16 +159,10 @@ func TestOverheadAccounting(t *testing.T) {
 	o := NewOverhead(2) // cells sum on read
 	o.AddExec(0, 50)
 	o.AddExec(1, 30)
-	o.AddSched(1, 15)
-	o.AddPriGen(0, 5)
-	if f := o.Fraction(); f != 0.2 {
-		t.Fatalf("Fraction = %v, want 0.2", f)
-	}
-	s := o.Snapshot()
-	if s.Messages != 2 || s.Exec != 80 {
+	if s := o.Snapshot(); s.Messages != 2 || s.Exec != 80 {
 		t.Fatalf("Snapshot = %+v", s)
 	}
-	if empty := NewOverhead(1); empty.Fraction() != 0 {
-		t.Fatal("empty Fraction should be 0")
+	if s := NewOverhead(0).Snapshot(); s != (OverheadSnapshot{}) {
+		t.Fatalf("empty Snapshot = %+v", s)
 	}
 }

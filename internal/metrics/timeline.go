@@ -121,28 +121,26 @@ func (st *ScheduleTrace) Events() []ScheduleEvent {
 
 // OverheadSnapshot is a point-in-time copy of an Overhead's accounting.
 type OverheadSnapshot struct {
-	Exec, Sched, PriGen vtime.Duration
-	Messages            int64
+	Exec     vtime.Duration
+	Messages int64
 }
 
-// Overhead accounts where scheduler time goes, for the Figure 12 breakdown:
-// Exec is useful message execution, Sched is queue manipulation, PriGen is
-// priority/context generation. The adds sit on the real-time engine's
-// per-message hot path, so the tallies are kept in one cache-line-sized
-// cell per worker — a worker's adds never leave its core — and summed on
-// read: a mid-flight Snapshot may observe the cells at slightly different
-// instants; at quiescence (post-drain, where every report reads it) the
-// numbers are exact. The real-time engine feeds Exec and Messages only: it
-// reads the clock once per message, at completion, so a message's Exec
-// also covers the previous message's context generation and delivery,
-// which are not timed separately.
+// Overhead accounts the real-time engine's executed messages and their
+// measured execution time. The adds sit on the per-message hot path, so
+// the tallies are kept in one cache-line-sized cell per worker — a
+// worker's adds never leave its core — and summed on read: a mid-flight
+// Snapshot may observe the cells at slightly different instants; at
+// quiescence (post-drain, where every report reads it) the numbers are
+// exact. The engine reads the clock once per message, at completion, so a
+// message's Exec also covers the previous message's context generation
+// and delivery, which are not timed separately.
 type Overhead struct {
 	cells []overheadCell
 }
 
 type overheadCell struct {
-	exec, sched, prigen, messages atomic.Int64
-	_                             [32]byte // one cell per cache line
+	exec, messages atomic.Int64
+	_              [48]byte // one cell per cache line
 }
 
 // NewOverhead returns an accounting with the given number of cells
@@ -161,35 +159,13 @@ func (o *Overhead) AddExec(cell int, d vtime.Duration) {
 	c.messages.Add(1)
 }
 
-// AddSched adds scheduling (queue) time.
-func (o *Overhead) AddSched(cell int, d vtime.Duration) {
-	o.cells[cell].sched.Add(int64(d))
-}
-
-// AddPriGen adds priority-generation (context conversion) time.
-func (o *Overhead) AddPriGen(cell int, d vtime.Duration) {
-	o.cells[cell].prigen.Add(int64(d))
-}
-
 // Snapshot returns the current accounting summed over the cells.
 func (o *Overhead) Snapshot() OverheadSnapshot {
 	var s OverheadSnapshot
 	for i := range o.cells {
 		c := &o.cells[i]
 		s.Exec += vtime.Duration(c.exec.Load())
-		s.Sched += vtime.Duration(c.sched.Load())
-		s.PriGen += vtime.Duration(c.prigen.Load())
 		s.Messages += c.messages.Load()
 	}
 	return s
-}
-
-// Fraction reports scheduling+generation time as a fraction of total time.
-func (o *Overhead) Fraction() float64 {
-	s := o.Snapshot()
-	total := s.Exec + s.Sched + s.PriGen
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Sched+s.PriGen) / float64(total)
 }

@@ -13,26 +13,29 @@ import (
 	"github.com/cameo-stream/cameo/internal/vtime"
 )
 
-// TestAllocsWindowCycle pins the keyed window operators' steady state at
-// zero allocations: once a window's table has grown to its key count, a
+// TestAllocsWindowCycle pins the windowed operators' steady state at zero
+// allocations: once a window's tables have grown to its key count, a
 // cycle that fills the next window and emits the previous one — open,
-// fill, emit, recycle — reuses the closed window's table, the emission
-// slice and pooled result batches. The engine-level gate
-// (internal/runtime/alloc_test.go) covers the message path around it.
+// fill, emit, recycle — reuses the closed window's tables, the emission
+// slice and pooled result batches. The join's cycle fills both sides.
+// The engine-level gate (internal/runtime/alloc_test.go) covers the
+// message path around it.
 func TestAllocsWindowCycle(t *testing.T) {
 	if testkit.RaceEnabled {
 		t.Skip("allocation accounting is not meaningful under -race")
 	}
 	win := 10 * vtime.Millisecond
 	for _, c := range []struct {
-		name string
-		h    func(int) dataflow.Handler
+		name  string
+		h     func(int) dataflow.Handler
+		ports int // the batch goes in once on each port
 	}{
-		{"windowAgg/keyed", operators.WindowAgg(operators.WindowAggSpec{Size: win, Slide: win, Agg: operators.Sum})},
-		{"windowAgg/global", operators.WindowAgg(operators.WindowAggSpec{Size: win, Slide: win, Agg: operators.Mean, Global: true})},
-		{"windowAgg/sliding", operators.WindowAgg(operators.WindowAggSpec{Size: 4 * win, Slide: win, Agg: operators.Max})},
-		{"topK", operators.TopK(operators.TopKSpec{Size: win, K: 4})},
-		{"distinctCount", operators.DistinctCount(operators.DistinctCountSpec{Size: win})},
+		{"windowAgg/keyed", operators.WindowAgg(operators.WindowAggSpec{Size: win, Slide: win, Agg: operators.Sum}), 1},
+		{"windowAgg/global", operators.WindowAgg(operators.WindowAggSpec{Size: win, Slide: win, Agg: operators.Mean, Global: true}), 1},
+		{"windowAgg/sliding", operators.WindowAgg(operators.WindowAggSpec{Size: 4 * win, Slide: win, Agg: operators.Max}), 1},
+		{"topK", operators.TopK(operators.TopKSpec{Size: win, K: 4}), 1},
+		{"distinctCount", operators.DistinctCount(operators.DistinctCountSpec{Size: win}), 1},
+		{"windowJoin", operators.WindowJoin(operators.WindowJoinSpec{Size: win}), 2},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			defer debug.SetGCPercent(debug.SetGCPercent(-1))
@@ -53,8 +56,10 @@ func TestAllocsWindowCycle(t *testing.T) {
 					b.Times[i] = vtime.Time(w)*win + 1 + vtime.Time(i)
 				}
 				m.P, m.T = vtime.Time(w)*win, vtime.Time(w)*win
-				for _, e := range dataflow.Invoke(op, m, m.T, env) {
-					env.FreeBatch(e.Batch)
+				for m.Port = 0; m.Port < c.ports; m.Port++ {
+					for _, e := range dataflow.Invoke(op, m, m.T, env) {
+						env.FreeBatch(e.Batch)
+					}
 				}
 			}
 			for i := 0; i < 20; i++ {

@@ -329,14 +329,8 @@ func TestFilterDropsTuples(t *testing.T) {
 	}
 }
 
-func TestPassthroughAndNoOpAndEmit(t *testing.T) {
-	p := Passthrough()(1)
+func TestNoOpAndEmit(t *testing.T) {
 	b := batchOf([3]int64{0, 1, 1})
-	out := p.OnMessage(testCtx, dataMsg(0, sec(1), sec(2), b))
-	if len(out) != 1 || out[0].Batch != b || out[0].P != sec(1) || out[0].T != sec(2) {
-		t.Fatalf("passthrough = %+v", out)
-	}
-
 	n := NoOp()(1)
 	if out := n.OnMessage(testCtx, dataMsg(0, sec(1), sec(1), b)); out != nil {
 		t.Fatal("noop emitted")

@@ -10,11 +10,11 @@ import (
 	"github.com/cameo-stream/cameo/internal/vtime"
 )
 
-// The map-based keyed window operators the flat window store replaced,
-// kept as the reference TestWindowStateMatchesMapReference compares
-// against: open windows in a map keyed by end, per-key accumulators in a
-// map per window, closed ends collected and sorted on every emit, and the
-// snapshot encoders that walk both maps in sorted order.
+// The map-based window operators the flat window store replaced, kept as
+// the reference TestWindowStateMatchesMapReference compares against: open
+// windows in a map keyed by end, per-key accumulators in a map per window
+// (one per side for the join), closed ends collected and sorted on every
+// emit, and the snapshot encoders that walk both maps in sorted order.
 
 type refAggWindow struct {
 	accs map[int64]*acc
@@ -397,6 +397,150 @@ func (w *refDistinctCount) SnapshotState(sw *snap.Writer) {
 		sw.U32(uint32(len(keys)))
 		for _, k := range keys {
 			sw.I64(k)
+		}
+	}
+}
+
+func refWindowJoinFactory(spec WindowJoinSpec) func(int) dataflow.Handler {
+	if spec.Combine == nil {
+		spec.Combine = func(l, r float64) float64 { return l + r }
+	}
+	return func(inChannels int) dataflow.Handler {
+		return &refWindowJoin{
+			spec:     spec,
+			frontier: progress.NewFrontier(inChannels),
+			wins:     make(map[vtime.Time]*refJoinWindow),
+		}
+	}
+}
+
+type refJoinWindow struct {
+	sides [2]map[int64]float64
+	maxT  vtime.Time
+}
+
+type refWindowJoin struct {
+	spec     WindowJoinSpec
+	frontier *progress.Frontier
+	wins     map[vtime.Time]*refJoinWindow
+	emitted  vtime.Time
+	late     int64
+
+	winFree []*refJoinWindow
+	ends    []vtime.Time
+	keys    []int64
+}
+
+func (w *refWindowJoin) getWindow() *refJoinWindow {
+	if n := len(w.winFree); n > 0 {
+		win := w.winFree[n-1]
+		w.winFree[n-1] = nil
+		w.winFree = w.winFree[:n-1]
+		win.maxT = 0
+		clear(win.sides[0])
+		clear(win.sides[1])
+		return win
+	}
+	win := &refJoinWindow{}
+	win.sides[0] = make(map[int64]float64)
+	win.sides[1] = make(map[int64]float64)
+	return win
+}
+
+func (w *refWindowJoin) LateTuples() int64 { return w.late }
+
+func (w *refWindowJoin) OnMessage(ctx *dataflow.Context, m *core.Message) []dataflow.Emission {
+	side := m.Port
+	if side < 0 || side > 1 {
+		side = 0
+	}
+	if b, _ := m.Payload.(*dataflow.Batch); b != nil {
+		for i, p := range b.Times {
+			end := (p/w.spec.Size + 1) * w.spec.Size
+			if end <= w.emitted {
+				w.late++
+				continue
+			}
+			win := w.wins[end]
+			if win == nil {
+				win = w.getWindow()
+				w.wins[end] = win
+			}
+			var key int64
+			if b.Keys != nil {
+				key = b.Keys[i]
+			}
+			var val float64
+			if b.Vals != nil {
+				val = b.Vals[i]
+			}
+			win.sides[side][key] += val
+			if m.T > win.maxT {
+				win.maxT = m.T
+			}
+		}
+	}
+	f, ok := w.frontier.Advance(m.Channel, m.P)
+	if !ok {
+		return nil
+	}
+	boundary := (f / w.spec.Size) * w.spec.Size
+	if boundary <= w.emitted {
+		return nil
+	}
+	ends := refClosedEnds(&w.ends, w.wins, boundary)
+	var out []dataflow.Emission
+	for _, end := range ends {
+		win := w.wins[end]
+		delete(w.wins, end)
+		b := w.result(ctx, end, win)
+		out = append(out, dataflow.Emission{Batch: b, P: end, T: win.maxT})
+		w.winFree = append(w.winFree, win)
+	}
+	if len(ends) == 0 || ends[len(ends)-1] < boundary {
+		out = append(out, dataflow.Emission{Batch: nil, P: boundary, T: m.T})
+	}
+	w.emitted = boundary
+	return out
+}
+
+func (w *refWindowJoin) result(ctx *dataflow.Context, end vtime.Time, win *refJoinWindow) *dataflow.Batch {
+	keys := w.keys[:0]
+	for k := range win.sides[0] {
+		if _, ok := win.sides[1][k]; ok {
+			keys = append(keys, k)
+		}
+	}
+	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	w.keys = keys
+	if len(keys) == 0 {
+		return nil
+	}
+	b := ctx.NewBatch(len(keys))
+	for _, k := range keys {
+		b.Append(end-1, k, w.spec.Combine(win.sides[0][k], win.sides[1][k]))
+	}
+	return b
+}
+
+func (w *refWindowJoin) SnapshotState(sw *snap.Writer) {
+	sw.U8(snapKindJoin)
+	sw.Time(w.emitted)
+	sw.I64(w.late)
+	writeFrontier(sw, w.frontier)
+	ends := refClosedEnds(&w.ends, w.wins, vtime.Infinity)
+	sw.U32(uint32(len(ends)))
+	for _, end := range ends {
+		win := w.wins[end]
+		sw.Time(end)
+		sw.Time(win.maxT)
+		for side := 0; side < 2; side++ {
+			keys := refSortedKeys(win.sides[side])
+			sw.U32(uint32(len(keys)))
+			for _, k := range keys {
+				sw.I64(k)
+				sw.F64(win.sides[side][k])
+			}
 		}
 	}
 }

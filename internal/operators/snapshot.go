@@ -2,7 +2,6 @@ package operators
 
 import (
 	"fmt"
-	"sort"
 
 	"github.com/cameo-stream/cameo/internal/dataflow"
 	"github.com/cameo-stream/cameo/internal/progress"
@@ -19,14 +18,16 @@ import (
 //     same bytes.
 //   - Only dynamic state is captured: open windows, the emitted watermark,
 //     the late counter, and the per-channel frontier. Specs, spare
-//     tables, free lists, and scratch buffers are reconstruction
-//     artifacts — the spec comes back from the job spec's NewHandler,
-//     spares and free lists refill as windows recycle.
+//     tables, and scratch buffers are reconstruction artifacts — the
+//     spec comes back from the job spec's NewHandler, spares refill as
+//     windows close.
 //   - Each operator writes a one-byte kind tag so a snapshot applied to
 //     the wrong handler type fails loudly instead of half-decoding.
 //
-// RestoreState is only ever invoked on a freshly constructed handler, so
-// it builds state through the same paths OnMessage uses.
+// The four operators share one window store (state.go) and so one
+// snapshot/restore pair, told per operator which accumulator fields a key
+// carries. RestoreState is only ever invoked on a freshly constructed
+// handler, so it builds state through the same paths OnMessage uses.
 
 // The four stateful operators satisfy the snapshot half of the operator
 // contract; stateless handlers (HandlerFunc closures) deliberately don't.
@@ -78,31 +79,21 @@ func checkKind(r *snap.Reader, want uint8, name string) error {
 	return r.Err()
 }
 
-// sortedTimes collects map keys ascending into the reusable buffer.
-func sortedTimes[W any](buf []vtime.Time, m map[vtime.Time]W) []vtime.Time {
-	buf = buf[:0]
-	for t := range m {
-		buf = append(buf, t)
-	}
-	sort.Slice(buf, func(i, j int) bool { return buf[i] < buf[j] })
-	return buf
-}
+// accFields names the accumulator fields a snapshot carries per key.
+type accFields uint8
 
-func sortedKeys[V any](buf []int64, m map[int64]V) []int64 {
-	buf = buf[:0]
-	for k := range m {
-		buf = append(buf, k)
-	}
-	sort.Slice(buf, func(i, j int) bool { return buf[i] < buf[j] })
-	return buf
-}
+const (
+	noAcc  accFields = iota // distinctCount: the keys alone
+	sumAcc                  // windowJoin: each side's sum
+	allAcc                  // windowAgg, topK: sum, count, min, max
+)
 
-// snapshot writes the section the keyed window operators share: kind,
+// snapshot writes the section every windowed operator shares: kind,
 // emitted watermark, late count, frontier, then every open window (end,
-// maxT, its keys ascending, and each key's accumulator when accs is set).
-// Sorting reorders a window's entries in place, which nothing observes:
-// snapshots run under the actor guarantee, like OnMessage.
-func (s *windowState) snapshot(sw *snap.Writer, kind uint8, accs bool) {
+// maxT, and its keys table — a join's right table after it). Sorting
+// reorders a window's entries in place, which nothing observes: snapshots
+// run under the actor guarantee, like OnMessage.
+func (s *windowState) snapshot(sw *snap.Writer, kind uint8, fields accFields) {
 	sw.U8(kind)
 	sw.Time(s.emitted)
 	sw.I64(s.late)
@@ -112,25 +103,36 @@ func (s *windowState) snapshot(sw *snap.Writer, kind uint8, accs bool) {
 		win := &s.wins[i]
 		sw.Time(win.end)
 		sw.Time(win.maxT)
-		win.keys.sortByKey()
-		sw.U32(uint32(len(win.keys.entries)))
-		for _, e := range win.keys.entries {
-			sw.I64(e.key)
-			if accs {
-				sw.F64(e.sum)
-				sw.I64(e.count)
-				sw.F64(e.min)
-				sw.F64(e.max)
-			}
+		win.keys.write(sw, fields)
+		if s.join {
+			win.right.write(sw, fields)
+		}
+	}
+}
+
+// write writes the table's keys ascending, each with its fields.
+func (t *keyTable) write(sw *snap.Writer, fields accFields) {
+	t.sortByKey()
+	sw.U32(uint32(len(t.entries)))
+	for _, e := range t.entries {
+		sw.I64(e.key)
+		if fields >= sumAcc {
+			sw.F64(e.sum)
+		}
+		if fields == allAcc {
+			sw.I64(e.count)
+			sw.F64(e.min)
+			sw.F64(e.max)
 		}
 	}
 }
 
 // restore reads a section written by snapshot. Window ends that do not
-// strictly ascend, or a key repeated inside one window, are a corrupt
+// strictly ascend, or a key repeated inside one table, are a corrupt
 // snapshot and fail the restore: either would otherwise merge state into
-// a wrong result.
-func (s *windowState) restore(r *snap.Reader, kind uint8, name string, accs bool) error {
+// a wrong result. The same key once on each side of a join is not a
+// repeat.
+func (s *windowState) restore(r *snap.Reader, kind uint8, name string, fields accFields) error {
 	if err := checkKind(r, kind, name); err != nil {
 		return err
 	}
@@ -150,98 +152,69 @@ func (s *windowState) restore(r *snap.Reader, kind uint8, name string, accs bool
 		}
 		win := s.windowAt(end)
 		win.maxT = r.Time()
-		nk := int(r.U32())
-		for k := 0; k < nk && r.Err() == nil; k++ {
-			key := r.I64()
-			if r.Err() != nil {
-				break
-			}
-			n := len(win.keys.entries)
-			a := win.keys.get(key)
-			if len(win.keys.entries) == n {
-				return fmt.Errorf("operators: %s snapshot repeats key %d in window %v", name, key, end)
-			}
-			if accs {
-				a.sum = r.F64()
-				a.count = r.I64()
-				a.min = r.F64()
-				a.max = r.F64()
-			}
+		key, repeated := win.keys.read(r, fields)
+		if !repeated && s.join {
+			key, repeated = win.right.read(r, fields)
+		}
+		if repeated {
+			return fmt.Errorf("operators: %s snapshot repeats key %d in window %v", name, key, end)
 		}
 	}
 	return r.Err()
 }
 
+// read fills the empty table from a list written by write, stopping at
+// the first key it already holds, which it reports.
+func (t *keyTable) read(r *snap.Reader, fields accFields) (key int64, repeated bool) {
+	n := int(r.U32())
+	for k := 0; k < n && r.Err() == nil; k++ {
+		key = r.I64()
+		if r.Err() != nil {
+			break
+		}
+		had := len(t.entries)
+		a := t.get(key)
+		if len(t.entries) == had {
+			return key, true
+		}
+		if fields >= sumAcc {
+			a.sum = r.F64()
+		}
+		if fields == allAcc {
+			a.count = r.I64()
+			a.min = r.F64()
+			a.max = r.F64()
+		}
+	}
+	return 0, false
+}
+
 // SnapshotState implements dataflow.Snapshotter.
-func (w *windowAgg) SnapshotState(sw *snap.Writer) { w.snapshot(sw, snapKindAgg, true) }
+func (w *windowAgg) SnapshotState(sw *snap.Writer) { w.snapshot(sw, snapKindAgg, allAcc) }
 
 // RestoreState implements dataflow.Snapshotter.
 func (w *windowAgg) RestoreState(r *snap.Reader) error {
-	return w.restore(r, snapKindAgg, "windowAgg", true)
+	return w.restore(r, snapKindAgg, "windowAgg", allAcc)
 }
 
 // SnapshotState implements dataflow.Snapshotter.
-func (w *topK) SnapshotState(sw *snap.Writer) { w.snapshot(sw, snapKindTopK, true) }
+func (w *topK) SnapshotState(sw *snap.Writer) { w.snapshot(sw, snapKindTopK, allAcc) }
 
 // RestoreState implements dataflow.Snapshotter.
-func (w *topK) RestoreState(r *snap.Reader) error { return w.restore(r, snapKindTopK, "topK", true) }
+func (w *topK) RestoreState(r *snap.Reader) error { return w.restore(r, snapKindTopK, "topK", allAcc) }
 
 // SnapshotState implements dataflow.Snapshotter.
-func (w *distinctCount) SnapshotState(sw *snap.Writer) { w.snapshot(sw, snapKindDistinct, false) }
+func (w *distinctCount) SnapshotState(sw *snap.Writer) { w.snapshot(sw, snapKindDistinct, noAcc) }
 
 // RestoreState implements dataflow.Snapshotter.
 func (w *distinctCount) RestoreState(r *snap.Reader) error {
-	return w.restore(r, snapKindDistinct, "distinctCount", false)
+	return w.restore(r, snapKindDistinct, "distinctCount", noAcc)
 }
 
 // SnapshotState implements dataflow.Snapshotter.
-func (w *windowJoin) SnapshotState(sw *snap.Writer) {
-	sw.U8(snapKindJoin)
-	sw.Time(w.emitted)
-	sw.I64(w.late)
-	writeFrontier(sw, w.frontier)
-	ends := sortedTimes(w.scratch.ends, w.wins)
-	w.scratch.ends = ends
-	sw.U32(uint32(len(ends)))
-	for _, end := range ends {
-		win := w.wins[end]
-		sw.Time(end)
-		sw.Time(win.maxT)
-		for side := 0; side < 2; side++ {
-			keys := sortedKeys(w.keys, win.sides[side])
-			w.keys = keys
-			sw.U32(uint32(len(keys)))
-			for _, k := range keys {
-				sw.I64(k)
-				sw.F64(win.sides[side][k])
-			}
-		}
-	}
-}
+func (w *windowJoin) SnapshotState(sw *snap.Writer) { w.snapshot(sw, snapKindJoin, sumAcc) }
 
 // RestoreState implements dataflow.Snapshotter.
 func (w *windowJoin) RestoreState(r *snap.Reader) error {
-	if err := checkKind(r, snapKindJoin, "windowJoin"); err != nil {
-		return err
-	}
-	w.emitted = r.Time()
-	w.late = r.I64()
-	if err := readFrontier(r, w.frontier); err != nil {
-		return err
-	}
-	nw := int(r.U32())
-	for i := 0; i < nw && r.Err() == nil; i++ {
-		end := r.Time()
-		win := w.getWindow()
-		win.maxT = r.Time()
-		w.wins[end] = win
-		for side := 0; side < 2; side++ {
-			nk := int(r.U32())
-			for k := 0; k < nk && r.Err() == nil; k++ {
-				key := r.I64()
-				win.sides[side][key] = r.F64()
-			}
-		}
-	}
-	return r.Err()
+	return w.restore(r, snapKindJoin, "windowJoin", sumAcc)
 }

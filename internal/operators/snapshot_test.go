@@ -88,27 +88,45 @@ func TestFrontierSnapshotCorrupt(t *testing.T) {
 	}
 }
 
-// TestWindowSnapshotCorrupt: a keyed window operator's snapshot whose
-// window ends do not strictly ascend, or that repeats a key inside one
-// window, fails the restore with an error — a map would keep the last
-// duplicate and merge a corrupt checkpoint into a wrong result. The same
-// layout with ascending ends and distinct keys restores.
+// TestWindowSnapshotCorrupt: a windowed operator's snapshot whose window
+// ends do not strictly ascend, or that repeats a key inside one window
+// (inside one side, for the join), fails the restore with an error — a map
+// would keep the last duplicate and merge a corrupt checkpoint into a
+// wrong result. The same layout with ascending ends and distinct keys
+// restores to the same bytes, and so does a join window holding a key
+// once on each side.
 func TestWindowSnapshotCorrupt(t *testing.T) {
 	const inChannels = 2
 	handlers := []struct {
-		name string
-		kind uint8
-		accs bool
-		make func(int) dataflow.Handler
+		name   string
+		kind   uint8
+		fields accFields
+		make   func(int) dataflow.Handler
 	}{
-		{"windowAgg", snapKindAgg, true, WindowAgg(WindowAggSpec{Size: sec(1), Slide: sec(1), Agg: Sum})},
-		{"topK", snapKindTopK, true, TopK(TopKSpec{Size: sec(1), K: 2})},
-		{"distinctCount", snapKindDistinct, false, DistinctCount(DistinctCountSpec{Size: sec(1)})},
+		{"windowAgg", snapKindAgg, allAcc, WindowAgg(WindowAggSpec{Size: sec(1), Slide: sec(1), Agg: Sum})},
+		{"topK", snapKindTopK, allAcc, TopK(TopKSpec{Size: sec(1), K: 2})},
+		{"distinctCount", snapKindDistinct, noAcc, DistinctCount(DistinctCountSpec{Size: sec(1)})},
+		{"windowJoin", snapKindJoin, sumAcc, WindowJoin(WindowJoinSpec{Size: sec(1)})},
 	}
 	// windows writes a handler section with an empty frontier and one
-	// window per entry of ends, holding keys[i].
-	windows := func(kind uint8, accs bool, ends []int64, keys [][]int64) []byte {
+	// window per entry of ends, holding keys[i] (and, for the join,
+	// right[i] on the right side, if right is given).
+	windows := func(kind uint8, fields accFields, ends []int64, keys, right [][]int64) []byte {
 		w := snap.NewWriter()
+		table := func(keys []int64) {
+			w.U32(uint32(len(keys)))
+			for _, k := range keys {
+				w.I64(k)
+				if fields >= sumAcc {
+					w.F64(1)
+				}
+				if fields == allAcc {
+					w.I64(1)
+					w.F64(1)
+					w.F64(1)
+				}
+			}
+		}
 		w.U8(kind)
 		w.Time(0) // emitted
 		w.I64(0)  // late
@@ -117,47 +135,62 @@ func TestWindowSnapshotCorrupt(t *testing.T) {
 		for i, end := range ends {
 			w.Time(sec(end))
 			w.Time(0) // maxT
-			w.U32(uint32(len(keys[i])))
-			for _, k := range keys[i] {
-				w.I64(k)
-				if accs {
-					w.F64(1)
-					w.I64(1)
-					w.F64(1)
-					w.F64(1)
+			table(keys[i])
+			if kind == snapKindJoin {
+				var r []int64
+				if right != nil {
+					r = right[i]
 				}
+				table(r)
 			}
 		}
 		return w.Bytes()
 	}
 	for _, h := range handlers {
 		t.Run(h.name, func(t *testing.T) {
-			for _, c := range []struct {
-				name string
-				ends []int64
-				keys [][]int64
-				ok   bool
-			}{
-				{"ascending ends, distinct keys", []int64{1, 2}, [][]int64{{5, 6}, {5}}, true},
-				{"descending ends", []int64{2, 1}, [][]int64{{5}, {5}}, false},
-				{"repeated end", []int64{1, 1}, [][]int64{{5}, {6}}, false},
-				{"key repeated in a window", []int64{1}, [][]int64{{5, 6, 5}}, false},
-			} {
-				r, err := snap.NewReader(windows(h.kind, h.accs, c.ends, c.keys))
+			type tc struct {
+				name        string
+				ends        []int64
+				keys, right [][]int64
+				ok          bool
+			}
+			cases := []tc{
+				{"ascending ends, distinct keys", []int64{1, 2}, [][]int64{{5, 6}, {5}}, nil, true},
+				{"descending ends", []int64{2, 1}, [][]int64{{5}, {5}}, nil, false},
+				{"repeated end", []int64{1, 1}, [][]int64{{5}, {6}}, nil, false},
+				{"key repeated in a window", []int64{1}, [][]int64{{5, 6, 5}}, nil, false},
+			}
+			if h.kind == snapKindJoin {
+				cases = append(cases,
+					tc{"same key once on each side", []int64{1, 2}, [][]int64{{5, 6}, {5}}, [][]int64{{5, 6}, {5, 7}}, true},
+					tc{"key repeated in the right side", []int64{1, 2}, [][]int64{{5}, {5}}, [][]int64{{5}, {7, 6, 7}}, false})
+			}
+			for _, c := range cases {
+				in := windows(h.kind, h.fields, c.ends, c.keys, c.right)
+				r, err := snap.NewReader(in)
 				if err != nil {
 					t.Fatal(err)
 				}
-				err = h.make(inChannels).(dataflow.Snapshotter).RestoreState(r)
-				if c.ok && err != nil {
+				restored := h.make(inChannels).(dataflow.Snapshotter)
+				err = restored.RestoreState(r)
+				switch {
+				case c.ok && err != nil:
 					t.Errorf("%s: restore failed: %v", c.name, err)
-				}
-				if !c.ok && err == nil {
+				case !c.ok && err == nil:
 					t.Errorf("%s: restore accepted a corrupt snapshot", c.name)
+				case c.ok:
+					w := snap.NewWriter()
+					restored.SnapshotState(w)
+					if !bytes.Equal(w.Bytes(), in) {
+						t.Errorf("%s: restored handler snapshots different bytes", c.name)
+					}
 				}
 			}
 		})
 	}
 }
+
+var snapshotKeys = []int64{7, -3, 0, 1 << 40, 42, 7, -3, 19, 5, 0, 42, 11}
 
 // snapshotScenario is the input behind testdata/*.snap: one batch spread
 // over several windows with keys across the int64 range, frontier
@@ -165,10 +198,9 @@ func TestWindowSnapshotCorrupt(t *testing.T) {
 // tuple next to one far ahead.
 func snapshotScenario(h dataflow.Handler) {
 	ms := vtime.Millisecond
-	keys := []int64{7, -3, 0, 1 << 40, 42, 7, -3, 19, 5, 0, 42, 11}
 	b := dataflow.NewBatch(0)
 	for i := 0; i < 36; i++ {
-		b.Append(vtime.Time(i)*137*ms, keys[i%len(keys)]+int64(i/12), float64(i)*1.25-7)
+		b.Append(vtime.Time(i)*137*ms, snapshotKeys[i%len(snapshotKeys)]+int64(i/12), float64(i)*1.25-7)
 	}
 	h.OnMessage(testCtx, &core.Message{P: 900 * ms, T: 5 * ms, Channel: 0, Payload: b})
 	h.OnMessage(testCtx, &core.Message{P: 1200 * ms, T: 9 * ms, Channel: 1})
@@ -179,8 +211,24 @@ func snapshotScenario(h dataflow.Handler) {
 	h.OnMessage(testCtx, &core.Message{P: 1250 * ms, T: 13 * ms, Channel: 1, Payload: late})
 }
 
+// joinSnapshotScenario is the input behind testdata/windowjoin.snap: a
+// right-side (Port 1) batch holding half of snapshotScenario's keys, each
+// 50 ms after its left twin, plus one key only the right side has, then
+// snapshotScenario's messages on the left side.
+func joinSnapshotScenario(h dataflow.Handler) {
+	ms := vtime.Millisecond
+	right := dataflow.NewBatch(0)
+	for i := 0; i < 36; i += 2 {
+		right.Append(vtime.Time(i)*137*ms+50*ms, snapshotKeys[i%len(snapshotKeys)]+int64(i/12), float64(i)*0.5+1)
+	}
+	right.Append(2500*ms, -99, 4)
+	h.OnMessage(testCtx, &core.Message{P: 600 * ms, T: 3 * ms, Channel: 1, Port: 1, Payload: right})
+	snapshotScenario(h)
+}
+
 // TestSnapshotCompat: the committed snapshots in testdata were written by
-// the map-based operators (reference_test.go) from snapshotScenario.
+// the map-based operators (reference_test.go) from snapshotScenario, the
+// join's from joinSnapshotScenario.
 // Checkpoints written before the flat window store must restore and
 // re-snapshot to identical bytes, and the same scenario must still
 // snapshot those bytes.
@@ -190,14 +238,17 @@ func TestSnapshotCompat(t *testing.T) {
 	global := WindowAggSpec{Size: vtime.Second, Slide: vtime.Second, Agg: Mean, Global: true}
 	topk := TopKSpec{Size: vtime.Second, K: 3}
 	distinct := DistinctCountSpec{Size: vtime.Second}
+	join := WindowJoinSpec{Size: vtime.Second}
 	for _, c := range []struct {
 		file     string
 		got, ref func(int) dataflow.Handler
+		scenario func(dataflow.Handler)
 	}{
-		{"windowagg_sliding_keyed.snap", WindowAgg(sliding), refWindowAggFactory(sliding)},
-		{"windowagg_tumbling_global.snap", WindowAgg(global), refWindowAggFactory(global)},
-		{"topk.snap", TopK(topk), refTopKFactory(topk)},
-		{"distinctcount.snap", DistinctCount(distinct), refDistinctCountFactory(distinct)},
+		{"windowagg_sliding_keyed.snap", WindowAgg(sliding), refWindowAggFactory(sliding), snapshotScenario},
+		{"windowagg_tumbling_global.snap", WindowAgg(global), refWindowAggFactory(global), snapshotScenario},
+		{"topk.snap", TopK(topk), refTopKFactory(topk), snapshotScenario},
+		{"distinctcount.snap", DistinctCount(distinct), refDistinctCountFactory(distinct), snapshotScenario},
+		{"windowjoin.snap", WindowJoin(join), refWindowJoinFactory(join), joinSnapshotScenario},
 	} {
 		t.Run(c.file, func(t *testing.T) {
 			want, err := os.ReadFile(filepath.Join("testdata", c.file))
@@ -210,7 +261,7 @@ func TestSnapshotCompat(t *testing.T) {
 				return w.Bytes()
 			}
 			ref := c.ref(2)
-			snapshotScenario(ref)
+			c.scenario(ref)
 			if !bytes.Equal(snapshot(ref.(interface{ SnapshotState(*snap.Writer) })), want) {
 				t.Fatal("the reference no longer writes the committed snapshot")
 			}
@@ -226,7 +277,7 @@ func TestSnapshotCompat(t *testing.T) {
 				t.Fatal("restored handler snapshots different bytes")
 			}
 			fed := c.got(2)
-			snapshotScenario(fed)
+			c.scenario(fed)
 			if !bytes.Equal(snapshot(fed.(dataflow.Snapshotter)), want) {
 				t.Fatal("the scenario snapshots different bytes")
 			}

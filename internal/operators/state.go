@@ -11,21 +11,22 @@ import (
 	"github.com/cameo-stream/cameo/internal/vtime"
 )
 
-// windowState is the state the keyed window operators (windowAgg, topK,
-// distinctCount) keep between messages: the per-channel frontier, the
-// emitted watermark, the late-tuple count, and the open windows — a slice
-// ordered by end, each holding its per-key accumulators inline in one
-// keyTable. A closed window's emptied table is kept as the one spare the
-// next window opens with, so windows rotating through the steady state
-// allocate nothing.
+// windowState is the state every windowed operator (windowAgg, topK,
+// distinctCount, windowJoin) keeps between messages: the per-channel
+// frontier, the emitted watermark, the late-tuple count, and the open
+// windows — a slice ordered by end, each holding its per-key accumulators
+// inline in one keyTable (two for the join, one per side). A closed
+// window's emptied tables are kept as the spare the next window opens
+// with, so windows rotating through the steady state allocate nothing.
 type windowState struct {
 	size, slide vtime.Duration
 	global      bool // every tuple aggregates under key 0
+	join        bool // Port 1 tuples go to each window's right table
 	frontier    *progress.Frontier
 	emitted     vtime.Time // highest window end emitted (0 before first trigger)
 	late        int64
 	wins        []window // open windows, ascending end
-	spare       keyTable // an emptied table for the next window, or zero
+	spare       window   // emptied tables for the next window, or zero
 	// out is the emission slice handed back to the engine, reused across
 	// invocations: the engine consumes an invocation's emissions before
 	// the next one (the contract that lets it recycle batches too).
@@ -34,7 +35,8 @@ type windowState struct {
 
 type window struct {
 	end, maxT vtime.Time
-	keys      keyTable
+	keys      keyTable // every tuple's key, or the join's left side
+	right     keyTable // the join's right side; empty for the other operators
 }
 
 func newWindowState(size, slide vtime.Duration, global bool, inChannels int) windowState {
@@ -52,10 +54,12 @@ func windowEnds(p vtime.Time, size, slide vtime.Duration) (first, last vtime.Tim
 }
 
 // ingest adds m's tuples to every window containing them that is not yet
-// emitted, then advances the frontier. It reports the highest complete
-// window end when that passes the emitted watermark.
+// emitted — a join's Port 1 tuples to the window's right table, every
+// other port's to its keys — then advances the frontier. It reports the
+// highest complete window end when that passes the emitted watermark.
 func (s *windowState) ingest(m *core.Message) (boundary vtime.Time, ok bool) {
 	if b, _ := m.Payload.(*dataflow.Batch); b != nil {
+		right := s.join && m.Port == 1
 		for i, p := range b.Times {
 			var key int64
 			if !s.global && b.Keys != nil {
@@ -73,7 +77,11 @@ func (s *windowState) ingest(m *core.Message) (boundary vtime.Time, ok bool) {
 				}
 				fresh = true
 				win := s.windowAt(end)
-				win.keys.get(key).add(val)
+				keys := &win.keys
+				if right {
+					keys = &win.right
+				}
+				keys.get(key).add(val)
 				if m.T > win.maxT {
 					win.maxT = m.T
 				}
@@ -92,7 +100,7 @@ func (s *windowState) ingest(m *core.Message) (boundary vtime.Time, ok bool) {
 }
 
 // windowAt returns the open window ending at end, opening it in end order
-// on the spare table if there is none. Tuples land in the newest windows,
+// on the spare tables if there is none. Tuples land in the newest windows,
 // so the search runs from the back.
 func (s *windowState) windowAt(end vtime.Time) *window {
 	i := len(s.wins)
@@ -103,8 +111,9 @@ func (s *windowState) windowAt(end vtime.Time) *window {
 	}
 	s.wins = append(s.wins, window{})
 	copy(s.wins[i+1:], s.wins[i:])
-	s.wins[i] = window{end: end, keys: s.spare}
-	s.spare = keyTable{}
+	s.spare.end = end
+	s.wins[i] = s.spare
+	s.spare = window{}
 	return &s.wins[i]
 }
 
@@ -128,9 +137,14 @@ func (s *windowState) emit(boundary, t vtime.Time, result func(*window) *dataflo
 		out = append(out, dataflow.Emission{Batch: nil, P: boundary, T: t})
 	}
 	if n > 0 {
-		if s.spare.index == nil {
-			s.spare = s.wins[0].keys
-			s.spare.reset()
+		closed := &s.wins[0]
+		if s.spare.keys.index == nil {
+			s.spare.keys = closed.keys
+			s.spare.keys.reset()
+		}
+		if s.spare.right.index == nil {
+			s.spare.right = closed.right
+			s.spare.right.reset()
 		}
 		m := copy(s.wins, s.wins[n:])
 		clear(s.wins[m:])

@@ -14,21 +14,24 @@ import (
 )
 
 // TestWindowStateMatchesMapReference runs seeded random message sequences
-// through each keyed window operator and through its map-based reference
+// through each windowed operator and through its map-based reference
 // (reference_test.go) side by side: {tumbling, sliding} × {keyed, global}
-// × every aggregation for windowAgg, plus topK at three k and
-// distinctCount, each over {1, 2, 3} input channels and {on-time, late
-// tuples, progress-only messages}. After every message the emissions —
-// progress, time, batch presence, and every tuple's time, key and value
-// in order — and the late count must be identical. Every 37 messages the
-// snapshots must be byte-identical, and the operator under test continues
-// from a fresh handler restored from its own snapshot.
+// × every aggregation for windowAgg, plus topK at three k, distinctCount,
+// and windowJoin with the default and a custom Combine over messages on
+// ports 0, 1 and 2 (port 2 joins as the left side), each over {1, 2, 3}
+// input channels and {on-time, late tuples, progress-only messages}.
+// After every message the emissions — progress, time, batch presence,
+// and every tuple's time, key and value in order — and the late count
+// must be identical. Every 37 messages the snapshots must be
+// byte-identical, and the operator under test continues from a fresh
+// handler restored from its own snapshot.
 func TestWindowStateMatchesMapReference(t *testing.T) {
 	ms := vtime.Millisecond
 	type pair struct {
 		name     string
 		got, ref func(int) dataflow.Handler
 		slide    vtime.Duration
+		ports    int // messages draw their Port from [0, ports)
 	}
 	var ops []pair
 	for _, shape := range []struct {
@@ -39,16 +42,23 @@ func TestWindowStateMatchesMapReference(t *testing.T) {
 			for agg := Sum; agg <= Mean; agg++ {
 				spec := WindowAggSpec{Size: shape.size, Slide: shape.slide, Agg: agg, Global: global}
 				ops = append(ops, pair{fmt.Sprintf("windowAgg/%s/global=%v/%v", shape.name, global, agg),
-					WindowAgg(spec), refWindowAggFactory(spec), shape.slide})
+					WindowAgg(spec), refWindowAggFactory(spec), shape.slide, 1})
 			}
 		}
 	}
 	for _, k := range []int{1, 3, 100} {
 		spec := TopKSpec{Size: 100 * ms, K: k}
-		ops = append(ops, pair{fmt.Sprintf("topK/k=%d", k), TopK(spec), refTopKFactory(spec), spec.Size})
+		ops = append(ops, pair{fmt.Sprintf("topK/k=%d", k), TopK(spec), refTopKFactory(spec), spec.Size, 1})
 	}
 	dspec := DistinctCountSpec{Size: 100 * ms}
-	ops = append(ops, pair{"distinctCount", DistinctCount(dspec), refDistinctCountFactory(dspec), dspec.Size})
+	ops = append(ops, pair{"distinctCount", DistinctCount(dspec), refDistinctCountFactory(dspec), dspec.Size, 1})
+	for _, c := range []struct {
+		name    string
+		combine func(l, r float64) float64
+	}{{"sum", nil}, {"custom", func(l, r float64) float64 { return 2*l - r }}} {
+		spec := WindowJoinSpec{Size: 100 * ms, Combine: c.combine}
+		ops = append(ops, pair{"windowJoin/" + c.name, WindowJoin(spec), refWindowJoinFactory(spec), spec.Size, 3})
+	}
 
 	seed := uint64(0)
 	for _, op := range ops {
@@ -73,6 +83,9 @@ func TestWindowStateMatchesMapReference(t *testing.T) {
 						prog[ch] += vtime.Time(rng.Int64N(int64(2 * op.slide)))
 						now += vtime.Time(rng.Int64N(int64(ms)))
 						m := &core.Message{P: prog[ch], T: now, Channel: ch}
+						if op.ports > 1 {
+							m.Port = rng.IntN(op.ports)
+						}
 						switch {
 						case mode == "progress-only" && rng.IntN(3) == 0:
 							switch rng.IntN(3) {

@@ -73,21 +73,6 @@ func Filter(pred func(t vtime.Time, key int64, val float64) bool) func(int) data
 	}
 }
 
-// Passthrough returns a handler factory forwarding messages unchanged —
-// a regular operator that adds a hop (and a profiled cost) to the critical
-// path. The payload batch is forwarded whole; the engine transfers its
-// ownership downstream.
-func Passthrough() func(int) dataflow.Handler {
-	return func(int) dataflow.Handler {
-		var emit [1]dataflow.Emission
-		return dataflow.HandlerFunc(func(ctx *dataflow.Context, m *core.Message) []dataflow.Emission {
-			b, _ := m.Payload.(*dataflow.Batch)
-			emit[0] = dataflow.Emission{Batch: b, P: m.P, T: m.T}
-			return emit[:]
-		})
-	}
-}
-
 // NoOp returns a handler factory that consumes messages without emitting —
 // the no-op workload of the Figure 12 scheduling-overhead microbenchmark.
 func NoOp() func(int) dataflow.Handler {

@@ -2,7 +2,9 @@
 // evaluation queries are built from — "trill-lite": columnar tuple batches,
 // window IDs derived from logical time (Li et al.'s semantics, which the
 // paper's TRANSFORM is defined against), frontier-triggered windowed
-// aggregation and joins, and stateless map/filter/no-op operators.
+// operators (aggregation, top-k, distinct count and a two-stream join, all
+// over one window store and one snapshot encoding), and stateless
+// map/filter/no-op/emit operators.
 //
 // Handlers are per-operator-instance state machines; the engine guarantees
 // single-threaded invocation per instance (the actor model), so handlers

@@ -1,8 +1,10 @@
 // Package queue provides the priority and run-queue data structures under
 // the schedulers: an indexed binary min-heap with update-key (the Cameo
-// global operator queue), a growable FIFO ring (the custom FIFO baseline and
-// per-channel buffers), and a ConcurrentBag modelling the run queue of the
-// default Orleans scheduler.
+// dispatcher's waiting queue), its sharded concurrent form (the real-time
+// engine's run queue: one heap per worker plus a global lane), a growable
+// FIFO ring (the baseline dispatchers' per-operator message queues and the
+// FIFO baseline's run queue), and Bag, the simulator's sequential model of
+// the .NET ConcurrentBag the default Orleans scheduler runs on.
 package queue
 
 // Pri is a two-part priority: Key orders items (lower is more urgent) and

@@ -127,9 +127,6 @@ func newShardedHeap[T comparable](shards int, mk func() *IndexedHeap[T]) *Sharde
 	return s
 }
 
-// Shards reports the number of worker shards (excluding the global lane).
-func (s *ShardedHeap[T]) Shards() int { return len(s.shards) }
-
 // Len reports the total queued values across all lanes.
 func (s *ShardedHeap[T]) Len() int { return int(s.size.Load()) }
 

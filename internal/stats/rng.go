@@ -165,55 +165,6 @@ func (r *RNG) Pareto(xm, alpha float64) float64 {
 	return xm / math.Pow(u, 1/alpha)
 }
 
-// Zipf returns a draw in [0, n) where rank k is sampled with probability
-// proportional to 1/(k+1)^s. Used for spatial skew across sources
-// (paper Figure 10's 200x per-source rate variation).
-type Zipf struct {
-	rng *RNG
-	cdf []float64
-}
-
-// NewZipf precomputes the CDF for n ranks with exponent s.
-func NewZipf(rng *RNG, n int, s float64) *Zipf {
-	if n <= 0 {
-		panic("stats: Zipf with n <= 0")
-	}
-	cdf := make([]float64, n)
-	sum := 0.0
-	for k := 0; k < n; k++ {
-		sum += 1 / math.Pow(float64(k+1), s)
-		cdf[k] = sum
-	}
-	for k := range cdf {
-		cdf[k] /= sum
-	}
-	return &Zipf{rng: rng, cdf: cdf}
-}
-
-// Draw samples a rank.
-func (z *Zipf) Draw() int {
-	u := z.rng.Float64()
-	// Binary search the CDF.
-	lo, hi := 0, len(z.cdf)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if z.cdf[mid] < u {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// Weight returns the probability mass of rank k.
-func (z *Zipf) Weight(k int) float64 {
-	if k == 0 {
-		return z.cdf[0]
-	}
-	return z.cdf[k] - z.cdf[k-1]
-}
-
 // Shuffle permutes xs uniformly (Fisher–Yates).
 func Shuffle[T any](r *RNG, xs []T) {
 	for i := len(xs) - 1; i > 0; i-- {

@@ -170,37 +170,6 @@ func TestParetoMedian(t *testing.T) {
 	}
 }
 
-func TestZipfSkew(t *testing.T) {
-	r := NewRNG(10)
-	z := NewZipf(r, 100, 1.2)
-	counts := make([]int, 100)
-	for i := 0; i < 100000; i++ {
-		counts[z.Draw()]++
-	}
-	if counts[0] <= counts[50] {
-		t.Errorf("Zipf rank 0 (%d) not more popular than rank 50 (%d)", counts[0], counts[50])
-	}
-	// Rank 0 should dominate: with s=1.2 over n=100, weight(0) ≈ 0.26.
-	if counts[0] < 15000 {
-		t.Errorf("Zipf rank 0 drew only %d/100000", counts[0])
-	}
-}
-
-func TestZipfWeightsSumToOne(t *testing.T) {
-	z := NewZipf(NewRNG(11), 50, 2)
-	sum := 0.0
-	for k := 0; k < 50; k++ {
-		w := z.Weight(k)
-		if w <= 0 {
-			t.Fatalf("Weight(%d) = %v", k, w)
-		}
-		sum += w
-	}
-	if math.Abs(sum-1) > 1e-9 {
-		t.Fatalf("weights sum to %v", sum)
-	}
-}
-
 func TestShufflePreservesElements(t *testing.T) {
 	f := func(seed uint64, n uint8) bool {
 		xs := make([]int, int(n))
