@@ -5,7 +5,9 @@ import (
 )
 
 // Dispatcher is the run-queue abstraction shared by the Cameo scheduler and
-// the two baselines, generic over the operator handle type O (engines use
+// the two baselines — Orleans and FIFO, one implementation
+// (OrleansDispatcher) whose FIFO form is the bag with no local lists —
+// generic over the operator handle type O (engines use
 // their operator pointers). Handles carry their scheduling state
 // *intrusively* (the Handle constraint): per-operator message queues, run
 // flags, and heap positions live on the operator itself, so dispatchers

@@ -10,19 +10,32 @@ import "github.com/cameo-stream/cameo/internal/queue"
 // FIFO order. Per-operator queues and the "scheduled" flag are intrusive
 // (SchedState.FIFO / SchedState.OnQueue), so the per-message path is
 // map-free and allocation-free once rings have grown.
+//
+// The paper's custom FIFO baseline (§6) — "we insert operators into the
+// global run queue and extract them in FIFO order", each operator
+// processing its messages in FIFO order — is the same dispatcher over a
+// bag with no local lists, where every add lands on the global FIFO
+// (NewFIFODispatcher).
 type OrleansDispatcher[O Handle] struct {
 	bag     *queue.Bag[O]
+	name    string
 	pending int
 }
 
 // NewOrleansDispatcher returns an Orleans-style dispatcher for the given
 // worker count (the bag keeps one local list per worker).
 func NewOrleansDispatcher[O Handle](workers int) *OrleansDispatcher[O] {
-	return &OrleansDispatcher[O]{bag: queue.NewBag[O](workers)}
+	return &OrleansDispatcher[O]{bag: queue.NewBag[O](workers), name: "orleans"}
+}
+
+// NewFIFODispatcher returns the FIFO baseline: the Orleans dispatcher over
+// a bag with no local lists, so one global FIFO orders every operator.
+func NewFIFODispatcher[O Handle]() *OrleansDispatcher[O] {
+	return &OrleansDispatcher[O]{bag: queue.NewBag[O](0), name: "fifo"}
 }
 
 // Name implements Dispatcher.
-func (d *OrleansDispatcher[O]) Name() string { return "orleans" }
+func (d *OrleansDispatcher[O]) Name() string { return d.name }
 
 // Push implements Dispatcher. A newly runnable operator enters the bag on
 // the producing worker's local list (or the global list for external
@@ -82,70 +95,3 @@ func (d *OrleansDispatcher[O]) QueueLen(op O) int { return op.Sched().FIFO.Len()
 
 // Pending implements Dispatcher.
 func (d *OrleansDispatcher[O]) Pending() int { return d.pending }
-
-// FIFODispatcher is the paper's custom FIFO baseline (§6): "we insert
-// operators into the global run queue and extract them in FIFO order",
-// with each operator processing its messages in FIFO order. State is
-// intrusive like the other dispatchers'.
-type FIFODispatcher[O Handle] struct {
-	runq    queue.Ring[O]
-	pending int
-}
-
-// NewFIFODispatcher returns an empty FIFO dispatcher.
-func NewFIFODispatcher[O Handle]() *FIFODispatcher[O] {
-	return &FIFODispatcher[O]{}
-}
-
-// Name implements Dispatcher.
-func (d *FIFODispatcher[O]) Name() string { return "fifo" }
-
-// Push implements Dispatcher.
-func (d *FIFODispatcher[O]) Push(op O, m *Message, producer int) {
-	st := op.Sched()
-	st.FIFO.PushBack(m)
-	d.pending++
-	if !st.OnQueue && st.Phase == OpLive {
-		st.OnQueue = true
-		d.runq.PushBack(op)
-	}
-}
-
-// NextOp implements Dispatcher.
-func (d *FIFODispatcher[O]) NextOp(worker int) (O, bool) {
-	return d.runq.PopFront()
-}
-
-// PopMsg implements Dispatcher.
-func (d *FIFODispatcher[O]) PopMsg(op O) (*Message, bool) {
-	m, ok := op.Sched().FIFO.PopFront()
-	if ok {
-		d.pending--
-	}
-	return m, ok
-}
-
-// PeekMsg implements Dispatcher.
-func (d *FIFODispatcher[O]) PeekMsg(op O) (*Message, bool) {
-	return op.Sched().FIFO.PeekFront()
-}
-
-// Done implements Dispatcher.
-func (d *FIFODispatcher[O]) Done(op O, worker int) {
-	st := op.Sched()
-	if st.Phase != OpLive || st.FIFO.Len() == 0 {
-		st.OnQueue = false
-		return
-	}
-	d.runq.PushBack(op)
-}
-
-// ShouldYield implements Dispatcher: yield to the back of the queue after
-// the quantum whenever anything else is waiting.
-func (d *FIFODispatcher[O]) ShouldYield(op O) bool { return d.runq.Len() > 0 }
-
-// QueueLen implements Dispatcher.
-func (d *FIFODispatcher[O]) QueueLen(op O) int { return op.Sched().FIFO.Len() }
-
-// Pending implements Dispatcher.
-func (d *FIFODispatcher[O]) Pending() int { return d.pending }

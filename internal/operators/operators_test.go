@@ -329,13 +329,8 @@ func TestFilterDropsTuples(t *testing.T) {
 	}
 }
 
-func TestNoOpAndEmit(t *testing.T) {
+func TestEmit(t *testing.T) {
 	b := batchOf([3]int64{0, 1, 1})
-	n := NoOp()(1)
-	if out := n.OnMessage(testCtx, dataMsg(0, sec(1), sec(1), b)); out != nil {
-		t.Fatal("noop emitted")
-	}
-
 	e := Emit()(1)
 	if out := e.OnMessage(testCtx, dataMsg(0, sec(1), sec(1), nil)); out != nil {
 		t.Fatal("emit forwarded empty batch")

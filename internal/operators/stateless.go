@@ -13,44 +13,32 @@ import (
 // path like the windowed operators.
 
 // Map returns a handler factory for a stateless per-tuple transform.
-// Progress-only (nil-batch) messages pass through so downstream frontiers
-// keep advancing.
 func Map(f func(t vtime.Time, key int64, val float64) (int64, float64)) func(int) dataflow.Handler {
-	return func(int) dataflow.Handler {
-		var emit [1]dataflow.Emission
-		return dataflow.HandlerFunc(func(ctx *dataflow.Context, m *core.Message) []dataflow.Emission {
-			b, _ := m.Payload.(*dataflow.Batch)
-			if b == nil {
-				emit[0] = dataflow.Emission{Batch: nil, P: m.P, T: m.T}
-				return emit[:]
-			}
-			out := ctx.NewBatch(b.Len())
-			for i, t := range b.Times {
-				var key int64
-				if b.Keys != nil {
-					key = b.Keys[i]
-				}
-				var val float64
-				if b.Vals != nil {
-					val = b.Vals[i]
-				}
-				k2, v2 := f(t, key, val)
-				out.Append(t, k2, v2)
-			}
-			emit[0] = dataflow.Emission{Batch: out, P: m.P, T: m.T}
-			return emit[:]
-		})
-	}
+	return perTuple(func(t vtime.Time, key int64, val float64) (int64, float64, bool) {
+		k, v := f(t, key, val)
+		return k, v, true
+	})
 }
 
 // Filter returns a handler factory keeping only tuples satisfying pred.
 func Filter(pred func(t vtime.Time, key int64, val float64) bool) func(int) dataflow.Handler {
+	return perTuple(func(t vtime.Time, key int64, val float64) (int64, float64, bool) {
+		return key, val, pred(t, key, val)
+	})
+}
+
+// perTuple returns a handler factory that passes every tuple of a data
+// batch through f and emits, in order, the key and value f returns for
+// each tuple it keeps. Absent key or value columns read as zeros.
+// Progress-only (nil-batch) messages pass through so downstream frontiers
+// keep advancing.
+func perTuple(f func(t vtime.Time, key int64, val float64) (int64, float64, bool)) func(int) dataflow.Handler {
 	return func(int) dataflow.Handler {
 		var emit [1]dataflow.Emission
 		return dataflow.HandlerFunc(func(ctx *dataflow.Context, m *core.Message) []dataflow.Emission {
 			b, _ := m.Payload.(*dataflow.Batch)
+			emit[0] = dataflow.Emission{Batch: nil, P: m.P, T: m.T}
 			if b == nil {
-				emit[0] = dataflow.Emission{Batch: nil, P: m.P, T: m.T}
 				return emit[:]
 			}
 			out := ctx.NewBatch(b.Len())
@@ -63,22 +51,12 @@ func Filter(pred func(t vtime.Time, key int64, val float64) bool) func(int) data
 				if b.Vals != nil {
 					val = b.Vals[i]
 				}
-				if pred(t, key, val) {
-					out.Append(t, key, val)
+				if k, v, keep := f(t, key, val); keep {
+					out.Append(t, k, v)
 				}
 			}
-			emit[0] = dataflow.Emission{Batch: out, P: m.P, T: m.T}
+			emit[0].Batch = out
 			return emit[:]
-		})
-	}
-}
-
-// NoOp returns a handler factory that consumes messages without emitting —
-// the no-op workload of the Figure 12 scheduling-overhead microbenchmark.
-func NoOp() func(int) dataflow.Handler {
-	return func(int) dataflow.Handler {
-		return dataflow.HandlerFunc(func(ctx *dataflow.Context, m *core.Message) []dataflow.Emission {
-			return nil
 		})
 	}
 }

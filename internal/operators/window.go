@@ -3,8 +3,10 @@
 // window IDs derived from logical time (Li et al.'s semantics, which the
 // paper's TRANSFORM is defined against), frontier-triggered windowed
 // operators (aggregation, top-k, distinct count and a two-stream join, all
-// over one window store and one snapshot encoding), and stateless
-// map/filter/no-op/emit operators.
+// over one window store and one snapshot encoding), and the stateless
+// map, filter and emit operators (map and filter share one per-tuple
+// loop). There is no no-op operator: tests that need one use
+// testkit.NopHandler.
 //
 // Handlers are per-operator-instance state machines; the engine guarantees
 // single-threaded invocation per instance (the actor model), so handlers

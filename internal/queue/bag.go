@@ -14,6 +14,9 @@ package queue
 //   - a worker takes from its local list first, then the global FIFO, then
 //     steals from the *opposite* end (FIFO) of other workers' lists.
 //
+// A bag with no local lists (NewBag(0)) is one global FIFO: every add
+// lands there. That is the FIFO baseline's run queue.
+//
 // This is a sequential model for the deterministic simulator, which is
 // where the Orleans baseline runs. Concurrency-safety inside the structure
 // would buy nothing but non-determinism in the experiments.
@@ -23,10 +26,11 @@ type Bag[T comparable] struct {
 	size   int
 }
 
-// NewBag returns a bag for the given number of workers.
+// NewBag returns a bag with one local list per worker; 0 workers gives a
+// bag with the global FIFO only.
 func NewBag[T comparable](workers int) *Bag[T] {
-	if workers <= 0 {
-		panic("queue: Bag needs at least one worker")
+	if workers < 0 {
+		panic("queue: Bag needs a non-negative worker count")
 	}
 	return &Bag[T]{locals: make([]Ring[T], workers)}
 }
@@ -34,9 +38,14 @@ func NewBag[T comparable](workers int) *Bag[T] {
 // Len reports the total queued items across all lists.
 func (b *Bag[T]) Len() int { return b.size }
 
-// Add pushes v onto worker w's local list.
+// Add pushes v onto worker w's local list, or onto the global FIFO if w
+// has none.
 func (b *Bag[T]) Add(w int, v T) {
-	b.locals[w].PushBack(v)
+	if w < len(b.locals) {
+		b.locals[w].PushBack(v)
+	} else {
+		b.global.PushBack(v)
+	}
 	b.size++
 }
 
@@ -51,9 +60,11 @@ func (b *Bag[T]) AddGlobal(v T) {
 // FIFO, then round-robin stealing from other workers' list heads.
 // ok is false when the bag is empty.
 func (b *Bag[T]) Take(w int) (v T, ok bool) {
-	if v, ok = b.locals[w].PopBack(); ok { // LIFO: freshest local item
-		b.size--
-		return v, true
+	if w < len(b.locals) {
+		if v, ok = b.locals[w].PopBack(); ok { // LIFO: freshest local item
+			b.size--
+			return v, true
+		}
 	}
 	if v, ok = b.global.PopFront(); ok {
 		b.size--

@@ -174,6 +174,23 @@ func TestBagStealFIFO(t *testing.T) {
 	}
 }
 
+// A bag with no local lists is one global FIFO — the FIFO baseline's run
+// queue: whichever worker adds or takes, items leave in arrival order.
+func TestBagWithoutLocalsIsFIFO(t *testing.T) {
+	b := NewBag[int](0)
+	b.Add(0, 1)
+	b.AddGlobal(2)
+	b.Add(3, 3)
+	for want := 1; want <= 3; want++ {
+		if v, ok := b.Take(want % 2); !ok || v != want {
+			t.Fatalf("Take = %d/%v, want %d", v, ok, want)
+		}
+	}
+	if _, ok := b.Take(0); ok || b.Len() != 0 {
+		t.Fatalf("drained bag: ok %v, Len %d", ok, b.Len())
+	}
+}
+
 func TestBagLenAccounting(t *testing.T) {
 	b := NewBag[int](2)
 	b.Add(0, 1)

@@ -156,8 +156,9 @@ func readBatch(r *snap.Reader, env *dataflow.Env) *dataflow.Batch {
 		return nil
 	}
 	n := int(r.U32())
-	if n > r.Remaining() { // each tuple needs ≥ 8 bytes; cheap bound check
-		n = 0
+	if left := r.Remaining(); n > left/8 { // each tuple needs ≥ 8 bytes
+		r.Fail(fmt.Errorf("batch of %d tuples needs at least %d bytes, %d left", n, 8*n, left))
+		return nil
 	}
 	b := env.NewBatch(n)
 	for i := 0; i < n && r.Err() == nil; i++ {
@@ -190,13 +191,10 @@ func readBatch(r *snap.Reader, env *dataflow.Env) *dataflow.Batch {
 // counters being separate atomics. Bounded by one handler invocation per
 // worker once the pause lands, like CancelJob's quiesce.
 func quiesceJob(j *dataflow.Job) {
-	for {
+	waitUntil(func() bool {
 		q := j.Queued.Load()
-		if j.Outstanding.Load() == q {
-			return
-		}
-		time.Sleep(50 * time.Microsecond)
-	}
+		return j.Outstanding.Load() == q
+	}, time.Time{})
 }
 
 // CheckpointJob snapshots one job's complete dynamic state into w (which is

@@ -429,12 +429,8 @@ func (e *Engine) CancelJob(name string) error {
 		// resubmission) so this caller gets the same post-condition —
 		// returning early would break "no worker references the job".
 		e.jobsMu.Unlock()
-		for {
-			if cur, _ := e.job(name); cur != j {
-				return nil
-			}
-			time.Sleep(50 * time.Microsecond)
-		}
+		waitUntil(func() bool { cur, _ := e.job(name); return cur != j }, time.Time{})
+		return nil
 	}
 	e.cancelling[name] = true
 	e.path.cancel(j)
@@ -445,9 +441,7 @@ func (e *Engine) CancelJob(name string) error {
 	e.jobsMu.Unlock()
 	// Quiesce outside the lock so other jobs' lifecycle and ingest calls
 	// proceed while the last in-flight executions retire.
-	for j.Outstanding.Load() != 0 {
-		time.Sleep(50 * time.Microsecond)
-	}
+	waitUntil(func() bool { return j.Outstanding.Load() == 0 }, time.Time{})
 	e.jobsMu.Lock()
 	e.jobs.Delete(name)
 	delete(e.failed, name)
@@ -516,16 +510,7 @@ func (e *Engine) DrainJob(name string, timeout time.Duration) (bool, error) {
 	if !ok {
 		return false, fmt.Errorf("runtime: unknown job %q", name)
 	}
-	deadline := time.Now().Add(timeout)
-	for {
-		if j.Outstanding.Load() == 0 {
-			return true, nil
-		}
-		if time.Now().After(deadline) {
-			return false, nil
-		}
-		time.Sleep(200 * time.Microsecond)
-	}
+	return waitUntil(func() bool { return j.Outstanding.Load() == 0 }, time.Now().Add(timeout)), nil
 }
 
 // discardMessage settles a message that will never execute — one found
@@ -844,16 +829,24 @@ func (e *Engine) JobPending(name string) (int, error) {
 // retained messages count as outstanding — Drain will time out while one
 // holds backlog; resume or cancel it first, or use DrainJob.
 func (e *Engine) Drain(timeout time.Duration) bool {
-	deadline := time.Now().Add(timeout)
-	for {
-		if e.outstanding.Load() == 0 {
-			return true
-		}
-		if time.Now().After(deadline) {
+	return waitUntil(func() bool { return e.outstanding.Load() == 0 }, time.Now().Add(timeout))
+}
+
+// waitInterval is how often waitUntil polls.
+const waitInterval = 50 * time.Microsecond
+
+// waitUntil polls done every waitInterval until it holds, and reports
+// true, or until deadline passes, and reports false. A zero deadline
+// waits as long as it takes. Every wait of the engine's lifecycle calls —
+// cancel, drain, the checkpoint's quiesce — is this one loop.
+func waitUntil(done func() bool, deadline time.Time) bool {
+	for !done() {
+		if !deadline.IsZero() && time.Now().After(deadline) {
 			return false
 		}
-		time.Sleep(200 * time.Microsecond)
+		time.Sleep(waitInterval)
 	}
+	return true
 }
 
 func (e *Engine) nextID() int64 { return e.msgID.Add(1) }

@@ -6,6 +6,7 @@ import (
 	"github.com/cameo-stream/cameo/internal/core"
 	"github.com/cameo-stream/cameo/internal/dataflow"
 	"github.com/cameo-stream/cameo/internal/operators"
+	"github.com/cameo-stream/cameo/internal/testkit"
 	"github.com/cameo-stream/cameo/internal/vtime"
 	"github.com/cameo-stream/cameo/internal/workload"
 )
@@ -237,7 +238,7 @@ func TestSimQuantumBoundsHeadOfLineBlocking(t *testing.T) {
 			Name: "bulk", Latency: 7200 * vtime.Second, Sources: 16,
 			Stages: []dataflow.StageSpec{{
 				Name: "chew", Parallelism: 1,
-				NewHandler: operators.NoOp(),
+				NewHandler: testkit.NopHandler,
 				Cost:       dataflow.CostModel{Base: 40 * vtime.Millisecond},
 			}},
 		}
@@ -296,8 +297,7 @@ func TestSimRunTwicePanics(t *testing.T) {
 func TestSimAddJobAfterRunFails(t *testing.T) {
 	c := New(Config{End: vtime.Second})
 	c.Run()
-	q := workload.NoOpJob("x", 1, vtime.Second)
-	if _, err := c.AddJob(q.Spec, q.Feed(1)); err == nil {
+	if _, err := c.AddJob(testkit.NopSpec("x"), nil); err == nil {
 		t.Fatal("expected error")
 	}
 }

@@ -1,19 +1,22 @@
-// Package snap is the versioned, deterministic binary encoding for
-// operator-state snapshots. It is deliberately tiny and self-contained —
-// fixed-width little-endian scalars, length-prefixed strings, a magic/
-// version header, and a CRC32 trailer — so a snapshot's bytes are a pure
-// function of the values written (no maps, no reflection, no varints whose
-// width depends on history) and torn or truncated files are rejected up
-// front instead of half-restoring state.
+// Package snap is the repo's one deterministic binary codec: fixed-width
+// little-endian scalars and length-prefixed strings, so encoded bytes are
+// a pure function of the values written (no maps, no reflection, no
+// varints whose width depends on history).
 //
-// Writers append; Readers validate the whole envelope (magic, version,
-// length, checksum) at construction and then carry a sticky error: the
-// first failed read poisons every subsequent one, so restore code can
-// decode an entire section and check r.Err() once.
+// Snapshots (operator state, job checkpoints) wrap the body in a magic/
+// version header and a CRC32 trailer, so torn or truncated files are
+// rejected up front instead of half-restoring state. internal/wire encodes
+// and decodes its frame bodies with the same Writer and Reader, header-less
+// (NewBodyWriter, NewBodyReader), and does its own framing around them.
+//
+// Writers append; Readers carry a sticky error: the first failed read
+// poisons every subsequent one, so decode code can read an entire section
+// and check r.Err() once.
 package snap
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"math"
@@ -35,31 +38,39 @@ const trailerLen = 4
 // headerLen is magic + version.
 const headerLen = 8
 
-// Writer accumulates a snapshot body. The zero value is NOT ready; use
-// NewWriter, which stamps the header.
+// Writer accumulates an encoding. Use NewWriter for a snapshot or
+// NewBodyWriter for a header-less body.
 type Writer struct {
-	buf []byte
+	buf    []byte
+	header bool
 }
 
-// NewWriter returns a writer with the magic/version header stamped.
+// NewWriter returns a snapshot writer with the magic/version header
+// stamped.
 func NewWriter() *Writer {
-	w := &Writer{buf: make([]byte, 0, 512)}
-	w.U32(Magic)
-	w.U32(Version)
+	w := &Writer{buf: make([]byte, 0, 512), header: true}
+	w.Reset()
 	return w
 }
 
-// Reset truncates the writer back to a fresh header, reusing the buffer —
-// the periodic checkpointer calls it so steady-state checkpoints do not
-// reallocate.
+// NewBodyWriter returns a writer that stamps no header: its Body is
+// exactly the values written.
+func NewBodyWriter() *Writer { return &Writer{buf: make([]byte, 0, 512)} }
+
+// Reset truncates the writer back to a fresh header (none for a body
+// writer), reusing the buffer — the periodic checkpointer and every wire
+// frame call it so steady-state encodes do not reallocate.
 func (w *Writer) Reset() {
 	w.buf = w.buf[:0]
-	w.U32(Magic)
-	w.U32(Version)
+	if w.header {
+		w.U32(Magic)
+		w.U32(Version)
+	}
 }
 
-// Len reports the current body length (header included, trailer not).
-func (w *Writer) Len() int { return len(w.buf) }
+// Body returns the bytes written since Reset, header included and no
+// trailer. It does not copy: the slice is valid until the next write.
+func (w *Writer) Body() []byte { return w.buf }
 
 // U8 appends one byte.
 func (w *Writer) U8(v uint8) { w.buf = append(w.buf, v) }
@@ -110,13 +121,17 @@ func (w *Writer) Bytes() []byte {
 	return binary.LittleEndian.AppendUint32(w.buf, sum)
 }
 
-// Reader decodes a snapshot produced by Writer. Construction validates the
-// envelope; reads never panic — the first failure sets a sticky error and
-// every subsequent read returns zero values.
+// errShort is wrapped by the error of a read past the end of a snapshot.
+var errShort = errors.New("snap: truncated")
+
+// Reader decodes an encoding produced by Writer. Reads never panic — the
+// first failure sets a sticky error and every subsequent read returns
+// zero values.
 type Reader struct {
-	buf []byte
-	pos int
-	err error
+	buf   []byte
+	pos   int
+	err   error
+	short error // wrapped by a short read's error
 }
 
 // NewReader validates data's envelope (length, magic, version, CRC32) and
@@ -136,7 +151,19 @@ func NewReader(data []byte) (*Reader, error) {
 	if ver := binary.LittleEndian.Uint32(body[4:]); ver != Version {
 		return nil, fmt.Errorf("snap: unsupported snapshot version %d (want %d)", ver, Version)
 	}
-	return &Reader{buf: body, pos: headerLen}, nil
+	return &Reader{buf: body, pos: headerLen, short: errShort}, nil
+}
+
+// NewBodyReader returns a reader over a header-less body, with no envelope
+// to check. A read past the end of the body fails with an error wrapping
+// short, so a caller can report it in its own error vocabulary.
+func NewBodyReader(body []byte, short error) *Reader {
+	return &Reader{buf: body, short: short}
+}
+
+// Reset points the reader at a new header-less body and clears its error.
+func (r *Reader) Reset(body []byte) {
+	r.buf, r.pos, r.err = body, 0, nil
 }
 
 // Err returns the sticky decode error, if any.
@@ -145,18 +172,24 @@ func (r *Reader) Err() error { return r.err }
 // Remaining reports how many undecoded bytes are left.
 func (r *Reader) Remaining() int { return len(r.buf) - r.pos }
 
-func (r *Reader) fail(what string) {
+// Fail records err as the sticky error unless one is already set, and
+// returns the sticky error.
+func (r *Reader) Fail(err error) error {
 	if r.err == nil {
-		r.err = fmt.Errorf("snap: truncated %s at offset %d", what, r.pos)
+		r.err = err
 	}
+	return r.err
 }
 
-func (r *Reader) take(n int, what string) []byte {
+// Take returns the next n bytes, a view into the body, or nil (with the
+// sticky error set) if fewer than n are left; what names the value in the
+// error.
+func (r *Reader) Take(n int, what string) []byte {
 	if r.err != nil {
 		return nil
 	}
-	if r.pos+n > len(r.buf) {
-		r.fail(what)
+	if n < 0 || n > len(r.buf)-r.pos {
+		r.Fail(fmt.Errorf("%w: short %s at offset %d", r.short, what, r.pos))
 		return nil
 	}
 	b := r.buf[r.pos : r.pos+n]
@@ -166,7 +199,7 @@ func (r *Reader) take(n int, what string) []byte {
 
 // U8 reads one byte.
 func (r *Reader) U8() uint8 {
-	b := r.take(1, "u8")
+	b := r.Take(1, "u8")
 	if b == nil {
 		return 0
 	}
@@ -178,7 +211,7 @@ func (r *Reader) Bool() bool { return r.U8() != 0 }
 
 // U32 reads a little-endian uint32.
 func (r *Reader) U32() uint32 {
-	b := r.take(4, "u32")
+	b := r.Take(4, "u32")
 	if b == nil {
 		return 0
 	}
@@ -187,7 +220,7 @@ func (r *Reader) U32() uint32 {
 
 // U64 reads a little-endian uint64.
 func (r *Reader) U64() uint64 {
-	b := r.take(8, "u64")
+	b := r.Take(8, "u64")
 	if b == nil {
 		return 0
 	}
@@ -208,13 +241,5 @@ func (r *Reader) Dur() vtime.Duration { return vtime.Duration(r.I64()) }
 
 // String reads a length-prefixed string.
 func (r *Reader) String() string {
-	n := int(r.U32())
-	if r.err != nil {
-		return ""
-	}
-	if n > r.Remaining() {
-		r.fail("string")
-		return ""
-	}
-	return string(r.take(n, "string"))
+	return string(r.Take(int(r.U32()), "string"))
 }

@@ -2,6 +2,7 @@ package snap
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"github.com/cameo-stream/cameo/internal/vtime"
@@ -147,5 +148,34 @@ func TestStickyError(t *testing.T) {
 	}
 	if s := r2.String(); s != "" || r2.Err() == nil {
 		t.Fatalf("huge length prefix decoded to %q, err %v", s, r2.Err())
+	}
+}
+
+// TestBody: a body writer stamps no header and a body reader checks no
+// envelope — the form internal/wire frames. Reset starts a new body (and
+// clears the reader's error), and a short read wraps the sentinel the
+// reader was given.
+func TestBody(t *testing.T) {
+	w := NewBodyWriter()
+	w.U32(7)
+	w.String("ab")
+	if got, want := w.Body(), []byte{7, 0, 0, 0, 2, 0, 0, 0, 'a', 'b'}; !bytes.Equal(got, want) {
+		t.Fatalf("body %v, want %v", got, want)
+	}
+	short := errors.New("short read")
+	r := NewBodyReader(w.Body(), short)
+	if v, s := r.U32(), r.String(); v != 7 || s != "ab" || r.Err() != nil || r.Remaining() != 0 {
+		t.Fatalf("read %d %q err %v remaining %d", v, s, r.Err(), r.Remaining())
+	}
+	if r.U8() != 0 || !errors.Is(r.Err(), short) {
+		t.Fatalf("read past the end: err %v, want one wrapping the reader's sentinel", r.Err())
+	}
+	r.Reset([]byte{9})
+	if v := r.U8(); v != 9 || r.Err() != nil {
+		t.Fatalf("after Reset: read %d err %v", v, r.Err())
+	}
+	w.Reset()
+	if len(w.Body()) != 0 {
+		t.Fatalf("body writer Reset left %d bytes", len(w.Body()))
 	}
 }

@@ -1,6 +1,5 @@
 // Package testkit holds the shared helpers the engine test suites were
-// each re-implementing ad hoc: channel collection with timeouts, a
-// goroutine-leak checker for engine lifecycle tests, deterministic seeded
+// each re-implementing ad hoc: a goroutine-leak checker for engine lifecycle tests, deterministic seeded
 // workload builders usable by both the simulator and the real-time engine,
 // common job specs, and experiment-table accessors. Test-only; never
 // imported by production code.
@@ -23,38 +22,6 @@ import (
 	"github.com/cameo-stream/cameo/internal/operators"
 	"github.com/cameo-stream/cameo/internal/vtime"
 )
-
-// CollectWithTimeout receives n values from ch, failing the test if the
-// timeout elapses first. It returns the values received so far on failure,
-// so the error message can show partial progress.
-func CollectWithTimeout[T any](t testing.TB, ch <-chan T, n int, timeout time.Duration) []T {
-	t.Helper()
-	out := make([]T, 0, n)
-	deadline := time.After(timeout)
-	for len(out) < n {
-		select {
-		case v, ok := <-ch:
-			if !ok {
-				t.Fatalf("testkit: channel closed after %d/%d values", len(out), n)
-				return out
-			}
-			out = append(out, v)
-		case <-deadline:
-			t.Fatalf("testkit: timed out after %v with %d/%d values", timeout, len(out), n)
-			return out
-		}
-	}
-	return out
-}
-
-// FeedAndClose sends every value into ch and closes it — the producer side
-// of a test pipeline, in one line.
-func FeedAndClose[T any](ch chan<- T, values ...T) {
-	for _, v := range values {
-		ch <- v
-	}
-	close(ch)
-}
 
 // LeakCheck snapshots the goroutine count and returns a function that
 // fails the test if the count has not returned to the baseline once the

@@ -3,10 +3,11 @@
 // carrying per-tenant event batches, progress advances, and flow-control
 // frames between internal/client and internal/server.
 //
-// It deliberately mirrors the internal/snap encoding idiom — fixed-width
-// little-endian scalars, length-prefixed strings, a magic/version
-// preamble, a CRC32 trailer per frame, and a sticky-error reader — so a
-// frame's bytes are a pure function of the values written and a torn,
+// Frame bodies are encoded and decoded by internal/snap's header-less
+// Writer and Reader — fixed-width little-endian scalars, length-prefixed
+// strings, a sticky-error reader — and this package adds the framing: a
+// magic/version preamble, a length prefix and a CRC32 trailer per frame.
+// A frame's bytes are a pure function of the values written, and a torn,
 // truncated, or bit-flipped frame is rejected as a typed error before any
 // of it reaches the engine. Decode errors are terminal for the stream:
 // the first failure poisons every subsequent read (the transport has lost
@@ -47,6 +48,7 @@ import (
 	"math"
 
 	"github.com/cameo-stream/cameo/internal/dataflow"
+	"github.com/cameo-stream/cameo/internal/snap"
 	"github.com/cameo-stream/cameo/internal/vtime"
 )
 
@@ -137,7 +139,7 @@ var (
 	// ErrUnknownFrame: an unassigned frame type byte.
 	ErrUnknownFrame = errors.New("wire: unknown frame type")
 	// ErrMalformed: a structurally invalid payload (bad count, trailing
-	// bytes, column length mismatch).
+	// bytes, column length mismatch, a value running past the frame).
 	ErrMalformed = errors.New("wire: malformed frame")
 )
 
@@ -149,46 +151,41 @@ var (
 // buffer has grown to the workload's frame size.
 type Writer struct {
 	w   io.Writer
-	buf []byte
+	enc *snap.Writer
 }
 
 // NewWriter returns a Writer emitting to w.
 func NewWriter(w io.Writer) *Writer {
-	return &Writer{w: w, buf: make([]byte, 0, 512)}
+	return &Writer{w: w, enc: snap.NewBodyWriter()}
 }
 
 // Preamble emits the magic/version header. Each direction sends it once,
 // immediately after connecting.
 func (w *Writer) Preamble() error {
-	w.buf = w.buf[:0]
-	w.buf = binary.LittleEndian.AppendUint32(w.buf, Magic)
-	w.buf = binary.LittleEndian.AppendUint32(w.buf, Version)
-	_, err := w.w.Write(w.buf)
+	w.enc.Reset()
+	w.enc.U32(Magic)
+	w.enc.U32(Version)
+	_, err := w.w.Write(w.enc.Body())
 	return err
 }
 
-// begin starts a frame: length placeholder plus the type byte.
-func (w *Writer) begin(typ byte) {
-	w.buf = append(w.buf[:0], 0, 0, 0, 0, typ)
+// begin starts a frame — length placeholder plus the type byte — and
+// returns the encoder for its payload.
+func (w *Writer) begin(typ byte) *snap.Writer {
+	w.enc.Reset()
+	w.enc.U32(0)
+	w.enc.U8(typ)
+	return w.enc
 }
 
 // finish stamps the length prefix, appends the CRC32 trailer, and writes
 // the whole frame in one call.
 func (w *Writer) finish() error {
-	body := w.buf[4:]
-	binary.LittleEndian.PutUint32(w.buf[:4], uint32(len(body)))
-	w.buf = binary.LittleEndian.AppendUint32(w.buf, crc32.ChecksumIEEE(body))
-	_, err := w.w.Write(w.buf)
+	frame := w.enc.Body()
+	binary.LittleEndian.PutUint32(frame, uint32(len(frame)-4))
+	w.enc.U32(crc32.ChecksumIEEE(frame[4:]))
+	_, err := w.w.Write(w.enc.Body())
 	return err
-}
-
-func (w *Writer) u8(v uint8)   { w.buf = append(w.buf, v) }
-func (w *Writer) u32(v uint32) { w.buf = binary.LittleEndian.AppendUint32(w.buf, v) }
-func (w *Writer) u64(v uint64) { w.buf = binary.LittleEndian.AppendUint64(w.buf, v) }
-func (w *Writer) i64(v int64)  { w.u64(uint64(v)) }
-func (w *Writer) str(s string) {
-	w.u32(uint32(len(s)))
-	w.buf = append(w.buf, s...)
 }
 
 // Bind emits a stream-open request: the client-chosen stream id, the job's
@@ -196,10 +193,10 @@ func (w *Writer) str(s string) {
 // Events frames carry only the compact id, keeping job-name strings (and
 // their per-frame allocation) off the hot path.
 func (w *Writer) Bind(stream uint32, source int, job string) error {
-	w.begin(FrameBind)
-	w.u32(stream)
-	w.u32(uint32(source))
-	w.str(job)
+	e := w.begin(FrameBind)
+	e.U32(stream)
+	e.U32(uint32(source))
+	e.String(job)
 	return w.finish()
 }
 
@@ -207,10 +204,10 @@ func (w *Writer) Bind(stream uint32, source int, job string) error {
 // consumed: the caller still owns b afterwards. Column presence is
 // encoded in flags; absent columns decode as zeros.
 func (w *Writer) Events(stream uint32, seq uint64, progress vtime.Time, b *dataflow.Batch) error {
-	w.begin(FrameEvents)
-	w.u32(stream)
-	w.u64(seq)
-	w.i64(int64(progress))
+	e := w.begin(FrameEvents)
+	e.U32(stream)
+	e.U64(seq)
+	e.Time(progress)
 	var flags uint8
 	if b.Keys != nil {
 		flags |= FlagKeys
@@ -218,31 +215,26 @@ func (w *Writer) Events(stream uint32, seq uint64, progress vtime.Time, b *dataf
 	if b.Vals != nil {
 		flags |= FlagVals
 	}
-	w.u8(flags)
-	n := b.Len()
-	w.u32(uint32(n))
+	e.U8(flags)
+	e.U32(uint32(b.Len()))
 	for _, t := range b.Times {
-		w.i64(int64(t))
+		e.Time(t)
 	}
-	if b.Keys != nil {
-		for _, k := range b.Keys {
-			w.i64(k)
-		}
+	for _, k := range b.Keys {
+		e.I64(k)
 	}
-	if b.Vals != nil {
-		for _, v := range b.Vals {
-			w.u64(math.Float64bits(v))
-		}
+	for _, v := range b.Vals {
+		e.F64(v)
 	}
 	return w.finish()
 }
 
 // Advance emits a data-less watermark on a bound stream.
 func (w *Writer) Advance(stream uint32, seq uint64, progress vtime.Time) error {
-	w.begin(FrameAdvance)
-	w.u32(stream)
-	w.u64(seq)
-	w.i64(int64(progress))
+	e := w.begin(FrameAdvance)
+	e.U32(stream)
+	e.U64(seq)
+	e.Time(progress)
 	return w.finish()
 }
 
@@ -250,22 +242,22 @@ func (w *Writer) Advance(stream uint32, seq uint64, progress vtime.Time) error {
 // number of frames the client may have unacknowledged) and its Slack. A
 // non-zero code refuses the bind; msg carries the human-readable reason.
 func (w *Writer) Credit(stream, window uint32, sl Slack, code uint8, msg string) error {
-	w.begin(FrameCredit)
-	w.u32(stream)
-	w.u32(window)
-	w.i64(int64(sl.Latency))
-	w.i64(int64(sl.Slide))
-	w.u8(code)
-	w.str(msg)
+	e := w.begin(FrameCredit)
+	e.U32(stream)
+	e.U32(window)
+	e.Dur(sl.Latency)
+	e.Dur(sl.Slide)
+	e.U8(code)
+	e.String(msg)
 	return w.finish()
 }
 
 // Ack cumulatively acknowledges every frame on the stream with sequence
 // number <= through.
 func (w *Writer) Ack(stream uint32, through uint64) error {
-	w.begin(FrameAck)
-	w.u32(stream)
-	w.u64(through)
+	e := w.begin(FrameAck)
+	e.U32(stream)
+	e.U64(through)
 	return w.finish()
 }
 
@@ -273,11 +265,11 @@ func (w *Writer) Ack(stream uint32, through uint64) error {
 // number <= through: the admission layer refused the coalesced events.
 // retryAfter is the server's backoff hint.
 func (w *Writer) Nack(stream uint32, through uint64, code uint8, retryAfter vtime.Duration) error {
-	w.begin(FrameNack)
-	w.u32(stream)
-	w.u64(through)
-	w.u8(code)
-	w.i64(int64(retryAfter))
+	e := w.begin(FrameNack)
+	e.U32(stream)
+	e.U64(through)
+	e.U8(code)
+	e.Dur(retryAfter)
 	return w.finish()
 }
 
@@ -293,20 +285,19 @@ func (w *Writer) Flush() error {
 	return w.finish()
 }
 
-// Reader decodes a frame stream. The first failure — a short read, a bad
-// checksum, an unknown type, a malformed payload — is sticky: every
-// subsequent call returns the same error, so connection code can decode a
-// whole frame with the snap-style typed getters and check once. Reads
-// reuse one internal buffer; the getters return views into it that are
-// valid only until the next call to Next.
+// Reader decodes a frame stream. Its getters (U8, U32, U64, I64, F64,
+// Time, Dur, String) are snap's, reading the current frame's payload. The
+// first failure — a short read, a bad checksum, an unknown type, a
+// malformed payload — is sticky: every subsequent call returns the same
+// error, so connection code can decode a whole frame and check once.
+// Reads reuse one internal buffer; views into it are valid only until the
+// next call to Next.
 type Reader struct {
-	r    io.Reader
-	max  int
-	hdr  [8]byte
-	buf  []byte // current frame: body ++ crc trailer
-	body []byte // current frame body, past the type byte
-	pos  int
-	err  error
+	snap.Reader // the current frame's payload, past the type byte
+	r           io.Reader
+	max         int
+	hdr         [8]byte
+	buf         []byte // current frame: body ++ crc trailer
 }
 
 // NewReader returns a Reader over r refusing frames larger than maxFrame
@@ -315,163 +306,79 @@ func NewReader(r io.Reader, maxFrame int) *Reader {
 	if maxFrame <= 0 {
 		maxFrame = DefaultMaxFrame
 	}
-	return &Reader{r: r, max: maxFrame}
-}
-
-// Err returns the sticky stream error, if any.
-func (r *Reader) Err() error { return r.err }
-
-func (r *Reader) fail(err error) error {
-	if r.err == nil {
-		r.err = err
-	}
-	return r.err
+	return &Reader{Reader: *snap.NewBodyReader(nil, ErrMalformed), r: r, max: maxFrame}
 }
 
 // Preamble reads and validates the peer's magic/version header.
 func (r *Reader) Preamble() error {
-	if r.err != nil {
-		return r.err
+	if err := r.Err(); err != nil {
+		return err
 	}
 	if _, err := io.ReadFull(r.r, r.hdr[:8]); err != nil {
-		return r.fail(fmt.Errorf("%w: reading preamble: %v", ErrTruncated, err))
+		return r.Fail(fmt.Errorf("%w: reading preamble: %v", ErrTruncated, err))
 	}
 	if m := binary.LittleEndian.Uint32(r.hdr[:4]); m != Magic {
-		return r.fail(fmt.Errorf("%w: %08x", ErrBadMagic, m))
+		return r.Fail(fmt.Errorf("%w: %08x", ErrBadMagic, m))
 	}
 	if v := binary.LittleEndian.Uint32(r.hdr[4:8]); v != Version {
-		return r.fail(fmt.Errorf("%w: %d (want %d)", ErrBadVersion, v, Version))
+		return r.Fail(fmt.Errorf("%w: %d (want %d)", ErrBadVersion, v, Version))
 	}
 	return nil
 }
 
 // Next reads one frame envelope — length, body, CRC — validates it, and
-// returns the frame type, positioning the typed getters at the start of
-// the payload. A clean end of stream between frames returns io.EOF
+// returns the frame type, positioning the getters at the start of the
+// payload. A clean end of stream between frames returns io.EOF
 // unwrapped; an end mid-frame is ErrTruncated. The previous frame's
 // payload views are invalidated.
 func (r *Reader) Next() (byte, error) {
-	if r.err != nil {
-		return 0, r.err
+	if err := r.Err(); err != nil {
+		return 0, err
 	}
 	if _, err := io.ReadFull(r.r, r.hdr[:4]); err != nil {
 		if err == io.EOF {
-			r.err = io.EOF
-			return 0, io.EOF
+			return 0, r.Fail(io.EOF)
 		}
-		return 0, r.fail(fmt.Errorf("%w: reading frame header: %v", ErrTruncated, err))
+		return 0, r.Fail(fmt.Errorf("%w: reading frame header: %v", ErrTruncated, err))
 	}
 	n := int(binary.LittleEndian.Uint32(r.hdr[:4]))
 	if n < 1 {
-		return 0, r.fail(fmt.Errorf("%w: zero-length frame", ErrMalformed))
+		return 0, r.Fail(fmt.Errorf("%w: zero-length frame", ErrMalformed))
 	}
 	if n > r.max {
-		return 0, r.fail(fmt.Errorf("%w: %d bytes (limit %d)", ErrFrameTooLarge, n, r.max))
+		return 0, r.Fail(fmt.Errorf("%w: %d bytes (limit %d)", ErrFrameTooLarge, n, r.max))
 	}
 	if cap(r.buf) < n+4 {
 		r.buf = make([]byte, n+4)
 	}
 	r.buf = r.buf[:n+4]
 	if _, err := io.ReadFull(r.r, r.buf); err != nil {
-		return 0, r.fail(fmt.Errorf("%w: reading %d-byte frame: %v", ErrTruncated, n, err))
+		return 0, r.Fail(fmt.Errorf("%w: reading %d-byte frame: %v", ErrTruncated, n, err))
 	}
 	body := r.buf[:n]
 	if got, want := crc32.ChecksumIEEE(body), binary.LittleEndian.Uint32(r.buf[n:]); got != want {
-		return 0, r.fail(fmt.Errorf("%w: %08x != %08x", ErrChecksum, got, want))
+		return 0, r.Fail(fmt.Errorf("%w: %08x != %08x", ErrChecksum, got, want))
 	}
 	typ := body[0]
 	if typ == 0 || typ > frameTypeMax {
-		return 0, r.fail(fmt.Errorf("%w: %d", ErrUnknownFrame, typ))
+		return 0, r.Fail(fmt.Errorf("%w: %d", ErrUnknownFrame, typ))
 	}
-	r.body = body[1:]
-	r.pos = 0
+	r.Reset(body[1:])
 	return typ, nil
 }
-
-// Remaining reports the undecoded bytes left in the current frame.
-func (r *Reader) Remaining() int { return len(r.body) - r.pos }
 
 // Done checks that the current frame was fully consumed — trailing bytes
 // mean the payload's structure disagreed with its length, which is as
 // disqualifying as a short one — and returns the sticky error either way.
 func (r *Reader) Done() error {
-	if r.err != nil {
-		return r.err
+	if n := r.Remaining(); n != 0 && r.Err() == nil {
+		return r.Fail(fmt.Errorf("%w: %d trailing bytes", ErrMalformed, n))
 	}
-	if r.pos != len(r.body) {
-		return r.fail(fmt.Errorf("%w: %d trailing bytes", ErrMalformed, len(r.body)-r.pos))
-	}
-	return nil
+	return r.Err()
 }
-
-func (r *Reader) take(n int, what string) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if r.pos+n > len(r.body) {
-		r.fail(fmt.Errorf("%w: short %s at offset %d", ErrMalformed, what, r.pos))
-		return nil
-	}
-	b := r.body[r.pos : r.pos+n]
-	r.pos += n
-	return b
-}
-
-// U8 reads one byte of the current frame.
-func (r *Reader) U8() uint8 {
-	b := r.take(1, "u8")
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-// U32 reads a little-endian uint32.
-func (r *Reader) U32() uint32 {
-	b := r.take(4, "u32")
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b)
-}
-
-// U64 reads a little-endian uint64.
-func (r *Reader) U64() uint64 {
-	b := r.take(8, "u64")
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b)
-}
-
-// I64 reads an int64.
-func (r *Reader) I64() int64 { return int64(r.U64()) }
-
-// F64 reads a float64 by bit pattern.
-func (r *Reader) F64() float64 { return math.Float64frombits(r.U64()) }
-
-// Time reads a vtime.Time.
-func (r *Reader) Time() vtime.Time { return vtime.Time(r.I64()) }
-
-// Dur reads a vtime.Duration.
-func (r *Reader) Dur() vtime.Duration { return vtime.Duration(r.I64()) }
 
 // Slack reads a Credit frame's scheduling context.
 func (r *Reader) Slack() Slack { return Slack{Latency: r.Dur(), Slide: r.Dur()} }
-
-// String reads a length-prefixed string. It allocates; strings appear only
-// on control frames (Bind, Credit), never the Events hot path.
-func (r *Reader) String() string {
-	n := int(r.U32())
-	if r.err != nil {
-		return ""
-	}
-	if n > r.Remaining() {
-		r.fail(fmt.Errorf("%w: string length %d exceeds frame", ErrMalformed, n))
-		return ""
-	}
-	return string(r.take(n, "string"))
-}
 
 // EventsHead is the fixed-size prefix of an Events frame.
 type EventsHead struct {
@@ -489,8 +396,8 @@ type EventsHead struct {
 func (r *Reader) EventsHead() (EventsHead, error) {
 	h := EventsHead{Stream: r.U32(), Seq: r.U64(), Progress: r.Time(), Flags: r.U8()}
 	count := r.U32()
-	if r.err != nil {
-		return h, r.err
+	if err := r.Err(); err != nil {
+		return h, err
 	}
 	width := 8 // times
 	if h.Flags&FlagKeys != 0 {
@@ -500,10 +407,10 @@ func (r *Reader) EventsHead() (EventsHead, error) {
 		width += 8
 	}
 	if h.Flags&^(FlagKeys|FlagVals) != 0 {
-		return h, r.fail(fmt.Errorf("%w: unknown events flags %#x", ErrMalformed, h.Flags))
+		return h, r.Fail(fmt.Errorf("%w: unknown events flags %#x", ErrMalformed, h.Flags))
 	}
 	if int64(count)*int64(width) != int64(r.Remaining()) {
-		return h, r.fail(fmt.Errorf("%w: %d tuples × %d bytes != %d remaining",
+		return h, r.Fail(fmt.Errorf("%w: %d tuples × %d bytes != %d remaining",
 			ErrMalformed, count, width, r.Remaining()))
 	}
 	h.Count = int(count)
@@ -516,17 +423,17 @@ func (r *Reader) EventsHead() (EventsHead, error) {
 // columnar — the engine's pooled batches always carry all three columns.
 // Call after EventsHead; allocation-free once b's columns have capacity.
 func (r *Reader) EventsInto(h EventsHead, b *dataflow.Batch) error {
-	times := r.take(8*h.Count, "times column")
+	times := r.Take(8*h.Count, "times column")
 	if times == nil {
-		return r.err
+		return r.Err()
 	}
 	for i := 0; i < h.Count; i++ {
 		b.Times = append(b.Times, vtime.Time(binary.LittleEndian.Uint64(times[8*i:])))
 	}
 	if h.Flags&FlagKeys != 0 {
-		keys := r.take(8*h.Count, "keys column")
+		keys := r.Take(8*h.Count, "keys column")
 		if keys == nil {
-			return r.err
+			return r.Err()
 		}
 		for i := 0; i < h.Count; i++ {
 			b.Keys = append(b.Keys, int64(binary.LittleEndian.Uint64(keys[8*i:])))
@@ -537,9 +444,9 @@ func (r *Reader) EventsInto(h EventsHead, b *dataflow.Batch) error {
 		}
 	}
 	if h.Flags&FlagVals != 0 {
-		vals := r.take(8*h.Count, "vals column")
+		vals := r.Take(8*h.Count, "vals column")
 		if vals == nil {
-			return r.err
+			return r.Err()
 		}
 		for i := 0; i < h.Count; i++ {
 			b.Vals = append(b.Vals, math.Float64frombits(binary.LittleEndian.Uint64(vals[8*i:])))

@@ -219,7 +219,7 @@ func TestTornFrames(t *testing.T) {
 			_ = typ
 			// Skip the payload without interpreting it; Done flags frames
 			// the envelope accepted but the cursor did not consume.
-			r.take(r.Remaining(), "payload")
+			r.Take(r.Remaining(), "payload")
 			if err := r.Done(); err != nil {
 				t.Fatalf("cut %d: done err %v", cut, err)
 			}
@@ -269,7 +269,7 @@ func TestBitFlips(t *testing.T) {
 				sawError = true
 				break
 			}
-			r.take(r.Remaining(), "payload")
+			r.Take(r.Remaining(), "payload")
 			if err := r.Done(); err != nil {
 				t.Fatalf("off %d: done err %v", off, err)
 			}
@@ -315,7 +315,7 @@ func TestUnknownFrameType(t *testing.T) {
 			t.Fatal(err)
 		}
 		w.begin(typ)
-		w.u32(42)
+		w.enc.U32(42)
 		if err := w.finish(); err != nil {
 			t.Fatal(err)
 		}
@@ -336,12 +336,12 @@ func TestEventsCountMismatch(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
 	w.begin(FrameEvents)
-	w.u32(1) // stream
-	w.u64(1) // seq
-	w.i64(0) // progress
-	w.u8(FlagKeys | FlagVals)
-	w.u32(1 << 30) // tuple count wildly beyond the payload
-	w.i64(123)     // one lonely "time"
+	w.enc.U32(1) // stream
+	w.enc.U64(1) // seq
+	w.enc.I64(0) // progress
+	w.enc.U8(FlagKeys | FlagVals)
+	w.enc.U32(1 << 30) // tuple count wildly beyond the payload
+	w.enc.I64(123)     // one lonely "time"
 	if err := w.finish(); err != nil {
 		t.Fatal(err)
 	}
@@ -360,9 +360,9 @@ func TestTrailingBytes(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
 	w.begin(FrameAck)
-	w.u32(1)
-	w.u64(9)
-	w.u64(0xdead) // 8 bytes past the Ack payload
+	w.enc.U32(1)
+	w.enc.U64(9)
+	w.enc.U64(0xdead) // 8 bytes past the Ack payload
 	if err := w.finish(); err != nil {
 		t.Fatal(err)
 	}
@@ -454,27 +454,27 @@ func TestCreditAndFlushPayloads(t *testing.T) {
 
 	v1 := next(t, func(w *Writer) { // stream | window | code | msg, as version 1 sent it
 		w.begin(FrameCredit)
-		w.u32(1)
-		w.u32(64)
-		w.u8(0)
-		w.str("")
+		w.enc.U32(1)
+		w.enc.U32(64)
+		w.enc.U8(0)
+		w.enc.String("")
 	})
 	if _, _, _, _, _, err := credit(v1); !errors.Is(err, ErrMalformed) {
 		t.Errorf("version-1 credit: err %v (want ErrMalformed)", err)
 	}
 	short := next(t, func(w *Writer) { // cut inside the Slack
 		w.begin(FrameCredit)
-		w.u32(1)
-		w.u32(64)
-		w.i64(int64(vtime.Second))
-		w.u32(0)
+		w.enc.U32(1)
+		w.enc.U32(64)
+		w.enc.I64(int64(vtime.Second))
+		w.enc.U32(0)
 	})
 	if _, _, _, _, _, err := credit(short); !errors.Is(err, ErrMalformed) {
 		t.Errorf("short credit: err %v (want ErrMalformed)", err)
 	}
 	padded := next(t, func(w *Writer) {
 		w.begin(FrameFlush)
-		w.u8(1)
+		w.enc.U8(1)
 	})
 	if err := padded.Done(); !errors.Is(err, ErrMalformed) {
 		t.Errorf("flush with a payload: err %v (want ErrMalformed)", err)
@@ -509,11 +509,11 @@ func TestSlack(t *testing.T) {
 	}
 }
 
-// TestCodecAllocFree pins the wire layer's own contribution to the ingest
+// TestAllocsCodecRoundTrip pins the wire layer's own contribution to the ingest
 // hot path at zero: one steady-state Events encode→decode round trip —
 // reused writer, reused reader buffer, pooled-capacity destination batch —
 // allocates nothing.
-func TestCodecAllocFree(t *testing.T) {
+func TestAllocsCodecRoundTrip(t *testing.T) {
 	if testkit.RaceEnabled {
 		t.Skip("allocation accounting is not meaningful under -race")
 	}

@@ -234,25 +234,3 @@ func BAJob(name string, sc Scale, rate float64, schedule RateSchedule) Query {
 		})
 	}}
 }
-
-// NoOpJob is the Figure 12 overhead microbenchmark workload: one regular
-// no-op operator, one message per source per interval, zero modelled cost
-// (the engine's minimum 1-tick execution applies).
-func NoOpJob(name string, sources int, horizon vtime.Time) Query {
-	spec := dataflow.JobSpec{
-		Name:    name,
-		Latency: vtime.Second,
-		Sources: sources,
-		Stages: []dataflow.StageSpec{
-			{Name: "noop", Parallelism: 1, NewHandler: operators.NoOp()},
-		},
-	}
-	return Query{Spec: spec, Feed: func(seed uint64) *Feed {
-		return Uniform(seed, sources, SourceConfig{
-			Interval: vtime.Second,
-			Rate:     ConstantRate(1),
-			Keys:     1,
-			End:      horizon,
-		})
-	}}
-}

@@ -98,9 +98,6 @@ func SynthesizeHeatmap(seed uint64, sources, intervals int, interval vtime.Durat
 	return h
 }
 
-// Row returns the per-interval counts of one source, usable as a TraceRate.
-func (h *Heatmap) Row(src int) []int { return h.Counts[src] }
-
 // NormalizedRow returns one source's trace rescaled to the given mean
 // tuples per interval, preserving its burst/idle shape. Rows with no
 // traffic come back as a constant targetMean. Rounding carries the

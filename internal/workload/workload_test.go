@@ -149,10 +149,6 @@ func TestQuerySpecsValidate(t *testing.T) {
 	if ba.Spec.Latency != 7200*vtime.Second {
 		t.Error("BA latency constraint should be 7200s")
 	}
-	noop := NoOpJob("n", 3, vtime.Second)
-	if err := noop.Spec.Validate(); err != nil {
-		t.Error(err)
-	}
 }
 
 func TestPowerLawVolumes(t *testing.T) {
