@@ -27,7 +27,7 @@
 // also works on the running engine, and Pause, Resume, and Cancel operate
 // per query without stopping the workers — tenants arrive and depart at
 // churn while the survivors' scheduling is untouched (see
-// examples/churn).
+// ExampleEngine_Pause).
 //
 // Two engines execute the same scheduling code: the real-time Engine
 // (goroutine worker pool, wall-clock profiling) and the deterministic

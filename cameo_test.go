@@ -94,6 +94,29 @@ func TestEngineEndToEnd(t *testing.T) {
 	if _, err := eng.Stats("ghost"); err == nil {
 		t.Fatal("Stats for unknown job succeeded")
 	}
+	if snapshot, err := eng.Checkpoint("job"); err != nil || len(snapshot) == 0 {
+		t.Fatalf("Checkpoint of a healthy query: %d bytes, err = %v", len(snapshot), err)
+	}
+
+	// A query quarantined by a handler panic is refused by Checkpoint.
+	bad := NewQuery("bad").Map("panics", 1, func(time.Duration, int64, float64) (int64, float64) {
+		panic("injected handler fault")
+	})
+	if err := eng.Submit(bad); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.IngestBatch("bad", 0, []Event{{Time: time.Millisecond, Value: 1}}, time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if drained, err := eng.DrainJob("bad", 5*time.Second); !drained || err != nil {
+		t.Fatalf("DrainJob(bad): drained=%v err=%v", drained, err)
+	}
+	if st, _ := eng.Stats("bad"); !st.Failed {
+		t.Fatal("handler panic did not quarantine the query")
+	}
+	if _, err := eng.Checkpoint("bad"); err == nil {
+		t.Fatal("Checkpoint captured a quarantined query")
+	}
 }
 
 // TestEngineOverloadPublicAPI drives the admission layer end to end

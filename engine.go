@@ -75,15 +75,6 @@ type EngineConfig struct {
 	// Overload selects the over-budget response: OverloadBackpressure
 	// (default) or OverloadShed.
 	Overload OverloadPolicy
-	// CheckpointDir, together with a positive CheckpointInterval, enables
-	// the background checkpointer: every interval, each live query's state
-	// is snapshotted through its pause/quiesce path and written atomically
-	// to <CheckpointDir>/<query>.ckpt. After a crash, Restore the file's
-	// bytes into a fresh engine.
-	CheckpointDir string
-	// CheckpointInterval is the period of the background checkpointer;
-	// zero disables it even when CheckpointDir is set.
-	CheckpointInterval time.Duration
 	// StartClock advances the new engine's clock origin — pass the source
 	// engine's Now() when restoring a checkpoint taken on another engine,
 	// so the snapshot's in-flight deadlines and window times stay on one
@@ -107,15 +98,13 @@ type Engine struct {
 func NewEngine(cfg EngineConfig) *Engine {
 	return &Engine{
 		inner: runtime.New(runtime.Config{
-			Workers:            cfg.Workers,
-			Policy:             cfg.Policy,
-			Quantum:            vtime.FromStd(cfg.Quantum),
-			DrainBatch:         cfg.DrainBatch,
-			MaxPending:         cfg.MaxPending,
-			Overload:           cfg.Overload,
-			CheckpointDir:      cfg.CheckpointDir,
-			CheckpointInterval: cfg.CheckpointInterval,
-			StartTime:          vtime.FromStd(cfg.StartClock),
+			Workers:    cfg.Workers,
+			Policy:     cfg.Policy,
+			Quantum:    vtime.FromStd(cfg.Quantum),
+			DrainBatch: cfg.DrainBatch,
+			MaxPending: cfg.MaxPending,
+			Overload:   cfg.Overload,
+			StartTime:  vtime.FromStd(cfg.StartClock),
 		}),
 	}
 }
@@ -164,6 +153,13 @@ func (e *Engine) Resume(job string) error { return e.inner.ResumeJob(job) }
 // A running query is paused for the duration of the capture and resumed
 // after; a query the caller already paused stays paused. Other queries
 // keep executing throughout.
+//
+// A query quarantined by a handler panic (JobStats.Failed) is refused with
+// an error, also when the panic lands during the capture: its state is
+// suspect, and the query stays paused. Checkpoint only returns the bytes;
+// storing them durably — for a file, write a temporary file and rename it
+// over the previous checkpoint, so a crash mid-write leaves that one
+// intact — is the caller's job.
 func (e *Engine) Checkpoint(job string) ([]byte, error) {
 	w := snap.NewWriter()
 	if err := e.inner.CheckpointJob(job, w); err != nil {
@@ -178,8 +174,9 @@ func (e *Engine) Checkpoint(job string) ([]byte, error) {
 // snapshot embeds a topology digest and a CRC; mismatched, torn, or
 // corrupted snapshots are rejected and the engine is left unchanged).
 // The restored query is left paused with its recovered backlog; call
-// Resume to continue execution, then re-feed from the point the
-// snapshot's stream progress had reached. When restoring onto a
+// Resume to continue execution, then re-feed each source from the caller's
+// own record of what it had fed when it took the checkpoint — the engine
+// exposes no per-source resume point. When restoring onto a
 // different engine, construct it with StartClock set to the source
 // engine's Now() so the recovered deadlines stay meaningful.
 func (e *Engine) Restore(q *Query, snapshot []byte) error {
@@ -190,19 +187,6 @@ func (e *Engine) Restore(q *Query, snapshot []byte) error {
 	_, err = e.inner.RestoreJob(spec, snapshot)
 	return err
 }
-
-// Checkpoints reports how many snapshots the background checkpointer has
-// written successfully; CheckpointErrors reports how many attempts
-// failed. Both are zero unless EngineConfig enabled the checkpointer.
-func (e *Engine) Checkpoints() int64 { return e.inner.Checkpoints() }
-
-// CheckpointErrors reports how many background checkpoint attempts
-// failed (snapshot or file-system errors).
-func (e *Engine) CheckpointErrors() int64 { return e.inner.CheckpointErrors() }
-
-// CheckpointFile returns the path of a query's most recent background
-// checkpoint, or "" if none has been written.
-func (e *Engine) CheckpointFile(job string) string { return e.inner.CheckpointFile(job) }
 
 // HandlerPanics reports how many operator invocations have panicked.
 // Each panic quarantines its query — paused and marked failed (see

@@ -73,10 +73,3 @@ func Fig02(seed uint64) *Report {
 	tc.Notes = append(tc.Notes, "paper: spikes last one to a few seconds amid idle periods; pattern continuously changing")
 	return r
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -216,65 +216,6 @@ func TestAllocsEngineSteadyStateDrainBatch(t *testing.T) {
 	}
 }
 
-// TestAllocsEngineSteadyStateCheckpointing extends the alloc gate to the
-// checkpoint subsystem (ISSUE acceptance): with the background
-// checkpointer configured but idle between ticks, the steady-state window
-// cycle must stay inside the same budget — enabling checkpointing adds
-// zero allocations to the hot path. The checkpointer's own work happens
-// on its ticker goroutine with a reused snapshot writer, so nothing of it
-// may appear in the measured cycle.
-func TestAllocsEngineSteadyStateCheckpointing(t *testing.T) {
-	if testkit.RaceEnabled {
-		t.Skip("allocation accounting is not meaningful under -race")
-	}
-	for _, cell := range runtime.PathCells {
-		t.Run(cell.Name, func(t *testing.T) {
-			defer debug.SetGCPercent(debug.SetGCPercent(-1))
-			const sources, warm, runs = 4, 60, 80
-			win := 10 * vtime.Millisecond
-			// A long interval keeps the checkpointer idle for the entire
-			// measurement: the gate pins the cost of merely having it armed.
-			e := runtime.New(cell.Cfg(runtime.Config{Workers: 1,
-				CheckpointDir: t.TempDir(), CheckpointInterval: time.Hour}))
-			if _, err := e.AddJob(testkit.AggSpec("j", sources, 4, win, 100*vtime.Millisecond)); err != nil {
-				t.Fatal(err)
-			}
-			e.Start()
-			defer e.Stop()
-
-			wl := testkit.Workload{Seed: 9, Sources: sources, Windows: warm + runs + 2, Tuples: 4, Keys: 16, Win: win}
-			batches := make([][]*dataflow.Batch, wl.Windows+1)
-			for w := 1; w <= wl.Windows; w++ {
-				batches[w] = make([]*dataflow.Batch, sources)
-				for src := 0; src < sources; src++ {
-					batches[w][src] = wl.Batch(src, w)
-				}
-			}
-			w := 0
-			cycle := func() {
-				w++
-				for src := 0; src < sources; src++ {
-					if err := e.Ingest("j", src, batches[w][src], wl.Progress(w)); err != nil {
-						t.Fatal(err)
-					}
-				}
-				if !e.Drain(10 * time.Second) {
-					t.Fatal("engine did not drain")
-				}
-			}
-			for i := 0; i < warm; i++ {
-				cycle()
-			}
-			allocs := testing.AllocsPerRun(runs, cycle)
-			t.Logf("%.2f allocs per window cycle with checkpointing armed", allocs)
-			if allocs > maxAllocsPerWindowCycle {
-				t.Errorf("window cycle allocates %.1f times with idle checkpointing, budget %.0f — arming the checkpointer costs the hot path",
-					allocs, maxAllocsPerWindowCycle)
-			}
-		})
-	}
-}
-
 // TestAllocsEngineSteadyStateAfterChurn extends the alloc gate to the hot
 // query lifecycle: a burst of submit→ingest→cancel cycles on a live
 // engine must leave the surviving job's steady-state window cycle inside

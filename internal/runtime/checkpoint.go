@@ -2,10 +2,7 @@ package runtime
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 	"sort"
-	"sync/atomic"
 	"time"
 
 	"github.com/cameo-stream/cameo/internal/core"
@@ -18,8 +15,8 @@ import (
 // dataflow.Snapshotter contract, per-source stream progress, and every
 // queued (admitted, not yet executed) message — into a snap-encoded
 // snapshot; RestoreJob reinstates that state on a fresh engine (crash
-// recovery) or a second live engine (migration). The background
-// checkpointer periodically snapshots every live job to disk.
+// recovery) or a second live engine (migration). When to checkpoint and
+// where the bytes go are the caller's decisions.
 //
 // A snapshot is taken at a *consistent cut*: the job is paused (other jobs
 // keep running — pause is per-job, the paper's stateless-scheduler
@@ -199,16 +196,24 @@ func quiesceJob(j *dataflow.Job) {
 
 // CheckpointJob snapshots one job's complete dynamic state into w (which is
 // Reset first; seal with w.Bytes). The job is paused for the duration of
-// the capture — a consistent cut through the PR 3 quiesce path — and
-// resumed afterwards if it was running; a job the caller had already paused
-// stays paused, so checkpoint-then-migrate can hold the cut open. Other
-// jobs are unaffected throughout. Concurrent lifecycle calls for the SAME
-// job (pause/resume/cancel from other goroutines) are the caller's
+// the capture — a consistent cut through the quiesce CancelJob also uses —
+// and resumed afterwards if it was running; a job the caller had already
+// paused stays paused, so checkpoint-then-migrate can hold the cut open.
+// Other jobs are unaffected throughout. Concurrent lifecycle calls for the
+// SAME job (pause/resume/cancel from other goroutines) are the caller's
 // coordination problem, exactly as they are for PauseJob itself.
+//
+// A checkpoint never captures post-panic handler state: a job quarantined
+// by a handler panic (JobFailed) is refused, also when the panic lands
+// during the quiesce. Such a job stays paused and w stays empty.
 func (e *Engine) CheckpointJob(name string, w *snap.Writer) error {
+	w.Reset()
 	j, ok := e.job(name)
 	if !ok {
 		return fmt.Errorf("runtime: unknown job %q", name)
+	}
+	if e.JobFailed(name) {
+		return errQuarantined(name)
 	}
 	wasPaused := j.Paused.Load()
 	if !wasPaused {
@@ -217,12 +222,21 @@ func (e *Engine) CheckpointJob(name string, w *snap.Writer) error {
 		}
 	}
 	quiesceJob(j)
-	w.Reset()
+	// A message in flight when the pause landed may have panicked during
+	// the quiesce. Past it nothing of the job executes until a resume, so
+	// this check is final — and the quarantine must not be resumed away.
+	if e.JobFailed(name) {
+		return errQuarantined(name)
+	}
 	e.snapshotJob(j, w)
 	if !wasPaused {
 		return e.ResumeJob(name)
 	}
 	return nil
+}
+
+func errQuarantined(name string) error {
+	return fmt.Errorf("runtime: job %q is quarantined after a handler panic; its state is not checkpointed", name)
 }
 
 // RestoreJob reinstates a checkpointed job on this engine: the spec is
@@ -342,112 +356,4 @@ func readDigest(r *snap.Reader, spec *dataflow.JobSpec) error {
 		}
 	}
 	return nil
-}
-
-// checkpointer is the background periodic-checkpoint goroutine: every
-// interval it snapshots each live (not paused, not failed, not
-// mid-cancel) job and atomically replaces <dir>/<job>.ckpt (write to a
-// temp file, then rename — a crash mid-write leaves the previous
-// checkpoint intact, and the torn temp file is rejected by snap's CRC on
-// any attempt to read it). The snap.Writer is reused across ticks, so
-// steady-state checkpoints don't grow the heap; when no tick fires the
-// checkpointer adds zero work and zero allocations to the engine.
-type checkpointer struct {
-	e        *Engine
-	dir      string
-	interval time.Duration
-	stopCh   chan struct{}
-	w        *snap.Writer
-
-	completed atomic.Int64
-	failed    atomic.Int64
-}
-
-func newCheckpointer(e *Engine, dir string, interval time.Duration) *checkpointer {
-	return &checkpointer{
-		e:        e,
-		dir:      dir,
-		interval: interval,
-		stopCh:   make(chan struct{}),
-		w:        snap.NewWriter(),
-	}
-}
-
-func (c *checkpointer) run() {
-	defer c.e.wg.Done()
-	t := time.NewTicker(c.interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-c.stopCh:
-			return
-		case <-t.C:
-			c.tick()
-		}
-	}
-}
-
-func (c *checkpointer) stop() { close(c.stopCh) }
-
-func (c *checkpointer) tick() {
-	e := c.e
-	var names []string
-	e.jobsMu.RLock()
-	e.eachJob(func(j *dataflow.Job) {
-		// A paused job is skipped rather than checkpointed: pausing it again
-		// would be a no-op, but resuming it afterwards would override the
-		// owner's pause. Failed (quarantined) jobs are excluded so a
-		// checkpoint never captures post-panic handler state.
-		name := j.Spec.Name
-		if !j.Paused.Load() && !e.failed[name] && !e.cancelling[name] {
-			names = append(names, name)
-		}
-	})
-	e.jobsMu.RUnlock()
-	sort.Strings(names)
-	for _, name := range names {
-		if err := c.checkpointOne(name); err != nil {
-			c.failed.Add(1)
-		} else {
-			c.completed.Add(1)
-		}
-	}
-}
-
-func (c *checkpointer) checkpointOne(name string) error {
-	if err := c.e.CheckpointJob(name, c.w); err != nil {
-		return err
-	}
-	data := c.w.Bytes()
-	tmp := filepath.Join(c.dir, name+".ckpt.tmp")
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, filepath.Join(c.dir, name+".ckpt"))
-}
-
-// Checkpoints reports how many background checkpoints have completed (0
-// when the checkpointer is not configured).
-func (e *Engine) Checkpoints() int64 {
-	if e.ckpt == nil {
-		return 0
-	}
-	return e.ckpt.completed.Load()
-}
-
-// CheckpointErrors reports how many background checkpoint attempts failed.
-func (e *Engine) CheckpointErrors() int64 {
-	if e.ckpt == nil {
-		return 0
-	}
-	return e.ckpt.failed.Load()
-}
-
-// CheckpointFile returns the path the background checkpointer writes for
-// the named job ("" when the checkpointer is not configured).
-func (e *Engine) CheckpointFile(name string) string {
-	if e.ckpt == nil {
-		return ""
-	}
-	return filepath.Join(e.ckpt.dir, name+".ckpt")
 }

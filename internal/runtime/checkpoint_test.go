@@ -1,9 +1,10 @@
 package runtime
 
 // Checkpoint/restore tests: the consistent-cut snapshot (CheckpointJob),
-// crash recovery and live migration (RestoreJob), the background
-// checkpointer, and the fault-injection suite (torn and corrupted
-// checkpoint files, handler panics mid-run). The exactly-once pin
+// crash recovery and live migration (RestoreJob), the quarantine rule (a
+// job failed by a handler panic is never checkpointed), and the
+// fault-injection suite (torn and corrupted checkpoint files, handler
+// panics mid-run). The exactly-once pin
 // compares the output-window multiset of an interrupted run — killed at
 // the checkpoint cut and restored on a second engine — against a
 // straight-through reference run of the same seeded workload: no window
@@ -15,10 +16,13 @@ import (
 	"math"
 	"os"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"github.com/cameo-stream/cameo/internal/core"
+	"github.com/cameo-stream/cameo/internal/dataflow"
 	"github.com/cameo-stream/cameo/internal/metrics"
 	"github.com/cameo-stream/cameo/internal/snap"
 	"github.com/cameo-stream/cameo/internal/testkit"
@@ -299,62 +303,13 @@ func TestRestoreRejectsCorruptCheckpoint(t *testing.T) {
 	})
 }
 
-// TestBackgroundCheckpointer: with CheckpointDir/Interval configured, the
-// engine periodically writes <dir>/<job>.ckpt (atomic tmp+rename), and a
-// fresh engine can restore the latest file after a simulated crash.
-func TestBackgroundCheckpointer(t *testing.T) {
-	defer testkit.LeakCheck(t)()
-	dir := t.TempDir()
-	e := New(Config{Workers: 2, CheckpointDir: dir, CheckpointInterval: 5 * time.Millisecond})
-	if _, err := e.AddJob(lsSpec("j")); err != nil {
-		t.Fatal(err)
-	}
-	e.Start()
-	wl := testLoad(6)
-	wl.IngestAll(t, e, "j")
-	testkit.DrainOrFail(t, e, 20*time.Second)
-	deadline := time.Now().Add(5 * time.Second)
-	for e.Checkpoints() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("background checkpointer never completed a checkpoint")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	path := e.CheckpointFile("j")
-	if path == "" {
-		t.Fatal("CheckpointFile empty with a configured checkpointer")
-	}
-	if e.CheckpointErrors() != 0 {
-		t.Fatalf("%d background checkpoint errors", e.CheckpointErrors())
-	}
-	// Hold the drained quiet point: stop, then recover from the last file.
-	e.Stop()
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := New(Config{Workers: 1, StartTime: vtime.Duration(e.Now())})
-	defer r.Stop()
-	job, err := r.RestoreJob(lsSpec("j"), data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for src := 0; src < wl.Sources; src++ {
-		if job.SourceProgress[src].Load() == 0 {
-			t.Fatalf("restored frontier for source %d is zero", src)
-		}
-	}
-}
-
-// TestCheckpointerSkipsQuarantined: a job quarantined by a handler panic
-// must not be checkpointed — its post-panic state is suspect — while the
-// healthy neighbor keeps being checkpointed.
+// TestCheckpointerSkipsQuarantined: CheckpointJob refuses a job
+// quarantined by a handler panic — its post-panic state is suspect, and
+// restoring it would bring the job back unmarked — while the healthy
+// neighbor checkpoints. The refusal leaves the writer empty.
 func TestCheckpointerSkipsQuarantined(t *testing.T) {
 	defer testkit.LeakCheck(t)()
-	dir := t.TempDir()
-	// The interval is long relative to the quarantine (which lands within
-	// microseconds of Start), so no tick can snapshot "bad" pre-panic.
-	e := New(Config{Workers: 1, CheckpointDir: dir, CheckpointInterval: 100 * time.Millisecond})
+	e := New(Config{Workers: 1})
 	bad := lsSpec("bad")
 	bad.Stages[0].NewHandler = testkit.PanicOnNth(bad.Stages[0].NewHandler, 1)
 	if _, err := e.AddJob(bad); err != nil {
@@ -386,17 +341,77 @@ func TestCheckpointerSkipsQuarantined(t *testing.T) {
 	if drained, err := e.DrainJob("good", 20*time.Second); err != nil || !drained {
 		t.Fatalf("healthy job did not drain (drained=%v err=%v)", drained, err)
 	}
-	for e.Checkpoints() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("no checkpoint completed")
-		}
-		time.Sleep(time.Millisecond)
+	w := snap.NewWriter()
+	if err := e.CheckpointJob("good", w); err != nil {
+		t.Fatalf("healthy job: %v", err)
 	}
-	if _, err := os.Stat(e.CheckpointFile("good")); err != nil {
-		t.Fatalf("healthy job has no checkpoint file: %v", err)
+	err := e.CheckpointJob("bad", w)
+	if err == nil || !strings.Contains(err.Error(), "quarantined") {
+		t.Fatalf("quarantined job checkpointed: err = %v", err)
 	}
-	if _, err := os.Stat(e.CheckpointFile("bad")); err == nil {
-		t.Fatal("quarantined job was checkpointed")
+	if !bytes.Equal(w.Body(), snap.NewWriter().Body()) {
+		t.Fatalf("refused checkpoint left %d bytes in the writer", len(w.Body()))
+	}
+	if !e.JobPaused("bad") || !e.JobFailed("bad") {
+		t.Fatal("refused checkpoint lifted the quarantine")
+	}
+}
+
+// TestCheckpointQuarantineDuringQuiesce: a handler panic that lands while
+// CheckpointJob waits out the job's in-flight message fails the
+// checkpoint, and the checkpoint must not resume the job it paused — the
+// quarantine stays in force: paused, failed, refusing ingest.
+func TestCheckpointQuarantineDuringQuiesce(t *testing.T) {
+	defer testkit.LeakCheck(t)()
+	entered, release := make(chan struct{}), make(chan struct{})
+	spec := dataflow.JobSpec{
+		Name: "j", Latency: vtime.Hour, Sources: 1,
+		Stages: []dataflow.StageSpec{{
+			Name: "gated", Parallelism: 1,
+			NewHandler: func(int) dataflow.Handler {
+				return dataflow.HandlerFunc(func(*dataflow.Context, *core.Message) []dataflow.Emission {
+					close(entered) // the job is fed one message
+					<-release
+					panic("injected fault during the checkpoint quiesce")
+				})
+			},
+		}},
+	}
+	e := New(Config{Workers: 1})
+	if _, err := e.AddJob(spec); err != nil {
+		t.Fatal(err)
+	}
+	e.Start()
+	defer e.Stop()
+	b := dataflow.NewBatch(1)
+	b.Append(1, 0, 1)
+	if err := e.Ingest("j", 0, b, 1); err != nil {
+		t.Fatal(err)
+	}
+	<-entered
+
+	w := snap.NewWriter()
+	errc := make(chan error, 1)
+	go func() { errc <- e.CheckpointJob("j", w) }()
+	// The checkpoint's pause has landed once JobPaused reports it; the
+	// checkpoint is then waiting on the gated message.
+	for !e.JobPaused("j") {
+		time.Sleep(50 * time.Microsecond)
+	}
+	close(release)
+	if err := <-errc; err == nil {
+		t.Fatal("CheckpointJob succeeded although the job was quarantined during its quiesce")
+	}
+	if !bytes.Equal(w.Body(), snap.NewWriter().Body()) {
+		t.Fatalf("refused checkpoint left %d bytes in the writer", len(w.Body()))
+	}
+	if !e.JobFailed("j") || !e.JobPaused("j") {
+		t.Fatalf("after the refused checkpoint: failed=%v paused=%v, want both", e.JobFailed("j"), e.JobPaused("j"))
+	}
+	b = dataflow.NewBatch(1)
+	b.Append(2, 0, 1)
+	if err := e.Ingest("j", 0, b, 2); !errors.Is(err, ErrJobPaused) {
+		t.Fatalf("ingest into the quarantined job: err = %v, want ErrJobPaused", err)
 	}
 }
 

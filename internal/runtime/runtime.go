@@ -83,14 +83,6 @@ type Config struct {
 	// backpressure (default — Ingest returns ErrOverloaded) or
 	// deadline-aware shedding (see OverloadPolicy).
 	Overload OverloadPolicy
-	// CheckpointDir, when non-empty together with a positive
-	// CheckpointInterval, enables the background checkpointer: every
-	// interval each live (not paused, not failed) job is snapshotted via
-	// CheckpointJob and atomically written to <dir>/<job>.ckpt. The
-	// checkpointer runs between Start and Stop.
-	CheckpointDir string
-	// CheckpointInterval is the period of the background checkpointer.
-	CheckpointInterval time.Duration
 	// StartTime advances the engine clock at construction — a restored
 	// engine sets it to the crashed/migrated-from engine's last Now() so
 	// deadlines, laxity, and recorded latencies stay on one time axis
@@ -138,15 +130,12 @@ type Engine struct {
 	jobsMu     sync.RWMutex
 	jobs       sync.Map
 	cancelling map[string]bool
-	// failed marks jobs quarantined after a handler panic: paused, held
-	// out of the background checkpointer, and reported via JobFailed.
+	// failed marks jobs quarantined after a handler panic: paused, refused
+	// by CheckpointJob, and reported via JobFailed.
 	// Cleared when the job is cancelled (its name leaves all maps).
 	failed  map[string]bool
 	started atomic.Bool
 	stopped atomic.Bool
-
-	// ckpt is the background checkpointer (nil unless configured).
-	ckpt *checkpointer
 
 	path *shardedPath
 	// adm is the admission layer: pending-message budgets, overload
@@ -206,9 +195,6 @@ func New(cfg Config) *Engine {
 	}
 	if e.rec == nil {
 		e.rec = metrics.NewRecorder()
-	}
-	if cfg.CheckpointDir != "" && cfg.CheckpointInterval > 0 {
-		e.ckpt = newCheckpointer(e, cfg.CheckpointDir, cfg.CheckpointInterval)
 	}
 	if cfg.TraceLimit > 0 {
 		e.trace = metrics.NewScheduleTrace(cfg.TraceLimit)
@@ -590,8 +576,7 @@ func (e *Engine) noteShed(j *dataflow.Job, n int) {
 	j.Stats.Shed.Add(int64(n))
 }
 
-// Start launches the worker pool (and the background checkpointer when
-// configured).
+// Start launches the worker pool.
 func (e *Engine) Start() {
 	if e.started.Swap(true) {
 		return
@@ -600,10 +585,6 @@ func (e *Engine) Start() {
 		e.wg.Add(1)
 		go e.path.worker(i)
 	}
-	if e.ckpt != nil {
-		e.wg.Add(1)
-		go e.ckpt.run()
-	}
 }
 
 // Stop shuts the workers down and waits for them to exit. Pending messages
@@ -611,9 +592,6 @@ func (e *Engine) Start() {
 func (e *Engine) Stop() {
 	if !e.started.Load() || e.stopped.Swap(true) {
 		return
-	}
-	if e.ckpt != nil {
-		e.ckpt.stop()
 	}
 	close(e.path.stopCh) // wakes every parked worker to observe e.stopped
 	e.wg.Wait()

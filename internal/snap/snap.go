@@ -58,8 +58,8 @@ func NewWriter() *Writer {
 func NewBodyWriter() *Writer { return &Writer{buf: make([]byte, 0, 512)} }
 
 // Reset truncates the writer back to a fresh header (none for a body
-// writer), reusing the buffer — the periodic checkpointer and every wire
-// frame call it so steady-state encodes do not reallocate.
+// writer), reusing the buffer, so a writer kept across checkpoints or wire
+// frames does not reallocate in steady state.
 func (w *Writer) Reset() {
 	w.buf = w.buf[:0]
 	if w.header {

@@ -86,10 +86,3 @@ func (r *SlidingLinReg) Predict(x float64) float64 {
 	alpha, gamma := r.Fit()
 	return alpha*x + gamma
 }
-
-func max(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -1,33 +1,18 @@
-// Capacity planning with the replay harness: "how many workers do these
-// two tenants need to meet their SLOs?"
-//
-// The question is stated as a workload.Spec — per-tenant arrival processes,
-// dataflow shape, and SLO targets (a latency deadline plus a shed-budget) —
-// and answered by replaying the same seeded spec on the virtual-time
-// simulator at increasing worker counts until every tenant passes. The
-// replay is deterministic: re-running this example produces byte-identical
-// verdicts, so the crossover worker count is a stable, diffable fact about
-// the workload, not a flaky measurement.
-//
-// The same spec can then be handed to cmd/cameo-replay -mode runtime to
-// confirm the answer on the real-time engine.
-//
-//	go run ./examples/capacity
-package main
+package replay_test
 
 import (
 	"fmt"
-	"log"
 
 	"github.com/cameo-stream/cameo/internal/vtime"
 	"github.com/cameo-stream/cameo/internal/workload"
 	"github.com/cameo-stream/cameo/internal/workload/replay"
 )
 
-// spec is the hypothesis under test: an interactive tenant with Poisson
-// arrivals and an 80 ms deadline sharing the engine with a spiky bulk
-// tenant that may lose up to 10% of its load but must finish within 1 s.
-func spec(workers int) *workload.Spec {
+// capacitySpec is the hypothesis under test: an interactive tenant with
+// Poisson arrivals and an 80 ms deadline sharing the engine with a spiky
+// bulk tenant that may lose up to 10% of its load but must finish within
+// 1 s.
+func capacitySpec(workers int) *workload.Spec {
 	return &workload.Spec{
 		Name:       "capacity-question",
 		Seed:       7,
@@ -63,13 +48,22 @@ func spec(workers int) *workload.Spec {
 	}
 }
 
-func main() {
+// ExampleSim is capacity planning with the replay harness: "how many
+// workers do these two tenants need to meet their SLOs?" The question is
+// a workload.Spec — per-tenant arrival processes, dataflow shape and SLO
+// targets (a deadline plus a shed budget) — answered by replaying the same
+// seeded spec on the virtual-time simulator at increasing worker counts
+// until every tenant passes. The replay is deterministic, so the crossover
+// worker count is a stable fact about the workload, not a flaky
+// measurement. cmd/cameo-replay -mode runtime confirms such an answer on
+// the real-time engine.
+func ExampleSim() {
 	fmt.Println("capacity question: workers needed for both tenants' SLOs?")
 	fmt.Println()
 	for workers := 1; workers <= 4; workers++ {
-		v, err := replay.Sim(spec(workers))
+		v, err := replay.Sim(capacitySpec(workers))
 		if err != nil {
-			log.Fatal(err)
+			panic(err)
 		}
 		fmt.Printf("workers=%d:\n", workers)
 		for _, t := range v.Tenants {
@@ -86,4 +80,15 @@ func main() {
 		}
 	}
 	fmt.Println("\nno worker count up to 4 satisfies the SLOs; revise the spec")
+	// Output:
+	// capacity question: workers needed for both tenants' SLOs?
+	//
+	// workers=1:
+	//   [FAIL] interactive  p99   2228.2ms (deadline    80ms)  shed 0.0%
+	//   [FAIL] bulk         p99   3276.8ms (deadline  1000ms)  shed 0.0%
+	// workers=2:
+	//   [PASS] interactive  p99      4.4ms (deadline    80ms)  shed 0.0%
+	//   [PASS] bulk         p99     47.2ms (deadline  1000ms)  shed 0.0%
+	//
+	// answer: 2 workers
 }
