@@ -46,6 +46,12 @@ var ErrJobOverloaded = runtime.ErrJobOverloaded
 // errors.Is.
 var ErrJobPaused = runtime.ErrJobPaused
 
+// ErrProgressRegressed is returned by IngestBatch, TryIngestBatch and
+// AdvanceProgress when the progress is below what the source already
+// reported. Nothing is enqueued; equal progress is accepted. Compare with
+// errors.Is.
+var ErrProgressRegressed = runtime.ErrProgressRegressed
+
 // EngineConfig parameterizes a real-time Engine.
 type EngineConfig struct {
 	// Workers is the worker-pool size (default 1).

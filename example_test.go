@@ -187,9 +187,9 @@ func ExampleTokenFair() {
 	fmt.Printf("worker utilization: %.0f%%\n", res.Utilization*100)
 	// Output:
 	// token fair sharing on a saturated worker (20/40/40 grants)
-	//   tenant-a  outputs= 1199  share=1.00x of tenant-a
-	//   tenant-b  outputs= 2397  share=2.00x of tenant-a
-	//   tenant-c  outputs= 2397  share=2.00x of tenant-a
+	//   tenant-a  outputs= 1202  share=1.00x of tenant-a
+	//   tenant-b  outputs= 2396  share=1.99x of tenant-a
+	//   tenant-c  outputs= 2395  share=1.99x of tenant-a
 	// worker utilization: 100%
 }
 

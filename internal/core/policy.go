@@ -63,42 +63,43 @@ func (p *DeadlinePolicy) Name() string {
 func (p *DeadlinePolicy) DeadlineAware() bool { return p.Kind != KindSJF }
 
 // OnSource implements Policy (Algorithm 1, BUILDCXTATSOURCE).
-func (p *DeadlinePolicy) OnSource(m *Message, ti TargetInfo) {
-	m.PC.PriLocal, m.PC.PriGlobal = m.P, m.T // initial values, then convert
-	p.convert(m, ti)
-}
+func (p *DeadlinePolicy) OnSource(m *Message, ti TargetInfo) { p.convert(m, ti) }
 
-// OnHop implements Policy (Algorithm 1, BUILDCXTATOPERATOR): the child's PC
-// starts from the parent's frontier fields, then is re-converted for the
-// new target.
+// OnHop implements Policy (Algorithm 1, BUILDCXTATOPERATOR). The child's
+// own progress and time, stamped by its producer, are all the conversion
+// needs: nothing of the parent's context carries over.
 func (p *DeadlinePolicy) OnHop(parent *PriorityContext, m *Message, ti TargetInfo) {
-	m.PC.PriLocal, m.PC.PriGlobal = parent.PMF, parent.TMF
 	p.convert(m, ti)
 }
 
 // convert is Algorithm 1's CXTCONVERT: derive frontier progress and time,
 // update the prediction model, and set the message's priorities.
+//
+// PriLocal is TRANSFORM of the message's progress (the progress itself
+// for a regular target, or with semantics awareness off) whatever the
+// mapper knows, so it rises with progress along every channel and an
+// operator executes each channel in order. Only the deadline uses the
+// mapper: it extends to the estimated frontier time when that is not
+// before the message's own time (Eq. 3), and stays at the message's own
+// time otherwise (Eq. 1–2). A message without progress (progress.Unset)
+// sorts first and trains nothing.
 func (p *DeadlinePolicy) convert(m *Message, ti TargetInfo) {
-	// Default: treat the target as a regular operator (Eq. 1–2). The
-	// message must start by t_M + L − costs, with no deadline extension.
 	pmf, tmf := m.P, m.T
-
-	if !p.SemanticsUnaware && ti.Slide > 0 {
-		// Windowed target: the result this message contributes to is only
-		// produced when the window closes, so the deadline extends to the
-		// frontier time (Eq. 3) — if frontier time can be estimated.
-		fp := progress.Transform(m.P, ti.SlideUp, ti.Slide)
-		if ti.Mapper != nil {
-			if ft, ok := ti.Mapper.Map(fp); ok && ft >= tmf {
-				pmf, tmf = fp, ft
+	if m.P != progress.Unset {
+		if !p.SemanticsUnaware && ti.Slide > 0 {
+			pmf = progress.Transform(m.P, ti.SlideUp, ti.Slide)
+			if ti.Mapper != nil {
+				if ft, ok := ti.Mapper.Map(pmf); ok && ft >= tmf {
+					tmf = ft
+				}
 			}
 		}
-	}
-	if ti.EventTime && ti.Mapper != nil {
-		// Feed the ground-truth (progress, physical time) pair into the
-		// regression so future frontier-time predictions improve
-		// (Algorithm 1 line "PROGRESSMAP.UPDATE").
-		ti.Mapper.Observe(m.P, m.T)
+		if ti.EventTime && ti.Mapper != nil {
+			// Feed the ground-truth (progress, physical time) pair into the
+			// regression so future frontier-time predictions improve
+			// (Algorithm 1 line "PROGRESSMAP.UPDATE").
+			ti.Mapper.Observe(m.P, m.T)
+		}
 	}
 
 	m.PC.PMF, m.PC.TMF = pmf, tmf
@@ -120,11 +121,15 @@ func (p *DeadlinePolicy) convert(m *Message, ti TargetInfo) {
 	m.PC.PriGlobal = ddl
 }
 
-// ArrivalPolicy stamps priorities with the message's physical time, making
-// the Cameo dispatcher behave as a global earliest-arrival scheduler with
-// zero priority-generation work. It isolates the cost of priority
-// *scheduling* from priority *generation* in the Figure 12 overhead
-// breakdown ("Cameo w/o priority generation").
+// ArrivalPolicy stamps the global priority with the message's physical
+// time, making the Cameo dispatcher behave as a global earliest-arrival
+// scheduler with zero priority-generation work. It isolates the cost of
+// priority *scheduling* from priority *generation* in the Figure 12
+// overhead breakdown ("Cameo w/o priority generation"). The local
+// priority is the message's progress, as under every policy that orders
+// an operator's queue by progress: arrival times need not rise along a
+// channel (a window's result carries its last contributing event's time),
+// and an operator must see each channel's progress in order.
 type ArrivalPolicy struct{}
 
 // Name implements Policy.
@@ -132,7 +137,7 @@ func (ArrivalPolicy) Name() string { return "arrival" }
 
 // OnSource implements Policy.
 func (ArrivalPolicy) OnSource(m *Message, ti TargetInfo) {
-	m.PC = PriorityContext{PriLocal: m.T, PriGlobal: m.T, PMF: m.P, TMF: m.T, L: ti.Latency}
+	m.PC = PriorityContext{PriLocal: m.P, PriGlobal: m.T, PMF: m.P, TMF: m.T, L: ti.Latency}
 }
 
 // OnHop implements Policy.

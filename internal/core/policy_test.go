@@ -71,8 +71,62 @@ func TestLLFColdMapperFallsBackToRegular(t *testing.T) {
 	if want := 3*vtime.Second + vtime.Second - ms(20); m.PC.PriGlobal != want {
 		t.Fatalf("conservative ddl = %v, want %v", m.PC.PriGlobal, want)
 	}
-	if m.PC.PMF != 3*vtime.Second {
-		t.Fatalf("conservative PMF = %v, want message progress", m.PC.PMF)
+	// Only the deadline falls back: local order stays the window end.
+	if m.PC.PMF != 10*vtime.Second || m.PC.PriLocal != 10*vtime.Second {
+		t.Fatalf("PMF/PriLocal = %v/%v, want the window end 10s", m.PC.PMF, m.PC.PriLocal)
+	}
+}
+
+// TestPriLocalIsWindowEndWhateverTheMapper: into a windowed target,
+// PriLocal is TRANSFORM of the message's progress with a cold, absent,
+// or behind-the-message estimate alike, and only PriGlobal/TMF fall back.
+// Under the earlier rule a late batch whose estimate fell below its own
+// arrival time got its raw progress as PriLocal and sorted ahead of its
+// channel's earlier messages.
+func TestPriLocalIsWindowEndWhateverTheMapper(t *testing.T) {
+	p := &DeadlinePolicy{Kind: KindLLF}
+	ahead := progress.NewRegressionMapper(8, 2)
+	ahead.Observe(0, 0)
+	ahead.Observe(ms(100), ms(100)) // identity fit: estimate(50ms) = 50ms
+	for _, c := range []struct {
+		name   string
+		mapper progress.Mapper
+	}{
+		{"estimate below arrival", progress.IdentityMapper{}},
+		{"fitted estimate below arrival", ahead},
+		{"cold mapper", progress.NewRegressionMapper(8, 2)},
+		{"no mapper", nil},
+	} {
+		// Window 50ms; the message at progress 10ms arrives at 60ms, after
+		// its window's end (50ms) would have been estimated to pass.
+		m := &Message{P: ms(10), T: ms(60)}
+		ti := TargetInfo{Slide: ms(50), Mapper: c.mapper, Cost: ms(1), Latency: ms(20)}
+		p.OnSource(m, ti)
+		if m.PC.PriLocal != ms(50) || m.PC.PMF != ms(50) {
+			t.Errorf("%s: PriLocal/PMF = %v/%v, want the window end 50ms", c.name, m.PC.PriLocal, m.PC.PMF)
+		}
+		if m.PC.TMF != ms(60) || m.PC.PriGlobal != ms(60+20-1) {
+			t.Errorf("%s: TMF/ddl = %v/%v, want the regular-operator fallback 60ms/79ms", c.name, m.PC.TMF, m.PC.PriGlobal)
+		}
+	}
+}
+
+// TestUnsetProgressSortsFirstAndTrainsNothing: a message without progress
+// (data a stateless operator forwarded before hearing from every channel)
+// gets PriLocal Unset, the lowest, and is not fed to the regression.
+func TestUnsetProgressSortsFirstAndTrainsNothing(t *testing.T) {
+	p := &DeadlinePolicy{Kind: KindLLF}
+	mapper := progress.NewRegressionMapper(8, 2)
+	ti := TargetInfo{Slide: ms(50), EventTime: true, Mapper: mapper, Latency: ms(20)}
+	for i := 0; i < 3; i++ {
+		m := &Message{P: progress.Unset, T: ms(int64(10 * i))}
+		p.OnHop(&PriorityContext{}, m, ti)
+		if m.PC.PriLocal != progress.Unset || m.PC.TMF != m.T {
+			t.Fatalf("PriLocal/TMF = %v/%v, want Unset/%v", m.PC.PriLocal, m.PC.TMF, m.T)
+		}
+	}
+	if _, ok := mapper.Map(ms(50)); ok {
+		t.Fatal("messages without progress trained the regression")
 	}
 }
 
@@ -196,7 +250,7 @@ func TestArrivalPolicy(t *testing.T) {
 	var p ArrivalPolicy
 	m := &Message{P: ms(5), T: ms(9)}
 	p.OnSource(m, TargetInfo{Latency: vtime.Second})
-	if m.PC.PriGlobal != ms(9) || m.PC.PriLocal != ms(9) {
+	if m.PC.PriGlobal != ms(9) || m.PC.PriLocal != ms(5) {
 		t.Fatalf("arrival PC = %+v", m.PC)
 	}
 	child := &Message{P: ms(5), T: ms(11)}

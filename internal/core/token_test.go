@@ -12,20 +12,21 @@ func TestTokenPolicySpreadsTags(t *testing.T) {
 	// Four messages in interval 0 get tags spread at 0, 250, 500, 750ms.
 	want := []vtime.Time{0, 250 * vtime.Millisecond, 500 * vtime.Millisecond, 750 * vtime.Millisecond}
 	for i, w := range want {
-		m := &Message{T: vtime.Time(i) * 10 * vtime.Millisecond}
+		m := &Message{P: vtime.Time(i), T: vtime.Time(i) * 10 * vtime.Millisecond}
 		p.OnSource(m, TargetInfo{Job: "j1"})
 		if m.PC.PriGlobal != w {
 			t.Fatalf("msg %d tag = %v, want %v", i, m.PC.PriGlobal, w)
 		}
-		if m.PC.PriLocal != 0 {
-			t.Fatalf("msg %d interval = %v, want 0", i, m.PC.PriLocal)
+		if m.PC.PriLocal != m.P {
+			t.Fatalf("msg %d PriLocal = %v, want its progress", i, m.PC.PriLocal)
 		}
 	}
-	// Fifth message exceeds the rate: minimum priority.
+	// Fifth message exceeds the rate: it takes the first token of the next
+	// interval, behind every current token but ahead of its own successors.
 	m := &Message{T: 40 * vtime.Millisecond}
 	p.OnSource(m, TargetInfo{Job: "j1"})
-	if m.PC.PriGlobal != vtime.Infinity {
-		t.Fatalf("over-rate tag = %v, want Infinity", m.PC.PriGlobal)
+	if m.PC.PriGlobal != vtime.Second {
+		t.Fatalf("over-rate tag = %v, want 1s", m.PC.PriGlobal)
 	}
 }
 
@@ -34,18 +35,40 @@ func TestTokenPolicyIntervalReset(t *testing.T) {
 	p.SetRate("j", 1)
 	m1 := &Message{T: 0}
 	p.OnSource(m1, TargetInfo{Job: "j"})
-	m2 := &Message{T: 500 * vtime.Millisecond} // same interval, token spent
+	m2 := &Message{T: 500 * vtime.Millisecond} // token spent: takes the next one
 	p.OnSource(m2, TargetInfo{Job: "j"})
-	m3 := &Message{T: vtime.Second} // next interval, fresh token
+	m3 := &Message{T: vtime.Second} // still one token behind
 	p.OnSource(m3, TargetInfo{Job: "j"})
-	if m1.PC.PriGlobal != 0 || m2.PC.PriGlobal != vtime.Infinity {
-		t.Fatalf("interval 0 tags = %v, %v", m1.PC.PriGlobal, m2.PC.PriGlobal)
+	m4 := &Message{T: 5 * vtime.Second} // idle since: the tokens catch up with the clock
+	p.OnSource(m4, TargetInfo{Job: "j"})
+	if m1.PC.PriGlobal != 0 || m2.PC.PriGlobal != vtime.Second {
+		t.Fatalf("interval 0 tags = %v, %v, want 0, 1s", m1.PC.PriGlobal, m2.PC.PriGlobal)
 	}
-	if m3.PC.PriGlobal != vtime.Second {
-		t.Fatalf("interval 1 tag = %v, want 1s", m3.PC.PriGlobal)
+	if m3.PC.PriGlobal != 2*vtime.Second || m4.PC.PriGlobal != 5*vtime.Second {
+		t.Fatalf("later tags = %v, %v, want 2s, 5s", m3.PC.PriGlobal, m4.PC.PriGlobal)
 	}
-	if m3.PC.PriLocal != 1 {
-		t.Fatalf("interval ID = %v, want 1", m3.PC.PriLocal)
+}
+
+// TestTokenPolicyJoinsAtVirtualTime: a job whose tokens fell behind the
+// clock resumes at the earliest token clock of the jobs running ahead, not
+// at the clock itself, so a job that used spare capacity alone is not
+// pushed behind a newcomer's whole backlog.
+func TestTokenPolicyJoinsAtVirtualTime(t *testing.T) {
+	p := NewTokenPolicy(vtime.Second)
+	p.SetRate("busy", 2)
+	p.SetRate("late", 4)
+	for i := 0; i < 10; i++ { // 10 tokens at 2/s: 5 s of tokens by T=9ms
+		p.OnSource(&Message{T: vtime.Time(i) * vtime.Millisecond}, TargetInfo{Job: "busy"})
+	}
+	m := &Message{T: vtime.Second}
+	p.OnSource(m, TargetInfo{Job: "late"})
+	if m.PC.PriGlobal != 5*vtime.Second {
+		t.Fatalf("joining tag = %v, want 5s (busy's next token)", m.PC.PriGlobal)
+	}
+	m = &Message{T: vtime.Second}
+	p.OnSource(m, TargetInfo{Job: "late"})
+	if m.PC.PriGlobal != 5*vtime.Second+250*vtime.Millisecond {
+		t.Fatalf("next tag = %v, want 5.25s", m.PC.PriGlobal)
 	}
 }
 
@@ -96,8 +119,11 @@ func TestTokenPolicyHopInheritsTag(t *testing.T) {
 	p.OnSource(src, TargetInfo{Job: "j"})
 	child := &Message{P: 1, T: 2}
 	p.OnHop(&src.PC, child, TargetInfo{Job: "j", Latency: vtime.Second})
-	if child.PC.PriGlobal != src.PC.PriGlobal || child.PC.PriLocal != src.PC.PriLocal {
-		t.Fatalf("hop did not inherit: %+v vs %+v", child.PC, src.PC)
+	if child.PC.PriGlobal != src.PC.PriGlobal {
+		t.Fatalf("hop did not inherit the tag: %+v vs %+v", child.PC, src.PC)
+	}
+	if child.PC.PriLocal != child.P {
+		t.Fatalf("hop PriLocal = %v, want the child's progress", child.PC.PriLocal)
 	}
 	if child.PC.L != vtime.Second {
 		t.Fatalf("hop L = %v", child.PC.L)

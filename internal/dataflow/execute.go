@@ -2,6 +2,7 @@ package dataflow
 
 import (
 	"github.com/cameo-stream/cameo/internal/core"
+	"github.com/cameo-stream/cameo/internal/progress"
 	"github.com/cameo-stream/cameo/internal/vtime"
 )
 
@@ -32,7 +33,17 @@ type ExecOutcome struct {
 // completion instant; the real-time engine wraps it in wall-clock timing.
 // The handler context is the env's reusable one (handlers must not retain
 // it across invocations).
+//
+// Before the handler runs, the message's progress advances the operator's
+// frontier on the message's channel. A message without progress
+// (progress.Unset: data a stateless operator forwarded before it had
+// heard from every channel) advances nothing. Progress that regresses on
+// its channel panics, like a handler fault: the real-time engine
+// quarantines the job.
 func Invoke(op *Operator, m *core.Message, now vtime.Time, env *Env) []Emission {
+	if m.P != progress.Unset {
+		op.frontier.Advance(m.Channel, m.P)
+	}
 	env.ctx = Context{Op: op, Now: now, env: env}
 	return op.Handler.OnMessage(&env.ctx, m)
 }
@@ -46,6 +57,14 @@ func Invoke(op *Operator, m *core.Message, now vtime.Time, env *Env) []Emission 
 //  3. convert each emission into routed child messages, running the
 //     policy's context conversion (BUILDCXTATOPERATOR) per child, or into
 //     sink outputs at the last stage.
+//
+// A child's progress comes from the operator, never from the input
+// message: it is the emission's P capped at the operator's frontier (the
+// low-watermark rule). A windowed operator's window ends are at or below
+// its frontier and pass unchanged; a stateless operator's output carries
+// its merged input frontier, or progress.Unset until every channel has
+// reported. Every child an operator sends on its channel therefore has
+// progress that never decreases. Sink outputs keep the emission's P.
 //
 // Children and outputs are emitted into env's reusable outcome buffers,
 // and child messages are drawn from env's message pool, so the steady
@@ -73,6 +92,7 @@ func Finish(op *Operator, m *core.Message, emissions []Emission, cost vtime.Dura
 	out.Outputs = out.Outputs[:0]
 	payload, _ := m.Payload.(*Batch)
 	payloadRetained := false
+	low, _ := op.frontier.Min()
 
 	for _, e := range emissions {
 		if op.IsSink() {
@@ -92,7 +112,7 @@ func Finish(op *Operator, m *core.Message, emissions []Emission, cost vtime.Dura
 		for i, target := range targets {
 			child := env.NewMessage()
 			child.ID = env.NextID()
-			child.P, child.T = e.P, e.T
+			child.P, child.T = min(e.P, low), e.T
 			child.Payload = parts[i]
 			child.Channel = op.Index
 			env.Policy.OnHop(&m.PC, child, op.Job.TargetInfo(op, target))

@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"github.com/cameo-stream/cameo/internal/core"
+	"github.com/cameo-stream/cameo/internal/progress"
+	"github.com/cameo-stream/cameo/internal/snap"
 	"github.com/cameo-stream/cameo/internal/vtime"
 )
 
@@ -259,4 +261,120 @@ func TestSourceMessagesOutOfRangePanics(t *testing.T) {
 			SourceMessages(j, src, NewBatch(0), 0, 0, env)
 		}()
 	}
+}
+
+// TestFinishStampsOperatorFrontier: a child's progress is the emission's
+// capped at the operator's frontier, never the input message's own. A
+// handler that forwards its input's progress behind two sources gets
+// progress.Unset until both have reported, then their minimum; a handler
+// claiming less than the frontier (a window end) keeps its claim; a sink
+// output keeps the emission's P. A regressing channel panics in Invoke.
+func TestFinishStampsOperatorFrontier(t *testing.T) {
+	var claim vtime.Time // the handler's emission P; 0 forwards the input's
+	j, err := NewJob(JobSpec{
+		Name: "f", Latency: 1, Sources: 2,
+		Stages: []StageSpec{
+			{Name: "a", Parallelism: 1, NewHandler: func(int) Handler {
+				return HandlerFunc(func(_ *Context, m *core.Message) []Emission {
+					p := m.P
+					if claim != 0 {
+						p = claim
+					}
+					return []Emission{{P: p, T: m.T}}
+				})
+			}},
+			{Name: "b", Parallelism: 1, NewHandler: passthroughHandler},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var id int64
+	env := NewEnv(testPolicy{}, func() int64 { id++; return id }, -1)
+	op := j.Stages[0][0]
+	step := func(ch int, p vtime.Time) vtime.Time {
+		t.Helper()
+		out := Execute(op, &core.Message{P: p, T: 1, Channel: ch}, 1, 1, env)
+		if len(out.Children) != 1 {
+			t.Fatalf("%d children, want 1", len(out.Children))
+		}
+		return out.Children[0].Msg.P
+	}
+	if p := step(0, 10); p != progress.Unset {
+		t.Fatalf("child of the first source's message carries %v, want Unset", p)
+	}
+	if p := step(1, 7); p != 7 {
+		t.Fatalf("child carries %v, want the merged frontier 7", p)
+	}
+	if p := step(1, 12); p != 10 {
+		t.Fatalf("child carries %v, want the merged frontier 10", p)
+	}
+	claim = 5
+	if p := step(0, 20); p != 5 {
+		t.Fatalf("child carries %v, want the handler's lower claim 5", p)
+	}
+	claim = 50
+	if p := step(0, 30); p != 12 {
+		t.Fatalf("child carries %v, want the claim capped at the frontier 12", p)
+	}
+	sink := j.Stages[1][0]
+	b := NewBatch(1)
+	b.Append(3, 1, 1)
+	if out := Execute(sink, &core.Message{P: 9, T: 4, Channel: 0, Payload: b}, 1, 1, env); out.Outputs[0].P != 9 {
+		t.Fatalf("sink output P = %v, want the emission's 9", out.Outputs[0].P)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a regressing channel did not panic")
+		}
+	}()
+	Invoke(op, &core.Message{P: 29, T: 1, Channel: 0}, 1, env)
+}
+
+// TestOperatorSnapshotState: a stateless operator's state is its frontier
+// behind the presence flag; it restores into a fresh operator, and an
+// absent section (a checkpoint written before stateless operators carried
+// one) leaves the fresh frontier.
+func TestOperatorSnapshotState(t *testing.T) {
+	j := exampleJob(t)
+	var id int64
+	env := NewEnv(testPolicy{}, func() int64 { id++; return id }, -1)
+	op := j.Stages[0][1]
+	Execute(op, &core.Message{P: 10, T: 1, Channel: 0}, 1, 1, env)
+	Execute(op, &core.Message{P: 7, T: 1, Channel: 1}, 1, 1, env)
+	w := snap.NewWriter()
+	op.SnapshotState(w)
+	r, err := snap.NewReader(w.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := exampleJob(t).Stages[0][1]
+	if err := fresh.RestoreState(r); err != nil {
+		t.Fatal(err)
+	}
+	if p, ok := fresh.Frontier().Min(); !ok || p != 7 {
+		t.Fatalf("restored frontier = %v/%v, want 7", p, ok)
+	}
+	old := snap.NewWriter()
+	old.Bool(false)
+	if r, err = snap.NewReader(old.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	fresh = exampleJob(t).Stages[0][1]
+	if err := fresh.RestoreState(r); err != nil || fresh.Frontier().Len() != 0 {
+		t.Fatalf("absent section: err %v, %d channels reported, want a fresh frontier", err, fresh.Frontier().Len())
+	}
+}
+
+// testPolicy stamps priorities from progress alone.
+type testPolicy struct{}
+
+func (testPolicy) Name() string { return "test" }
+
+func (testPolicy) OnSource(m *core.Message, _ core.TargetInfo) {
+	m.PC = core.PriorityContext{PriLocal: m.P, PriGlobal: m.P, PMF: m.P, TMF: m.T}
+}
+
+func (p testPolicy) OnHop(_ *core.PriorityContext, m *core.Message, ti core.TargetInfo) {
+	p.OnSource(m, ti)
 }

@@ -29,7 +29,17 @@ type Operator struct {
 
 	spec  *StageSpec
 	sched core.SchedState
+	// frontier is the low watermark of the operator's input channels:
+	// Invoke advances it with every message's progress before the handler
+	// runs, handlers read it through Context.Progress, and Finish caps
+	// every child's progress at it. It is the one owner of the progress an
+	// operator may claim.
+	frontier progress.Frontier
 }
+
+// Frontier returns the operator's input frontier, which only Invoke
+// advances; tests hand it to a Snapshotter.
+func (o *Operator) Frontier() *progress.Frontier { return &o.frontier }
 
 // Spec returns the stage spec this operator instantiates.
 func (o *Operator) Spec() *StageSpec { return o.spec }
@@ -78,10 +88,11 @@ type Job struct {
 	Queued atomic.Int64
 	// SourceProgress records the highest stream progress ingested per
 	// source channel (monotone, maintained by the real-time engine's
-	// ingest path with an atomic max). Checkpoints serialize it so a
+	// ingest path with an atomic max; progress.Unset before the first).
+	// Ingest refuses progress below it. Checkpoints serialize it so a
 	// restored job knows where each source stream stood at the cut, and
 	// drivers can resume feeding from there instead of regressing the
-	// stage-0 frontiers. The simulator leaves it zero.
+	// stage-0 frontiers. The simulator leaves it unused.
 	SourceProgress []atomic.Int64
 	// Stats is the job's entry in the real-time engine's metrics recorder,
 	// resolved once when the job is added so the sink-output, refusal and
@@ -143,6 +154,9 @@ func NewJob(spec JobSpec) (*Job, error) {
 	}
 	j := &Job{Spec: spec, SourceTracker: profile.NewPathTracker(spec.Stages[0].Parallelism)}
 	j.SourceProgress = make([]atomic.Int64, spec.Sources)
+	for i := range j.SourceProgress {
+		j.SourceProgress[i].Store(int64(progress.Unset))
+	}
 	j.SrcQueued = make([]atomic.Int64, spec.Sources)
 	j.SrcAccepted = make([]atomic.Int64, spec.Sources)
 	j.SrcRejected = make([]atomic.Int64, spec.Sources)
@@ -164,6 +178,7 @@ func NewJob(spec JobSpec) (*Job, error) {
 				Profile: profile.NewOpProfile(j.Spec.EWMAAlpha, children),
 				spec:    st,
 			}
+			op.frontier = *progress.NewFrontier(op.InChannels())
 			op.Handler = st.NewHandler(op.InChannels())
 			if spec.Domain == EventTime {
 				op.Mapper = progress.NewRegressionMapper(spec.MapperWindow, 2)

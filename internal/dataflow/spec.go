@@ -28,9 +28,9 @@ func (d TimeDomain) String() string {
 }
 
 // Emission is an output produced by a handler invocation: a batch stamped
-// with the logical time P of the result (the frontier progress that
-// triggered it, for windowed operators) and the physical time T of the last
-// contributing event.
+// with the logical time P of the result (the window end, for windowed
+// operators; the input frontier, for stateless ones) and the physical time
+// T of the last contributing event.
 type Emission struct {
 	Batch *Batch
 	P, T  vtime.Time
@@ -47,6 +47,12 @@ type Context struct {
 
 	env *Env
 }
+
+// Progress returns the operator's input frontier: the lowest progress
+// over its input channels, this message's included. Until every channel
+// has reported it returns progress.Unset and ok=false. It is the most
+// progress an emission may claim: Finish caps every child at it.
+func (c *Context) Progress() (vtime.Time, bool) { return c.Op.frontier.Min() }
 
 // NewBatch returns an empty batch for the handler to emit, drawn from the
 // engine's batch pool when one is attached (zero-allocation steady state)

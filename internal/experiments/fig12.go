@@ -85,9 +85,14 @@ func measureDispatch(d core.Dispatcher[*tenantOp], policy core.Policy, msgs int)
 // tuples (the per-message execution cost the scheduling overhead amortizes
 // against).
 func measureHandler(n int) time.Duration {
-	h := operators.WindowAgg(operators.WindowAggSpec{
-		Size: vtime.Second, Slide: vtime.Second, Agg: operators.Sum,
-	})(1)
+	j, err := dataflow.NewJob(dataflow.JobSpec{Name: "measure", Latency: vtime.Second, Sources: 1,
+		Stages: []dataflow.StageSpec{{Parallelism: 1, NewHandler: operators.WindowAgg(operators.WindowAggSpec{
+			Size: vtime.Second, Slide: vtime.Second, Agg: operators.Sum,
+		})}}})
+	if err != nil {
+		panic(err)
+	}
+	op, env := j.Stages[0][0], dataflow.NewEnv(nil, nil, -1)
 	reps := 1 + 200000/(n+1)
 	batches := make([]*dataflow.Batch, reps)
 	for rpt := 0; rpt < reps; rpt++ {
@@ -98,11 +103,10 @@ func measureHandler(n int) time.Duration {
 		}
 		batches[rpt] = b
 	}
-	ctx := &dataflow.Context{}
 	start := time.Now()
 	for rpt := 0; rpt < reps; rpt++ {
 		m := &core.Message{P: vtime.Time(rpt+1) * vtime.Second, T: vtime.Time(rpt+1) * vtime.Second, Payload: batches[rpt]}
-		h.OnMessage(ctx, m)
+		dataflow.Invoke(op, m, m.T, env)
 	}
 	return time.Since(start) / time.Duration(reps)
 }

@@ -41,7 +41,7 @@ func TestAllocsWindowCycle(t *testing.T) {
 			defer debug.SetGCPercent(debug.SetGCPercent(-1))
 			env := dataflow.NewEnv(nil, nil, 0)
 			env.Batches = dataflow.NewBatchPool(1)
-			op := &dataflow.Operator{Handler: c.h(1)}
+			op := instance(c.h)
 			b := dataflow.NewBatch(64)
 			for i := 0; i < 64; i++ {
 				b.Append(0, int64(i%16), float64(i))
@@ -72,6 +72,17 @@ func TestAllocsWindowCycle(t *testing.T) {
 	}
 }
 
+// instance returns an operator running the handler newHandler builds over
+// one input channel, outside an engine.
+func instance(newHandler func(int) dataflow.Handler) *dataflow.Operator {
+	j, err := dataflow.NewJob(dataflow.JobSpec{Name: "t", Latency: vtime.Second, Sources: 1,
+		Stages: []dataflow.StageSpec{{Parallelism: 1, NewHandler: newHandler}}})
+	if err != nil {
+		panic(err)
+	}
+	return j.Stages[0][0]
+}
+
 // BenchmarkWindowAggKeys measures a tumbling keyed Sum per tuple at three
 // key cardinalities per window. Each window receives four tuples per key
 // on average, drawn at random, in 64-tuple batches; the first batch of a
@@ -94,8 +105,7 @@ func BenchmarkWindowAggKeys(b *testing.B) {
 			}
 			env := dataflow.NewEnv(nil, nil, 0)
 			env.Batches = dataflow.NewBatchPool(1)
-			op := &dataflow.Operator{Handler: operators.WindowAgg(
-				operators.WindowAggSpec{Size: win, Slide: win, Agg: operators.Sum})(1)}
+			op := instance(operators.WindowAgg(operators.WindowAggSpec{Size: win, Slide: win, Agg: operators.Sum}))
 			m := &core.Message{}
 			b.ReportAllocs()
 			b.ResetTimer()

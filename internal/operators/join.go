@@ -29,8 +29,8 @@ func WindowJoin(spec WindowJoinSpec) func(inChannels int) dataflow.Handler {
 	if spec.Combine == nil {
 		spec.Combine = func(l, r float64) float64 { return l + r }
 	}
-	return func(inChannels int) dataflow.Handler {
-		w := &windowJoin{spec: spec, windowState: newWindowState(spec.Size, spec.Size, false, inChannels)}
+	return func(int) dataflow.Handler {
+		w := &windowJoin{spec: spec, windowState: newWindowState(spec.Size, spec.Size, false)}
 		w.join = true
 		return w
 	}
@@ -43,7 +43,7 @@ type windowJoin struct {
 
 // OnMessage implements dataflow.Handler.
 func (w *windowJoin) OnMessage(ctx *dataflow.Context, m *core.Message) []dataflow.Emission {
-	boundary, ok := w.ingest(m)
+	boundary, ok := w.ingest(ctx, m)
 	if !ok {
 		return nil
 	}

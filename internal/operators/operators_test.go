@@ -6,10 +6,52 @@ import (
 
 	"github.com/cameo-stream/cameo/internal/core"
 	"github.com/cameo-stream/cameo/internal/dataflow"
+	"github.com/cameo-stream/cameo/internal/snap"
 	"github.com/cameo-stream/cameo/internal/vtime"
 )
 
-var testCtx = &dataflow.Context{}
+// testEnv runs handlers outside an engine, with heap-allocated batches.
+var testEnv = dataflow.NewEnv(nil, nil, -1)
+
+// instance returns an operator running the handler newHandler builds over
+// channels input channels, outside an engine.
+func instance(newHandler func(int) dataflow.Handler, channels int) *dataflow.Operator {
+	j, err := dataflow.NewJob(dataflow.JobSpec{Name: "t", Latency: vtime.Second, Sources: channels,
+		Stages: []dataflow.StageSpec{{Parallelism: 1, NewHandler: newHandler}}})
+	if err != nil {
+		panic(err)
+	}
+	return j.Stages[0][0]
+}
+
+// on delivers m to op as the engines do: Invoke advances the operator's
+// frontier on m's channel, then runs the handler.
+func on(op *dataflow.Operator, m *core.Message) []dataflow.Emission {
+	return dataflow.Invoke(op, m, m.T, testEnv)
+}
+
+// snapshotOf returns the snapshot of op's handler section. The map-based
+// references (reference_test.go) keep their own frontier and write it.
+func snapshotOf(op *dataflow.Operator) []byte {
+	w := snap.NewWriter()
+	switch h := op.Handler.(type) {
+	case dataflow.Snapshotter:
+		h.SnapshotState(w, op.Frontier())
+	case interface{ SnapshotState(*snap.Writer) }:
+		h.SnapshotState(w)
+	}
+	return w.Bytes()
+}
+
+// restore reads a snapshot written by snapshotOf into op's handler and
+// frontier.
+func restore(op *dataflow.Operator, data []byte) error {
+	r, err := snap.NewReader(data)
+	if err != nil {
+		return err
+	}
+	return op.Handler.(dataflow.Snapshotter).RestoreState(r, op.Frontier())
+}
 
 func sec(n int64) vtime.Time { return vtime.Time(n) * vtime.Second }
 
@@ -93,16 +135,16 @@ func TestWindowEndsProperty(t *testing.T) {
 }
 
 func TestTumblingAggSumPerKey(t *testing.T) {
-	h := WindowAgg(WindowAggSpec{Size: sec(10), Slide: sec(10), Agg: Sum})(1)
+	h := instance(WindowAgg(WindowAggSpec{Size: sec(10), Slide: sec(10), Agg: Sum}), 1)
 	// Two batches inside window (0,10]; no trigger until progress >= 10.
-	if out := h.OnMessage(testCtx, dataMsg(0, sec(3), sec(3), batchOf([3]int64{1, 1, 5}, [3]int64{2, 2, 7}))); out != nil {
+	if out := on(h, dataMsg(0, sec(3), sec(3), batchOf([3]int64{1, 1, 5}, [3]int64{2, 2, 7}))); out != nil {
 		t.Fatalf("premature emission: %v", out)
 	}
-	if out := h.OnMessage(testCtx, dataMsg(0, sec(7), sec(7), batchOf([3]int64{6, 1, 3}))); out != nil {
+	if out := on(h, dataMsg(0, sec(7), sec(7), batchOf([3]int64{6, 1, 3}))); out != nil {
 		t.Fatalf("premature emission: %v", out)
 	}
 	// Progress to 12s: window ending 10 fires.
-	out := h.OnMessage(testCtx, dataMsg(0, sec(12), sec(12), batchOf([3]int64{11, 9, 1})))
+	out := on(h, dataMsg(0, sec(12), sec(12), batchOf([3]int64{11, 9, 1})))
 	if len(out) != 1 {
 		t.Fatalf("emissions = %d, want 1", len(out))
 	}
@@ -120,11 +162,11 @@ func TestTumblingAggSumPerKey(t *testing.T) {
 }
 
 func TestWindowAggWaitsForAllChannels(t *testing.T) {
-	h := WindowAgg(WindowAggSpec{Size: sec(1), Slide: sec(1), Agg: Count})(2)
-	if out := h.OnMessage(testCtx, dataMsg(0, sec(5), sec(5), batchOf([3]int64{0, 1, 1}))); out != nil {
+	h := instance(WindowAgg(WindowAggSpec{Size: sec(1), Slide: sec(1), Agg: Count}), 2)
+	if out := on(h, dataMsg(0, sec(5), sec(5), batchOf([3]int64{0, 1, 1}))); out != nil {
 		t.Fatal("emitted before second channel reported")
 	}
-	out := h.OnMessage(testCtx, dataMsg(1, sec(2), sec(5), nil))
+	out := on(h, dataMsg(1, sec(2), sec(5), nil))
 	// Frontier = min(5, 2) = 2: windows ending 1s and 2s complete; only the
 	// 1s window holds data.
 	if len(out) != 2 {
@@ -139,23 +181,23 @@ func TestWindowAggWaitsForAllChannels(t *testing.T) {
 }
 
 func TestWindowAggPunctuationOnEmptyWindows(t *testing.T) {
-	h := WindowAgg(WindowAggSpec{Size: sec(1), Slide: sec(1), Agg: Sum})(1)
-	out := h.OnMessage(testCtx, dataMsg(0, sec(100), sec(100), nil))
+	h := instance(WindowAgg(WindowAggSpec{Size: sec(1), Slide: sec(1), Agg: Sum}), 1)
+	out := on(h, dataMsg(0, sec(100), sec(100), nil))
 	// No data at all: single trailing punctuation at the boundary.
 	if len(out) != 1 || out[0].Batch.Len() != 0 || out[0].P != sec(100) {
 		t.Fatalf("empty-progress emissions = %+v", out)
 	}
 	// Frontier not advanced past boundary: no new emission.
-	if out := h.OnMessage(testCtx, dataMsg(0, sec(100), sec(101), nil)); out != nil {
+	if out := on(h, dataMsg(0, sec(100), sec(101), nil)); out != nil {
 		t.Fatalf("duplicate punctuation: %+v", out)
 	}
 }
 
 func TestWindowAggLateTuplesDropped(t *testing.T) {
-	h := WindowAgg(WindowAggSpec{Size: sec(1), Slide: sec(1), Agg: Sum})(1)
-	h.OnMessage(testCtx, dataMsg(0, sec(10), sec(10), nil)) // advance past window 1
-	h.OnMessage(testCtx, dataMsg(0, sec(10), sec(10), batchOf([3]int64{0, 1, 5})))
-	agg := h.(*windowAgg)
+	h := instance(WindowAgg(WindowAggSpec{Size: sec(1), Slide: sec(1), Agg: Sum}), 1)
+	on(h, dataMsg(0, sec(10), sec(10), nil)) // advance past window 1
+	on(h, dataMsg(0, sec(10), sec(10), batchOf([3]int64{0, 1, 5})))
+	agg := h.Handler.(*windowAgg)
 	if agg.LateTuples() != 1 {
 		t.Fatalf("late tuples = %d, want 1", agg.LateTuples())
 	}
@@ -163,12 +205,12 @@ func TestWindowAggLateTuplesDropped(t *testing.T) {
 
 func TestSlidingWindowOverlap(t *testing.T) {
 	// size 2s, slide 1s: a tuple at 0.5s lands in windows ending 1s and 2s.
-	h := WindowAgg(WindowAggSpec{Size: sec(2), Slide: sec(1), Agg: Sum})(1)
-	h.OnMessage(testCtx, dataMsg(0, 500*vtime.Millisecond, sec(1), batchOf()))
+	h := instance(WindowAgg(WindowAggSpec{Size: sec(2), Slide: sec(1), Agg: Sum}), 1)
+	on(h, dataMsg(0, 500*vtime.Millisecond, sec(1), batchOf()))
 	b := dataflow.NewBatch(1)
 	b.Append(500*vtime.Millisecond, 1, 10)
-	h.OnMessage(testCtx, dataMsg(0, 600*vtime.Millisecond, sec(1), b))
-	out := h.OnMessage(testCtx, dataMsg(0, sec(3), sec(3), nil))
+	on(h, dataMsg(0, 600*vtime.Millisecond, sec(1), b))
+	out := on(h, dataMsg(0, sec(3), sec(3), nil))
 	// Windows ending 1s, 2s contain the tuple; 3s does not.
 	var dataWindows int
 	for _, e := range out {
@@ -185,9 +227,9 @@ func TestSlidingWindowOverlap(t *testing.T) {
 }
 
 func TestGlobalAggregation(t *testing.T) {
-	h := WindowAgg(WindowAggSpec{Size: sec(1), Slide: sec(1), Agg: Mean, Global: true})(1)
-	h.OnMessage(testCtx, dataMsg(0, 100*vtime.Millisecond, sec(1), batchOf([3]int64{0, 1, 10}, [3]int64{0, 2, 20})))
-	out := h.OnMessage(testCtx, dataMsg(0, sec(1), sec(1), nil))
+	h := instance(WindowAgg(WindowAggSpec{Size: sec(1), Slide: sec(1), Agg: Mean, Global: true}), 1)
+	on(h, dataMsg(0, 100*vtime.Millisecond, sec(1), batchOf([3]int64{0, 1, 10}, [3]int64{0, 2, 20})))
+	out := on(h, dataMsg(0, sec(1), sec(1), nil))
 	if len(out) != 1 || out[0].Batch.Len() != 1 {
 		t.Fatalf("global agg emissions = %+v", out)
 	}
@@ -233,23 +275,23 @@ func TestWindowAggSpecValidation(t *testing.T) {
 }
 
 func TestWindowJoinMatchesKeys(t *testing.T) {
-	h := WindowJoin(WindowJoinSpec{Size: sec(10)})(2)
+	h := instance(WindowJoin(WindowJoinSpec{Size: sec(10)}), 2)
 	// Left (port 0) on channel 0; right (port 1) on channel 1.
 	left := dataMsg(0, sec(5), sec(5), batchOf([3]int64{1, 1, 100}, [3]int64{2, 2, 50}))
 	left.Port = 0
-	h.OnMessage(testCtx, left)
+	on(h, left)
 	right := dataMsg(1, sec(6), sec(6), batchOf([3]int64{3, 1, 7}))
 	right.Port = 1
-	h.OnMessage(testCtx, right)
+	on(h, right)
 
 	l2 := dataMsg(0, sec(12), sec(12), nil)
 	l2.Port = 0
-	if out := h.OnMessage(testCtx, l2); out != nil {
+	if out := on(h, l2); out != nil {
 		t.Fatal("join emitted before both channels advanced")
 	}
 	r2 := dataMsg(1, sec(12), sec(12), nil)
 	r2.Port = 1
-	out := h.OnMessage(testCtx, r2)
+	out := on(h, r2)
 	if len(out) != 2 { // data window at 10s + punctuation at 10s? boundary=10; data window == boundary so 1 emission
 		// Data window end == boundary: only the data emission.
 		if len(out) != 1 {
@@ -267,13 +309,13 @@ func TestWindowJoinMatchesKeys(t *testing.T) {
 }
 
 func TestWindowJoinNoMatchesEmitsProgressOnly(t *testing.T) {
-	h := WindowJoin(WindowJoinSpec{Size: sec(1)})(2)
+	h := instance(WindowJoin(WindowJoinSpec{Size: sec(1)}), 2)
 	l := dataMsg(0, sec(2), sec(2), batchOf([3]int64{0, 1, 1}))
 	l.Port = 0
-	h.OnMessage(testCtx, l)
+	on(h, l)
 	r := dataMsg(1, sec(2), sec(2), batchOf([3]int64{0, 9, 1}))
 	r.Port = 1
-	out := h.OnMessage(testCtx, r)
+	out := on(h, r)
 	// Keys 1 and 9 don't match: emissions must still carry progress.
 	for _, e := range out {
 		if e.Batch.Len() != 0 {
@@ -283,46 +325,46 @@ func TestWindowJoinNoMatchesEmitsProgressOnly(t *testing.T) {
 	if len(out) == 0 {
 		t.Fatal("no progress emitted")
 	}
-	if h.(*windowJoin).LateTuples() != 0 {
+	if h.Handler.(*windowJoin).LateTuples() != 0 {
 		t.Fatal("spurious late tuples")
 	}
 }
 
 func TestWindowJoinCustomCombine(t *testing.T) {
-	h := WindowJoin(WindowJoinSpec{
+	h := instance(WindowJoin(WindowJoinSpec{
 		Size:    sec(1),
 		Combine: func(l, r float64) float64 { return l * r },
-	})(2)
+	}), 2)
 	l := dataMsg(0, 0, 0, batchOf([3]int64{0, 1, 6}))
 	l.Port = 0
-	h.OnMessage(testCtx, l)
+	on(h, l)
 	r := dataMsg(1, sec(1), sec(1), batchOf([3]int64{0, 1, 7}))
 	r.Port = 1
-	h.OnMessage(testCtx, r)
+	on(h, r)
 	l2 := dataMsg(0, sec(1), sec(1), nil)
 	l2.Port = 0
-	out := h.OnMessage(testCtx, l2)
+	out := on(h, l2)
 	if len(out) == 0 || out[0].Batch.Len() != 1 || out[0].Batch.Vals[0] != 42 {
 		t.Fatalf("combine result = %+v", out)
 	}
 }
 
 func TestMapTransformsTuples(t *testing.T) {
-	h := Map(func(_ vtime.Time, k int64, v float64) (int64, float64) { return k + 1, v * 2 })(1)
-	out := h.OnMessage(testCtx, dataMsg(0, sec(1), sec(1), batchOf([3]int64{0, 1, 10})))
+	h := instance(Map(func(_ vtime.Time, k int64, v float64) (int64, float64) { return k + 1, v * 2 }), 1)
+	out := on(h, dataMsg(0, sec(1), sec(1), batchOf([3]int64{0, 1, 10})))
 	if len(out) != 1 || out[0].Batch.Keys[0] != 2 || out[0].Batch.Vals[0] != 20 {
 		t.Fatalf("map output = %+v", out)
 	}
 	// Progress-only messages pass through.
-	out = h.OnMessage(testCtx, dataMsg(0, sec(2), sec(2), nil))
+	out = on(h, dataMsg(0, sec(2), sec(2), nil))
 	if len(out) != 1 || out[0].Batch.Len() != 0 || out[0].P != sec(2) {
 		t.Fatalf("map punctuation = %+v", out)
 	}
 }
 
 func TestFilterDropsTuples(t *testing.T) {
-	h := Filter(func(_ vtime.Time, k int64, _ float64) bool { return k%2 == 0 })(1)
-	out := h.OnMessage(testCtx, dataMsg(0, sec(1), sec(1),
+	h := instance(Filter(func(_ vtime.Time, k int64, _ float64) bool { return k%2 == 0 }), 1)
+	out := on(h, dataMsg(0, sec(1), sec(1),
 		batchOf([3]int64{0, 1, 1}, [3]int64{0, 2, 2}, [3]int64{0, 4, 4})))
 	if out[0].Batch.Len() != 2 {
 		t.Fatalf("filter kept %d tuples, want 2", out[0].Batch.Len())
@@ -331,11 +373,11 @@ func TestFilterDropsTuples(t *testing.T) {
 
 func TestEmit(t *testing.T) {
 	b := batchOf([3]int64{0, 1, 1})
-	e := Emit()(1)
-	if out := e.OnMessage(testCtx, dataMsg(0, sec(1), sec(1), nil)); out != nil {
+	e := instance(Emit(), 1)
+	if out := on(e, dataMsg(0, sec(1), sec(1), nil)); out != nil {
 		t.Fatal("emit forwarded empty batch")
 	}
-	if out := e.OnMessage(testCtx, dataMsg(0, sec(1), sec(1), b)); len(out) != 1 {
+	if out := on(e, dataMsg(0, sec(1), sec(1), b)); len(out) != 1 {
 		t.Fatal("emit dropped data")
 	}
 }

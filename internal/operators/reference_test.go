@@ -183,7 +183,7 @@ func (w *refWindowAgg) SnapshotState(sw *snap.Writer) {
 	sw.U8(snapKindAgg)
 	sw.Time(w.emitted)
 	sw.I64(w.late)
-	writeFrontier(sw, w.frontier)
+	w.frontier.Write(sw)
 	ends := refClosedEnds(&w.ends, w.wins, vtime.Infinity)
 	sw.U32(uint32(len(ends)))
 	for _, end := range ends {
@@ -298,7 +298,7 @@ func (w *refTopK) SnapshotState(sw *snap.Writer) {
 	sw.U8(snapKindTopK)
 	sw.Time(w.emitted)
 	sw.I64(w.late)
-	writeFrontier(sw, w.frontier)
+	w.frontier.Write(sw)
 	ends := refClosedEnds(&w.ends, w.wins, vtime.Infinity)
 	sw.U32(uint32(len(ends)))
 	for _, end := range ends {
@@ -386,7 +386,7 @@ func (w *refDistinctCount) SnapshotState(sw *snap.Writer) {
 	sw.U8(snapKindDistinct)
 	sw.Time(w.emitted)
 	sw.I64(w.late)
-	writeFrontier(sw, w.frontier)
+	w.frontier.Write(sw)
 	ends := refClosedEnds(&w.ends, w.wins, vtime.Infinity)
 	sw.U32(uint32(len(ends)))
 	for _, end := range ends {
@@ -527,7 +527,7 @@ func (w *refWindowJoin) SnapshotState(sw *snap.Writer) {
 	sw.U8(snapKindJoin)
 	sw.Time(w.emitted)
 	sw.I64(w.late)
-	writeFrontier(sw, w.frontier)
+	w.frontier.Write(sw)
 	ends := refClosedEnds(&w.ends, w.wins, vtime.Infinity)
 	sw.U32(uint32(len(ends)))
 	for _, end := range ends {

@@ -6,7 +6,6 @@ import (
 	"github.com/cameo-stream/cameo/internal/dataflow"
 	"github.com/cameo-stream/cameo/internal/progress"
 	"github.com/cameo-stream/cameo/internal/snap"
-	"github.com/cameo-stream/cameo/internal/vtime"
 )
 
 // This file implements dataflow.Snapshotter for the stateful operators:
@@ -17,7 +16,8 @@ import (
 //     tuple keys ascending), so the same handler state always yields the
 //     same bytes.
 //   - Only dynamic state is captured: open windows, the emitted watermark,
-//     the late counter, and the per-channel frontier. Specs, spare
+//     the late counter, and the operator's per-channel frontier (handed
+//     in by the dataflow layer, which owns it). Specs, spare
 //     tables, and scratch buffers are reconstruction artifacts — the
 //     spec comes back from the job spec's NewHandler, spares refill as
 //     windows close.
@@ -30,7 +30,8 @@ import (
 // handler, so it builds state through the same paths OnMessage uses.
 
 // The four stateful operators satisfy the snapshot half of the operator
-// contract; stateless handlers (HandlerFunc closures) deliberately don't.
+// contract; stateless handlers (HandlerFunc closures) deliberately don't:
+// their one piece of state, the frontier, is the operator's.
 var (
 	_ dataflow.Snapshotter = (*windowAgg)(nil)
 	_ dataflow.Snapshotter = (*windowJoin)(nil)
@@ -45,32 +46,6 @@ const (
 	snapKindTopK     = 'K'
 	snapKindDistinct = 'D'
 )
-
-func writeFrontier(w *snap.Writer, f *progress.Frontier) {
-	w.U32(uint32(f.Len()))
-	f.Snapshot(func(ch int, p vtime.Time) {
-		w.I64(int64(ch))
-		w.Time(p)
-	})
-}
-
-// readFrontier restores a frontier written by writeFrontier. A channel the
-// handler does not have, or a regressing pair, is a corrupt snapshot and
-// fails the restore.
-func readFrontier(r *snap.Reader, f *progress.Frontier) error {
-	n := int(r.U32())
-	for i := 0; i < n && r.Err() == nil; i++ {
-		ch := int(r.I64())
-		p := r.Time()
-		if r.Err() != nil {
-			break
-		}
-		if err := f.Restore(ch, p); err != nil {
-			return err
-		}
-	}
-	return r.Err()
-}
 
 func checkKind(r *snap.Reader, want uint8, name string) error {
 	if got := r.U8(); r.Err() == nil && got != want {
@@ -89,15 +64,15 @@ const (
 )
 
 // snapshot writes the section every windowed operator shares: kind,
-// emitted watermark, late count, frontier, then every open window (end,
-// maxT, and its keys table — a join's right table after it). Sorting
-// reorders a window's entries in place, which nothing observes: snapshots
-// run under the actor guarantee, like OnMessage.
-func (s *windowState) snapshot(sw *snap.Writer, kind uint8, fields accFields) {
+// emitted watermark, late count, the operator's frontier f, then every
+// open window (end, maxT, and its keys table — a join's right table after
+// it). Sorting reorders a window's entries in place, which nothing
+// observes: snapshots run under the actor guarantee, like OnMessage.
+func (s *windowState) snapshot(sw *snap.Writer, f *progress.Frontier, kind uint8, fields accFields) {
 	sw.U8(kind)
 	sw.Time(s.emitted)
 	sw.I64(s.late)
-	writeFrontier(sw, s.frontier)
+	f.Write(sw)
 	sw.U32(uint32(len(s.wins)))
 	for i := range s.wins {
 		win := &s.wins[i]
@@ -127,18 +102,18 @@ func (t *keyTable) write(sw *snap.Writer, fields accFields) {
 	}
 }
 
-// restore reads a section written by snapshot. Window ends that do not
-// strictly ascend, or a key repeated inside one table, are a corrupt
-// snapshot and fail the restore: either would otherwise merge state into
-// a wrong result. The same key once on each side of a join is not a
-// repeat.
-func (s *windowState) restore(r *snap.Reader, kind uint8, name string, fields accFields) error {
+// restore reads a section written by snapshot, its frontier into f.
+// Window ends that do not strictly ascend, or a key repeated inside one
+// table, are a corrupt snapshot and fail the restore: either would
+// otherwise merge state into a wrong result. The same key once on each
+// side of a join is not a repeat.
+func (s *windowState) restore(r *snap.Reader, f *progress.Frontier, kind uint8, name string, fields accFields) error {
 	if err := checkKind(r, kind, name); err != nil {
 		return err
 	}
 	s.emitted = r.Time()
 	s.late = r.I64()
-	if err := readFrontier(r, s.frontier); err != nil {
+	if err := f.Read(r); err != nil {
 		return err
 	}
 	nw := int(r.U32())
@@ -190,31 +165,41 @@ func (t *keyTable) read(r *snap.Reader, fields accFields) (key int64, repeated b
 }
 
 // SnapshotState implements dataflow.Snapshotter.
-func (w *windowAgg) SnapshotState(sw *snap.Writer) { w.snapshot(sw, snapKindAgg, allAcc) }
+func (w *windowAgg) SnapshotState(sw *snap.Writer, f *progress.Frontier) {
+	w.snapshot(sw, f, snapKindAgg, allAcc)
+}
 
 // RestoreState implements dataflow.Snapshotter.
-func (w *windowAgg) RestoreState(r *snap.Reader) error {
-	return w.restore(r, snapKindAgg, "windowAgg", allAcc)
+func (w *windowAgg) RestoreState(r *snap.Reader, f *progress.Frontier) error {
+	return w.restore(r, f, snapKindAgg, "windowAgg", allAcc)
 }
 
 // SnapshotState implements dataflow.Snapshotter.
-func (w *topK) SnapshotState(sw *snap.Writer) { w.snapshot(sw, snapKindTopK, allAcc) }
+func (w *topK) SnapshotState(sw *snap.Writer, f *progress.Frontier) {
+	w.snapshot(sw, f, snapKindTopK, allAcc)
+}
 
 // RestoreState implements dataflow.Snapshotter.
-func (w *topK) RestoreState(r *snap.Reader) error { return w.restore(r, snapKindTopK, "topK", allAcc) }
-
-// SnapshotState implements dataflow.Snapshotter.
-func (w *distinctCount) SnapshotState(sw *snap.Writer) { w.snapshot(sw, snapKindDistinct, noAcc) }
-
-// RestoreState implements dataflow.Snapshotter.
-func (w *distinctCount) RestoreState(r *snap.Reader) error {
-	return w.restore(r, snapKindDistinct, "distinctCount", noAcc)
+func (w *topK) RestoreState(r *snap.Reader, f *progress.Frontier) error {
+	return w.restore(r, f, snapKindTopK, "topK", allAcc)
 }
 
 // SnapshotState implements dataflow.Snapshotter.
-func (w *windowJoin) SnapshotState(sw *snap.Writer) { w.snapshot(sw, snapKindJoin, sumAcc) }
+func (w *distinctCount) SnapshotState(sw *snap.Writer, f *progress.Frontier) {
+	w.snapshot(sw, f, snapKindDistinct, noAcc)
+}
 
 // RestoreState implements dataflow.Snapshotter.
-func (w *windowJoin) RestoreState(r *snap.Reader) error {
-	return w.restore(r, snapKindJoin, "windowJoin", sumAcc)
+func (w *distinctCount) RestoreState(r *snap.Reader, f *progress.Frontier) error {
+	return w.restore(r, f, snapKindDistinct, "distinctCount", noAcc)
+}
+
+// SnapshotState implements dataflow.Snapshotter.
+func (w *windowJoin) SnapshotState(sw *snap.Writer, f *progress.Frontier) {
+	w.snapshot(sw, f, snapKindJoin, sumAcc)
+}
+
+// RestoreState implements dataflow.Snapshotter.
+func (w *windowJoin) RestoreState(r *snap.Reader, f *progress.Frontier) error {
+	return w.restore(r, f, snapKindJoin, "windowJoin", sumAcc)
 }

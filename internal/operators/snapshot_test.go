@@ -45,25 +45,17 @@ func TestFrontierSnapshotCorrupt(t *testing.T) {
 	}
 	for _, h := range handlers {
 		t.Run(h.name, func(t *testing.T) {
-			src := h.make(inChannels)
-			src.OnMessage(testCtx, dataMsg(1, sec(3), sec(3), nil))
-			w := snap.NewWriter()
-			src.(dataflow.Snapshotter).SnapshotState(w)
-			want := append([]byte(nil), w.Bytes()...)
+			src := instance(h.make, inChannels)
+			on(src, dataMsg(1, sec(3), sec(3), nil))
+			want := snapshotOf(src)
 			if !bytes.Equal(want, frontier(h.kind, [2]int64{1, int64(sec(3))})) {
 				t.Fatal("frontier section is not (count, ascending (channel, progress) pairs)")
 			}
-			restored := h.make(inChannels)
-			r, err := snap.NewReader(want)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := restored.(dataflow.Snapshotter).RestoreState(r); err != nil {
+			restored := instance(h.make, inChannels)
+			if err := restore(restored, want); err != nil {
 				t.Fatalf("round trip: %v", err)
 			}
-			w.Reset()
-			restored.(dataflow.Snapshotter).SnapshotState(w)
-			if !bytes.Equal(w.Bytes(), want) {
+			if !bytes.Equal(snapshotOf(restored), want) {
 				t.Fatal("restored handler snapshots different bytes")
 			}
 
@@ -75,12 +67,8 @@ func TestFrontierSnapshotCorrupt(t *testing.T) {
 				{"negative channel", [][2]int64{{-1, 5}}},
 				{"regressing channel", [][2]int64{{0, 5}, {0, 4}}},
 			} {
-				r, err := snap.NewReader(frontier(h.kind, bad.pairs...))
-				if err != nil {
-					t.Fatal(err)
-				}
-				fresh := h.make(inChannels)
-				if err := fresh.(dataflow.Snapshotter).RestoreState(r); err == nil {
+				fresh := instance(h.make, inChannels)
+				if err := restore(fresh, frontier(h.kind, bad.pairs...)); err == nil {
 					t.Errorf("%s: restore accepted a corrupt frontier", bad.name)
 				}
 			}
@@ -167,21 +155,15 @@ func TestWindowSnapshotCorrupt(t *testing.T) {
 			}
 			for _, c := range cases {
 				in := windows(h.kind, h.fields, c.ends, c.keys, c.right)
-				r, err := snap.NewReader(in)
-				if err != nil {
-					t.Fatal(err)
-				}
-				restored := h.make(inChannels).(dataflow.Snapshotter)
-				err = restored.RestoreState(r)
+				restored := instance(h.make, inChannels)
+				err := restore(restored, in)
 				switch {
 				case c.ok && err != nil:
 					t.Errorf("%s: restore failed: %v", c.name, err)
 				case !c.ok && err == nil:
 					t.Errorf("%s: restore accepted a corrupt snapshot", c.name)
 				case c.ok:
-					w := snap.NewWriter()
-					restored.SnapshotState(w)
-					if !bytes.Equal(w.Bytes(), in) {
+					if !bytes.Equal(snapshotOf(restored), in) {
 						t.Errorf("%s: restored handler snapshots different bytes", c.name)
 					}
 				}
@@ -196,33 +178,33 @@ var snapshotKeys = []int64{7, -3, 0, 1 << 40, 42, 7, -3, 19, 5, 0, 42, 11}
 // over several windows with keys across the int64 range, frontier
 // movement on two channels that emits the first windows, and a late
 // tuple next to one far ahead.
-func snapshotScenario(h dataflow.Handler) {
+func snapshotScenario(h *dataflow.Operator) {
 	ms := vtime.Millisecond
 	b := dataflow.NewBatch(0)
 	for i := 0; i < 36; i++ {
 		b.Append(vtime.Time(i)*137*ms, snapshotKeys[i%len(snapshotKeys)]+int64(i/12), float64(i)*1.25-7)
 	}
-	h.OnMessage(testCtx, &core.Message{P: 900 * ms, T: 5 * ms, Channel: 0, Payload: b})
-	h.OnMessage(testCtx, &core.Message{P: 1200 * ms, T: 9 * ms, Channel: 1})
-	h.OnMessage(testCtx, &core.Message{P: 1300 * ms, T: 11 * ms, Channel: 0})
+	on(h, &core.Message{P: 900 * ms, T: 5 * ms, Channel: 0, Payload: b})
+	on(h, &core.Message{P: 1200 * ms, T: 9 * ms, Channel: 1})
+	on(h, &core.Message{P: 1300 * ms, T: 11 * ms, Channel: 0})
 	late := dataflow.NewBatch(0)
 	late.Append(100*ms, 3, 1)
 	late.Append(4800*ms, 8, 2.5)
-	h.OnMessage(testCtx, &core.Message{P: 1250 * ms, T: 13 * ms, Channel: 1, Payload: late})
+	on(h, &core.Message{P: 1250 * ms, T: 13 * ms, Channel: 1, Payload: late})
 }
 
 // joinSnapshotScenario is the input behind testdata/windowjoin.snap: a
 // right-side (Port 1) batch holding half of snapshotScenario's keys, each
 // 50 ms after its left twin, plus one key only the right side has, then
 // snapshotScenario's messages on the left side.
-func joinSnapshotScenario(h dataflow.Handler) {
+func joinSnapshotScenario(h *dataflow.Operator) {
 	ms := vtime.Millisecond
 	right := dataflow.NewBatch(0)
 	for i := 0; i < 36; i += 2 {
 		right.Append(vtime.Time(i)*137*ms+50*ms, snapshotKeys[i%len(snapshotKeys)]+int64(i/12), float64(i)*0.5+1)
 	}
 	right.Append(2500*ms, -99, 4)
-	h.OnMessage(testCtx, &core.Message{P: 600 * ms, T: 3 * ms, Channel: 1, Port: 1, Payload: right})
+	on(h, &core.Message{P: 600 * ms, T: 3 * ms, Channel: 1, Port: 1, Payload: right})
 	snapshotScenario(h)
 }
 
@@ -242,7 +224,7 @@ func TestSnapshotCompat(t *testing.T) {
 	for _, c := range []struct {
 		file     string
 		got, ref func(int) dataflow.Handler
-		scenario func(dataflow.Handler)
+		scenario func(*dataflow.Operator)
 	}{
 		{"windowagg_sliding_keyed.snap", WindowAgg(sliding), refWindowAggFactory(sliding), snapshotScenario},
 		{"windowagg_tumbling_global.snap", WindowAgg(global), refWindowAggFactory(global), snapshotScenario},
@@ -255,30 +237,21 @@ func TestSnapshotCompat(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			snapshot := func(h interface{ SnapshotState(*snap.Writer) }) []byte {
-				w := snap.NewWriter()
-				h.SnapshotState(w)
-				return w.Bytes()
-			}
-			ref := c.ref(2)
+			ref := instance(c.ref, 2)
 			c.scenario(ref)
-			if !bytes.Equal(snapshot(ref.(interface{ SnapshotState(*snap.Writer) })), want) {
+			if !bytes.Equal(snapshotOf(ref), want) {
 				t.Fatal("the reference no longer writes the committed snapshot")
 			}
-			r, err := snap.NewReader(want)
-			if err != nil {
-				t.Fatal(err)
-			}
-			restored := c.got(2)
-			if err := restored.(dataflow.Snapshotter).RestoreState(r); err != nil {
+			restored := instance(c.got, 2)
+			if err := restore(restored, want); err != nil {
 				t.Fatalf("restore: %v", err)
 			}
-			if !bytes.Equal(snapshot(restored.(dataflow.Snapshotter)), want) {
+			if !bytes.Equal(snapshotOf(restored), want) {
 				t.Fatal("restored handler snapshots different bytes")
 			}
-			fed := c.got(2)
+			fed := instance(c.got, 2)
 			c.scenario(fed)
-			if !bytes.Equal(snapshot(fed.(dataflow.Snapshotter)), want) {
+			if !bytes.Equal(snapshotOf(fed), want) {
 				t.Fatal("the scenario snapshots different bytes")
 			}
 		})

@@ -7,22 +7,21 @@ import (
 
 	"github.com/cameo-stream/cameo/internal/core"
 	"github.com/cameo-stream/cameo/internal/dataflow"
-	"github.com/cameo-stream/cameo/internal/progress"
 	"github.com/cameo-stream/cameo/internal/vtime"
 )
 
 // windowState is the state every windowed operator (windowAgg, topK,
-// distinctCount, windowJoin) keeps between messages: the per-channel
-// frontier, the emitted watermark, the late-tuple count, and the open
-// windows — a slice ordered by end, each holding its per-key accumulators
-// inline in one keyTable (two for the join, one per side). A closed
-// window's emptied tables are kept as the spare the next window opens
-// with, so windows rotating through the steady state allocate nothing.
+// distinctCount, windowJoin) keeps between messages: the emitted
+// watermark, the late-tuple count, and the open windows — a slice ordered
+// by end, each holding its per-key accumulators inline in one keyTable
+// (two for the join, one per side). A closed window's emptied tables are
+// kept as the spare the next window opens with, so windows rotating
+// through the steady state allocate nothing. The per-channel frontier
+// that closes windows is the operator's (dataflow.Context.Progress).
 type windowState struct {
 	size, slide vtime.Duration
-	global      bool // every tuple aggregates under key 0
-	join        bool // Port 1 tuples go to each window's right table
-	frontier    *progress.Frontier
+	global      bool       // every tuple aggregates under key 0
+	join        bool       // Port 1 tuples go to each window's right table
 	emitted     vtime.Time // highest window end emitted (0 before first trigger)
 	late        int64
 	wins        []window // open windows, ascending end
@@ -39,8 +38,8 @@ type window struct {
 	right     keyTable // the join's right side; empty for the other operators
 }
 
-func newWindowState(size, slide vtime.Duration, global bool, inChannels int) windowState {
-	return windowState{size: size, slide: slide, global: global, frontier: progress.NewFrontier(inChannels)}
+func newWindowState(size, slide vtime.Duration, global bool) windowState {
+	return windowState{size: size, slide: slide, global: global}
 }
 
 // LateTuples reports tuples that arrived after their window was emitted
@@ -55,9 +54,9 @@ func windowEnds(p vtime.Time, size, slide vtime.Duration) (first, last vtime.Tim
 
 // ingest adds m's tuples to every window containing them that is not yet
 // emitted — a join's Port 1 tuples to the window's right table, every
-// other port's to its keys — then advances the frontier. It reports the
-// highest complete window end when that passes the emitted watermark.
-func (s *windowState) ingest(m *core.Message) (boundary vtime.Time, ok bool) {
+// other port's to its keys. It reports the highest window end the
+// operator's frontier has passed, when that passes the emitted watermark.
+func (s *windowState) ingest(ctx *dataflow.Context, m *core.Message) (boundary vtime.Time, ok bool) {
 	if b, _ := m.Payload.(*dataflow.Batch); b != nil {
 		right := s.join && m.Port == 1
 		for i, p := range b.Times {
@@ -91,7 +90,7 @@ func (s *windowState) ingest(m *core.Message) (boundary vtime.Time, ok bool) {
 			}
 		}
 	}
-	f, ok := s.frontier.Advance(m.Channel, m.P)
+	f, ok := ctx.Progress()
 	if !ok {
 		return 0, false
 	}

@@ -9,7 +9,6 @@ import (
 
 	"github.com/cameo-stream/cameo/internal/core"
 	"github.com/cameo-stream/cameo/internal/dataflow"
-	"github.com/cameo-stream/cameo/internal/snap"
 	"github.com/cameo-stream/cameo/internal/vtime"
 )
 
@@ -67,7 +66,7 @@ func TestWindowStateMatchesMapReference(t *testing.T) {
 				seed++
 				rng := rand.New(rand.NewPCG(seed, 26))
 				t.Run(fmt.Sprintf("%s/ch%d/%s", op.name, channels, mode), func(t *testing.T) {
-					got, ref := op.got(channels), op.ref(channels)
+					got, ref := instance(op.got, channels), instance(op.ref, channels)
 					spread := []int64{3, 40, 1000}[rng.IntN(3)]
 					key := func() int64 {
 						if rng.IntN(50) == 0 {
@@ -107,11 +106,11 @@ func TestWindowStateMatchesMapReference(t *testing.T) {
 							}
 							m.Payload = b
 						}
-						want := ref.OnMessage(testCtx, m)
-						if diff := diffEmissions(got.OnMessage(testCtx, m), want); diff != "" {
+						want := on(ref, m)
+						if diff := diffEmissions(on(got, m), want); diff != "" {
 							t.Fatalf("message %d: %s", i, diff)
 						}
-						gl, rl := got.(interface{ LateTuples() int64 }).LateTuples(), ref.(interface{ LateTuples() int64 }).LateTuples()
+						gl, rl := got.Handler.(interface{ LateTuples() int64 }).LateTuples(), ref.Handler.(interface{ LateTuples() int64 }).LateTuples()
 						if gl != rl {
 							t.Fatalf("message %d: late tuples %d, reference %d", i, gl, rl)
 						}
@@ -119,7 +118,7 @@ func TestWindowStateMatchesMapReference(t *testing.T) {
 							got = restoredCopy(t, got, ref, channels, op.got)
 						}
 					}
-					late := ref.(interface{ LateTuples() int64 }).LateTuples()
+					late := ref.Handler.(interface{ LateTuples() int64 }).LateTuples()
 					if (mode == "late") != (late > 0) {
 						t.Fatalf("%s sequence dropped %d late tuples", mode, late)
 					}
@@ -130,21 +129,15 @@ func TestWindowStateMatchesMapReference(t *testing.T) {
 }
 
 // restoredCopy checks that got snapshots the same bytes as ref, and
-// returns a fresh handler restored from those bytes.
-func restoredCopy(t *testing.T, got, ref dataflow.Handler, channels int, mk func(int) dataflow.Handler) dataflow.Handler {
+// returns a fresh operator restored from those bytes.
+func restoredCopy(t *testing.T, got, ref *dataflow.Operator, channels int, mk func(int) dataflow.Handler) *dataflow.Operator {
 	t.Helper()
-	gw, rw := snap.NewWriter(), snap.NewWriter()
-	got.(dataflow.Snapshotter).SnapshotState(gw)
-	ref.(interface{ SnapshotState(*snap.Writer) }).SnapshotState(rw)
-	if !bytes.Equal(gw.Bytes(), rw.Bytes()) {
+	data := snapshotOf(got)
+	if !bytes.Equal(data, snapshotOf(ref)) {
 		t.Fatal("snapshot bytes differ from the reference")
 	}
-	r, err := snap.NewReader(gw.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh := mk(channels)
-	if err := fresh.(dataflow.Snapshotter).RestoreState(r); err != nil {
+	fresh := instance(mk, channels)
+	if err := restore(fresh, data); err != nil {
 		t.Fatalf("restore: %v", err)
 	}
 	return fresh

@@ -11,6 +11,13 @@ import (
 // emissions before the next invocation) and draw output batches from the
 // engine's pool via ctx.NewBatch, so they ride the zero-allocation hot
 // path like the windowed operators.
+//
+// They never forward a message's own progress. Each emission claims the
+// operator's input frontier (ctx.Progress): the lowest progress over
+// every input channel, so the output channel's progress never decreases
+// however the inputs interleave. Until every channel has reported, that
+// is progress.Unset: the data goes downstream without progress, and
+// advances no frontier there.
 
 // Map returns a handler factory for a stateless per-tuple transform.
 func Map(f func(t vtime.Time, key int64, val float64) (int64, float64)) func(int) dataflow.Handler {
@@ -37,7 +44,8 @@ func perTuple(f func(t vtime.Time, key int64, val float64) (int64, float64, bool
 		var emit [1]dataflow.Emission
 		return dataflow.HandlerFunc(func(ctx *dataflow.Context, m *core.Message) []dataflow.Emission {
 			b, _ := m.Payload.(*dataflow.Batch)
-			emit[0] = dataflow.Emission{Batch: nil, P: m.P, T: m.T}
+			p, _ := ctx.Progress()
+			emit[0] = dataflow.Emission{Batch: nil, P: p, T: m.T}
 			if b == nil {
 				return emit[:]
 			}
@@ -62,9 +70,9 @@ func perTuple(f func(t vtime.Time, key int64, val float64) (int64, float64, bool
 }
 
 // Emit returns a handler factory that forwards every non-empty input batch
-// as a sink result stamped with the message's own progress — a regular
-// (non-windowed) sink for jobs whose results are per-message rather than
-// per-window.
+// as a sink result stamped with the operator's input frontier (Unset until
+// every channel has reported) — a regular (non-windowed) sink for jobs
+// whose results are per-message rather than per-window.
 func Emit() func(int) dataflow.Handler {
 	return func(int) dataflow.Handler {
 		var emit [1]dataflow.Emission
@@ -73,7 +81,8 @@ func Emit() func(int) dataflow.Handler {
 			if b.Len() == 0 {
 				return nil
 			}
-			emit[0] = dataflow.Emission{Batch: b, P: m.P, T: m.T}
+			p, _ := ctx.Progress()
+			emit[0] = dataflow.Emission{Batch: b, P: p, T: m.T}
 			return emit[:]
 		})
 	}

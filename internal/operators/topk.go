@@ -25,8 +25,8 @@ func TopK(spec TopKSpec) func(inChannels int) dataflow.Handler {
 	if spec.Size <= 0 || spec.K <= 0 {
 		panic("operators: TopK needs positive window size and k")
 	}
-	return func(inChannels int) dataflow.Handler {
-		return &topK{spec: spec, windowState: newWindowState(spec.Size, spec.Size, false, inChannels)}
+	return func(int) dataflow.Handler {
+		return &topK{spec: spec, windowState: newWindowState(spec.Size, spec.Size, false)}
 	}
 }
 
@@ -37,7 +37,7 @@ type topK struct {
 
 // OnMessage implements dataflow.Handler.
 func (w *topK) OnMessage(ctx *dataflow.Context, m *core.Message) []dataflow.Emission {
-	boundary, ok := w.ingest(m)
+	boundary, ok := w.ingest(ctx, m)
 	if !ok {
 		return nil
 	}
@@ -77,8 +77,8 @@ func DistinctCount(spec DistinctCountSpec) func(inChannels int) dataflow.Handler
 	if spec.Size <= 0 {
 		panic("operators: DistinctCount needs a positive window size")
 	}
-	return func(inChannels int) dataflow.Handler {
-		return &distinctCount{newWindowState(spec.Size, spec.Size, false, inChannels)}
+	return func(int) dataflow.Handler {
+		return &distinctCount{newWindowState(spec.Size, spec.Size, false)}
 	}
 }
 
@@ -88,7 +88,7 @@ type distinctCount struct {
 
 // OnMessage implements dataflow.Handler.
 func (w *distinctCount) OnMessage(ctx *dataflow.Context, m *core.Message) []dataflow.Emission {
-	boundary, ok := w.ingest(m)
+	boundary, ok := w.ingest(ctx, m)
 	if !ok {
 		return nil
 	}

@@ -7,11 +7,11 @@ import (
 )
 
 func TestTopKEmitsLargestKeys(t *testing.T) {
-	h := TopK(TopKSpec{Size: sec(10), K: 2})(1)
+	h := instance(TopK(TopKSpec{Size: sec(10), K: 2}), 1)
 	// Key sums in window (0,10]: k1=5, k2=12, k3=8.
-	h.OnMessage(testCtx, dataMsg(0, sec(3), sec(3), batchOf(
+	on(h, dataMsg(0, sec(3), sec(3), batchOf(
 		[3]int64{1, 1, 5}, [3]int64{2, 2, 12}, [3]int64{2, 3, 8})))
-	out := h.OnMessage(testCtx, dataMsg(0, sec(10), sec(10), nil))
+	out := on(h, dataMsg(0, sec(10), sec(10), nil))
 	if len(out) != 1 {
 		t.Fatalf("emissions = %d", len(out))
 	}
@@ -32,35 +32,35 @@ func TestTopKEmitsLargestKeys(t *testing.T) {
 }
 
 func TestTopKTieBreaksByKey(t *testing.T) {
-	h := TopK(TopKSpec{Size: sec(1), K: 1})(1)
-	h.OnMessage(testCtx, dataMsg(0, 500*vtime.Millisecond, sec(1), batchOf(
+	h := instance(TopK(TopKSpec{Size: sec(1), K: 1}), 1)
+	on(h, dataMsg(0, 500*vtime.Millisecond, sec(1), batchOf(
 		[3]int64{0, 7, 4}, [3]int64{0, 3, 4})))
-	out := h.OnMessage(testCtx, dataMsg(0, sec(1), sec(1), nil))
+	out := on(h, dataMsg(0, sec(1), sec(1), nil))
 	if out[0].Batch.Keys[0] != 3 {
 		t.Fatalf("tie-break key = %d, want 3 (lower key)", out[0].Batch.Keys[0])
 	}
 }
 
 func TestTopKFewerKeysThanK(t *testing.T) {
-	h := TopK(TopKSpec{Size: sec(1), K: 5})(1)
-	h.OnMessage(testCtx, dataMsg(0, 500*vtime.Millisecond, sec(1), batchOf([3]int64{0, 1, 1})))
-	out := h.OnMessage(testCtx, dataMsg(0, sec(1), sec(1), nil))
+	h := instance(TopK(TopKSpec{Size: sec(1), K: 5}), 1)
+	on(h, dataMsg(0, 500*vtime.Millisecond, sec(1), batchOf([3]int64{0, 1, 1})))
+	out := on(h, dataMsg(0, sec(1), sec(1), nil))
 	if out[0].Batch.Len() != 1 {
 		t.Fatalf("emitted %d keys, want 1", out[0].Batch.Len())
 	}
 }
 
 func TestTopKLateTuplesAndPunctuation(t *testing.T) {
-	h := TopK(TopKSpec{Size: sec(1), K: 1})(1)
+	h := instance(TopK(TopKSpec{Size: sec(1), K: 1}), 1)
 	// Advance well past window 1 with no data: punctuation only.
-	out := h.OnMessage(testCtx, dataMsg(0, sec(5), sec(5), nil))
+	out := on(h, dataMsg(0, sec(5), sec(5), nil))
 	if len(out) != 1 || out[0].Batch.Len() != 0 || out[0].P != sec(5) {
 		t.Fatalf("punctuation = %+v", out)
 	}
 	// A tuple for the already-emitted range is late.
-	h.OnMessage(testCtx, dataMsg(0, sec(5), sec(5), batchOf([3]int64{0, 1, 1})))
-	if h.(*topK).LateTuples() != 1 {
-		t.Fatalf("late = %d", h.(*topK).LateTuples())
+	on(h, dataMsg(0, sec(5), sec(5), batchOf([3]int64{0, 1, 1})))
+	if h.Handler.(*topK).LateTuples() != 1 {
+		t.Fatalf("late = %d", h.Handler.(*topK).LateTuples())
 	}
 }
 
@@ -78,14 +78,14 @@ func TestTopKSpecValidation(t *testing.T) {
 }
 
 func TestDistinctCount(t *testing.T) {
-	h := DistinctCount(DistinctCountSpec{Size: sec(10)})(2)
+	h := instance(DistinctCount(DistinctCountSpec{Size: sec(10)}), 2)
 	// Window (0,10]: keys {1, 2, 3} across two channels, with repeats.
-	h.OnMessage(testCtx, dataMsg(0, sec(4), sec(4), batchOf(
+	on(h, dataMsg(0, sec(4), sec(4), batchOf(
 		[3]int64{1, 1, 0}, [3]int64{2, 2, 0}, [3]int64{3, 1, 0})))
-	h.OnMessage(testCtx, dataMsg(1, sec(5), sec(5), batchOf(
+	on(h, dataMsg(1, sec(5), sec(5), batchOf(
 		[3]int64{2, 3, 0}, [3]int64{3, 2, 0})))
-	h.OnMessage(testCtx, dataMsg(0, sec(11), sec(11), nil))
-	out := h.OnMessage(testCtx, dataMsg(1, sec(11), sec(11), nil))
+	on(h, dataMsg(0, sec(11), sec(11), nil))
+	out := on(h, dataMsg(1, sec(11), sec(11), nil))
 	var counted bool
 	for _, e := range out {
 		if e.Batch.Len() > 0 {
@@ -104,10 +104,10 @@ func TestDistinctCount(t *testing.T) {
 }
 
 func TestDistinctCountLateAndValidation(t *testing.T) {
-	h := DistinctCount(DistinctCountSpec{Size: sec(1)})(1)
-	h.OnMessage(testCtx, dataMsg(0, sec(3), sec(3), nil))
-	h.OnMessage(testCtx, dataMsg(0, sec(3), sec(3), batchOf([3]int64{0, 1, 0})))
-	if h.(*distinctCount).LateTuples() != 1 {
+	h := instance(DistinctCount(DistinctCountSpec{Size: sec(1)}), 1)
+	on(h, dataMsg(0, sec(3), sec(3), nil))
+	on(h, dataMsg(0, sec(3), sec(3), batchOf([3]int64{0, 1, 0})))
+	if h.Handler.(*distinctCount).LateTuples() != 1 {
 		t.Fatal("late tuple not counted")
 	}
 	defer func() {

@@ -117,8 +117,8 @@ func (s WindowAggSpec) validate() {
 // The factory signature matches dataflow.StageSpec.NewHandler.
 func WindowAgg(spec WindowAggSpec) func(inChannels int) dataflow.Handler {
 	spec.validate()
-	return func(inChannels int) dataflow.Handler {
-		return &windowAgg{spec: spec, windowState: newWindowState(spec.Size, spec.Slide, spec.Global, inChannels)}
+	return func(int) dataflow.Handler {
+		return &windowAgg{spec: spec, windowState: newWindowState(spec.Size, spec.Slide, spec.Global)}
 	}
 }
 
@@ -129,7 +129,7 @@ type windowAgg struct {
 
 // OnMessage implements dataflow.Handler.
 func (w *windowAgg) OnMessage(ctx *dataflow.Context, m *core.Message) []dataflow.Emission {
-	boundary, ok := w.ingest(m)
+	boundary, ok := w.ingest(ctx, m)
 	if !ok {
 		return nil
 	}

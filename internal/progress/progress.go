@@ -10,6 +10,7 @@ import (
 	"math"
 	"sync"
 
+	"github.com/cameo-stream/cameo/internal/snap"
 	"github.com/cameo-stream/cameo/internal/stats"
 	"github.com/cameo-stream/cameo/internal/vtime"
 )
@@ -213,11 +214,39 @@ func (f *Frontier) Restore(ch int, p vtime.Time) error {
 	return nil
 }
 
-// Min returns the minimum progress across channels; ok=false until all
-// channels have reported.
+// Min returns the minimum progress across channels; until every channel
+// has reported it returns Unset, the value below all progress, and
+// ok=false.
 func (f *Frontier) Min() (vtime.Time, bool) {
 	if f.seen < len(f.progress) {
-		return 0, false
+		return Unset, false
 	}
 	return f.min, true
+}
+
+// Write encodes the reported channels: their count, then each (channel,
+// progress) pair in ascending channel order.
+func (f *Frontier) Write(w *snap.Writer) {
+	w.U32(uint32(f.seen))
+	f.Snapshot(func(ch int, p vtime.Time) {
+		w.I64(int64(ch))
+		w.Time(p)
+	})
+}
+
+// Read restores pairs written by Write. A channel the frontier does not
+// have, or a regressing pair, is a corrupt snapshot and fails the read.
+func (f *Frontier) Read(r *snap.Reader) error {
+	n := int(r.U32())
+	for i := 0; i < n && r.Err() == nil; i++ {
+		ch := int(r.I64())
+		p := r.Time()
+		if r.Err() != nil {
+			break
+		}
+		if err := f.Restore(ch, p); err != nil {
+			return err
+		}
+	}
+	return r.Err()
 }

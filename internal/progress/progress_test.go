@@ -195,7 +195,7 @@ type mapFrontier struct {
 
 func (f *mapFrontier) min() (vtime.Time, bool) {
 	if len(f.channels) < f.expected {
-		return 0, false
+		return Unset, false
 	}
 	first := true
 	var m vtime.Time

@@ -11,8 +11,9 @@ import (
 )
 
 // This file is the engine's checkpoint/restore subsystem: CheckpointJob
-// captures one job's complete dynamic state — handler state through the
-// dataflow.Snapshotter contract, per-source stream progress, and every
+// captures one job's complete dynamic state — operator frontiers and
+// handler state through Operator.SnapshotState, per-source stream
+// progress, and every
 // queued (admitted, not yet executed) message — into a snap-encoded
 // snapshot; RestoreJob reinstates that state on a fresh engine (crash
 // recovery) or a second live engine (migration). When to checkpoint and
@@ -41,8 +42,10 @@ import (
 //
 // Layout (after the snap header): job name; topology digest (sources,
 // source ports, time domain, per-stage name/parallelism/slide); per-source
-// progress; then per operator in stage-major order: handler state (flagged;
-// only for Snapshotter handlers) and the queued messages sorted by ID.
+// progress; then per operator in stage-major order: its state
+// (Operator.SnapshotState: a presence flag, then the handler's section or,
+// for a stateless handler, its frontier) and the queued messages sorted
+// by ID.
 func (e *Engine) snapshotJob(j *dataflow.Job, w *snap.Writer) {
 	spec := &j.Spec
 	w.String(spec.Name)
@@ -59,12 +62,7 @@ func (e *Engine) snapshotJob(j *dataflow.Job, w *snap.Writer) {
 		w.I64(j.SourceProgress[i].Load())
 	}
 	for _, op := range j.Operators() {
-		if s, ok := op.Handler.(dataflow.Snapshotter); ok {
-			w.Bool(true)
-			s.SnapshotState(w)
-		} else {
-			w.Bool(false)
-		}
+		op.SnapshotState(w)
 		e.snapshotQueue(op, w)
 	}
 }
@@ -241,10 +239,11 @@ func errQuarantined(name string) error {
 
 // RestoreJob reinstates a checkpointed job on this engine: the spec is
 // validated against the snapshot's topology digest, the job is registered
-// paused (nothing schedules mid-restore), handler state is reinstated
-// through RestoreState on the freshly constructed handlers, per-source
-// progress is reloaded, and the serialized backlog is re-created as fresh
-// messages and re-enqueued with full admission accounting. The job is left
+// paused (nothing schedules mid-restore), operator state (frontiers and
+// handler state) is reinstated on the freshly constructed operators,
+// per-source progress is reloaded, and the serialized backlog is
+// re-created as fresh messages and re-enqueued with full admission
+// accounting. The job is left
 // PAUSED: call ResumeJob once the feeder is wired up (it should resume
 // from the offsets in Job.SourceProgress rather than regressing stage-0
 // frontiers).
@@ -292,14 +291,8 @@ func (e *Engine) RestoreJob(spec dataflow.JobSpec, data []byte) (*dataflow.Job, 
 	env := e.borrowEnv()
 	defer e.ingestEnvs.Put(env)
 	for _, op := range j.Operators() {
-		if r.Bool() {
-			s, ok := op.Handler.(dataflow.Snapshotter)
-			if !ok {
-				return fail(fmt.Errorf("snapshot has handler state for %s but its handler cannot restore", op.Name))
-			}
-			if err := s.RestoreState(r); err != nil {
-				return fail(fmt.Errorf("handler state of %s: %w", op.Name, err))
-			}
+		if err := op.RestoreState(r); err != nil {
+			return fail(fmt.Errorf("state of %s: %w", op.Name, err))
 		}
 		n := int(r.U32())
 		for k := 0; k < n && r.Err() == nil; k++ {

@@ -24,6 +24,7 @@ import (
 	"github.com/cameo-stream/cameo/internal/core"
 	"github.com/cameo-stream/cameo/internal/dataflow"
 	"github.com/cameo-stream/cameo/internal/metrics"
+	"github.com/cameo-stream/cameo/internal/operators"
 	"github.com/cameo-stream/cameo/internal/snap"
 	"github.com/cameo-stream/cameo/internal/testkit"
 	"github.com/cameo-stream/cameo/internal/vtime"
@@ -81,6 +82,61 @@ func diffWindows(t *testing.T, context string, want, got []int64) {
 		if want[i] != got[i] {
 			t.Fatalf("%s: output window %d is %d, reference %d", context, i, got[i], want[i])
 		}
+	}
+}
+
+// TestCheckpointKeepsStatelessFrontier: a stateless stage's merged
+// frontier survives a checkpoint. Two sources feed a Map in front of a
+// window stage; source 0 has passed the first window's end and source 1
+// has not when the job is checkpointed. After the restore, source 1
+// passing the end alone must close the window: a Map restored with a
+// fresh frontier would wait to hear from source 0 again.
+func TestCheckpointKeepsStatelessFrontier(t *testing.T) {
+	spec := dataflow.JobSpec{
+		Name: "j", Latency: 500 * vtime.Millisecond, Sources: 2,
+		Stages: []dataflow.StageSpec{
+			{Name: "id", Parallelism: 1, NewHandler: operators.Map(func(_ vtime.Time, k int64, v float64) (int64, float64) { return k, v })},
+			{Name: "total", Parallelism: 1, Slide: testWin,
+				NewHandler: operators.WindowAgg(operators.WindowAggSpec{Size: testWin, Slide: testWin, Agg: operators.Sum, Global: true})},
+		},
+	}
+	rec := metrics.NewHistoryRecorder()
+	src := New(Config{Workers: 1, Recorder: rec})
+	if _, err := src.AddJob(spec); err != nil {
+		t.Fatal(err)
+	}
+	src.Start()
+	wl := testLoad(1)
+	for _, in := range []struct {
+		src int
+		p   vtime.Time
+	}{{0, testWin}, {1, testWin / 2}} {
+		if err := src.Ingest("j", in.src, wl.Batch(in.src, 1), in.p); err != nil {
+			t.Fatal(err)
+		}
+		testkit.DrainOrFail(t, src, 5*time.Second)
+	}
+	w := snap.NewWriter()
+	if err := src.CheckpointJob("j", w); err != nil {
+		t.Fatal(err)
+	}
+	src.Stop()
+
+	dst := New(Config{Workers: 1, Recorder: rec, StartTime: src.Now()})
+	if _, err := dst.RestoreJob(spec, w.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	if err := dst.ResumeJob("j"); err != nil {
+		t.Fatal(err)
+	}
+	dst.Start()
+	defer dst.Stop()
+	if err := dst.Ingest("j", 1, nil, testWin+testWin/2); err != nil {
+		t.Fatal(err)
+	}
+	testkit.DrainOrFail(t, dst, 5*time.Second)
+	if got := outputWindows(t, rec, "j"); len(got) != 1 || got[0] != int64(testWin) {
+		t.Fatalf("output windows %v, want the first window (%d) closed by the restored frontier", got, int64(testWin))
 	}
 }
 

@@ -240,19 +240,17 @@ func TestEnginePauseResumeStorm(t *testing.T) {
 	for _, cell := range EngineCells {
 		t.Run(cell.Name, func(t *testing.T) {
 			defer testkit.LeakCheck(t)()
-			// One-second windows over 2 s of progress: one window closes
-			// mid-run, and every batch is ingested long before the end of the
-			// window it lands in. A batch ingested after that end would keep
-			// its raw progress as PriLocal and overtake its channel's queued
-			// batches (ROADMAP item 1(b)), and the window stage would
-			// quarantine the job on the regression — with 50 ms windows a run
-			// slower than 50 ms did exactly that.
-			e := New(cell.Cfg(Config{Workers: 4}))
-			if _, err := e.AddJob(testkit.AggSpec("j", 2, 2, vtime.Second, 500*vtime.Millisecond)); err != nil {
+			// 50 ms windows over 80 ms of progress on a clock that starts at
+			// 49 ms: most batches are ingested after the end of the window
+			// they land in, so their frontier-time estimate is behind their
+			// own arrival. Their local priority must still be the window
+			// end, or they overtake their channel's queued batches.
+			e := New(cell.Cfg(Config{Workers: 4, StartTime: 49 * vtime.Millisecond}))
+			if _, err := e.AddJob(testkit.AggSpec("j", 2, 2, 50*vtime.Millisecond, 500*vtime.Millisecond)); err != nil {
 				t.Fatal(err)
 			}
 			e.Start()
-			wl := testkit.Workload{Seed: 5, Sources: 2, Windows: 80, Tuples: 6, Keys: 8, Win: 25 * vtime.Millisecond}
+			wl := testkit.Workload{Seed: 5, Sources: 2, Windows: 80, Tuples: 6, Keys: 8, Win: vtime.Millisecond}
 			var wg sync.WaitGroup
 			for src := 0; src < wl.Sources; src++ {
 				wg.Add(1)
@@ -260,6 +258,10 @@ func TestEnginePauseResumeStorm(t *testing.T) {
 					defer wg.Done()
 					for w := 1; w <= wl.Windows; w++ {
 						err := e.Ingest("j", src, wl.Batch(src, w), wl.Progress(w))
+						if errors.Is(err, ErrJobPaused) && e.JobFailed("j") {
+							t.Error("job quarantined: a handler panicked")
+							return
+						}
 						if errors.Is(err, ErrJobPaused) {
 							// The storm goroutine paused the job under us;
 							// retry the same window once it resumes.
@@ -288,6 +290,10 @@ func TestEnginePauseResumeStorm(t *testing.T) {
 				}
 			}()
 			wg.Wait()
+			if t.Failed() {
+				e.Stop()
+				return
+			}
 			testkit.DrainOrFail(t, e, 20*time.Second)
 			e.Stop()
 			if created, executed := e.msgID.Load(), e.Executed(); created != executed {

@@ -50,7 +50,7 @@ type preemptRig struct {
 
 func (r *preemptRig) bulkSpec(par int) dataflow.JobSpec {
 	return dataflow.JobSpec{
-		Name: "bulk", Latency: 10 * vtime.Second, Sources: 1,
+		Name: "bulk", Latency: 10 * vtime.Second, Sources: preemptBacklog,
 		Stages: []dataflow.StageSpec{{
 			Name: "burn", Parallelism: par,
 			NewHandler: func(int) dataflow.Handler {
@@ -97,13 +97,13 @@ func TestPreemptionBoundedByQuantum(t *testing.T) {
 			if _, err := e.AddJob(urgentSpec()); err != nil {
 				t.Fatal(err)
 			}
-			// One ingest is one message per bulk operator. Progress is a
-			// permutation of 1..64, so queue order (PriLocal, ID) differs
-			// from arrival order and a returned tail has to be re-sorted,
-			// not just prepended.
+			// One ingest is one message per bulk operator, each on its own
+			// source. Progress is a permutation of 1..64, so queue order
+			// (PriLocal, ID) differs from arrival order and a returned tail
+			// has to be re-sorted, not just prepended.
 			for i := 0; i < preemptBacklog; i++ {
 				p := vtime.Time((i*37)%preemptBacklog + 1)
-				if err := e.Ingest("bulk", 0, dataflow.NewBatch(0), p); err != nil {
+				if err := e.Ingest("bulk", i, dataflow.NewBatch(0), p); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -47,6 +47,14 @@ import (
 // with errors.Is.
 var ErrJobPaused = errors.New("runtime: job is paused")
 
+// ErrProgressRegressed is returned by Ingest/TryIngest when a batch's
+// progress is below the progress its source channel already reported:
+// progress promises that no later batch on the channel carries an earlier
+// event, so a lower value breaks the promise and is refused before
+// admission, with nothing enqueued. Equal progress is accepted (a refused
+// batch is retried with the same value); compare with errors.Is.
+var ErrProgressRegressed = errors.New("runtime: progress below the source's recorded progress")
+
 // Config parameterizes an Engine.
 type Config struct {
 	// Workers is the worker-pool size (defaults to 1).
@@ -646,6 +654,13 @@ func (e *Engine) ingest(job string, src int, b *dataflow.Batch, p vtime.Time, tr
 		// the channel as heard from without a value and stall every
 		// window downstream of it.
 		return fmt.Errorf("runtime: job %q: source %d: progress %d is reserved", job, src, p)
+	}
+	if last := vtime.Time(j.SourceProgress[src].Load()); p < last {
+		// Accepted, it would regress the stage-0 frontiers on this channel
+		// and quarantine the job. Progress is recorded only after
+		// admission, so a refused batch's retry is compared against the
+		// progress accepted before it.
+		return fmt.Errorf("%w: job %q: source %d: progress %d after %d", ErrProgressRegressed, job, src, p, last)
 	}
 	// The admission check precedes message creation — the fan-out width is
 	// stage-0 parallelism, known up front — so a refused batch allocates

@@ -309,6 +309,61 @@ func TestReservedProgressNacked(t *testing.T) {
 	}
 }
 
+// TestRegressingAdvanceNacked: an Advance frame below the progress its
+// stream already reported is nacked (NackInternal), and the job goes on
+// closing every window the stream's later frames complete. The server
+// hands a frame's own progress to ingest, so accepting it would regress
+// the stage-0 frontiers and quarantine the job.
+func TestRegressingAdvanceNacked(t *testing.T) {
+	e, _, addr := serve(t, runtime.Config{Workers: 2}, server.Config{FlushEvents: 16})
+	if _, err := e.AddJob(testkit.AggSpec("j", 2, 2, testWin, 500*vtime.Millisecond)); err != nil {
+		t.Fatal(err)
+	}
+	e.Start()
+	c, err := client.Dial(addr, client.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	wl := testLoad(10)
+	send := func(from, to int) {
+		t.Helper()
+		for w := from; w <= to; w++ {
+			for src := 0; src < wl.Sources; src++ {
+				if err := c.IngestBatch("j", src, wl.Batch(src, w), wl.Progress(w)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if !c.Flush(5 * time.Second) {
+			t.Fatalf("client did not settle: %+v, err %v", c.Stats(), c.Err())
+		}
+	}
+	send(1, 3)
+	if err := c.Advance("j", 0, wl.Progress(1)); err != nil {
+		t.Fatal(err)
+	}
+	send(4, wl.Windows)
+	if n := c.Stats().NackedByCode[wire.NackInternal]; n != 1 {
+		t.Fatalf("regressing advance: %d NackInternal, want 1", n)
+	}
+	for src := 0; src < wl.Sources; src++ {
+		if err := c.Advance("j", src, wl.Progress(wl.Windows+1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !c.Flush(5 * time.Second) {
+		t.Fatalf("client did not settle: %+v, err %v", c.Stats(), c.Err())
+	}
+	testkit.DrainOrFail(t, e, 5*time.Second)
+	if e.JobFailed("j") || e.HandlerPanics() != 0 {
+		t.Fatal("job was quarantined")
+	}
+	if got := e.Recorder().Job("j").Count(); got < 8 {
+		t.Errorf("outputs = %d after the regressing advance, want >= 8", got)
+	}
+}
+
 // rawConn is a test peer speaking raw wire frames, for fault injection
 // below the client library's good manners.
 type rawConn struct {

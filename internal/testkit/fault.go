@@ -12,6 +12,7 @@ import (
 
 	"github.com/cameo-stream/cameo/internal/core"
 	"github.com/cameo-stream/cameo/internal/dataflow"
+	"github.com/cameo-stream/cameo/internal/progress"
 	"github.com/cameo-stream/cameo/internal/snap"
 )
 
@@ -51,9 +52,13 @@ type faultSnapshotter struct {
 	s dataflow.Snapshotter
 }
 
-func (h *faultSnapshotter) SnapshotState(w *snap.Writer) { h.s.SnapshotState(w) }
+func (h *faultSnapshotter) SnapshotState(w *snap.Writer, f *progress.Frontier) {
+	h.s.SnapshotState(w, f)
+}
 
-func (h *faultSnapshotter) RestoreState(r *snap.Reader) error { return h.s.RestoreState(r) }
+func (h *faultSnapshotter) RestoreState(r *snap.Reader, f *progress.Frontier) error {
+	return h.s.RestoreState(r, f)
+}
 
 // TruncateFile cuts the file at path down to n bytes — a torn write, as
 // left by a crash mid-checkpoint. Restoring from it must fail cleanly.
