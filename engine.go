@@ -73,10 +73,12 @@ type EngineConfig struct {
 	// the message where the quantum expires and more urgent work waits, or
 	// where a pause or cancel is observed.
 	DrainBatch int
-	// MaxPending caps the engine-wide count of queued (admitted but not
-	// yet executed) messages; 0 means unlimited. Enforced at ingest by the
-	// admission layer, with the response selected by Overload. Per-query
-	// budgets are set with Query.MaxPending.
+	// MaxPending caps the engine-wide count of admitted batches not yet
+	// executed, one per first-stage instance a batch reaches (a batch
+	// merged into a queued message still counts; see Pending); 0 means
+	// unlimited. Enforced at ingest by the admission layer, with the
+	// response selected by Overload. Per-query budgets are set with
+	// Query.MaxPending.
 	MaxPending int
 	// Overload selects the over-budget response: OverloadBackpressure
 	// (default) or OverloadShed.
@@ -244,8 +246,11 @@ func (e *Engine) Created() int64 { return e.inner.Created() }
 // by query cancellation or overload shedding.
 func (e *Engine) Discarded() int64 { return e.inner.Discarded() }
 
-// Pending reports the number of queued (admitted but not yet executed)
-// messages — the quantity MaxPending bounds.
+// Pending reports the admitted batches not yet executed — the quantity
+// MaxPending bounds. A batch counts once per first-stage instance it
+// reaches, whether it waits as a message of its own or was merged into a
+// queued message of the same window, and a message between stages counts
+// once.
 func (e *Engine) Pending() int { return e.inner.Pending() }
 
 // Shed reports how many queued messages the admission layer discarded

@@ -62,7 +62,15 @@ type Message struct {
 	Enqueued vtime.Time
 	// PC is the priority context generated by the context converter.
 	PC PriorityContext
+	// Merged counts the admitted batches the real-time engine's ingest
+	// coalesced into this message while it was queued; zero for every
+	// message nothing was merged into. See Units.
+	Merged int32
 }
+
+// Units is the admission budget m holds: one unit per admitted batch it
+// carries, its own and every one merged into it.
+func (m *Message) Units() int64 { return int64(m.Merged) + 1 }
 
 // TargetInfo is everything a context converter may use about a message's
 // target operator when deriving its priority (paper §4.2–4.3). Engines
@@ -111,8 +119,17 @@ func Doomed(m *Message, now vtime.Time, deadlineAware bool) bool {
 // start deadline on the engine's time axis (rather than an arrival stamp
 // or fair-share tag). The admission layer asks it to decide which laxity
 // test Doomed applies when shedding under overload.
+//
+// Such a policy gives one channel one deadline per window: two messages
+// with equal LocalPri carry the same deadline, or the older one an earlier
+// one. The real-time engine's ingest relies on that to coalesce a batch
+// into its channel's queued message of the same window without converting
+// it (see DESIGN.md). LocalPri is the PriLocal the policy's conversion
+// gives a message with progress p sent from an operator of slide slideUp
+// (0 for a source) to one of slide slide.
 type DeadlineAware interface {
 	DeadlineAware() bool
+	LocalPri(p vtime.Time, slideUp, slide vtime.Duration) vtime.Time
 }
 
 // Policy is the pluggable context-handling strategy (paper §5.1's

@@ -62,6 +62,15 @@ func (p *DeadlinePolicy) Name() string {
 // to pick the laxity test for overload shedding (see Doomed).
 func (p *DeadlinePolicy) DeadlineAware() bool { return p.Kind != KindSJF }
 
+// LocalPri implements DeadlineAware: TRANSFORM of progress prog for a
+// windowed target with semantics awareness on, prog itself otherwise.
+func (p *DeadlinePolicy) LocalPri(prog vtime.Time, slideUp, slide vtime.Duration) vtime.Time {
+	if p.SemanticsUnaware || slide <= 0 {
+		return prog
+	}
+	return progress.Transform(prog, slideUp, slide)
+}
+
 // OnSource implements Policy (Algorithm 1, BUILDCXTATSOURCE).
 func (p *DeadlinePolicy) OnSource(m *Message, ti TargetInfo) { p.convert(m, ti) }
 
@@ -86,12 +95,10 @@ func (p *DeadlinePolicy) OnHop(parent *PriorityContext, m *Message, ti TargetInf
 func (p *DeadlinePolicy) convert(m *Message, ti TargetInfo) {
 	pmf, tmf := m.P, m.T
 	if m.P != progress.Unset {
-		if !p.SemanticsUnaware && ti.Slide > 0 {
-			pmf = progress.Transform(m.P, ti.SlideUp, ti.Slide)
-			if ti.Mapper != nil {
-				if ft, ok := ti.Mapper.Map(pmf); ok && ft >= tmf {
-					tmf = ft
-				}
+		pmf = p.LocalPri(m.P, ti.SlideUp, ti.Slide)
+		if !p.SemanticsUnaware && ti.Slide > 0 && ti.Mapper != nil {
+			if ft, ok := ti.Mapper.Map(pmf); ok && ft >= tmf {
+				tmf = ft
 			}
 		}
 		if ti.EventTime && ti.Mapper != nil {

@@ -41,6 +41,13 @@ type SchedState struct {
 	// Q holds pending messages in (PriLocal, ID) order — used by the Cameo
 	// discipline (the engine's path and the simulator's CameoDispatcher).
 	Q MsgHeap
+	// Tails holds, per input channel, the channel's newest message in Q
+	// that the real-time engine's ingest may still coalesce batches into,
+	// or nil. It is sized only for operators whose handler coalesces
+	// (nil otherwise), and every site that takes a message off Q clears
+	// the message's entry, so a merge never reaches a message that left
+	// the queue.
+	Tails []*Message
 	// FIFO holds pending messages in arrival order — used by the
 	// simulator's Orleans and FIFO baseline dispatchers.
 	FIFO queue.Ring[*Message]

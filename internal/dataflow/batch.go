@@ -26,7 +26,16 @@ type Batch struct {
 	// when its consumer finishes). Externally created batches are never
 	// recycled.
 	pooled bool
+	// next chains the batch Coalesce linked behind this one: one payload,
+	// read in chain order (see Next).
+	next *Batch
 }
+
+// MaxCoalesce is the most tuples one coalesced payload carries: the
+// serving tier's default frame size (tuples buffered per stream before a
+// flush) and the cap on the batches the real-time engine's ingest chains
+// into one queued stage-0 message (see Coalesce).
+const MaxCoalesce = 64
 
 // NewBatch returns an empty batch with the given capacity.
 func NewBatch(capacity int) *Batch {
@@ -37,12 +46,46 @@ func NewBatch(capacity int) *Batch {
 	}
 }
 
-// Len reports the number of tuples.
+// Len reports the number of tuples, over the whole chain b heads.
 func (b *Batch) Len() int {
-	if b == nil {
-		return 0
+	n := 0
+	for ; b != nil; b = b.next {
+		n += len(b.Times)
 	}
-	return len(b.Times)
+	return n
+}
+
+// Next returns the batch chained behind b, or nil. A payload is the chain
+// its batch heads: a handler that opts into coalescing (Coalescer) reads
+// every link, the other handlers only ever see unchained batches.
+func (b *Batch) Next() *Batch { return b.next }
+
+// Coalesce returns one payload carrying head's tuples followed by b's —
+// head with b chained behind its last link — and reports true, when the
+// result stays within MaxCoalesce tuples, both are pool-owned and their
+// key and value columns are alike present or absent. Otherwise it changes
+// nothing and reports false. A nil side is an empty payload: the other
+// side is the result, if within the cap. Chained, b belongs to the
+// payload: FreeBatch on head releases every link.
+func Coalesce(head, b *Batch) (*Batch, bool) {
+	switch {
+	case b == nil:
+		return head, true
+	case head == nil:
+		return b, b.Len() <= MaxCoalesce
+	case !head.pooled || !b.pooled || (head.Keys == nil) != (b.Keys == nil) || (head.Vals == nil) != (b.Vals == nil):
+		return head, false
+	}
+	n, last := b.Len()+len(head.Times), head
+	for last.next != nil {
+		last = last.next
+		n += len(last.Times)
+	}
+	if n > MaxCoalesce {
+		return head, false
+	}
+	last.next = b
+	return head, true
 }
 
 // Append adds one tuple.
@@ -52,12 +95,13 @@ func (b *Batch) Append(t vtime.Time, key int64, val float64) {
 	b.Vals = append(b.Vals, val)
 }
 
-// MaxTime returns the largest logical time in the batch (0 for empty).
+// MaxTime returns the largest logical time over the whole chain b heads
+// (0 for empty).
 func (b *Batch) MaxTime() vtime.Time {
 	var m vtime.Time
-	for _, t := range b.Times {
-		if t > m {
-			m = t
+	for ; b != nil; b = b.next {
+		for _, t := range b.Times {
+			m = max(m, t)
 		}
 	}
 	return m

@@ -82,6 +82,81 @@ func TestBatchMaxTimeAndLen(t *testing.T) {
 	}
 }
 
+// TestCoalesceBatches pins the chaining rules: pool-owned batches with
+// alike columns chain up to MaxCoalesce tuples, Len and MaxTime read the
+// whole chain, and FreeBatch unlinks and recycles every link.
+func TestCoalesceBatches(t *testing.T) {
+	env := NewEnv(nil, nil, -1)
+	env.Batches = NewBatchPool(0)
+	pooled := func(n int, t0 vtime.Time) *Batch {
+		b := env.NewBatch(n)
+		for i := range n {
+			b.Append(t0+vtime.Time(i), int64(i), 1)
+		}
+		return b
+	}
+	if got, ok := Coalesce(nil, nil); got != nil || !ok {
+		t.Errorf("Coalesce(nil, nil) = %v, %v", got, ok)
+	}
+	b := pooled(3, 0)
+	if got, ok := Coalesce(b, nil); got != b || !ok {
+		t.Error("a nil batch does not coalesce as an empty payload")
+	}
+	if got, ok := Coalesce(nil, b); got != b || !ok {
+		t.Error("a nil head does not take the batch as the payload")
+	}
+	if _, ok := Coalesce(nil, pooled(MaxCoalesce+1, 0)); ok {
+		t.Error("a batch over the cap became a coalesced payload")
+	}
+	if _, ok := Coalesce(b, NewBatch(1)); ok {
+		t.Error("an external batch was chained")
+	}
+	if _, ok := Coalesce(NewBatch(1), pooled(1, 0)); ok {
+		t.Error("a batch was chained onto an external one")
+	}
+	unkeyed := pooled(1, 0)
+	unkeyed.Keys = nil
+	if _, ok := Coalesce(b, unkeyed); ok {
+		t.Error("an unkeyed batch was chained onto a keyed one")
+	}
+
+	head := pooled(20, 0)
+	links := []*Batch{head}
+	for _, n := range []int{20, 0, 23} {
+		l := pooled(n, vtime.Time(100*len(links)))
+		got, ok := Coalesce(head, l)
+		if got != head || !ok {
+			t.Fatalf("link of %d tuples refused at %d", n, head.Len())
+		}
+		links = append(links, l)
+	}
+	if head.Len() != MaxCoalesce-1 || head.MaxTime() != 322 {
+		t.Errorf("chain Len %d, MaxTime %v; want %d, 322", head.Len(), head.MaxTime(), MaxCoalesce-1)
+	}
+	if _, ok := Coalesce(head, pooled(2, 0)); ok {
+		t.Error("the chain grew past MaxCoalesce")
+	}
+	if _, ok := Coalesce(head, pooled(1, 0)); !ok {
+		t.Error("the chain refused its last tuple under the cap")
+	}
+	n := 0
+	for l := head; l != nil; l = l.Next() {
+		n++
+	}
+	if n != len(links)+1 {
+		t.Errorf("chain of %d links, want %d", n, len(links)+1)
+	}
+	env.FreeBatch(head)
+	for i, l := range links {
+		if l.Next() != nil {
+			t.Errorf("link %d still chained after FreeBatch", i)
+		}
+	}
+	if again := env.NewBatch(1); again.Len() != 0 || again.Next() != nil {
+		t.Error("a recycled link came back non-empty or chained")
+	}
+}
+
 func TestJobSpecValidation(t *testing.T) {
 	bad := []JobSpec{
 		{},                                  // no name

@@ -80,15 +80,19 @@ func (e *Env) NewBatch(capacity int) *Batch {
 	return e.Batches.Get(e.Worker, capacity)
 }
 
-// FreeBatch releases an engine-owned batch. Externally owned batches
-// (anything not drawn from the pool) are ignored, so callers may free
-// unconditionally.
+// FreeBatch releases an engine-owned batch and every batch chained behind
+// it (see Coalesce). Externally owned batches (anything not drawn from the
+// pool) are ignored, so callers may free unconditionally.
 func (e *Env) FreeBatch(b *Batch) {
-	if e.Worker < 0 {
-		e.Batches.PutExternal(&e.batchStash, b)
-		return
+	for b != nil {
+		next := b.next
+		if e.Worker < 0 {
+			e.Batches.PutExternal(&e.batchStash, b)
+		} else {
+			e.Batches.Put(e.Worker, b)
+		}
+		b = next
 	}
-	e.Batches.Put(e.Worker, b)
 }
 
 // partition splits b across n partitions into the env's part scratch,
@@ -151,12 +155,13 @@ func lease(b *Batch, capacity int) *Batch {
 	return b
 }
 
-// unlease reports whether b may be recycled, and unmarks it if so.
+// unlease reports whether b may be recycled, and unmarks and unchains it
+// if so.
 func (p *BatchPool) unlease(b *Batch) bool {
 	if p == nil || b == nil || !b.pooled {
 		return false
 	}
-	b.pooled = false
+	b.pooled, b.next = false, nil
 	return true
 }
 

@@ -143,8 +143,25 @@ func Execute(op *Operator, m *core.Message, now vtime.Time, cost vtime.Duration,
 }
 
 // SourceMessages converts one source batch emission into routed, fully
-// prioritized messages for stage 0 (BUILDCXTATSOURCE per message). The
-// returned slice is env scratch, valid until the env's next use.
+// prioritized messages for stage 0 (BUILDCXTATSOURCE per message): b is cut
+// by SourceParts and each part becomes a SourceMessage. The returned slice
+// is env scratch, valid until the env's next use.
+func SourceMessages(j *Job, src int, b *Batch, p, t vtime.Time, env *Env) []ChildMessage {
+	if src < 0 || src >= j.Spec.Sources {
+		panic("dataflow: source out of range for job " + j.Spec.Name)
+	}
+	out := env.source[:0]
+	for i, part := range SourceParts(j, b, env) {
+		target := j.Stages[0][i]
+		out = append(out, ChildMessage{Target: target, Msg: SourceMessage(j, src, target, part, p, t, env)})
+	}
+	env.source = out
+	return out
+}
+
+// SourceParts partitions a source batch across the job's stage-0
+// instances: part i is instance i's. The returned slice is env scratch,
+// valid until the env's next partition.
 //
 // Batch ownership: when b is split into fresh pool-owned partitions it is
 // released back to the env's batch pool afterwards — a no-op for
@@ -153,28 +170,29 @@ func Execute(op *Operator, m *core.Message, now vtime.Time, cost vtime.Duration,
 // ingest tier lease decode buffers from the engine pool and have them
 // recycle without a per-flush allocation. When b is forwarded whole to a
 // single/unkeyed target it is NOT split and ownership moves to that
-// message's consumer, which settles it at Finish or discard.
-func SourceMessages(j *Job, src int, b *Batch, p, t vtime.Time, env *Env) []ChildMessage {
-	if src < 0 || src >= j.Spec.Sources {
-		panic("dataflow: source out of range for job " + j.Spec.Name)
-	}
-	port := src / (j.Spec.Sources / j.Spec.SourcePorts) // SourcePorts equal runs, in index order
-	targets := j.Stages[0]
-	parts, split := env.partition(b, len(targets))
+// part's consumer, which settles it at Finish or discard.
+func SourceParts(j *Job, b *Batch, env *Env) []*Batch {
+	parts, split := env.partition(b, len(j.Stages[0]))
 	if split {
 		env.FreeBatch(b)
 	}
-	out := env.source[:0]
-	for i, target := range targets {
-		m := env.NewMessage()
-		m.ID = env.NextID()
-		m.P, m.T = p, t
-		m.Payload = parts[i]
-		m.Channel = src
-		m.Port = port
-		env.Policy.OnSource(m, j.TargetInfo(nil, target))
-		out = append(out, ChildMessage{Target: target, Msg: m})
-	}
-	env.source = out
-	return out
+	return parts
+}
+
+// SourcePort is the logical input port source channel src feeds: the
+// sources form SourcePorts equal runs, in index order.
+func SourcePort(j *Job, src int) int { return src / (j.Spec.Sources / j.Spec.SourcePorts) }
+
+// SourceMessage builds the stage-0 message carrying part, source src's
+// batch (or its partition) for target, at progress p and arrival time t,
+// with a fresh ID and the policy's source conversion.
+func SourceMessage(j *Job, src int, target *Operator, part *Batch, p, t vtime.Time, env *Env) *core.Message {
+	m := env.NewMessage()
+	m.ID = env.NextID()
+	m.P, m.T = p, t
+	m.Payload = part
+	m.Channel = src
+	m.Port = SourcePort(j, src)
+	env.Policy.OnSource(m, j.TargetInfo(nil, target))
+	return m
 }

@@ -79,12 +79,14 @@ type Job struct {
 	// the same atomic op that retires their parent). The simulator
 	// leaves it zero.
 	Outstanding atomic.Int64
-	// Queued counts this job's admitted-but-not-yet-popped messages — the
+	// Queued counts this job's admitted-but-not-yet-popped units — the
 	// per-job half of the real-time engine's admission accounting
-	// (incremented when a message enters an operator's queue, decremented
-	// when it is popped for execution, discarded, or shed). The admission
-	// layer checks it against Spec.MaxPending and uses it to pick the
-	// largest-backlog victim when shedding. The simulator leaves it zero.
+	// (incremented when a message enters an operator's queue or a batch is
+	// merged into a queued one, decremented by a message's units when it
+	// is popped for execution, discarded, or shed; see
+	// core.Message.Units). The admission layer checks it against
+	// Spec.MaxPending and uses it to pick the largest-backlog victim when
+	// shedding. The simulator leaves it zero.
 	Queued atomic.Int64
 	// SourceProgress records the highest stream progress ingested per
 	// source channel (monotone, maintained by the real-time engine's
@@ -102,7 +104,7 @@ type Job struct {
 	// racing the cancellation still lands on the right incarnation. The
 	// simulator leaves it nil.
 	Stats *metrics.JobStats
-	// SrcQueued counts admitted-but-not-yet-popped *stage-0* messages per
+	// SrcQueued counts admitted-but-not-yet-popped *stage-0* units per
 	// source channel — the signal behind per-source fair admission and
 	// fair shedding (a hot source's backlog is attributed to it, so its
 	// siblings keep their fair share of the job budget). Stage-0 messages
@@ -180,6 +182,9 @@ func NewJob(spec JobSpec) (*Job, error) {
 			}
 			op.frontier = *progress.NewFrontier(op.InChannels())
 			op.Handler = st.NewHandler(op.InChannels())
+			if s == 0 && Coalesces(op.Handler) {
+				op.sched.Tails = make([]*core.Message, op.InChannels())
+			}
 			if spec.Domain == EventTime {
 				op.Mapper = progress.NewRegressionMapper(spec.MapperWindow, 2)
 			} else {
@@ -208,6 +213,7 @@ func (j *Job) Teardown() {
 	for _, op := range j.Operators() {
 		st := op.Sched()
 		st.Q = core.MsgHeap{}
+		st.Tails = nil
 		op.Handler = nil
 	}
 }

@@ -75,6 +75,25 @@ type Handler interface {
 	OnMessage(ctx *Context, m *core.Message) []Emission
 }
 
+// Coalescer is optionally implemented by a Handler that reads a chained
+// payload (Batch.Next) link by link: given a message whose payload chains
+// several batches it does exactly what it does given one batch of their
+// tuples in chain order, and which window a tuple joins depends on the
+// tuple's own time, so its results do not depend on how one channel's
+// on-time tuples of one window were cut into messages. The real-time
+// engine's ingest coalesces same-window batches into a channel's queued
+// stage-0 message only for such handlers (see DESIGN.md). A wrapper
+// forwards the inner handler's answer (see Coalesces).
+type Coalescer interface {
+	CoalescesBatches() bool
+}
+
+// Coalesces reports whether h opts into coalescing (see Coalescer).
+func Coalesces(h Handler) bool {
+	c, ok := h.(Coalescer)
+	return ok && c.CoalescesBatches()
+}
+
 // HandlerFunc adapts a function to the Handler interface for stateless
 // operators.
 type HandlerFunc func(ctx *Context, m *core.Message) []Emission
@@ -134,10 +153,12 @@ type JobSpec struct {
 	// EWMAAlpha is the smoothing factor of operator cost profiles;
 	// defaults to 0.2 (recent messages dominate within tens of samples).
 	EWMAAlpha float64
-	// MaxPending caps this job's queued (admitted but not yet executed)
-	// message count in the real-time engine; 0 means unlimited. The
-	// engine's admission layer enforces it at ingest — refusing the batch
-	// or shedding, per the engine's overload policy.
+	// MaxPending caps this job's admitted batches not yet executed in the
+	// real-time engine, counted per stage-0 instance as Engine.Pending
+	// counts them (a batch merged into a queued message still counts);
+	// 0 means unlimited. The engine's admission layer enforces it at
+	// ingest — refusing the batch or shedding, per the engine's overload
+	// policy.
 	MaxPending int
 }
 

@@ -52,13 +52,20 @@ func windowEnds(p vtime.Time, size, slide vtime.Duration) (first, last vtime.Tim
 	return (p/slide + 1) * slide, p + size
 }
 
-// ingest adds m's tuples to every window containing them that is not yet
-// emitted — a join's Port 1 tuples to the window's right table, every
-// other port's to its keys. It reports the highest window end the
-// operator's frontier has passed, when that passes the emitted watermark.
+// CoalescesBatches implements dataflow.Coalescer for every windowed
+// operator: ingest reads a chained payload link by link, and which window
+// a tuple joins depends on its own time, never on its message.
+func (s *windowState) CoalescesBatches() bool { return true }
+
+// ingest adds the tuples of every batch in m's payload chain to every
+// window containing them that is not yet emitted — a join's Port 1 tuples
+// to the window's right table, every other port's to its keys. It reports
+// the highest window end the operator's frontier has passed, when that
+// passes the emitted watermark.
 func (s *windowState) ingest(ctx *dataflow.Context, m *core.Message) (boundary vtime.Time, ok bool) {
-	if b, _ := m.Payload.(*dataflow.Batch); b != nil {
-		right := s.join && m.Port == 1
+	b, _ := m.Payload.(*dataflow.Batch)
+	right := s.join && m.Port == 1
+	for ; b != nil; b = b.Next() {
 		for i, p := range b.Times {
 			var key int64
 			if !s.global && b.Keys != nil {

@@ -165,3 +165,75 @@ func diffEmissions(got, want []dataflow.Emission) string {
 	}
 	return ""
 }
+
+// TestCoalescedPayloadMatchesFlatBatch: every windowed operator opts into
+// coalescing, and a message whose payload chains several batches
+// (dataflow.Coalesce) does exactly what the same message with one batch of
+// the chain's tuples does — emissions, late count and snapshot bytes —
+// over seeded sequences with late tuples, empty links and join ports.
+func TestCoalescedPayloadMatchesFlatBatch(t *testing.T) {
+	ms := vtime.Millisecond
+	for _, op := range []struct {
+		name  string
+		mk    func(int) dataflow.Handler
+		slide vtime.Duration
+		ports int
+	}{
+		{"windowAgg/tumbling", WindowAgg(WindowAggSpec{Size: 100 * ms, Slide: 100 * ms, Agg: Mean}), 100 * ms, 1},
+		{"windowAgg/sliding/global", WindowAgg(WindowAggSpec{Size: 300 * ms, Slide: 100 * ms, Agg: Max, Global: true}), 100 * ms, 1},
+		{"topK", TopK(TopKSpec{Size: 100 * ms, K: 3}), 100 * ms, 1},
+		{"distinctCount", DistinctCount(DistinctCountSpec{Size: 100 * ms}), 100 * ms, 1},
+		{"windowJoin", WindowJoin(WindowJoinSpec{Size: 100 * ms}), 100 * ms, 2},
+	} {
+		t.Run(op.name, func(t *testing.T) {
+			const channels = 2
+			got, flat := instance(op.mk, channels), instance(op.mk, channels)
+			if !dataflow.Coalesces(got.Handler) {
+				t.Fatal("the handler does not opt into coalescing")
+			}
+			pool := dataflow.NewEnv(nil, nil, -1)
+			pool.Batches = dataflow.NewBatchPool(0)
+			rng := rand.New(rand.NewPCG(41, uint64(len(op.name))))
+			prog := make([]vtime.Time, channels)
+			var now vtime.Time
+			for i := 1; i <= 300; i++ {
+				ch := rng.IntN(channels)
+				lo := prog[ch]
+				prog[ch] += vtime.Time(rng.Int64N(int64(2 * op.slide)))
+				now += vtime.Time(rng.Int64N(int64(ms)))
+				var head *dataflow.Batch
+				whole := dataflow.NewBatch(0)
+				for range 1 + rng.IntN(4) {
+					link := pool.NewBatch(4)
+					for range rng.IntN(5) {
+						p := lo + vtime.Time(rng.Int64N(int64(prog[ch]-lo)+1))
+						if rng.IntN(8) == 0 {
+							p = vtime.Time(rng.Int64N(int64(prog[ch]) + 1)) // possibly late
+						}
+						k, v := rng.Int64N(9), float64(rng.IntN(100))
+						link.Append(p, k, v)
+						whole.Append(p, k, v)
+					}
+					var ok bool
+					if head, ok = dataflow.Coalesce(head, link); !ok {
+						t.Fatalf("message %d: link refused", i)
+					}
+				}
+				port := rng.IntN(op.ports)
+				chained := &core.Message{P: prog[ch], T: now, Channel: ch, Port: port, Payload: head}
+				single := &core.Message{P: prog[ch], T: now, Channel: ch, Port: port, Payload: whole}
+				if diff := diffEmissions(on(got, chained), on(flat, single)); diff != "" {
+					t.Fatalf("message %d: %s", i, diff)
+				}
+				pool.FreeBatch(head)
+				gl, fl := got.Handler.(interface{ LateTuples() int64 }).LateTuples(), flat.Handler.(interface{ LateTuples() int64 }).LateTuples()
+				if gl != fl {
+					t.Fatalf("message %d: late tuples %d, flat %d", i, gl, fl)
+				}
+			}
+			if !bytes.Equal(snapshotOf(got), snapshotOf(flat)) {
+				t.Error("snapshot bytes differ from the flat-batch operator's")
+			}
+		})
+	}
+}

@@ -11,19 +11,20 @@ package runtime
 // deadlines anyway (negative laxity), falling back to the lax end of the
 // largest backlog when doomed messages alone don't free enough budget.
 //
-// The layer owns the queued-message accounting: the dispatch path calls
-// enqueued/dequeued at every push, pop and discard, so one atomic pair
-// (engine-wide + per-job) serves budget checks, Engine.Pending, and the
-// shed victim selection. The accept path is allocation-free — a handful
-// of atomic loads — which keeps the zero-allocation hot path intact (the
-// alloc gate pins this).
+// The layer owns the queued accounting: the dispatch path calls note at
+// every push, merge, pop and discard, so one atomic pair (engine-wide +
+// per-job) serves budget checks, Engine.Pending, and the shed victim
+// selection. It counts units — admitted batches — rather than messages,
+// so a message the ingest coalesced several batches into holds as much
+// budget as the messages it replaced. The accept path is allocation-free
+// — a handful of atomic loads — which keeps the zero-allocation hot path
+// intact (the alloc gate pins this).
 
 import (
 	"errors"
 	"fmt"
 	"sync/atomic"
 
-	"github.com/cameo-stream/cameo/internal/core"
 	"github.com/cameo-stream/cameo/internal/dataflow"
 	"github.com/cameo-stream/cameo/internal/vtime"
 )
@@ -75,7 +76,7 @@ var ErrJobOverloaded = fmt.Errorf("runtime: job over pending-message budget: %w"
 // enqueue and dequeue passes through. One instance per engine.
 type admission struct {
 	e *Engine
-	// max is the engine-wide queued-message budget, Config.MaxPending
+	// max is the engine-wide queued-unit budget, Config.MaxPending
 	// (0 = unlimited); highWater is the pressure threshold (7/8 of max)
 	// past which workers opportunistically sweep doomed messages under
 	// OverloadShed. Both are written once, at construction; a job's own
@@ -83,15 +84,11 @@ type admission struct {
 	max       int64
 	highWater int64
 	policy    OverloadPolicy
-	// deadlineAware records whether the engine's policy stamps start
-	// deadlines into PriGlobal (LLF/EDF), selecting the laxity test
-	// core.Doomed applies when shedding.
-	deadlineAware bool
 
-	// queued counts admitted-but-not-yet-popped messages engine-wide; the
-	// per-job half lives on dataflow.Job.Queued. Both follow the path's
-	// push/pop/discard sites exactly, so one atomic read is the budget
-	// check and Engine.Pending.
+	// queued counts admitted-but-not-yet-popped units (batches) engine-wide;
+	// the per-job half lives on dataflow.Job.Queued. Both follow the path's
+	// push/merge/pop/discard sites exactly, so one atomic read is the
+	// budget check and Engine.Pending.
 	queued   atomic.Int64
 	shed     atomic.Int64
 	rejected atomic.Int64
@@ -99,51 +96,30 @@ type admission struct {
 
 func newAdmission(e *Engine, cfg Config) *admission {
 	m := int64(cfg.MaxPending)
-	a := &admission{e: e, max: m, highWater: m - m/8, policy: cfg.Overload}
-	if da, ok := cfg.Policy.(core.DeadlineAware); ok && da.DeadlineAware() {
-		a.deadlineAware = true
-	}
-	return a
+	return &admission{e: e, max: m, highWater: m - m/8, policy: cfg.Overload}
 }
 
-// enqueued and dequeued are the accounting hooks the dispatch path calls:
-// enqueued after a message is pushed into a live or paused operator's
-// queue, dequeued when one is popped for execution, discarded by
-// cancellation, or shed.
-func (a *admission) enqueued(j *dataflow.Job) {
-	a.queued.Add(1)
-	j.Queued.Add(1)
-}
-
-func (a *admission) dequeued(j *dataflow.Job) {
-	a.queued.Add(-1)
-	j.Queued.Add(-1)
-}
-
-// enqueuedN and dequeuedN are the batch forms: one atomic pair covers a
-// whole drain batch or a grouped delivery, where the per-message forms
-// would pay the pair per message.
-func (a *admission) enqueuedN(j *dataflow.Job, n int) {
+// note is the accounting hook the dispatch path calls: it moves n units
+// into the queued counts (n > 0) when messages are pushed into a live or
+// paused operator's queue or a batch is merged into a queued message, and
+// out of them (n < 0) when messages are popped for execution, discarded
+// by cancellation, or shed. A unit is one admitted batch (see
+// core.Message.Units); one call covers a whole drain batch or grouped
+// delivery.
+func (a *admission) note(j *dataflow.Job, n int64) {
 	if n == 0 {
 		return
 	}
-	a.queued.Add(int64(n))
-	j.Queued.Add(int64(n))
+	a.queued.Add(n)
+	j.Queued.Add(n)
 }
 
-func (a *admission) dequeuedN(j *dataflow.Job, n int) {
-	if n == 0 {
-		return
-	}
-	a.queued.Add(int64(-n))
-	j.Queued.Add(int64(-n))
-}
-
-// admit is the ingest-side gate: n is the number of messages the batch
-// will fan out into (stage-0 parallelism — known before any message is
-// created, so a refused batch allocates nothing). try forces backpressure
-// semantics regardless of the configured policy; under OverloadShed a
-// plain Ingest is always admitted and enforce sheds afterwards.
+// admit is the ingest-side gate: n is the number of units the batch will
+// add, one per stage-0 instance whether it becomes a message or merges
+// into one (known before any message is created, so a refused batch
+// allocates nothing). try forces backpressure semantics regardless of the
+// configured policy; under OverloadShed a plain Ingest is always admitted
+// and enforce sheds afterwards.
 //
 // The check is a racy load-then-compare by design: concurrent ingests
 // that all pass it can transiently overshoot a budget by up to

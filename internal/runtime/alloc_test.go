@@ -81,6 +81,50 @@ func TestAllocsEngineSteadyState(t *testing.T) {
 	})
 }
 
+// TestAllocsCoalescedIngest pins the coalesced ingest at zero allocations:
+// on an engine not yet started, every ingest after a window's first finds
+// both channel messages still queued and merges into them — no message,
+// no ID, no push — drawing its two partitions from the batch pool.
+func TestAllocsCoalescedIngest(t *testing.T) {
+	if testkit.RaceEnabled {
+		t.Skip("allocation accounting is not meaningful under -race")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	e := runtime.New(runtime.Config{Workers: 1})
+	if _, err := e.AddJob(testkit.AggSpec("j", 1, 2, 100*vtime.Millisecond, vtime.Second)); err != nil {
+		t.Fatal(err)
+	}
+	// Stock the pool the partitions are drawn from.
+	var stock []*dataflow.Batch
+	for range 256 {
+		stock = append(stock, e.LeaseBatch(4))
+	}
+	for _, b := range stock {
+		e.ReturnBatch(b)
+	}
+	b := dataflow.NewBatch(2)
+	b.Append(1, 0, 1) // key 0 hashes to partition 0,
+	b.Append(1, 1, 1) // key 1 to partition 1
+	p := vtime.Time(1)
+	ingest := func() {
+		if err := e.Ingest("j", 0, b, p); err != nil {
+			t.Fatal(err)
+		}
+		p++ // every ingest in the first window
+	}
+	ingest()
+	created := e.Created()
+	// 1 + runs + 1 tuples per partition stay within dataflow.MaxCoalesce.
+	const runs = 40
+	allocs := testing.AllocsPerRun(runs, ingest)
+	if e.Created() != created {
+		t.Fatalf("the ingests created %d messages; nothing coalesced", e.Created()-created)
+	}
+	if allocs != 0 {
+		t.Errorf("coalesced ingest allocates %.2f times per call, want 0", allocs)
+	}
+}
+
 // TestAllocsJobLookup pins the job-registry lookup every ingest starts
 // with at zero allocations: the registry is a sync.Map keyed by name, and
 // a key boxed onto the heap would cost one allocation per batch.

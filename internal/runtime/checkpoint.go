@@ -98,7 +98,10 @@ func writeMessage(w *snap.Writer, m *core.Message) {
 // writeBatch encodes a columnar payload batch: tuple count, the Times
 // column, then Keys and Vals behind presence flags (nil columns — unkeyed
 // or value-less streams — stay nil on restore, which partitioning and
-// handlers rely on).
+// handlers rely on). A chained payload (dataflow.Coalesce) is written as
+// one batch of its links' tuples in chain order — the bytes an unchained
+// batch of those tuples has — and restores unchained; its links agree on
+// which columns are present.
 func writeBatch(w *snap.Writer, b *dataflow.Batch) {
 	if b == nil {
 		w.Bool(false)
@@ -106,19 +109,25 @@ func writeBatch(w *snap.Writer, b *dataflow.Batch) {
 	}
 	w.Bool(true)
 	w.U32(uint32(b.Len()))
-	for _, t := range b.Times {
-		w.Time(t)
+	for l := b; l != nil; l = l.Next() {
+		for _, t := range l.Times {
+			w.Time(t)
+		}
 	}
 	w.Bool(b.Keys != nil)
 	if b.Keys != nil {
-		for _, k := range b.Keys {
-			w.I64(k)
+		for l := b; l != nil; l = l.Next() {
+			for _, k := range l.Keys {
+				w.I64(k)
+			}
 		}
 	}
 	w.Bool(b.Vals != nil)
 	if b.Vals != nil {
-		for _, v := range b.Vals {
-			w.F64(v)
+		for l := b; l != nil; l = l.Next() {
+			for _, v := range l.Vals {
+				w.F64(v)
+			}
 		}
 	}
 }
@@ -177,17 +186,24 @@ func readBatch(r *snap.Reader, env *dataflow.Env) *dataflow.Batch {
 }
 
 // quiesceJob waits until a paused job has no in-flight messages: everything
-// that exists for the job is sitting in an operator queue. The test reads
-// Queued BEFORE Outstanding: for a paused job nothing pops (workers skip
-// non-live operators), so Queued is non-decreasing, and Outstanding ≥
-// Queued holds at every instant (children register before they are
-// pushed). Queued(t1) == Outstanding(t2) with t1 < t2 therefore forces
-// Queued(t2) = Outstanding(t2) — a consistent quiesce despite the two
-// counters being separate atomics. Bounded by one handler invocation per
-// worker once the pause lands, like CancelJob's quiesce.
-func quiesceJob(j *dataflow.Job) {
+// that exists for the job is sitting in an operator queue. Each poll counts
+// the queued messages (operator by operator, under each one's lock) BEFORE
+// reading Outstanding: for a paused job nothing pops (workers skip
+// non-live operators), so the queued count is non-decreasing, and
+// Outstanding ≥ queued holds at every instant (children register before
+// they are pushed). A count taken by t1 equal to Outstanding(t2), t1 < t2,
+// therefore forces queued(t2) = Outstanding(t2) — a consistent quiesce
+// without one lock over the job. (Job.Queued counts units, not messages,
+// so it cannot stand in for the count.) Bounded by one handler invocation
+// per worker once the pause lands, like CancelJob's quiesce.
+func (e *Engine) quiesceJob(j *dataflow.Job) {
 	waitUntil(func() bool {
-		q := j.Queued.Load()
+		var q int64
+		for _, stage := range j.Stages {
+			for _, op := range stage {
+				q += int64(e.path.queuedLen(op))
+			}
+		}
 		return j.Outstanding.Load() == q
 	}, time.Time{})
 }
@@ -219,7 +235,7 @@ func (e *Engine) CheckpointJob(name string, w *snap.Writer) error {
 			return err
 		}
 	}
-	quiesceJob(j)
+	e.quiesceJob(j)
 	// A message in flight when the pause landed may have panicked during
 	// the quiesce. Past it nothing of the job executes until a resume, so
 	// this check is final — and the quarantine must not be resumed away.

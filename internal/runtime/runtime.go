@@ -79,9 +79,12 @@ type Config struct {
 	// TraceLimit, when positive, records up to this many executions in a
 	// schedule trace (mirrors sim.Config.TraceLimit), exposed via Trace.
 	TraceLimit int
-	// MaxPending caps the engine-wide count of admitted-but-not-yet-popped
-	// messages (0 = unlimited). Budgets are enforced at ingest by the
-	// admission layer; per-job budgets live on JobSpec.MaxPending.
+	// MaxPending caps the engine-wide count of admitted batches not yet
+	// executed (0 = unlimited), counted as Engine.Pending counts them: a
+	// source batch as one unit per stage-0 instance, whether it is queued
+	// as its own message or merged into one, and a derived message as one.
+	// Budgets are enforced at ingest by the admission layer; per-job
+	// budgets live on JobSpec.MaxPending.
 	// Data-less ingests (watermarks) are exempt from the check, and
 	// concurrent ingests may transiently overshoot by their combined
 	// fan-out — the budget is memory back-pressure, not an exact
@@ -250,7 +253,8 @@ func (e *Engine) Now() vtime.Time { return e.clock.Now() }
 func (e *Engine) Executed() int64 { return e.overhead.Snapshot().Messages }
 
 // Created reports the number of messages created so far (source fan-outs
-// plus derived children). Conservation holds at quiescence:
+// plus derived children; a batch ingest merges into a queued message
+// creates none). Conservation holds at quiescence:
 // Created == Executed + Discarded.
 func (e *Engine) Created() int64 { return e.msgID.Load() }
 
@@ -526,51 +530,34 @@ func (e *Engine) discardMessage(j *dataflow.Job, m *core.Message) {
 }
 
 // shedQueued settles one queued message the admission layer discarded:
-// the queued-budget counters release it, the shed is attributed to its
-// source channel (stage 0) or the downstream bucket, then discardMessage
-// recycles it with the usual conservation accounting. Callers hold the
-// lock guarding the queue the message came from — op is the operator the
-// message was queued at.
+// the queued-budget counters release its units, the shed is attributed to
+// its source channel (stage 0) or the downstream bucket, a channel tail it
+// was stops being one, then discardMessage recycles it with the usual
+// conservation accounting. Callers hold the lock guarding the queue the
+// message came from — op is the operator the message was queued at.
 func (e *Engine) shedQueued(j *dataflow.Job, op *dataflow.Operator, m *core.Message) {
-	e.adm.dequeued(j)
+	e.adm.note(j, -m.Units())
 	if op.Stage == 0 {
-		j.SrcQueued[m.Channel].Add(-1)
+		noteSrcQueued(op, m, -1)
 		j.SrcShed[m.Channel].Add(1)
+		if tails := op.Sched().Tails; tails != nil && tails[m.Channel] == m {
+			tails[m.Channel] = nil
+		}
 	} else {
 		j.ShedDownstream.Add(1)
 	}
 	e.discardMessage(j, m)
 }
 
-// noteSrcQueued attributes one queued stage-0 message to its source
+// noteSrcQueued attributes a queued stage-0 message's units to its source
 // channel (delta +1 at enqueue, -1 at dequeue or discard) — stage-0
 // messages carry their source index in Message.Channel. Downstream
 // messages have no source attribution and are skipped. Called at the
 // same sites as the admission queued counters, under the same locks.
 func noteSrcQueued(op *dataflow.Operator, m *core.Message, delta int64) {
 	if op.Stage == 0 {
-		op.Job.SrcQueued[m.Channel].Add(delta)
+		op.Job.SrcQueued[m.Channel].Add(delta * m.Units())
 	}
-}
-
-// noteSrcQueuedRun is the batch form of noteSrcQueued for the pop/unpop
-// sites: one atomic add per run of equal source channels rather than one
-// per message.
-func noteSrcQueuedRun(op *dataflow.Operator, msgs []*core.Message, delta int64) {
-	if op.Stage != 0 || len(msgs) == 0 {
-		return
-	}
-	j := op.Job
-	ch, run := msgs[0].Channel, int64(1)
-	for _, m := range msgs[1:] {
-		if m.Channel == ch {
-			run++
-			continue
-		}
-		j.SrcQueued[ch].Add(run * delta)
-		ch, run = m.Channel, 1
-	}
-	j.SrcQueued[ch].Add(run * delta)
 }
 
 // noteShed records n shed messages against job j — the engine-wide shed
@@ -610,6 +597,12 @@ func (e *Engine) Stop() {
 // The arrival time is stamped by the engine clock. Safe for concurrent use:
 // concurrent ingests from different sources proceed in parallel,
 // contending only per target operator and lane.
+//
+// Under a deadline-aware policy (LLF, EDF) a batch whose source channel
+// already has a queued message of the same window at a windowed stage-0
+// instance is chained onto that message instead of becoming one of its
+// own, within dataflow.MaxCoalesce tuples (see DESIGN.md); it still counts
+// as one pending unit there.
 //
 // Every ingest passes through the admission layer: when a pending-message
 // budget (Config.MaxPending, JobSpec.MaxPending) would be exceeded, the
@@ -681,18 +674,11 @@ func (e *Engine) ingest(job string, src int, b *dataflow.Batch, p vtime.Time, tr
 	j.NoteSourceProgress(src, p)
 	now := e.clock.Now()
 	env := e.borrowEnv()
-	msgs := dataflow.SourceMessages(j, src, b, p, now, env)
-	for _, cm := range msgs {
-		cm.Msg.Enqueued = now
-	}
-	e.outstanding.Add(int64(len(msgs)))
-	j.Outstanding.Add(int64(len(msgs)))
-	// deliver consumes msgs synchronously (every message is pushed onto its
-	// operator before it returns), so the env's scratch can go straight
-	// back to the pool. If the job was cancelled between the map lookup
-	// above and here, each push observes the dead operators and discards,
-	// re-balancing the counters just added.
-	e.path.deliver(msgs, -1)
+	// The path consumes the parts synchronously (each is merged or pushed
+	// before it returns), so the env's scratch can go straight back to the
+	// pool. If the job was cancelled between the map lookup above and
+	// here, the path observes the dead operators and releases the parts.
+	e.path.ingest(j, src, dataflow.SourceParts(j, b, env), p, now, env)
 	e.ingestEnvs.Put(env)
 	e.adm.enforce(j, now)
 	return nil
@@ -766,7 +752,8 @@ type SourceCounters struct {
 	// Accepted counts data batches admitted from this source; Rejected
 	// counts batches refused by backpressure. Shed counts this source's
 	// stage-0 messages discarded by overload shedding, and Queued is its
-	// currently admitted-but-not-popped stage-0 backlog.
+	// currently admitted-but-not-popped stage-0 backlog in units (see
+	// Engine.Pending).
 	Accepted, Rejected, Shed, Queued int64
 }
 
@@ -801,11 +788,15 @@ func (e *Engine) ShedDownstream(name string) (int64, error) {
 	return j.ShedDownstream.Load(), nil
 }
 
-// Pending reports the number of queued (not yet executed) messages — the
-// quantity the admission layer's budgets bound.
+// Pending reports the number of admitted batches not yet executed — the
+// units of every queued message, the quantity the admission layer's
+// budgets bound. A message counts one unit per batch it carries: a source
+// batch fans out into one unit per stage-0 instance, merged into a queued
+// message or not, and a derived message is one unit.
 func (e *Engine) Pending() int { return int(e.adm.queued.Load()) }
 
-// JobPending reports one job's queued (not yet executed) message count.
+// JobPending reports one job's admitted batches not yet executed, counted
+// as Pending counts them.
 func (e *Engine) JobPending(name string) (int, error) {
 	j, ok := e.job(name)
 	if !ok {

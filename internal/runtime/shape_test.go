@@ -9,8 +9,15 @@ package runtime
 // anything; a stage that forwarded unmerged progress closed windows
 // before every source had passed them, and a channel delivered out of
 // order regressed a frontier and quarantined the job.
+//
+// The retry class offers every data batch with TryIngest against a small
+// pending budget, retrying after each refusal, and never drains before the
+// closing watermarks: batches back up behind the budget, which is where
+// the engine coalesces same-window batches into queued messages, so the
+// merged messages face the evaluator too.
 
 import (
+	"errors"
 	"fmt"
 	"math/rand/v2"
 	"strings"
@@ -55,7 +62,12 @@ type shape struct {
 	skew    []int               // ticks each source lags behind
 	script  []shapeIngest       // every ingest, in order
 	batches [][]*dataflow.Batch // [source][step-1]
+	retry   bool                // the retry class (see above)
 }
+
+// shapeBudget is the retry class's pending budget, in batches per
+// stage-0 instance.
+const shapeBudget = 4
 
 // shapeIngest is one ingest of a script: source src's batch for progress
 // step (nil past shapeSteps: the closing watermark), drained or not
@@ -72,6 +84,9 @@ func (s *shape) String() string {
 		fmt.Fprintf(&b, " -> %s×%d", fn.name, s.par[i])
 	}
 	fmt.Fprintf(&b, " -> %s window ×%d", s.window, s.winPar)
+	if s.retry {
+		b.WriteString(", retried")
+	}
 	return b.String()
 }
 
@@ -82,12 +97,17 @@ func (s *shape) slide() vtime.Duration {
 	return shapeWin
 }
 
-func newShape(seed uint64) *shape {
+// newShape generates seed's shape. A retried shape of an odd seed has no
+// stateless stages, so its window stage is the one ingest coalesces into.
+func newShape(seed uint64, retry bool) *shape {
 	rng := rand.New(rand.NewPCG(seed, 37))
-	s := &shape{sources: 1 + rng.IntN(3), window: []string{"keyed", "global", "sliding"}[rng.IntN(3)]}
+	s := &shape{sources: 1 + rng.IntN(3), window: []string{"keyed", "global", "sliding"}[rng.IntN(3)], retry: retry}
 	for range rng.IntN(3) {
 		s.fns = append(s.fns, shapeFns[rng.IntN(len(shapeFns))])
 		s.par = append(s.par, 1+rng.IntN(3))
+	}
+	if retry && seed%2 == 1 {
+		s.fns, s.par = nil, nil
 	}
 	s.winPar = 1 + rng.IntN(3)
 	if s.window == "global" {
@@ -199,7 +219,11 @@ func (r *shapeRecorder) handler(int) dataflow.Handler {
 func (s *shape) run(t *testing.T, cfg Config) map[[2]int64]float64 {
 	rec := &shapeRecorder{got: map[[2]int64]float64{}}
 	e := New(cfg)
-	if _, err := e.AddJob(s.spec(t, rec)); err != nil {
+	spec := s.spec(t, rec)
+	if s.retry {
+		spec.MaxPending = shapeBudget * spec.Stages[0].Parallelism
+	}
+	if _, err := e.AddJob(spec); err != nil {
 		t.Fatal(err)
 	}
 	e.Start()
@@ -208,6 +232,10 @@ func (s *shape) run(t *testing.T, cfg Config) map[[2]int64]float64 {
 		b, p := (*dataflow.Batch)(nil), shapeSteps*shapeTick+2*shapeWin
 		if in.step <= shapeSteps {
 			b, p = s.batches[in.src][in.step-1], vtime.Time(in.step)*shapeTick
+		}
+		if s.retry && b != nil {
+			s.tryIngest(t, e, in.src, b, p)
+			continue
 		}
 		if err := e.Ingest("shape", in.src, b, p); err != nil {
 			t.Fatalf("%v: %v", s, err)
@@ -233,11 +261,33 @@ func (s *shape) run(t *testing.T, cfg Config) map[[2]int64]float64 {
 	return rec.got
 }
 
-// TestShapeTable runs 16 seeded shapes at 1 and 4 workers in every
-// engine cell and compares every (window, key) sum with the evaluator.
+// tryIngest offers a copy of b leased from the engine's pool (a pooled
+// batch is what ingest may chain onto a queued message) with TryIngest
+// until it is admitted, waiting out every refusal; a refused lease stays
+// the caller's, so the retry offers the same batch.
+func (s *shape) tryIngest(t *testing.T, e *Engine, src int, b *dataflow.Batch, p vtime.Time) {
+	lb := e.LeaseBatch(b.Len())
+	for i := range b.Times {
+		lb.Append(b.Times[i], b.Keys[i], b.Vals[i])
+	}
+	for deadline := time.Now().Add(10 * time.Second); ; {
+		err := e.TryIngest("shape", src, lb, p)
+		if err == nil {
+			return
+		}
+		if !errors.Is(err, ErrOverloaded) || time.Now().After(deadline) {
+			t.Fatalf("%v: source %d at %v: %v", s, src, p, err)
+		}
+		time.Sleep(20 * time.Microsecond)
+	}
+}
+
+// TestShapeTable runs 16 seeded shapes, and 8 more in the retry class, at
+// 1 and 4 workers in every engine cell and compares every (window, key)
+// sum with the evaluator.
 func TestShapeTable(t *testing.T) {
-	for seed := uint64(1); seed <= 16; seed++ {
-		s := newShape(seed)
+	for seed := uint64(1); seed <= 24; seed++ {
+		s := newShape(seed, seed > 16)
 		want := s.evaluate()
 		for _, cell := range EngineCells {
 			for _, workers := range []int{1, 4} {

@@ -67,6 +67,11 @@ type shardedPath struct {
 	workers int
 	runq    *queue.ShardedHeap[*dataflow.Operator]
 	rr      atomic.Int64 // round-robin cursor for external arrivals
+	// deadlines is the engine's policy when it stamps start deadlines into
+	// PriGlobal (LLF/EDF), else nil. It selects the laxity test core.Doomed
+	// applies when shedding, and ingest coalesces batches into queued
+	// messages only under such a policy (see coalesce).
+	deadlines core.DeadlineAware
 
 	// Worker sleep/wake: one buffered wake channel and a parked flag per
 	// worker, plus the stop channel that unblocks everyone at shutdown.
@@ -85,6 +90,9 @@ func newShardedPath(e *Engine, workers int) *shardedPath {
 	}
 	for i := range p.wake {
 		p.wake[i] = make(chan struct{}, 1)
+	}
+	if da, ok := e.cfg.Policy.(core.DeadlineAware); ok && da.DeadlineAware() {
+		p.deadlines = da
 	}
 	return p
 }
@@ -134,18 +142,17 @@ func (p *shardedPath) laneFor(producer int) int {
 // deliver enqueues a batch of messages grouped by target: each target's
 // operator lock is taken once for all of its messages, and the operator gets
 // exactly one run-queue re-key or lane push for the whole group. producer is
-// the delivering worker, or -1 for external arrivals (ingest and restore).
+// the delivering worker, or -1 for external arrivals (restore).
 // Pushes to dead operators (the target's job was cancelled while the
 // messages were in flight) are dropped; pushes to paused operators enqueue
 // without scheduling. Consumed entries have their Msg nil'ed (the slice is
 // the caller's scratch, rebuilt on its next use). Batches are small (one
-// message per stage-0 instance, or one execution's fan-out), so the grouping
-// is a rescan of the tail rather than an allocated index. waited reports
-// that some target's lock was held by another goroutine when deliver
-// arrived, so a worker can leave that wait out of its next message's
-// measured cost.
+// execution's fan-out), so the grouping is a rescan of the tail rather
+// than an allocated index. waited reports that some target's lock was held
+// by another goroutine when deliver arrived, so a worker can leave that
+// wait out of its next message's measured cost.
 func (p *shardedPath) deliver(msgs []dataflow.ChildMessage, producer int) (waited bool) {
-	var signalMask uint64 // bit lane+1, so GlobalLane(-1) folds to bit 0
+	var wakes uint64
 	for i := range msgs {
 		if msgs[i].Msg == nil {
 			continue
@@ -178,39 +185,150 @@ func (p *shardedPath) deliver(msgs []dataflow.ChildMessage, producer int) (waite
 				pushed++
 			}
 		}
-		p.e.adm.enqueuedN(op.Job, pushed)
-		wake := laneNone
-		switch {
-		case st.Acquired || st.Phase == core.OpPaused:
-			// Acquired: the holding worker re-checks the heap before
-			// releasing, so the new messages cannot be stranded; no signal
-			// needed. Paused: resume reschedules the operator.
-		case st.Lane != laneNone:
-			// Already runnable on some lane; re-key it if the head changed.
-			// A missed update (the operator was popped between our lock and
-			// the lane's) is benign: the popping worker sees the new head.
-			if head := st.Q.Peek(); head != oldHead {
-				p.runq.Update(int(st.Lane), op, core.GlobalPri(head))
-			}
-		default:
-			wake = p.laneFor(producer)
-			st.Lane = int32(wake)
-			p.runq.Push(wake, op, core.GlobalPri(st.Q.Peek()))
-		}
+		p.e.adm.note(op.Job, int64(pushed))
+		lane := p.schedule(op, oldHead, producer)
 		st.Mu.Unlock()
-		switch {
-		case wake == laneNone:
-		case wake < 63:
-			signalMask |= 1 << uint(wake+1)
-		default: // lanes past the mask's width wake one by one
-			p.signal(wake)
-		}
+		wakes = p.wakeLater(wakes, lane)
 	}
-	// One wake per lane, however many targets landed on it.
-	for m := signalMask; m != 0; m &= m - 1 {
-		p.signal(bits.TrailingZeros64(m) - 1)
-	}
+	p.wakeAll(wakes)
 	return waited
+}
+
+// ingest delivers one admitted source batch's stage-0 fan-out from an
+// external producer: parts[i] (see dataflow.SourceParts) is for stage-0
+// instance i. Under each target's lock the part is merged into source
+// src's queued tail message there when coalesce allows — no message, no
+// ID, no conversion, no push — and otherwise becomes a new message
+// (dataflow.SourceMessage), pushed and scheduled like deliver's, and the
+// channel's new tail. A target whose job was cancelled after ingest
+// looked the job up gets no message: its part is released.
+func (p *shardedPath) ingest(j *dataflow.Job, src int, parts []*dataflow.Batch, pr, now vtime.Time, env *dataflow.Env) {
+	e := p.e
+	var wakes uint64
+	for i, op := range j.Stages[0] {
+		st := op.Sched()
+		st.Mu.Lock()
+		if st.Phase == core.OpDead {
+			st.Mu.Unlock()
+			env.FreeBatch(parts[i])
+			continue
+		}
+		if p.coalesce(op, src, parts[i], pr, now) {
+			st.Mu.Unlock()
+			continue
+		}
+		m := dataflow.SourceMessage(j, src, op, parts[i], pr, now, env)
+		m.Enqueued = now
+		// Counted before the push makes it reachable by a worker, so the
+		// outstanding counts never dip below the work that exists.
+		e.outstanding.Add(1)
+		j.Outstanding.Add(1)
+		oldHead := st.Q.Peek()
+		st.Q.Push(m)
+		if st.Tails != nil {
+			st.Tails[src] = m
+		}
+		j.SrcQueued[src].Add(1)
+		e.adm.note(j, 1)
+		lane := p.schedule(op, oldHead, -1)
+		st.Mu.Unlock()
+		wakes = p.wakeLater(wakes, lane)
+	}
+	p.wakeAll(wakes)
+}
+
+// coalesce merges part, source src's batch for stage-0 operator op at
+// progress pr and arrival time now, into the channel's queued tail message
+// at op, and reports whether it did. It merges only when every rule holds:
+//
+//   - op's handler coalesces (op has Tails) and the policy is
+//     deadline-aware: such a policy gives a channel one deadline per
+//     window, so the tail already carries the deadline the part would get,
+//     where arrival and token policies stamp each message with its own;
+//   - the channel has a tail (a queued message: every dequeue site clears
+//     it) with the part's port and local priority — the same window — and
+//     progress no higher than pr;
+//   - dataflow.Coalesce can chain the part onto the tail's payload: both
+//     pool-owned and at most MaxCoalesce tuples together.
+//
+// A merge raises the tail's progress and arrival time to the part's and
+// adds one unit to the queued counts, as the message it replaces would
+// have; its ID, priorities and queue position stay. An event-time job's
+// progress mapper still observes the pair, as the conversion would have.
+// Caller holds op's lock.
+func (p *shardedPath) coalesce(op *dataflow.Operator, src int, part *dataflow.Batch, pr, now vtime.Time) bool {
+	tails := op.Sched().Tails
+	if tails == nil || p.deadlines == nil {
+		return false
+	}
+	tail := tails[src]
+	j := op.Job
+	if tail == nil || tail.P > pr || tail.Port != dataflow.SourcePort(j, src) ||
+		tail.PC.PriLocal != p.deadlines.LocalPri(pr, 0, op.Spec().Slide) {
+		return false
+	}
+	head, _ := tail.Payload.(*dataflow.Batch)
+	payload, ok := dataflow.Coalesce(head, part)
+	if !ok {
+		return false
+	}
+	tail.Payload = payload
+	tail.P, tail.T = pr, max(tail.T, now)
+	tail.Merged++
+	j.SrcQueued[src].Add(1)
+	p.e.adm.note(j, 1)
+	if j.Spec.Domain == dataflow.EventTime && op.Mapper != nil {
+		op.Mapper.Observe(pr, now)
+	}
+	return true
+}
+
+// schedule fixes op's run-queue membership after pushes onto its queue,
+// whose head was oldHead before them, and returns the lane to wake, or
+// laneNone. The caller holds op's lock and wakes the lane after releasing
+// it (wakeLater, wakeAll).
+func (p *shardedPath) schedule(op *dataflow.Operator, oldHead *core.Message, producer int) int {
+	st := op.Sched()
+	switch {
+	case st.Acquired || st.Phase == core.OpPaused:
+		// Acquired: the holding worker re-checks the heap before
+		// releasing, so the new messages cannot be stranded; no signal
+		// needed. Paused: resume reschedules the operator.
+		return laneNone
+	case st.Lane != laneNone:
+		// Already runnable on some lane; re-key it if the head changed.
+		// A missed update (the operator was popped between our lock and
+		// the lane's) is benign: the popping worker sees the new head.
+		if head := st.Q.Peek(); head != oldHead {
+			p.runq.Update(int(st.Lane), op, core.GlobalPri(head))
+		}
+		return laneNone
+	}
+	lane := p.laneFor(producer)
+	st.Lane = int32(lane)
+	p.runq.Push(lane, op, core.GlobalPri(st.Q.Peek()))
+	return lane
+}
+
+// wakeLater folds lane into a wake mask (bit lane+1, so GlobalLane(-1)
+// folds to bit 0), so a delivery wakes each lane once however many of its
+// targets landed there; lanes past the mask's width wake at once.
+func (p *shardedPath) wakeLater(mask uint64, lane int) uint64 {
+	switch {
+	case lane == laneNone:
+	case lane < 63:
+		mask |= 1 << uint(lane+1)
+	default:
+		p.signal(lane)
+	}
+	return mask
+}
+
+// wakeAll signals every lane in mask.
+func (p *shardedPath) wakeAll(mask uint64) {
+	for ; mask != 0; mask &= mask - 1 {
+		p.signal(bits.TrailingZeros64(mask) - 1)
+	}
 }
 
 // cancel marks every operator of job dead, discards its queued messages
@@ -227,11 +345,12 @@ func (p *shardedPath) cancel(job *dataflow.Job) {
 		st.Mu.Lock()
 		st.Phase = core.OpDead
 		for st.Q.Len() > 0 {
-			p.e.adm.dequeued(job)
 			m := st.Q.Pop()
+			p.e.adm.note(job, -m.Units())
 			noteSrcQueued(op, m, -1)
 			p.e.discardMessage(job, m)
 		}
+		clear(st.Tails)
 		// Clear the lane only when the removal actually hit: a miss means
 		// a worker popped the operator and is between its lane pop and its
 		// first popMsgs — that worker owns the Lane reset (in
@@ -309,12 +428,21 @@ func (p *shardedPath) eachQueued(op *dataflow.Operator, visit func(*core.Message
 	st.Mu.Unlock()
 }
 
+// queuedLen reports how many messages op's queue holds, read under its
+// lock.
+func (p *shardedPath) queuedLen(op *dataflow.Operator) int {
+	st := op.Sched()
+	st.Mu.Lock()
+	defer st.Mu.Unlock()
+	return st.Q.Len()
+}
+
 // shedRule picks the victims of one operator's shed sweep (shedOp). A
 // doomed rule takes every message that can no longer meet its deadline
-// at now (core.Doomed). The others take at most limit messages: those
-// ingested on source channel src (Message.Channel, so stage 0 only) when
-// fromSrc is set, else heap leaves off the tail, so the operator's most
-// urgent message is the last to go.
+// at now (core.Doomed). The others take messages until they hold limit
+// units: those ingested on source channel src (Message.Channel, so stage
+// 0 only) when fromSrc is set, else heap leaves off the tail, so the
+// operator's most urgent message is the last to go.
 type shedRule struct {
 	doomed  bool
 	now     vtime.Time
@@ -324,8 +452,8 @@ type shedRule struct {
 }
 
 // shedDoomed discards job's queued messages that can no longer meet their
-// deadline at instant now, one live operator at a time. Returns the
-// number shed.
+// deadline at instant now, one live operator at a time. Returns the units
+// shed.
 func (p *shardedPath) shedDoomed(job *dataflow.Job, now vtime.Time) int {
 	total := 0
 	for _, stage := range job.Stages {
@@ -336,7 +464,8 @@ func (p *shardedPath) shedDoomed(job *dataflow.Job, now vtime.Time) int {
 	return total
 }
 
-// shedExcess discards up to n queued messages of job, walking stage 0
+// shedExcess discards queued messages of job holding up to n units (the
+// last victim may take it past n), walking stage 0
 // first (undigested input is the cheapest work to lose) and taking
 // heap-leaf victims so the most urgent message of every operator
 // survives. Messages held by workers are not touched; the return value
@@ -354,11 +483,11 @@ func (p *shardedPath) shedExcess(job *dataflow.Job, n int) int {
 	return total
 }
 
-// shedSrc discards up to n of job's queued stage-0 messages ingested on
-// source channel src — the fair-shed path's victim selection (a hot
-// source's own backlog pays for the pressure it created). Only stage 0 is
-// walked: downstream messages have no single source attribution. Returns
-// the number shed (may be short).
+// shedSrc discards job's queued stage-0 messages ingested on source
+// channel src until they hold n units — the fair-shed path's victim
+// selection (a hot source's own backlog pays for the pressure it
+// created). Only stage 0 is walked: downstream messages have no single
+// source attribution. Returns the units shed (may be short).
 func (p *shardedPath) shedSrc(job *dataflow.Job, src, n int) int {
 	total := 0
 	for _, op := range job.Stages[0] {
@@ -377,7 +506,8 @@ func (p *shardedPath) shedSrc(job *dataflow.Job, src, n int) int {
 // non-empty queue's head, so it only ever needs the removal. Acquired
 // operators need no fix-up — their workers re-check the queue at release.
 // Paused and dead operators are skipped (pause retains backlog; cancel
-// owns dead queues). Returns the number shed.
+// owns dead queues). Returns the units shed; the shed ledgers count the
+// messages.
 func (p *shardedPath) shedOp(op *dataflow.Operator, r shedRule) int {
 	e := p.e
 	job := op.Job
@@ -388,16 +518,16 @@ func (p *shardedPath) shedOp(op *dataflow.Operator, r shedRule) int {
 		return 0
 	}
 	oldHead := st.Q.Peek()
-	n := 0
-	shed := func(m *core.Message) { n++; e.shedQueued(job, op, m) }
+	n, units := 0, 0
+	shed := func(m *core.Message) { n++; units += int(m.Units()); e.shedQueued(job, op, m) }
 	switch {
 	case r.doomed:
-		aware := e.adm.deadlineAware
+		aware := p.deadlines != nil
 		st.Q.Shed(func(m *core.Message) bool { return core.Doomed(m, r.now, aware) }, shed)
 	case r.fromSrc:
-		st.Q.Shed(func(m *core.Message) bool { return n < r.limit && m.Channel == r.src }, shed)
+		st.Q.Shed(func(m *core.Message) bool { return units < r.limit && m.Channel == r.src }, shed)
 	default:
-		for n < r.limit && st.Q.Len() > 0 {
+		for units < r.limit && st.Q.Len() > 0 {
 			shed(st.Q.PopTail())
 		}
 	}
@@ -414,7 +544,7 @@ func (p *shardedPath) shedOp(op *dataflow.Operator, r shedRule) int {
 	}
 	st.Mu.Unlock()
 	e.noteShed(job, n)
-	return n
+	return units
 }
 
 // acquire takes the next operator for worker w off the run queue, or
@@ -479,9 +609,43 @@ func (p *shardedPath) popMsgs(op *dataflow.Operator, buf []*core.Message) (n int
 	}
 	st.Acquired = true
 	n = st.Q.PopInto(buf)
-	p.e.adm.dequeuedN(op.Job, n)
-	noteSrcQueuedRun(op, buf[:n], -1)
+	p.noteQueuedRun(op, buf[:n], -1)
 	return n, waited
+}
+
+// noteQueuedRun settles the ledgers at the pop and return sites: msgs
+// leave op's queue (delta -1) or go back into it (+1). Their units move
+// through one admission call and, at stage 0, one SrcQueued add per run
+// of equal source channels (noteSrcQueued's batch form), and at a
+// dequeue every channel tail among them is cleared, so no ingest merges
+// into a message a worker holds. Caller holds op's lock.
+func (p *shardedPath) noteQueuedRun(op *dataflow.Operator, msgs []*core.Message, delta int64) {
+	j := op.Job
+	if op.Stage != 0 {
+		p.e.adm.note(j, delta*int64(len(msgs)))
+		return
+	}
+	tails := op.Sched().Tails
+	var units, run int64
+	ch := -1
+	for _, m := range msgs {
+		if delta < 0 && tails != nil && tails[m.Channel] == m {
+			tails[m.Channel] = nil
+		}
+		if m.Channel != ch {
+			if run != 0 {
+				j.SrcQueued[ch].Add(delta * run)
+			}
+			ch, run = m.Channel, 0
+		}
+		u := m.Units()
+		run += u
+		units += u
+	}
+	if run != 0 {
+		j.SrcQueued[ch].Add(delta * run)
+	}
+	p.e.adm.note(j, delta*units)
 }
 
 // returnUndrained disposes of the unexecuted tail of a drain batch when
@@ -509,8 +673,7 @@ func (p *shardedPath) returnUndrained(op *dataflow.Operator, msgs []*core.Messag
 	for _, m := range msgs {
 		st.Q.Push(m)
 	}
-	p.e.adm.enqueuedN(op.Job, len(msgs))
-	noteSrcQueuedRun(op, msgs, 1)
+	p.noteQueuedRun(op, msgs, 1)
 	st.Mu.Unlock()
 }
 

@@ -60,9 +60,6 @@ import (
 
 // Defaults for Config's zero values.
 const (
-	// DefaultFlushEvents is the coalesce size: buffered tuples per stream
-	// that trigger a flush.
-	DefaultFlushEvents = 64
 	// DefaultWindow is the credit window for jobs without a pending
 	// budget to derive one from.
 	DefaultWindow = 256
@@ -76,7 +73,7 @@ const (
 type Config struct {
 	// FlushEvents is the coalesce size — the capacity of a stream's leased
 	// buffer: it is flushed to the engine when it reaches this many tuples
-	// (default DefaultFlushEvents). 1 disables coalescing — every Events
+	// (default dataflow.MaxCoalesce). 1 disables coalescing — every Events
 	// frame is its own TryIngest.
 	FlushEvents int
 	// MaxFrame bounds one wire frame's body (default wire.DefaultMaxFrame).
@@ -91,7 +88,7 @@ type Config struct {
 
 func (c Config) withDefaults() Config {
 	if c.FlushEvents <= 0 {
-		c.FlushEvents = DefaultFlushEvents
+		c.FlushEvents = dataflow.MaxCoalesce
 	}
 	if c.MaxFrame <= 0 {
 		c.MaxFrame = wire.DefaultMaxFrame

@@ -18,7 +18,9 @@ import (
 // only once every channel has passed it; a decrease is the first symptom
 // of either going wrong. A violation fails t with Errorf, which is safe
 // from the engine's worker goroutines. The wrapper forwards a Snapshotter
-// inner handler, like PanicOnNth, and costs production code nothing.
+// inner handler, like PanicOnNth, and the inner handler's coalescing
+// opt-in (dataflow.Coalescer), so a wrapped stage coalesces exactly when
+// the bare one would; it costs production code nothing.
 func ChannelOrder(t testing.TB, newHandler func(int) dataflow.Handler) func(int) dataflow.Handler {
 	return func(inChannels int) dataflow.Handler {
 		inner := newHandler(inChannels)
@@ -58,6 +60,10 @@ func (h *orderHandler) OnMessage(ctx *dataflow.Context, m *core.Message) []dataf
 	h.last[m.Channel] = lastSeen{seen: true, priLocal: m.PC.PriLocal, id: m.ID, p: m.P}
 	return h.inner.OnMessage(ctx, m)
 }
+
+// CoalescesBatches forwards the inner handler's answer: a merged message
+// obeys the same per-channel order as the messages it replaces.
+func (h *orderHandler) CoalescesBatches() bool { return dataflow.Coalesces(h.inner) }
 
 type orderSnapshotter struct {
 	*orderHandler

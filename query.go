@@ -72,8 +72,9 @@ func (q *Query) Sources(n int) *Query {
 	return q
 }
 
-// MaxPending caps this query's queued (admitted but not yet executed)
-// message count in the real-time engine; 0 (the default) means unlimited.
+// MaxPending caps this query's admitted batches not yet executed in the
+// real-time engine, counted as Engine.Pending counts them; 0 (the
+// default) means unlimited.
 // When an IngestBatch would exceed the budget, the engine's admission
 // layer refuses it with ErrJobOverloaded or sheds, per the engine's
 // Overload policy — so one flooding query saturates its own budget
