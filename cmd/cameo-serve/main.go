@@ -15,7 +15,11 @@
 //
 //	cameo-serve                         # builtin CI spec's jobs on :9070
 //	cameo-serve -addr :9100 -spec capacity.json
-//	cameo-serve -flush-events 16
+//	cameo-serve -window 64
+//
+// There is no coalescing knob: each connection merges the frames of one
+// stream that arrived in the same socket read (up to 64 tuples, never
+// across a window end) and flushes them before it waits on the socket.
 package main
 
 import (
@@ -34,13 +38,12 @@ import (
 
 func main() {
 	var (
-		addr        = flag.String("addr", ":9070", "listen address (host:port; port 0 picks one)")
-		specPath    = flag.String("spec", "", "JSON workload spec for the engine shape and jobs (empty = builtin CI spec)")
-		workers     = flag.Int("workers", 0, "override the spec's worker count (0 keeps the spec's)")
-		flushEvents = flag.Int("flush-events", 0, "coalesce size: tuples buffered per (job, source) stream before one engine ingest (0 = default 64; 1 disables coalescing)")
-		window      = flag.Int("window", 0, "credit window for jobs without a MaxPending budget (0 = default 256)")
-		maxFrame    = flag.Int("max-frame", 0, "max wire frame body in bytes (0 = default 1MiB)")
-		drainFor    = flag.Duration("drain-timeout", 30*time.Second, "max time to drain queued work on shutdown")
+		addr     = flag.String("addr", ":9070", "listen address (host:port; port 0 picks one)")
+		specPath = flag.String("spec", "", "JSON workload spec for the engine shape and jobs (empty = builtin CI spec)")
+		workers  = flag.Int("workers", 0, "override the spec's worker count (0 keeps the spec's)")
+		window   = flag.Int("window", 0, "credit window for jobs without a MaxPending budget (0 = default 256)")
+		maxFrame = flag.Int("max-frame", 0, "max wire frame body in bytes (0 = default 1MiB)")
+		drainFor = flag.Duration("drain-timeout", 30*time.Second, "max time to drain queued work on shutdown")
 	)
 	flag.Parse()
 
@@ -70,9 +73,8 @@ func main() {
 	eng.Start()
 
 	srv := server.New(eng, server.Config{
-		FlushEvents: *flushEvents,
-		Window:      *window,
-		MaxFrame:    *maxFrame,
+		Window:   *window,
+		MaxFrame: *maxFrame,
 	})
 	lnAddr, err := srv.Listen(*addr)
 	if err != nil {

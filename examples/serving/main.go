@@ -171,14 +171,13 @@ func main() {
 
 	eng := newEngine()
 	defer eng.Stop()
-	srv, err := eng.Serve("127.0.0.1:0", cameo.ServeConfig{
-		// Coalesce up to 16 tuples per stream: dashboard's 16-event
-		// batches flush on size instantly, while firehose's 4-event
-		// frames flush once they fill its credit window of 2 — its acks
-		// arrive on the flush cadence, which is exactly what keeps its
-		// tiny credit window honest.
-		FlushEvents: 16,
-	})
+	// The zero ServeConfig: each window's first frame closes the previous
+	// window and is flushed at once; the frames after it coalesce only
+	// with what arrived in the same socket read and are flushed before the
+	// server waits again. A firehose source that has spent its credit
+	// window of 2 stops writing, so its frames are acked a round trip
+	// later — the ack cadence that keeps its tiny window honest.
+	srv, err := eng.Serve("127.0.0.1:0", cameo.ServeConfig{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -135,7 +135,7 @@ type Client struct {
 	wmu   sync.Mutex // serializes the writer and the timer; sends take wmu then mu
 	bw    *bufio.Writer
 	w     *wire.Writer
-	timer wire.HoldTimer // flushes bw; armed only while bw holds frames
+	timer holdTimer // flushes bw; armed only while bw holds frames
 
 	mu      sync.Mutex // guards everything below; the reader takes only mu
 	cond    *sync.Cond
@@ -182,7 +182,7 @@ func start(nc net.Conn, opts Options) (*Client, error) {
 		readerDone: make(chan struct{}),
 	}
 	c.cond = sync.NewCond(&c.mu)
-	c.timer.Expired = c.holdExpired
+	c.timer.expired = c.holdExpired
 	err := c.w.Preamble()
 	if err == nil {
 		err = bw.Flush()
@@ -198,7 +198,7 @@ func start(nc net.Conn, opts Options) (*Client, error) {
 // flushWire pushes buffered frames to the socket and disarms the hold
 // timer. Caller holds wmu.
 func (c *Client) flushWire() error {
-	c.timer.Disarm()
+	c.timer.disarm()
 	if err := c.bw.Flush(); err != nil {
 		err = fmt.Errorf("%w: %v", ErrClosed, err)
 		c.fail(err)
@@ -474,11 +474,11 @@ func (c *Client) send(job string, src int, b *dataflow.Batch, p vtime.Time, try 
 	}
 	// Nothing downstream can fire on it before the next frontier frame,
 	// which will push it out; until then it may wait for company — for
-	// half its stream's hold bound. A frame held here is one the server's
-	// coalescer has not seen: at half, a buffer on hold there meets the
-	// next write from here before its own bound runs out, so its flushes
-	// are cut by size and window ends, not by the two timers beating.
-	c.timer.Arm(now.Add(st.slack.Hold() / 2))
+	// half its stream's hold bound. This is the edge's only hold: the
+	// server coalesces what one read delivers and flushes it before it
+	// waits on the socket again, so what leaves here in one write is
+	// what the server can merge into one ingest.
+	c.timer.arm(now.Add(st.slack.Hold() / 2))
 	return nil
 }
 
@@ -522,10 +522,11 @@ func (c *Client) Window(job string, src int) int {
 }
 
 // Flush waits until every sent frame is settled (acked or nacked) or the
-// timeout expires, reporting whether all settled. It sends a Flush frame
-// first, on which the server flushes every stream of the connection and
-// answers with the verdicts, so in health a settle costs one round trip
-// however long the streams' hold bounds are.
+// timeout expires, reporting whether all settled. It pushes out what the
+// write buffer holds, with a Flush frame behind it; the server settles
+// every stream of the connection before it waits on the socket again, so
+// in health a settle costs one round trip however long the streams' hold
+// bounds are.
 func (c *Client) Flush(timeout time.Duration) bool {
 	deadline := time.Now().Add(timeout)
 	c.wmu.Lock()

@@ -164,7 +164,7 @@ func (p *peer) none(t *testing.T, d time.Duration) {
 func (c *Client) armed() bool {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	return c.timer.Armed()
+	return c.timer.armed()
 }
 
 func batch(n int, at vtime.Time) *dataflow.Batch {
@@ -507,5 +507,40 @@ func TestCreditWindowClamped(t *testing.T) {
 	p.next(t, 2*time.Second)
 	if got := c.Window("j", 0); got != maxWindow {
 		t.Errorf("window = %d after a grant of 2^31, want the cap %d", got, maxWindow)
+	}
+}
+
+// TestHoldTimer pins the client's timer: it fires once, for the earliest
+// deadline armed, a later one never postpones it, and disarmed it does not
+// fire at all.
+func TestHoldTimer(t *testing.T) {
+	fired := make(chan time.Time, 4)
+	h := holdTimer{expired: func() { fired <- time.Now() }}
+	if h.armed() {
+		t.Fatal("armed before arm")
+	}
+	start := time.Now()
+	h.arm(start.Add(time.Hour))
+	h.arm(start.Add(20 * time.Millisecond)) // earlier: re-arms
+	h.arm(start.Add(time.Minute))           // later: ignored
+	select {
+	case at := <-fired:
+		if d := at.Sub(start); d < 20*time.Millisecond {
+			t.Errorf("fired after %v, before the 20 ms deadline", d)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("did not fire for the earliest deadline")
+	}
+	// One-shot: the owner's callback disarms or re-arms; nothing repeats.
+	h.disarm()
+	h.arm(time.Now().Add(10 * time.Millisecond))
+	h.disarm()
+	select {
+	case <-fired:
+		t.Error("fired after disarm")
+	case <-time.After(50 * time.Millisecond):
+	}
+	if h.armed() {
+		t.Error("armed after disarm")
 	}
 }

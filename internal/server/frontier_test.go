@@ -63,7 +63,8 @@ type verdict struct {
 // sent is one frame the peer wrote.
 type sent struct {
 	progress vtime.Time
-	tuples   int // 0 = Advance
+	tuples   int  // 0 = Advance
+	frontier bool // flushed the moment it is read
 }
 
 // TestFrontierFlushProperty drives random frame sequences through a real
@@ -75,10 +76,14 @@ type sent struct {
 //	    oldest frame;
 //	(c) every stream's frames reach the engine in order, in exactly the
 //	    groups its cumulative Acks and Nacks name;
-//	(d) Events == FlushedEvents + NackedEvents + BufferedEvents whenever the
-//	    server has caught up, and BufferedEvents is what the rules leave
-//	    buffered — a frontier frame, a full buffer or an exhausted credit
-//	    window never waits (the jobs' hour of slack keeps the timer out).
+//	(d) once the server has caught up, Events == FlushedEvents +
+//	    NackedEvents and BufferedEvents == 0: a server waiting on its
+//	    socket holds nothing (the jobs' hour of slack would hide any hold);
+//	(e) flushes are cut where the rules say: every Advance and every
+//	    frontier-advancing Events frame ends a verdict group, and no batch
+//	    held dataflow.MaxCoalesce tuples before its last frame was added.
+//
+// Frames of 70 tuples exceed the coalesce cap, so size flushes run too.
 func TestFrontierFlushProperty(t *testing.T) {
 	trials := 40
 	if testing.Short() {
@@ -97,11 +102,9 @@ func frontierTrial(t *testing.T, seed int64) {
 	if rng.Intn(3) > 0 {
 		slide = slideOn
 	}
-	flushEvents := []int{1, 8, 64}[rng.Intn(3)]
-	window := []int{3, 256}[rng.Intn(2)]
 	streams := 1 + rng.Intn(3)
 
-	e, s, addr := serve(t, runtime.Config{Workers: 1}, server.Config{FlushEvents: flushEvents, Window: window})
+	e, s, addr := serve(t, runtime.Config{Workers: 1}, server.Config{})
 	recs := make([]*recorder, streams)
 	for i := range recs {
 		recs[i] = &recorder{}
@@ -151,12 +154,10 @@ func frontierTrial(t *testing.T, seed int64) {
 		}
 	}()
 
-	// The model: what the flush rules leave buffered after each frame.
+	// What the peer sent on each stream.
 	type model struct {
 		progress vtime.Time
 		frames   []sent
-		tuples   int // buffered
-		nframes  int // buffered
 		paused   bool
 	}
 	models := make([]model, streams)
@@ -181,18 +182,17 @@ func frontierTrial(t *testing.T, seed int64) {
 		// Progress steps of 0, less than a slide, a slide or more, several.
 		p := m.progress + []vtime.Duration{0, 1 + vtime.Duration(rng.Int63n(int64(slideOn-1))),
 			slideOn + vtime.Duration(rng.Int63n(int64(slideOn))), 3*slideOn + 7}[rng.Intn(4)]
-		fr := sent{progress: p}
+		fr := sent{progress: p, frontier: true}
 		if rng.Intn(8) > 0 {
 			fr.tuples = []int{1, 3, 5, 70}[rng.Intn(4)]
+			fr.frontier = slide > 0 && p/slide > m.progress/slide
 		}
 		m.frames = append(m.frames, fr)
 		seq := uint64(len(m.frames))
-		frontier := slide > 0 && p/slide > m.progress/slide
 		m.progress = p
 		var err error
 		if fr.tuples == 0 {
 			err = rc.w.Advance(uint32(id), seq, p)
-			m.tuples, m.nframes = 0, 0
 		} else {
 			b.Times, b.Keys, b.Vals = b.Times[:0], b.Keys[:0], b.Vals[:0]
 			for i := 0; i < fr.tuples; i++ {
@@ -200,35 +200,21 @@ func frontierTrial(t *testing.T, seed int64) {
 			}
 			err = rc.w.Events(uint32(id), seq, p, b)
 			decoded += int64(fr.tuples)
-			if frontier {
-				m.tuples, m.nframes = 0, 0
-			}
-			m.tuples += fr.tuples
-			m.nframes++
-			if frontier || m.tuples >= flushEvents || m.nframes >= window {
-				m.tuples, m.nframes = 0, 0
-			}
 		}
 		if err != nil {
 			t.Fatal(err)
 		}
 		wireFrames++
 		if step%4 == 3 {
-			buffered := int64(0)
-			for i := range models {
-				buffered += int64(models[i].tuples)
-			}
-			waitFor(t, "server caught up", func() bool { return s.Stats().Frames == wireFrames })
-			ss := s.Stats()
-			if ss.Events != decoded || ss.Events != ss.FlushedEvents+ss.NackedEvents+ss.BufferedEvents {
-				t.Fatalf("step %d: decoded %d (sent %d) != flushed %d + nacked %d + buffered %d",
-					step, ss.Events, decoded, ss.FlushedEvents, ss.NackedEvents, ss.BufferedEvents)
-			}
-			if ss.BufferedEvents != buffered {
-				t.Fatalf("step %d: %d events buffered, the flush rules leave %d", step, ss.BufferedEvents, buffered)
-			}
-			if armed := s.TimersArmed(); (armed == 1) != (buffered > 0) {
-				t.Fatalf("step %d: %d timers armed with %d events buffered", step, armed, buffered)
+			// (d): the counters move one after another, so wait for the
+			// settled ledger rather than sample it.
+			waitFor(t, fmt.Sprintf("step %d: server caught up with nothing buffered", step), func() bool {
+				ss := s.Stats()
+				return ss.Frames == wireFrames && ss.BufferedEvents == 0 &&
+					ss.Events == ss.FlushedEvents+ss.NackedEvents
+			})
+			if ss := s.Stats(); ss.Events != decoded {
+				t.Fatalf("step %d: decoded %d, sent %d", step, ss.Events, decoded)
 			}
 		}
 	}
@@ -257,14 +243,15 @@ func frontierTrial(t *testing.T, seed int64) {
 	if !e.Drain(5 * time.Second) {
 		t.Fatal("engine did not drain")
 	}
-	if ss := s.Stats(); ss.BufferedEvents != 0 || ss.Events != ss.FlushedEvents+ss.NackedEvents || s.TimersArmed() != 0 {
-		t.Fatalf("after Flush: %+v, %d timers armed", ss, s.TimersArmed())
+	if ss := s.Stats(); ss.BufferedEvents != 0 || ss.Events != ss.FlushedEvents+ss.NackedEvents {
+		t.Fatalf("after Flush: %+v", ss)
 	}
 
 	for id := range models {
 		frames := models[id].frames
 		// (c) the verdicts partition the stream's sequence numbers in order.
 		groups := map[uint64]uint64{} // first seq of an acked group -> its last
+		ends := map[uint64]bool{}     // last seq of every verdict group
 		prev := uint64(0)
 		for _, v := range verdicts[id] {
 			if v.through <= prev {
@@ -273,10 +260,17 @@ func frontierTrial(t *testing.T, seed int64) {
 			if !v.nacked {
 				groups[prev+1] = v.through
 			}
+			ends[v.through] = true
 			prev = v.through
 		}
 		if prev != uint64(len(frames)) {
 			t.Fatalf("stream %d: verdicts cover %d of %d frames", id, prev, len(frames))
+		}
+		// (e) a frontier frame is never held behind a later one.
+		for i, fr := range frames {
+			if fr.frontier && !ends[uint64(i+1)] {
+				t.Errorf("stream %d: frontier frame %d shares a verdict with a later frame", id, i+1)
+			}
 		}
 		recs[id].mu.Lock()
 		got := recs[id].got
@@ -300,6 +294,11 @@ func frontierTrial(t *testing.T, seed int64) {
 				}
 			}
 			delete(groups, first)
+			// (e) the size cap: the buffer was short of it before the last frame.
+			if before := len(f.seqs) - frames[last-1].tuples; before >= dataflow.MaxCoalesce {
+				t.Errorf("stream %d: batch of frames %d..%d held %d tuples before its last frame, cap %d",
+					id, first, last, before, dataflow.MaxCoalesce)
+			}
 			if slide == 0 {
 				continue
 			}

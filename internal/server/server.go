@@ -10,21 +10,20 @@
 // on one stream coalesce into that batch until a flush fires, so the
 // engine sees connection-scale batches rather than wire-scale ones.
 //
-// Flushes are scheduled the way the engine schedules messages: by what the
-// frame can trigger and how much slack its tenant has (wire.Slack, read
-// from the job at Bind and granted in Credit). A frontier-advancing frame —
-// one that moves its stream into a later window of the job's first
-// windowed stage — is the only kind that makes that stage emit output, so
-// it is never held: whatever is buffered is flushed under its own, older
-// progress, then the frame follows at once. A coalesced batch therefore
-// never straddles a window end, and never announces progress past its
-// oldest event's window. Every other frame waits for the next frontier
-// frame, or until the buffer reaches Config.FlushEvents tuples, or has
-// absorbed the stream's whole credit window (the client cannot send more),
-// or has been held for the stream's hold bound, a fixed fraction of its
-// latency target. One one-shot timer per connection, armed only while
-// something is on hold and only for the earliest deadline, enforces the
-// last; an idle connection wakes nobody.
+// Flushes follow what the frame can trigger and what the socket has
+// delivered, never a clock. A frontier-advancing frame — one that moves its
+// stream into a later window of the job's first windowed stage (wire.Slack,
+// read from the job at Bind and granted in Credit) — is the only kind that
+// makes that stage emit output, so it is never held: whatever is buffered
+// is flushed under its own, older progress, then the frame follows at
+// once. A coalesced batch therefore never straddles a window end, and
+// never announces progress past its oldest event's window. Every other
+// frame waits only for company already read: the buffer is flushed when it
+// reaches dataflow.MaxCoalesce tuples, the engine's own merge cap, or when
+// the read loop is about to wait — the moment its read buffer holds no
+// whole next frame, every held batch and every buffered verdict goes out.
+// A client that has spent its credit window stops writing, so the socket
+// drains and that edge flushes; nothing waits behind a read that can block.
 //
 // Flow control is credit-based and admission-derived: a stream's Bind is
 // answered with a credit window sized from its job's pending-message
@@ -44,6 +43,7 @@ package server
 
 import (
 	"bufio"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -71,11 +71,6 @@ const (
 
 // Config parameterizes a Server.
 type Config struct {
-	// FlushEvents is the coalesce size — the capacity of a stream's leased
-	// buffer: it is flushed to the engine when it reaches this many tuples
-	// (default dataflow.MaxCoalesce). 1 disables coalescing — every Events
-	// frame is its own TryIngest.
-	FlushEvents int
 	// MaxFrame bounds one wire frame's body (default wire.DefaultMaxFrame).
 	MaxFrame int
 	// Window is the credit window granted to streams whose job has no
@@ -87,9 +82,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.FlushEvents <= 0 {
-		c.FlushEvents = dataflow.MaxCoalesce
-	}
 	if c.MaxFrame <= 0 {
 		c.MaxFrame = wire.DefaultMaxFrame
 	}
@@ -119,7 +111,8 @@ type WireStats struct {
 	// frame and one per-source Rejected count); NackedEvents the tuples
 	// refused with them.
 	Flushes, FlushedEvents, NackedFlushes, NackedEvents int64
-	// BufferedEvents is the current coalesce backlog across all streams.
+	// BufferedEvents is the current coalesce backlog across all streams:
+	// non-zero only while a reader still has a whole frame to process.
 	BufferedEvents int64
 	// ProtocolErrors counts connections torn down for framing errors.
 	ProtocolErrors int64
@@ -229,7 +222,6 @@ func (s *Server) acceptLoop(ln net.Listener) {
 			w:       wire.NewWriter(bw),
 			streams: make(map[uint32]*stream),
 		}
-		c.timer.Expired = c.holdExpired
 		s.mu.Lock()
 		if s.closed {
 			s.mu.Unlock()
@@ -246,17 +238,14 @@ func (s *Server) acceptLoop(ln net.Listener) {
 
 // stream is one bound (job, source) ingest stream and its coalesce state.
 type stream struct {
-	id     uint32
-	job    string
-	src    int
-	window int
-	slack  wire.Slack
+	id    uint32
+	job   string
+	src   int
+	slack wire.Slack
 
-	progress   vtime.Time      // highest progress announced so far
-	pend       *dataflow.Batch // leased coalesce buffer, nil when empty
-	pendFrames int             // frames buffered in pend
-	pendSeq    uint64          // highest buffered frame sequence
-	deadline   time.Time       // when pend's hold bound runs out
+	progress vtime.Time      // highest progress announced so far
+	pend     *dataflow.Batch // leased coalesce buffer, nil when empty
+	pendSeq  uint64          // highest buffered frame sequence
 }
 
 type conn struct {
@@ -266,17 +255,15 @@ type conn struct {
 	r  *wire.Reader
 
 	// Acks, Nacks, and Credit grants accumulate in bw and are flushed
-	// whenever the read loop is about to block on an empty socket — while
-	// a client streams flat out, its acks batch into connection-scale
-	// writes; the moment the pipe idles, everything pending goes out.
+	// whenever the read loop is about to wait — while a client streams
+	// flat out, its acks batch into connection-scale writes; the moment
+	// the pipe idles, everything pending goes out.
 	wmu sync.Mutex // serializes w, bw, and their underlying writes
 	bw  *bufio.Writer
 	w   *wire.Writer
 
-	mu      sync.Mutex // guards everything below
+	mu      sync.Mutex // guards streams and their buffers
 	streams map[uint32]*stream
-	held    int            // streams with a buffer on hold
-	timer   wire.HoldTimer // runs holdExpired; armed only while held > 0
 }
 
 func (c *conn) run() {
@@ -296,23 +283,22 @@ func (c *conn) run() {
 		return
 	}
 	for {
-		// Flush-before-blocking-read: only when the socket has nothing
-		// more buffered do pending acks need to go out now — a replying
-		// peer may be waiting on them before it sends anything further.
-		if c.br.Buffered() == 0 {
+		// The wait edge: unless a whole next frame is already read, the
+		// next read may block, and a replying peer may be waiting on
+		// what is held before it sends anything further.
+		if !c.frameBuffered() {
+			c.flushAll()
 			c.flushWire()
 		}
 		typ, err := c.r.Next()
 		if err != nil {
-			// A clean EOF at a frame boundary is an abrupt but framing-intact
-			// close: everything buffered passed its CRC, so flush it. Any
-			// other error is lost framing — drop the buffers un-ingested.
-			if errors.Is(err, io.EOF) {
-				c.flushAll()
-			} else {
+			// A clean EOF at a frame boundary finds nothing buffered: the
+			// wait edge flushed it. Any other error is lost framing — drop
+			// the buffers un-ingested.
+			if !errors.Is(err, io.EOF) {
 				c.s.protoErrs.Add(1)
-				c.discardAll()
 			}
+			c.discardAll()
 			return
 		}
 		var herr error
@@ -324,10 +310,7 @@ func (c *conn) run() {
 		case wire.FrameAdvance:
 			herr = c.handleAdvance()
 		case wire.FrameFlush:
-			if herr = c.r.Done(); herr == nil {
-				c.flushAll()
-				c.flushWire()
-			}
+			herr = c.r.Done() // the wait edge settles every stream
 		case wire.FrameGoodbye:
 			if herr = c.r.Done(); herr == nil {
 				c.flushAll()
@@ -358,8 +341,20 @@ func (c *conn) flushWire() {
 	c.wmu.Unlock()
 }
 
+// frameBuffered reports whether the read buffer holds one whole next frame
+// — length, body, CRC — so decoding it cannot block. A frame larger than
+// the read buffer never does.
+func (c *conn) frameBuffered() bool {
+	n := c.br.Buffered()
+	if n < 4 {
+		return false
+	}
+	hdr, _ := c.br.Peek(4)
+	return int64(binary.LittleEndian.Uint32(hdr))+8 <= int64(n)
+}
+
 // finish closes the connection and unregisters it. The reader has emptied
-// every buffer on its way out, which disarmed the timer.
+// every buffer on its way out.
 func (c *conn) finish() {
 	c.flushWire()
 	c.nc.Close()
@@ -376,48 +371,6 @@ func (c *conn) shutdown() {
 	c.bw.Flush()
 	c.wmu.Unlock()
 	c.nc.Close() // unblocks the reader; finish() completes teardown
-}
-
-// hold puts st's fresh buffer on hold: it is flushed when its hold bound
-// runs out, unless a frontier frame, the coalesce size or the credit window
-// gets there first. Caller holds c.mu.
-func (c *conn) hold(st *stream) {
-	st.deadline = time.Now().Add(st.slack.Hold())
-	c.held++
-	c.timer.Arm(st.deadline)
-}
-
-// release takes st's buffer off hold; with nothing left on hold the timer
-// is disarmed. Caller holds c.mu and has taken st.pend.
-func (c *conn) release(st *stream) {
-	if st.deadline.IsZero() {
-		return // flushed by the frame that leased it, never held
-	}
-	st.deadline = time.Time{}
-	if c.held--; c.held == 0 {
-		c.timer.Disarm()
-	}
-}
-
-// holdExpired is the timer callback: it flushes every stream whose hold
-// bound has run out and re-arms for the earliest one left.
-func (c *conn) holdExpired() {
-	c.mu.Lock()
-	c.timer.Disarm()
-	now := time.Now()
-	for _, st := range c.streams {
-		switch {
-		case st.deadline.IsZero():
-		case st.deadline.After(now):
-			c.timer.Arm(st.deadline)
-		default:
-			c.flushLocked(st)
-		}
-	}
-	c.mu.Unlock()
-	// The read loop may be blocked mid-frame; push out whatever verdicts
-	// the pass above produced.
-	c.flushWire()
 }
 
 func (c *conn) handleBind() error {
@@ -466,7 +419,7 @@ func (c *conn) handleBind() error {
 	// priorities from, the wire tier derives flushes from.
 	var sl wire.Slack
 	sl.Latency, sl.Slide, _ = c.s.eng.JobSlack(job)
-	c.streams[id] = &stream{id: id, job: job, src: src, window: window, slack: sl}
+	c.streams[id] = &stream{id: id, job: job, src: src, slack: sl}
 	c.mu.Unlock()
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
@@ -500,13 +453,8 @@ func (c *conn) handleEvents() error {
 		// in first, under the progress it was sent with.
 		c.flushLocked(st)
 	}
-	fresh := st.pend == nil
-	if fresh {
-		capacity := c.s.cfg.FlushEvents
-		if h.Count > capacity {
-			capacity = h.Count
-		}
-		st.pend = c.s.eng.LeaseBatch(capacity)
+	if st.pend == nil {
+		st.pend = c.s.eng.LeaseBatch(max(h.Count, dataflow.MaxCoalesce))
 	}
 	if err := c.r.EventsInto(h, st.pend); err != nil {
 		// Partially appended columns die with the connection: the buffer
@@ -515,19 +463,14 @@ func (c *conn) handleEvents() error {
 		return err
 	}
 	st.pendSeq = h.Seq
-	st.pendFrames++
 	if h.Progress > st.progress {
 		st.progress = h.Progress
 	}
 	c.s.events.Add(int64(h.Count))
 	c.s.buffered.Add(int64(h.Count))
-	switch {
-	case frontier || st.pend.Len() >= c.s.cfg.FlushEvents || st.pendFrames >= st.window:
-		// Window-closing, full, or all the client may send: waiting longer
-		// buys nothing.
+	if frontier || st.pend.Len() >= dataflow.MaxCoalesce {
+		// Window-closing or full: waiting longer buys nothing.
 		c.flushLocked(st)
-	case fresh:
-		c.hold(st)
 	}
 	c.mu.Unlock()
 	return nil
@@ -577,8 +520,7 @@ func (c *conn) flushLocked(st *stream) {
 	}
 	n := b.Len()
 	seq := st.pendSeq
-	st.pend, st.pendFrames = nil, 0
-	c.release(st)
+	st.pend = nil
 	c.s.flushes.Add(1)
 	c.s.buffered.Add(int64(-n))
 	err := c.s.eng.TryIngest(st.job, st.src, b, st.progress)
@@ -599,8 +541,9 @@ func (c *conn) flushLocked(st *stream) {
 }
 
 // nackFor maps an admission refusal to its wire code and retry-after
-// hint: the stream's hold bound, the time a retry would spend coalescing
-// anyway. ErrJobOverloaded wraps ErrOverloaded, so it must match first.
+// hint: the stream's hold bound (wire.Slack.Hold), twice the longest the
+// client lets a retried frame wait for company anyway. ErrJobOverloaded
+// wraps ErrOverloaded, so it must match first.
 func nackFor(err error, hold time.Duration) (uint8, vtime.Duration) {
 	overloadRetry := vtime.FromStd(hold)
 	switch {
@@ -633,8 +576,7 @@ func (c *conn) discardAll() {
 		if st.pend != nil {
 			c.s.buffered.Add(int64(-st.pend.Len()))
 			c.s.eng.ReturnBatch(st.pend)
-			st.pend, st.pendFrames = nil, 0
-			c.release(st)
+			st.pend = nil
 		}
 	}
 }

@@ -557,38 +557,3 @@ func TestAllocsCodecRoundTrip(t *testing.T) {
 		t.Errorf("events encode→decode round trip allocates %.1f times (want 0)", allocs)
 	}
 }
-
-// TestHoldTimer pins the timer both ends keep: it fires once, for the
-// earliest deadline armed, a later one never postpones it, and disarmed it
-// does not fire at all.
-func TestHoldTimer(t *testing.T) {
-	fired := make(chan time.Time, 4)
-	h := HoldTimer{Expired: func() { fired <- time.Now() }}
-	if h.Armed() {
-		t.Fatal("armed before Arm")
-	}
-	start := time.Now()
-	h.Arm(start.Add(time.Hour))
-	h.Arm(start.Add(20 * time.Millisecond)) // earlier: re-arms
-	h.Arm(start.Add(time.Minute))           // later: ignored
-	select {
-	case at := <-fired:
-		if d := at.Sub(start); d < 20*time.Millisecond {
-			t.Errorf("fired after %v, before the 20 ms deadline", d)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("did not fire for the earliest deadline")
-	}
-	// One-shot: the owner's callback disarms or re-arms; nothing repeats.
-	h.Disarm()
-	h.Arm(time.Now().Add(10 * time.Millisecond))
-	h.Disarm()
-	select {
-	case <-fired:
-		t.Error("fired after Disarm")
-	case <-time.After(50 * time.Millisecond):
-	}
-	if h.Armed() {
-		t.Error("armed after Disarm")
-	}
-}

@@ -6,11 +6,11 @@ package cameo
 // mirror the Engine methods of the same names — same signatures, same
 // sentinel errors, same backpressure semantics — except the batch
 // crosses a TCP connection, gets coalesced server-side into pool-leased
-// batches — for as long as each query's own latency target and window
-// slide say a tuple can wait, no longer — and is flow-controlled by
-// per-tenant credit windows derived from each query's MaxPending budget. cmd/cameo-serve is the
-// standalone binary form; examples/serving is the two-tenant loopback
-// quickstart.
+// batches — only with what the socket has already delivered, and never
+// across the end of a query's window — and is flow-controlled by
+// per-tenant credit windows derived from each query's MaxPending budget.
+// cmd/cameo-serve is the standalone binary form; examples/serving is the
+// two-tenant loopback quickstart.
 
 import (
 	"fmt"
@@ -23,16 +23,13 @@ import (
 )
 
 // ServeConfig tunes the wire listener. The zero value is production
-// defaults: coalesce up to 64 tuples per (job, source) stream, 1 MiB frame
-// bound, credit window 256 for unbudgeted jobs. How long a tuple may wait
-// for the coalesce size is not configured but derived per stream from its
-// query: a frame that closes a window is never held, any other for at most
-// an eighth of the query's LatencyTarget.
+// defaults: 1 MiB frame bound, credit window 256 for unbudgeted jobs.
+// Coalescing is not configured: consecutive frames of one (job, source)
+// stream that arrived in the same socket read merge into one ingest of at
+// most 64 tuples, a frame that closes a window is never held, and
+// whatever is buffered goes into the engine before the server waits on
+// the socket again.
 type ServeConfig struct {
-	// FlushEvents is the per-stream coalesce size: buffered tuples are
-	// flushed into the engine as one batch when they reach this count.
-	// 1 disables coalescing (every frame is its own ingest).
-	FlushEvents int
 	// MaxFrame bounds one frame's body in bytes.
 	MaxFrame int
 	// Window is the credit window (unacked frames in flight per stream)
@@ -55,7 +52,7 @@ type WireStats struct {
 	FlushedEvents  int64 // tuples admitted into the engine
 	NackedFlushes  int64 // ingest attempts refused by admission
 	NackedEvents   int64 // tuples refused with those Nacks
-	BufferedEvents int64 // tuples currently coalescing
+	BufferedEvents int64 // tuples coalescing: non-zero only while a reader still has a whole frame to process
 	ProtocolErrors int64 // connections torn down for framing errors
 }
 
@@ -73,10 +70,9 @@ type Server struct {
 // the workers run.
 func (e *Engine) Serve(addr string, cfg ServeConfig) (*Server, error) {
 	s := server.New(e.inner, server.Config{
-		FlushEvents: cfg.FlushEvents,
-		MaxFrame:    cfg.MaxFrame,
-		Window:      cfg.Window,
-		MaxStreams:  cfg.MaxStreams,
+		MaxFrame:   cfg.MaxFrame,
+		Window:     cfg.Window,
+		MaxStreams: cfg.MaxStreams,
 	})
 	a, err := s.Listen(addr)
 	if err != nil {

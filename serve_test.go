@@ -129,11 +129,11 @@ func TestDialPausedSentinel(t *testing.T) {
 	}
 	eng.Start()
 	defer eng.Stop()
-	// FlushEvents 1 disables coalescing so the first frame's Nack comes
-	// back immediately; the query's 1 s target makes the resulting
-	// retry-after backoff (5x its hold bound of 125 ms) outlast the test
-	// body.
-	srv, err := eng.Serve("127.0.0.1:0", cameo.ServeConfig{FlushEvents: 1})
+	// The server holds nothing past its next socket wait, so the first
+	// frame's Nack comes back at once; the query's 1 s target makes the
+	// resulting retry-after backoff (5x its hold bound of 125 ms) outlast
+	// the test body.
+	srv, err := eng.Serve("127.0.0.1:0", cameo.ServeConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
