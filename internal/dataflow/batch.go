@@ -26,15 +26,12 @@ type Batch struct {
 	// when its consumer finishes). Externally created batches are never
 	// recycled.
 	pooled bool
-	// next chains the batch Coalesce linked behind this one: one payload,
-	// read in chain order (see Next).
-	next *Batch
 }
 
 // MaxCoalesce is the most tuples one coalesced payload carries: the
 // serving tier's default frame size (tuples buffered per stream before a
-// flush) and the cap on the batches the real-time engine's ingest chains
-// into one queued stage-0 message (see Coalesce).
+// flush) and the cap on the tuples the real-time engine's ingest merges
+// into one queued stage-0 message (see Cut.Merge).
 const MaxCoalesce = 64
 
 // NewBatch returns an empty batch with the given capacity.
@@ -46,46 +43,12 @@ func NewBatch(capacity int) *Batch {
 	}
 }
 
-// Len reports the number of tuples, over the whole chain b heads.
+// Len reports the number of tuples (0 for nil).
 func (b *Batch) Len() int {
-	n := 0
-	for ; b != nil; b = b.next {
-		n += len(b.Times)
+	if b == nil {
+		return 0
 	}
-	return n
-}
-
-// Next returns the batch chained behind b, or nil. A payload is the chain
-// its batch heads: a handler that opts into coalescing (Coalescer) reads
-// every link, the other handlers only ever see unchained batches.
-func (b *Batch) Next() *Batch { return b.next }
-
-// Coalesce returns one payload carrying head's tuples followed by b's —
-// head with b chained behind its last link — and reports true, when the
-// result stays within MaxCoalesce tuples, both are pool-owned and their
-// key and value columns are alike present or absent. Otherwise it changes
-// nothing and reports false. A nil side is an empty payload: the other
-// side is the result, if within the cap. Chained, b belongs to the
-// payload: FreeBatch on head releases every link.
-func Coalesce(head, b *Batch) (*Batch, bool) {
-	switch {
-	case b == nil:
-		return head, true
-	case head == nil:
-		return b, b.Len() <= MaxCoalesce
-	case !head.pooled || !b.pooled || (head.Keys == nil) != (b.Keys == nil) || (head.Vals == nil) != (b.Vals == nil):
-		return head, false
-	}
-	n, last := b.Len()+len(head.Times), head
-	for last.next != nil {
-		last = last.next
-		n += len(last.Times)
-	}
-	if n > MaxCoalesce {
-		return head, false
-	}
-	last.next = b
-	return head, true
+	return len(b.Times)
 }
 
 // Append adds one tuple.
@@ -95,11 +58,18 @@ func (b *Batch) Append(t vtime.Time, key int64, val float64) {
 	b.Vals = append(b.Vals, val)
 }
 
-// MaxTime returns the largest logical time over the whole chain b heads
-// (0 for empty).
+// val returns tuple i's value, 0 for a value-less batch.
+func (b *Batch) val(i int) float64 {
+	if b.Vals == nil {
+		return 0
+	}
+	return b.Vals[i]
+}
+
+// MaxTime returns the largest logical time (0 for empty).
 func (b *Batch) MaxTime() vtime.Time {
 	var m vtime.Time
-	for ; b != nil; b = b.next {
+	if b != nil {
 		for _, t := range b.Times {
 			m = max(m, t)
 		}
@@ -113,6 +83,10 @@ func keyHash(k int64) uint64 {
 	return uint64(k) * 0x9e3779b97f4a7c15
 }
 
+// partOf is the partition of n that key k belongs to: the one rule behind
+// partitionInto and Cut.
+func partOf(k int64, n int) int { return int(keyHash(k) % uint64(n)) }
+
 // Partition splits the batch across n partitions by key hash. Unkeyed
 // batches (Keys nil) are returned whole in partition 0. The returned slice
 // always has n entries; empty partitions are nil.
@@ -122,7 +96,7 @@ func (b *Batch) Partition(n int) []*Batch {
 	return out
 }
 
-// partitionInto is the one partitioning rule both forms share: Partition
+// partitionInto is the partitioning both copying forms share: Partition
 // allocates fresh output, Env.partition reuses scratch and pooled batches.
 // parts (len n, all nil) receives the result; alloc supplies destination
 // batches. split reports whether fresh partitions were created — when
@@ -134,16 +108,144 @@ func partitionInto(b *Batch, parts []*Batch, alloc func(capacity int) *Batch) (s
 		return false
 	}
 	n := len(parts)
-	for i := range b.Times {
-		p := int(keyHash(b.Keys[i]) % uint64(n))
+	for i, t := range b.Times {
+		p := partOf(b.Keys[i], n)
 		if parts[p] == nil {
 			parts[p] = alloc(len(b.Times)/n + 1)
 		}
-		var v float64
-		if b.Vals != nil {
-			v = b.Vals[i]
-		}
-		parts[p].Append(b.Times[i], b.Keys[i], v)
+		parts[p].Append(t, b.Keys[i], b.val(i))
 	}
 	return true
+}
+
+// Cut is one source batch cut across n partitions by key hash (the rule
+// Partition applies) without copying a tuple: it records each tuple's
+// partition, and a partition's tuples are copied once, straight to where
+// they go — appended to a queued message's payload (Merge) or into a
+// batch of their own (Part). Unkeyed batches, and any batch cut into one
+// partition, go whole to partition 0. A Cut is scratch of the Env that made it (see
+// Env.Cut), valid until that Env's next Cut; a nil *Cut is the cut of no
+// batch, every partition of it empty.
+type Cut struct {
+	env   *Env
+	b     *Batch
+	split bool    // b's tuples are spread by key; otherwise b is partition 0
+	of    []int32 // each tuple's partition, when split
+	lens  []int   // tuples per partition, when split
+	taken bool    // b itself became partition 0's batch (Part)
+}
+
+// count reports how many tuples partition i holds.
+func (c *Cut) count(i int) int {
+	switch {
+	case c == nil:
+		return 0
+	case c.split:
+		return c.lens[i]
+	case i == 0:
+		return c.b.Len()
+	}
+	return 0
+}
+
+// empty reports whether partition i has no batch at all: every partition
+// of a nil batch, a split partition without tuples, and every partition
+// but 0 of a batch that goes whole (which is a batch even with no tuples).
+func (c *Cut) empty(i int) bool {
+	return c == nil || c.b == nil || (c.split && c.lens[i] == 0) || (!c.split && i != 0)
+}
+
+// Part returns partition i as a batch of its own: nil when it is empty,
+// the source batch itself when that goes whole (its ownership moves to
+// whoever takes the part), and otherwise a batch from the env's pool
+// holding the partition's tuples in source order — key and value columns
+// present, a value-less source's values 0.
+func (c *Cut) Part(i int) *Batch {
+	if c.empty(i) {
+		return nil
+	}
+	if !c.split {
+		c.taken = true
+		return c.b
+	}
+	part := c.env.NewBatch(c.lens[i])
+	c.appendTo(part, i)
+	return part
+}
+
+// appendTo appends partition i's tuples to dst, which has room for them
+// and, when the partition goes whole, the source's columns alike.
+func (c *Cut) appendTo(dst *Batch, i int) {
+	b := c.b
+	if !c.split {
+		dst.appendAll(b)
+		return
+	}
+	for k, p := range c.of {
+		if int(p) == i {
+			dst.Append(b.Times[k], b.Keys[k], b.val(k))
+		}
+	}
+}
+
+// Merge returns the payload of a queued message, head, with partition i's
+// tuples appended, and reports true, when
+//
+//   - the partition is empty: head is returned as it is;
+//   - head is nil and the partition holds at most MaxCoalesce tuples: the
+//     partition's own batch (Part) is the payload;
+//   - both are engine-owned (head pool-owned; the partition a split one
+//     or a pool-owned batch forwarded whole), their key and value columns
+//     are alike present or absent, and they hold at most MaxCoalesce
+//     tuples together.
+//
+// Otherwise it changes nothing and reports false. A merged payload is one
+// pool-owned batch of capacity MaxCoalesce or more: the first merge into
+// a smaller head copies it into such a batch once and releases it, so
+// every later merge appends in place. A message that never merges keeps
+// its small part.
+func (c *Cut) Merge(head *Batch, i int) (*Batch, bool) {
+	n := c.count(i)
+	switch {
+	case c.empty(i):
+		return head, true
+	case head == nil:
+		if n > MaxCoalesce {
+			return nil, false
+		}
+		return c.Part(i), true
+	case len(head.Times)+n > MaxCoalesce || !head.pooled:
+		return head, false
+	}
+	keyed, valued, owned := true, true, true
+	if !c.split {
+		keyed, valued, owned = c.b.Keys != nil, c.b.Vals != nil, c.b.pooled
+	}
+	if !owned || (head.Keys != nil) != keyed || (head.Vals != nil) != valued {
+		return head, false
+	}
+	if cap(head.Times) < MaxCoalesce {
+		grown := c.env.NewBatch(MaxCoalesce)
+		grown.appendAll(head)
+		c.env.FreeBatch(head)
+		head = grown
+	}
+	c.appendTo(head, i)
+	return head, true
+}
+
+// appendAll appends src's tuples to b, leaving a column src lacks absent
+// in b too.
+func (b *Batch) appendAll(src *Batch) {
+	b.Times = append(b.Times, src.Times...)
+	b.Keys = appendColumn(b.Keys, src.Keys)
+	b.Vals = appendColumn(b.Vals, src.Vals)
+}
+
+// appendColumn appends src to dst, or returns nil when src is absent.
+func appendColumn[T any](dst, src []T) []T {
+	if src == nil {
+		return nil
+	}
+	return append(dst, src...)
 }

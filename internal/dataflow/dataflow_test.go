@@ -1,6 +1,7 @@
 package dataflow_test
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -82,78 +83,152 @@ func TestBatchMaxTimeAndLen(t *testing.T) {
 	}
 }
 
-// TestCoalesceBatches pins the chaining rules: pool-owned batches with
-// alike columns chain up to MaxCoalesce tuples, Len and MaxTime read the
-// whole chain, and FreeBatch unlinks and recycles every link.
+// TestCoalesceBatches pins the append-merge (Cut.Merge): a partition's
+// tuples — exactly Batch.Partition's, in source order — are appended to an
+// engine-owned payload with alike columns up to MaxCoalesce tuples; the
+// first merge into a small payload copies it once into a batch of
+// capacity MaxCoalesce, later merges append in place; an empty partition
+// merges into anything; a nil payload takes the partition's own batch;
+// Release recycles the source batch unless Part handed it on whole.
 func TestCoalesceBatches(t *testing.T) {
 	env := NewEnv(nil, nil, -1)
 	env.Batches = NewBatchPool(0)
-	pooled := func(n int, t0 vtime.Time) *Batch {
-		b := env.NewBatch(n)
+	fill := func(b *Batch, n int, t0 vtime.Time) *Batch {
 		for i := range n {
-			b.Append(t0+vtime.Time(i), int64(i), 1)
+			b.Append(t0+vtime.Time(i), int64(i*7), float64(i+1))
 		}
 		return b
 	}
-	if got, ok := Coalesce(nil, nil); got != nil || !ok {
-		t.Errorf("Coalesce(nil, nil) = %v, %v", got, ok)
+	pooled := func(n int, t0 vtime.Time) *Batch { return fill(env.NewBatch(n), n, t0) }
+	same := func(a, b *Batch) bool {
+		return slices.Equal(a.Times, b.Times) && slices.Equal(a.Keys, b.Keys) && slices.Equal(a.Vals, b.Vals)
 	}
+	merge := func(head, src *Batch, n, i int) (*Batch, bool) {
+		c := env.Cut(src, n)
+		defer c.Release()
+		return c.Merge(head, i)
+	}
+
+	// The empty partition.
 	b := pooled(3, 0)
-	if got, ok := Coalesce(b, nil); got != b || !ok {
-		t.Error("a nil batch does not coalesce as an empty payload")
+	var nilCut *Cut
+	if got, ok := nilCut.Merge(b, 0); got != b || !ok {
+		t.Error("the nil cut does not merge as an empty partition")
 	}
-	if got, ok := Coalesce(nil, b); got != b || !ok {
-		t.Error("a nil head does not take the batch as the payload")
+	if got, ok := merge(b, nil, 2, 1); got != b || !ok {
+		t.Error("a nil batch does not merge as an empty partition")
 	}
-	if _, ok := Coalesce(nil, pooled(MaxCoalesce+1, 0)); ok {
-		t.Error("a batch over the cap became a coalesced payload")
+	oneKey := fill(NewBatch(4), 1, 0) // key 0: partition 1 of 2 is empty
+	if oneKey.Partition(2)[1] != nil {
+		t.Fatal("key 0 is not in partition 0 of 2")
 	}
-	if _, ok := Coalesce(b, NewBatch(1)); ok {
-		t.Error("an external batch was chained")
+	extHead := NewBatch(1)
+	if got, ok := merge(extHead, oneKey, 2, 1); got != extHead || !ok {
+		t.Error("an empty split partition does not merge into an external payload")
 	}
-	if _, ok := Coalesce(NewBatch(1), pooled(1, 0)); ok {
-		t.Error("a batch was chained onto an external one")
+
+	// A nil payload takes the partition's own batch.
+	ext := fill(NewBatch(8), 8, 0)
+	c := env.Cut(ext, 3)
+	got, ok := c.Merge(nil, 2)
+	if !ok || !same(got, ext.Partition(3)[2]) {
+		t.Errorf("a nil payload became %v, want partition 2's tuples %v", got, ext.Partition(3)[2])
+	}
+	c.Release()
+	whole := pooled(5, 0)
+	c = env.Cut(whole, 1)
+	if got, ok := c.Merge(nil, 0); got != whole || !ok {
+		t.Error("a nil payload did not take the whole batch")
+	}
+	c.Release()
+	if env.NewBatch(1) == whole {
+		t.Error("Release recycled a batch a payload took whole")
+	}
+	if _, ok := merge(nil, pooled(MaxCoalesce+1, 0), 1, 0); ok {
+		t.Error("a partition over the cap became a coalesced payload")
+	}
+
+	// Ownership and alike columns (a merge releases a small payload it
+	// copies, so every case gets a payload of its own).
+	if _, ok := merge(NewBatch(1), pooled(1, 0), 1, 0); ok {
+		t.Error("a partition was appended to an external payload")
+	}
+	if _, ok := merge(pooled(3, 0), fill(NewBatch(1), 1, 0), 1, 0); ok {
+		t.Error("an external batch forwarded whole was appended")
+	}
+	if _, ok := merge(pooled(3, 0), fill(NewBatch(4), 4, 0), 2, 0); !ok {
+		t.Error("a split partition of an external batch was refused")
 	}
 	unkeyed := pooled(1, 0)
 	unkeyed.Keys = nil
-	if _, ok := Coalesce(b, unkeyed); ok {
-		t.Error("an unkeyed batch was chained onto a keyed one")
+	if _, ok := merge(pooled(3, 0), unkeyed, 2, 0); ok {
+		t.Error("an unkeyed batch was appended to a keyed payload")
+	}
+	valueless := pooled(2, 0)
+	valueless.Vals = nil
+	if _, ok := merge(valueless, pooled(4, 0), 2, 0); ok {
+		t.Error("a split partition (values present) was appended to a value-less payload")
 	}
 
-	head := pooled(20, 0)
-	links := []*Batch{head}
-	for _, n := range []int{20, 0, 23} {
-		l := pooled(n, vtime.Time(100*len(links)))
-		got, ok := Coalesce(head, l)
-		if got != head || !ok {
-			t.Fatalf("link of %d tuples refused at %d", n, head.Len())
+	// The first merge copies once; later merges append in place, up to
+	// the cap; the payload holds the partitions' tuples in merge order.
+	head := pooled(4, 0)
+	want := fill(NewBatch(0), 4, 0)
+	var sources []*Batch
+	for k := range 8 {
+		src := fill(NewBatch(16), 16, vtime.Time(100*(k+1)))
+		for i := range src.Keys {
+			src.Keys[i] = int64(k*16 + i) // keys spread over both partitions
 		}
-		links = append(links, l)
+		sources = append(sources, src)
 	}
-	if head.Len() != MaxCoalesce-1 || head.MaxTime() != 322 {
-		t.Errorf("chain Len %d, MaxTime %v; want %d, 322", head.Len(), head.MaxTime(), MaxCoalesce-1)
-	}
-	if _, ok := Coalesce(head, pooled(2, 0)); ok {
-		t.Error("the chain grew past MaxCoalesce")
-	}
-	if _, ok := Coalesce(head, pooled(1, 0)); !ok {
-		t.Error("the chain refused its last tuple under the cap")
-	}
-	n := 0
-	for l := head; l != nil; l = l.Next() {
-		n++
-	}
-	if n != len(links)+1 {
-		t.Errorf("chain of %d links, want %d", n, len(links)+1)
-	}
-	env.FreeBatch(head)
-	for i, l := range links {
-		if l.Next() != nil {
-			t.Errorf("link %d still chained after FreeBatch", i)
+	capped := false
+	for k, src := range sources {
+		part := src.Partition(2)[k%2]
+		merged, ok := merge(head, src, 2, k%2)
+		if len(want.Times)+part.Len() > MaxCoalesce {
+			if ok || merged != head {
+				t.Fatalf("merge %d: the payload grew past MaxCoalesce", k)
+			}
+			capped = true
+			break
+		}
+		if !ok {
+			t.Fatalf("merge %d of %d tuples refused at %d", k, part.Len(), head.Len())
+		}
+		if k == 0 && (merged == head || cap(merged.Times) < MaxCoalesce || cap(merged.Keys) < MaxCoalesce) {
+			t.Fatalf("the first merge kept its small payload (capacity %d)", cap(merged.Times))
+		}
+		if k > 0 && merged != head {
+			t.Fatalf("merge %d copied the payload again", k)
+		}
+		head = merged
+		for i := range part.Times {
+			want.Append(part.Times[i], part.Keys[i], part.Vals[i])
+		}
+		if !same(head, want) {
+			t.Fatalf("merge %d: payload %v, want %v", k, head, want)
 		}
 	}
-	if again := env.NewBatch(1); again.Len() != 0 || again.Next() != nil {
-		t.Error("a recycled link came back non-empty or chained")
+	if !capped {
+		t.Fatalf("the merges stopped at %d tuples, short of the cap", head.Len())
+	}
+	if head.MaxTime() != want.MaxTime() {
+		t.Errorf("MaxTime %v, want %v", head.MaxTime(), want.MaxTime())
+	}
+	small := pooled(1, 0)
+	if got, ok := merge(small, nil, 1, 0); got != small || !ok {
+		t.Error("merging no tuples copied the payload")
+	}
+
+	// Release recycles a split pool-owned source.
+	src := pooled(4, 0)
+	c = env.Cut(src, 2)
+	c.Part(0)
+	c.Part(1)
+	c.Release()
+	if again := env.NewBatch(1); again != src || again.Len() != 0 {
+		t.Error("Release did not recycle the split source batch")
 	}
 }
 

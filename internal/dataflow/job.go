@@ -129,6 +129,10 @@ type Job struct {
 	// the pausing call returns, so every later ingest observes it. The
 	// simulator leaves it false.
 	Paused atomic.Bool
+	// PausedErr is the error the real-time engine's ingest returns while
+	// the job is paused, built once when the job is added so a refusal
+	// allocates nothing. The simulator leaves it nil.
+	PausedErr error
 }
 
 // NoteSourceProgress folds progress p on source channel src into

@@ -75,15 +75,15 @@ type Handler interface {
 	OnMessage(ctx *Context, m *core.Message) []Emission
 }
 
-// Coalescer is optionally implemented by a Handler that reads a chained
-// payload (Batch.Next) link by link: given a message whose payload chains
-// several batches it does exactly what it does given one batch of their
-// tuples in chain order, and which window a tuple joins depends on the
-// tuple's own time, so its results do not depend on how one channel's
-// on-time tuples of one window were cut into messages. The real-time
-// engine's ingest coalesces same-window batches into a channel's queued
-// stage-0 message only for such handlers (see DESIGN.md). A wrapper
-// forwards the inner handler's answer (see Coalesces).
+// Coalescer is optionally implemented by a Handler whose result does not
+// depend on how one channel's on-time tuples of one window were cut into
+// messages: given a message whose payload several batches were appended
+// into (Cut.Merge) it does exactly what it does given those batches one
+// message each, because which window a tuple joins depends on the tuple's
+// own time. The real-time engine's ingest appends same-window partitions
+// to a channel's queued stage-0 message only for such handlers (see
+// DESIGN.md). A wrapper forwards the inner handler's answer (see
+// Coalesces).
 type Coalescer interface {
 	CoalescesBatches() bool
 }

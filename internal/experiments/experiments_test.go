@@ -213,7 +213,11 @@ func TestFig12Shape(t *testing.T) {
 		}
 		prev = f
 	}
-	if first := cell(t, tr, 0, 3); first > 0.5 {
+	// The batch-1 bound is a ratio of wall-clock measurements, and the
+	// race detector's instrumentation moves it: it reads 0.51–0.54 under
+	// -race -short, on repeated runs and on the minimum of five samples
+	// alike. The monotonicity above holds either way.
+	if first := cell(t, tr, 0, 3); first > 0.5 && !testkit.RaceEnabled {
 		t.Errorf("overhead at batch 1 = %.2f, implausibly high", first)
 	}
 }

@@ -53,19 +53,18 @@ func windowEnds(p vtime.Time, size, slide vtime.Duration) (first, last vtime.Tim
 }
 
 // CoalescesBatches implements dataflow.Coalescer for every windowed
-// operator: ingest reads a chained payload link by link, and which window
-// a tuple joins depends on its own time, never on its message.
+// operator: which window a tuple joins depends on its own time, never on
+// the message that carried it.
 func (s *windowState) CoalescesBatches() bool { return true }
 
-// ingest adds the tuples of every batch in m's payload chain to every
-// window containing them that is not yet emitted — a join's Port 1 tuples
-// to the window's right table, every other port's to its keys. It reports
-// the highest window end the operator's frontier has passed, when that
-// passes the emitted watermark.
+// ingest adds the tuples of m's payload to every window containing them
+// that is not yet emitted — a join's Port 1 tuples to the window's right
+// table, every other port's to its keys. It reports the highest window end
+// the operator's frontier has passed, when that passes the emitted
+// watermark.
 func (s *windowState) ingest(ctx *dataflow.Context, m *core.Message) (boundary vtime.Time, ok bool) {
-	b, _ := m.Payload.(*dataflow.Batch)
 	right := s.join && m.Port == 1
-	for ; b != nil; b = b.Next() {
+	if b, _ := m.Payload.(*dataflow.Batch); b != nil {
 		for i, p := range b.Times {
 			var key int64
 			if !s.global && b.Keys != nil {

@@ -167,10 +167,11 @@ func diffEmissions(got, want []dataflow.Emission) string {
 }
 
 // TestCoalescedPayloadMatchesFlatBatch: every windowed operator opts into
-// coalescing, and a message whose payload chains several batches
-// (dataflow.Coalesce) does exactly what the same message with one batch of
-// the chain's tuples does — emissions, late count and snapshot bytes —
-// over seeded sequences with late tuples, empty links and join ports.
+// coalescing, and a message whose payload several batches were merged into
+// (dataflow.Cut.Merge) does exactly what the same message with one
+// external batch of those tuples does — emissions, late count and snapshot
+// bytes — over seeded sequences with late tuples, empty parts and join
+// ports.
 func TestCoalescedPayloadMatchesFlatBatch(t *testing.T) {
 	ms := vtime.Millisecond
 	for _, op := range []struct {
@@ -204,25 +205,28 @@ func TestCoalescedPayloadMatchesFlatBatch(t *testing.T) {
 				var head *dataflow.Batch
 				whole := dataflow.NewBatch(0)
 				for range 1 + rng.IntN(4) {
-					link := pool.NewBatch(4)
+					part := pool.NewBatch(4)
 					for range rng.IntN(5) {
 						p := lo + vtime.Time(rng.Int64N(int64(prog[ch]-lo)+1))
 						if rng.IntN(8) == 0 {
 							p = vtime.Time(rng.Int64N(int64(prog[ch]) + 1)) // possibly late
 						}
 						k, v := rng.Int64N(9), float64(rng.IntN(100))
-						link.Append(p, k, v)
+						part.Append(p, k, v)
 						whole.Append(p, k, v)
 					}
+					cut := pool.Cut(part, 1)
 					var ok bool
-					if head, ok = dataflow.Coalesce(head, link); !ok {
-						t.Fatalf("message %d: link refused", i)
+					head, ok = cut.Merge(head, 0)
+					cut.Release()
+					if !ok {
+						t.Fatalf("message %d: part refused", i)
 					}
 				}
 				port := rng.IntN(op.ports)
-				chained := &core.Message{P: prog[ch], T: now, Channel: ch, Port: port, Payload: head}
+				merged := &core.Message{P: prog[ch], T: now, Channel: ch, Port: port, Payload: head}
 				single := &core.Message{P: prog[ch], T: now, Channel: ch, Port: port, Payload: whole}
-				if diff := diffEmissions(on(got, chained), on(flat, single)); diff != "" {
+				if diff := diffEmissions(on(got, merged), on(flat, single)); diff != "" {
 					t.Fatalf("message %d: %s", i, diff)
 				}
 				pool.FreeBatch(head)

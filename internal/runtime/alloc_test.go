@@ -11,6 +11,7 @@ package runtime_test
 // message).
 
 import (
+	"errors"
 	"fmt"
 	"runtime/debug"
 	"testing"
@@ -83,8 +84,10 @@ func TestAllocsEngineSteadyState(t *testing.T) {
 
 // TestAllocsCoalescedIngest pins the coalesced ingest at zero allocations:
 // on an engine not yet started, every ingest after a window's first finds
-// both channel messages still queued and merges into them — no message,
-// no ID, no push — drawing its two partitions from the batch pool.
+// both channel messages still queued and appends its two partitions to
+// their payloads — no message, no ID, no push, no batch: the first merge
+// (the warm-up run) copied each payload into a batch with room for
+// dataflow.MaxCoalesce tuples.
 func TestAllocsCoalescedIngest(t *testing.T) {
 	if testkit.RaceEnabled {
 		t.Skip("allocation accounting is not meaningful under -race")
@@ -94,7 +97,7 @@ func TestAllocsCoalescedIngest(t *testing.T) {
 	if _, err := e.AddJob(testkit.AggSpec("j", 1, 2, 100*vtime.Millisecond, vtime.Second)); err != nil {
 		t.Fatal(err)
 	}
-	// Stock the pool the partitions are drawn from.
+	// Stock the pool the first ingest's partitions are drawn from.
 	var stock []*dataflow.Batch
 	for range 256 {
 		stock = append(stock, e.LeaseBatch(4))
@@ -139,6 +142,32 @@ func TestAllocsJobLookup(t *testing.T) {
 	name := fmt.Sprint("j") // built at run time, as a caller's name is
 	if n := testing.AllocsPerRun(1000, func() { e.JobPaused(name) }); n != 0 {
 		t.Errorf("job lookup allocates %.1f times per call, want 0", n)
+	}
+}
+
+// TestAllocsPausedRefusal pins a paused job's refusal at zero
+// allocations: the wrapped ErrJobPaused is built once when the job is
+// added, not per refused batch, and keeps its text and errors.Is.
+func TestAllocsPausedRefusal(t *testing.T) {
+	if testkit.RaceEnabled {
+		t.Skip("allocation accounting is not meaningful under -race")
+	}
+	e := runtime.New(runtime.Config{Workers: 1})
+	if _, err := e.AddJob(testkit.AggSpec("j", 2, 2, 10*vtime.Millisecond, 100*vtime.Millisecond)); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.PauseJob("j"); err != nil {
+		t.Fatal(err)
+	}
+	b := dataflow.NewBatch(1)
+	b.Append(1, 1, 1)
+	var err error
+	n := testing.AllocsPerRun(1000, func() { err = e.TryIngest("j", 0, b, 1) })
+	if !errors.Is(err, runtime.ErrJobPaused) || err.Error() != `runtime: job is paused: job "j"` {
+		t.Fatalf("paused TryIngest returned %v", err)
+	}
+	if n != 0 {
+		t.Errorf("a paused refusal allocates %.1f times per call, want 0", n)
 	}
 }
 

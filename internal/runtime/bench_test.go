@@ -414,3 +414,56 @@ func BenchmarkMessageFixedCost(b *testing.B) {
 	msgs, reads, _ := run(2000, true)
 	b.ReportMetric(float64(reads)/float64(msgs), "clock-reads/msg")
 }
+
+// BenchmarkIngestCoalesced measures the coalesced ingest path per tuple:
+// TryIngest of leased 8-tuple batches into a backlogged stage-0 channel —
+// an engine not yet started, so every batch after a window's first merges
+// into its channel's queued message at both stage-0 instances — plus the
+// Start and drain that execute the merged messages and the window results
+// behind them. One op is one tuple; engine set-up and Stop are outside the
+// timer.
+//
+//	go test -run '^$' -bench IngestCoalesced -benchtime 2000000x -count 5 ./internal/runtime/
+func BenchmarkIngestCoalesced(b *testing.B) {
+	const (
+		sources, par    = 2, 2
+		windows, perWin = 64, 8 // batches per source per window: 64 tuples, within MaxCoalesce
+		tuples          = 8
+		win             = 10 * vtime.Millisecond
+		perRound        = sources * windows * perWin * tuples
+	)
+	var msgs, done int64
+	for done < int64(b.N) {
+		b.StopTimer()
+		e := runtime.New(runtime.Config{Workers: 1})
+		if _, err := e.AddJob(testkit.AggSpec("j", sources, par, win, vtime.Second)); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		for w := range windows {
+			for k := range perWin {
+				p := vtime.Time(w)*win + vtime.Time(k+1)
+				for src := range sources {
+					batch := e.LeaseBatch(tuples)
+					for i := range tuples {
+						batch.Append(p, int64((k*tuples+i)%64), 1) // 64 keys, as saturate
+					}
+					if err := e.TryIngest("j", src, batch, p); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		}
+		e.Start()
+		if !e.Drain(30 * time.Second) {
+			b.Fatal("engine did not drain")
+		}
+		b.StopTimer()
+		msgs += e.Executed()
+		e.Stop()
+		done += perRound
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(done), "ns/tuple")
+	b.ReportMetric(float64(msgs)/float64(done), "msgs/tuple")
+}

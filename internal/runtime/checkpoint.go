@@ -98,10 +98,8 @@ func writeMessage(w *snap.Writer, m *core.Message) {
 // writeBatch encodes a columnar payload batch: tuple count, the Times
 // column, then Keys and Vals behind presence flags (nil columns — unkeyed
 // or value-less streams — stay nil on restore, which partitioning and
-// handlers rely on). A chained payload (dataflow.Coalesce) is written as
-// one batch of its links' tuples in chain order — the bytes an unchained
-// batch of those tuples has — and restores unchained; its links agree on
-// which columns are present.
+// handlers rely on). A coalesced payload is one batch like any other, so
+// a merged message is written as the unmerged message of its tuples.
 func writeBatch(w *snap.Writer, b *dataflow.Batch) {
 	if b == nil {
 		w.Bool(false)
@@ -109,26 +107,16 @@ func writeBatch(w *snap.Writer, b *dataflow.Batch) {
 	}
 	w.Bool(true)
 	w.U32(uint32(b.Len()))
-	for l := b; l != nil; l = l.Next() {
-		for _, t := range l.Times {
-			w.Time(t)
-		}
+	for _, t := range b.Times {
+		w.Time(t)
 	}
 	w.Bool(b.Keys != nil)
-	if b.Keys != nil {
-		for l := b; l != nil; l = l.Next() {
-			for _, k := range l.Keys {
-				w.I64(k)
-			}
-		}
+	for _, k := range b.Keys {
+		w.I64(k)
 	}
 	w.Bool(b.Vals != nil)
-	if b.Vals != nil {
-		for l := b; l != nil; l = l.Next() {
-			for _, v := range l.Vals {
-				w.F64(v)
-			}
-		}
+	for _, v := range b.Vals {
+		w.F64(v)
 	}
 }
 

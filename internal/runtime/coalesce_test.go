@@ -2,8 +2,8 @@ package runtime
 
 // Coalesced ingest (shardedPath.coalesce): under a deadline-aware policy a
 // source batch whose channel already has a queued stage-0 message of the
-// same window, at a handler that opts in, is chained onto that message
-// instead of becoming one. These tests build their backlogs on an engine
+// same window, at a handler that opts in, is appended to that message's
+// payload instead of becoming one. These tests build their backlogs on an engine
 // that is not started yet, so every queue holds exactly what the script
 // put there; they pin the merge rules, every site that takes a message
 // off a queue, and the ledgers across all of them.
@@ -261,7 +261,7 @@ func TestCoalesceRules(t *testing.T) {
 				for _, op := range stage0(v.t, v.e) {
 					st := op.Sched()
 					st.Mu.Lock()
-					ok := v.e.path.coalesce(op, 0, nil, 2*coTick, v.e.Now())
+					ok := v.e.path.coalesce(op, 0, nil, 0, 2*coTick, v.e.Now())
 					st.Mu.Unlock()
 					if ok {
 						v.t.Errorf("%s: merged progress 2 ticks into a message at 3", op.Name)
@@ -575,43 +575,62 @@ func TestCoalescedDequeueSites(t *testing.T) {
 	})
 }
 
-// TestCheckpointChainedPayloadBytes: a chained payload is written as the
-// one batch of its tuples, byte for byte.
+// TestCheckpointChainedPayloadBytes: a merged payload is written as the
+// flat batch of its tuples, byte for byte — keyed partitions of split
+// sources, and unkeyed value-less batches forwarded whole.
 func TestCheckpointChainedPayloadBytes(t *testing.T) {
 	env := dataflow.NewEnv(nil, nil, -1)
 	env.Batches = dataflow.NewBatchPool(0)
 	rng := rand.New(rand.NewPCG(23, 1))
-	whole := dataflow.NewBatch(0)
+	check := func(name string, head, flat *dataflow.Batch) {
+		t.Helper()
+		merged, want := snap.NewWriter(), snap.NewWriter()
+		writeBatch(merged, head)
+		writeBatch(want, flat)
+		if string(merged.Bytes()) != string(want.Bytes()) {
+			t.Errorf("%s: merged payload encodes as %d bytes unlike the flat batch's %d", name, len(merged.Bytes()), len(want.Bytes()))
+		}
+	}
+
 	var head *dataflow.Batch
-	for i := range 4 {
-		b := env.NewBatch(3)
-		src := coBatch(rng, i+1, 3)
-		for k := range src.Times {
-			b.Append(src.Times[k], src.Keys[k], src.Vals[k])
-			whole.Append(src.Times[k], src.Keys[k], src.Vals[k])
-		}
+	flat := dataflow.NewBatch(0)
+	for i := range 6 {
+		src := coBatch(rng, i+1, 6)
+		part := src.Partition(2)[1]
+		c := env.Cut(src, 2)
 		var ok bool
-		if head, ok = dataflow.Coalesce(head, b); !ok {
-			t.Fatalf("link %d refused", i)
+		head, ok = c.Merge(head, 1)
+		c.Release()
+		if !ok {
+			t.Fatalf("merge %d refused", i)
+		}
+		for k := range part.Len() {
+			flat.Append(part.Times[k], part.Keys[k], part.Vals[k])
 		}
 	}
-	if head.Len() != whole.Len() {
-		t.Fatalf("chain holds %d tuples, want %d", head.Len(), whole.Len())
+	if head.Len() != flat.Len() {
+		t.Fatalf("payload holds %d tuples, want %d", head.Len(), flat.Len())
 	}
-	chained, flat := snap.NewWriter(), snap.NewWriter()
-	writeBatch(chained, head)
-	writeBatch(flat, whole)
-	if string(chained.Bytes()) != string(flat.Bytes()) {
-		t.Errorf("chained payload encodes as %d bytes unlike the flat batch's %d", len(chained.Bytes()), len(flat.Bytes()))
-	}
-	var links []*dataflow.Batch
-	for b := head; b != nil; b = b.Next() {
-		links = append(links, b)
-	}
-	env.FreeBatch(head)
-	for i, b := range links {
-		if b.Next() != nil {
-			t.Errorf("FreeBatch left link %d chained", i)
+	check("keyed", head, flat)
+
+	head, flat = nil, &dataflow.Batch{}
+	for i := range 4 {
+		src := env.NewBatch(3)
+		src.Keys, src.Vals = nil, nil
+		for k := range 3 {
+			src.Times = append(src.Times, vtime.Time(10*i+k))
+		}
+		flat.Times = append(flat.Times, src.Times...)
+		c := env.Cut(src, 2)
+		var ok bool
+		head, ok = c.Merge(head, 0)
+		c.Release()
+		if !ok {
+			t.Fatalf("unkeyed merge %d refused", i)
 		}
 	}
+	if head.Keys != nil || head.Vals != nil {
+		t.Fatal("the merged payload grew key or value columns its batches lack")
+	}
+	check("unkeyed, value-less", head, flat)
 }

@@ -7,6 +7,8 @@ package runtime
 // concurrent producers.
 
 import (
+	"math/rand/v2"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -148,5 +150,81 @@ func TestBatchPoolOwnership(t *testing.T) {
 	}
 	if b3 := p.Get(0, 4); b3 == b2 {
 		t.Fatal("double free put the batch in the list twice")
+	}
+}
+
+// TestBatchPoolCapacity pins the pool's two tiers: a batch never comes
+// back with less room than was asked for, in any column — whatever the
+// batches released before it grew to, or lost a column — and a batch
+// larger than a small request's never enters a worker's or an external
+// producer's free list, however many are released there.
+func TestBatchPoolCapacity(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	p := dataflow.NewBatchPool(1)
+	var stash dataflow.BatchStash
+	get := func(ext bool, n int) *dataflow.Batch {
+		if ext {
+			return p.GetExternal(&stash, n)
+		}
+		return p.Get(0, n)
+	}
+	put := func(ext bool, b *dataflow.Batch) {
+		if ext {
+			p.PutExternal(&stash, b)
+		} else {
+			p.Put(0, b)
+		}
+	}
+	rng := rand.New(rand.NewPCG(29, 1))
+	var live []*dataflow.Batch
+	for range 20000 {
+		if len(live) > 0 && rng.IntN(2) == 0 {
+			k := rng.IntN(len(live))
+			b := live[k]
+			live[k] = live[len(live)-1]
+			live = live[:len(live)-1]
+			for range rng.IntN(3) * rng.IntN(80) {
+				b.Append(1, 2, 3)
+			}
+			if rng.IntN(16) == 0 {
+				b.Keys = nil // as a restore of an unkeyed payload leaves it
+			}
+			put(rng.IntN(2) == 0, b)
+			continue
+		}
+		want := 1 + rng.IntN(12)
+		if rng.IntN(3) == 0 {
+			want = 1 + rng.IntN(300)
+		}
+		b := get(rng.IntN(2) == 0, want)
+		if b.Len() != 0 || cap(b.Times) < want || cap(b.Keys) < want || cap(b.Vals) < want {
+			t.Fatalf("asked for %d tuples, got len %d and capacities %d/%d/%d",
+				want, b.Len(), cap(b.Times), cap(b.Keys), cap(b.Vals))
+		}
+		live = append(live, b)
+	}
+
+	for _, ext := range []bool{false, true} {
+		large := map[*dataflow.Batch]bool{}
+		for i := range 300 {
+			var b *dataflow.Batch
+			if i%2 == 0 {
+				b = get(ext, dataflow.MaxCoalesce)
+			} else {
+				b = get(ext, 4)
+				for range 9 + i%40 {
+					b.Append(1, 2, 3) // grown past a small batch
+				}
+			}
+			large[b] = true
+		}
+		for b := range large {
+			put(ext, b)
+		}
+		for range 1000 {
+			if b := get(ext, 4); large[b] {
+				t.Fatalf("external %v: a small request drew a batch of capacity %d from the free list", ext, cap(b.Times))
+			}
+		}
 	}
 }

@@ -232,8 +232,8 @@ func (e *Engine) newEnv(worker int) *dataflow.Env {
 }
 
 // borrowEnv lends the caller an external (non-worker) environment — its
-// route to the pools and to SourceMessages' scratch; hand it back with
-// ingestEnvs.Put once nothing it returned is in use.
+// route to the pools and to the scratch ingest cuts a batch in; hand it
+// back with ingestEnvs.Put once nothing it returned is in use.
 func (e *Engine) borrowEnv() *dataflow.Env { return e.ingestEnvs.Get().(*dataflow.Env) }
 
 // Recorder exposes collected output metrics.
@@ -387,6 +387,7 @@ func (e *Engine) addJobLocked(spec dataflow.JobSpec, restored bool) (*dataflow.J
 		e.rec.DropJob(spec.Name) // stale stats from a cancelled incarnation, if any
 	}
 	job.Stats = e.rec.DeclareJob(spec.Name, spec.Latency)
+	job.PausedErr = fmt.Errorf("%w: job %q", ErrJobPaused, spec.Name)
 	job.Paused.Store(restored)
 	// Publish last: lookups take no lock, so the job must be complete
 	// before its name resolves.
@@ -598,11 +599,11 @@ func (e *Engine) Stop() {
 // concurrent ingests from different sources proceed in parallel,
 // contending only per target operator and lane.
 //
-// Under a deadline-aware policy (LLF, EDF) a batch whose source channel
-// already has a queued message of the same window at a windowed stage-0
-// instance is chained onto that message instead of becoming one of its
-// own, within dataflow.MaxCoalesce tuples (see DESIGN.md); it still counts
-// as one pending unit there.
+// Under a deadline-aware policy (LLF, EDF) a batch's partition whose
+// source channel already has a queued message of the same window at a
+// windowed stage-0 instance is appended to that message's payload instead
+// of becoming a message of its own, within dataflow.MaxCoalesce tuples
+// (see DESIGN.md); it still counts as one pending unit there.
 //
 // Every ingest passes through the admission layer: when a pending-message
 // budget (Config.MaxPending, JobSpec.MaxPending) would be exceeded, the
@@ -636,7 +637,7 @@ func (e *Engine) ingest(job string, src int, b *dataflow.Batch, p vtime.Time, tr
 		// PauseJob by design (a batch admitted just before the pause lands
 		// is retained like the rest of the backlog); PauseJob stores the
 		// flag before it returns, so every later ingest observes the pause.
-		return fmt.Errorf("%w: job %q", ErrJobPaused, job)
+		return j.PausedErr
 	}
 	if src < 0 || src >= j.Spec.Sources {
 		return fmt.Errorf("runtime: job %q: source %d out of range [0,%d)",
@@ -674,11 +675,12 @@ func (e *Engine) ingest(job string, src int, b *dataflow.Batch, p vtime.Time, tr
 	j.NoteSourceProgress(src, p)
 	now := e.clock.Now()
 	env := e.borrowEnv()
-	// The path consumes the parts synchronously (each is merged or pushed
-	// before it returns), so the env's scratch can go straight back to the
-	// pool. If the job was cancelled between the map lookup above and
-	// here, the path observes the dead operators and releases the parts.
-	e.path.ingest(j, src, dataflow.SourceParts(j, b, env), p, now, env)
+	// The path consumes the batch synchronously (every partition is merged
+	// or pushed before it returns), so the env's scratch can go straight
+	// back to the pool. If the job was cancelled between the map lookup
+	// above and here, the path observes the dead operators and releases
+	// the batch.
+	e.path.ingest(j, src, b, p, now, env)
 	e.ingestEnvs.Put(env)
 	e.adm.enforce(j, now)
 	return nil
@@ -688,9 +690,9 @@ func (e *Engine) ingest(job string, src int, b *dataflow.Batch, p vtime.Time, tr
 // external producer (the networked ingest tier's decode buffers). A
 // leased batch handed to Ingest/TryIngest is owned by the engine on
 // success — it recycles through the pool like any engine-created batch —
-// and stays the caller's to ReturnBatch when ingest refuses it. capacity
-// is a hint for fresh allocations; recycled batches keep their grown
-// capacity, so steady-state leasing does not allocate.
+// and stays the caller's to ReturnBatch when ingest refuses it. The batch
+// has room for capacity tuples, and steady-state leasing does not
+// allocate.
 func (e *Engine) LeaseBatch(capacity int) *dataflow.Batch {
 	env := e.borrowEnv()
 	b := env.NewBatch(capacity)

@@ -262,7 +262,7 @@ func (s *shape) run(t *testing.T, cfg Config) map[[2]int64]float64 {
 }
 
 // tryIngest offers a copy of b leased from the engine's pool (a pooled
-// batch is what ingest may chain onto a queued message) with TryIngest
+// batch is what ingest may merge into a queued message) with TryIngest
 // until it is admitted, waiting out every refusal; a refused lease stays
 // the caller's, so the retry offers the same batch.
 func (s *shape) tryIngest(t *testing.T, e *Engine, src int, b *dataflow.Batch, p vtime.Time) {

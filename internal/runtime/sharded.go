@@ -195,29 +195,25 @@ func (p *shardedPath) deliver(msgs []dataflow.ChildMessage, producer int) (waite
 }
 
 // ingest delivers one admitted source batch's stage-0 fan-out from an
-// external producer: parts[i] (see dataflow.SourceParts) is for stage-0
-// instance i. Under each target's lock the part is merged into source
-// src's queued tail message there when coalesce allows — no message, no
-// ID, no conversion, no push — and otherwise becomes a new message
-// (dataflow.SourceMessage), pushed and scheduled like deliver's, and the
-// channel's new tail. A target whose job was cancelled after ingest
-// looked the job up gets no message: its part is released.
-func (p *shardedPath) ingest(j *dataflow.Job, src int, parts []*dataflow.Batch, pr, now vtime.Time, env *dataflow.Env) {
+// external producer: b is cut (dataflow.Cut) across the stage-0
+// instances, partition i for instance i. Under each target's lock the
+// partition's tuples are appended to source src's queued tail message
+// there when coalesce allows — no message, no ID, no conversion, no push
+// — and otherwise become a new message (dataflow.SourceMessage), pushed
+// and scheduled like deliver's, and the channel's new tail. A target
+// whose job was cancelled after ingest looked the job up gets nothing.
+func (p *shardedPath) ingest(j *dataflow.Job, src int, b *dataflow.Batch, pr, now vtime.Time, env *dataflow.Env) {
 	e := p.e
+	cut := env.Cut(b, len(j.Stages[0]))
 	var wakes uint64
 	for i, op := range j.Stages[0] {
 		st := op.Sched()
 		st.Mu.Lock()
-		if st.Phase == core.OpDead {
-			st.Mu.Unlock()
-			env.FreeBatch(parts[i])
-			continue
-		}
-		if p.coalesce(op, src, parts[i], pr, now) {
+		if st.Phase == core.OpDead || p.coalesce(op, src, cut, i, pr, now) {
 			st.Mu.Unlock()
 			continue
 		}
-		m := dataflow.SourceMessage(j, src, op, parts[i], pr, now, env)
+		m := dataflow.SourceMessage(j, src, op, cut.Part(i), pr, now, env)
 		m.Enqueued = now
 		// Counted before the push makes it reachable by a worker, so the
 		// outstanding counts never dip below the work that exists.
@@ -234,12 +230,14 @@ func (p *shardedPath) ingest(j *dataflow.Job, src int, parts []*dataflow.Batch, 
 		st.Mu.Unlock()
 		wakes = p.wakeLater(wakes, lane)
 	}
+	cut.Release()
 	p.wakeAll(wakes)
 }
 
-// coalesce merges part, source src's batch for stage-0 operator op at
-// progress pr and arrival time now, into the channel's queued tail message
-// at op, and reports whether it did. It merges only when every rule holds:
+// coalesce merges partition i of cut, source src's batch for stage-0
+// operator op at progress pr and arrival time now, into the channel's
+// queued tail message at op, and reports whether it did. It merges only
+// when every rule holds:
 //
 //   - op's handler coalesces (op has Tails) and the policy is
 //     deadline-aware: such a policy gives a channel one deadline per
@@ -248,15 +246,16 @@ func (p *shardedPath) ingest(j *dataflow.Job, src int, parts []*dataflow.Batch, 
 //   - the channel has a tail (a queued message: every dequeue site clears
 //     it) with the part's port and local priority — the same window — and
 //     progress no higher than pr;
-//   - dataflow.Coalesce can chain the part onto the tail's payload: both
-//     pool-owned and at most MaxCoalesce tuples together.
+//   - dataflow.Cut.Merge can append the partition to the tail's payload:
+//     both engine-owned with alike columns, at most MaxCoalesce tuples
+//     together.
 //
 // A merge raises the tail's progress and arrival time to the part's and
 // adds one unit to the queued counts, as the message it replaces would
 // have; its ID, priorities and queue position stay. An event-time job's
 // progress mapper still observes the pair, as the conversion would have.
 // Caller holds op's lock.
-func (p *shardedPath) coalesce(op *dataflow.Operator, src int, part *dataflow.Batch, pr, now vtime.Time) bool {
+func (p *shardedPath) coalesce(op *dataflow.Operator, src int, cut *dataflow.Cut, i int, pr, now vtime.Time) bool {
 	tails := op.Sched().Tails
 	if tails == nil || p.deadlines == nil {
 		return false
@@ -268,7 +267,7 @@ func (p *shardedPath) coalesce(op *dataflow.Operator, src int, part *dataflow.Ba
 		return false
 	}
 	head, _ := tail.Payload.(*dataflow.Batch)
-	payload, ok := dataflow.Coalesce(head, part)
+	payload, ok := cut.Merge(head, i)
 	if !ok {
 		return false
 	}
