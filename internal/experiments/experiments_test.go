@@ -1,6 +1,7 @@
 package experiments_test
 
 import (
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -24,8 +25,18 @@ func findRow(t *testing.T, tb *Table, labels ...string) int {
 	return testkit.FindRow(t, tb.Title, tb.Rows, labels...)
 }
 
+// matchGolden compares r's rendering with testdata/<name>.txt, the
+// seed-1 report `cameo-bench -fig <id>` prints, less its "regenerated in"
+// line: the same seed must give byte-identical output. Fig 12 has none,
+// its tables being wall-clock measurements.
+func matchGolden(t *testing.T, name string, r *Report) {
+	t.Helper()
+	testkit.Golden(t, filepath.Join("testdata", name+".txt"), r.String())
+}
+
 func TestFig01Shape(t *testing.T) {
 	r := Fig01(1)
+	matchGolden(t, "fig1", r)
 	tb := r.Find("systems")
 	slotUtil := cell(t, tb, findRow(t, tb, "slot-based"), 2)
 	orlUtil := cell(t, tb, findRow(t, tb, "orleans"), 2)
@@ -42,6 +53,7 @@ func TestFig01Shape(t *testing.T) {
 
 func TestFig02Shape(t *testing.T) {
 	r := Fig02(1)
+	matchGolden(t, "fig2", r)
 	ta := r.Find("2a: data volume distribution")
 	top10 := cell(t, ta, findRow(t, ta, "10%"), 1)
 	if top10 < 0.5 {
@@ -61,6 +73,7 @@ func TestFig02Shape(t *testing.T) {
 
 func TestFig04Shape(t *testing.T) {
 	r := Fig04(1)
+	matchGolden(t, "fig4", r)
 	tb := r.Find("deadline violations")
 	a := cell(t, tb, 0, 1)
 	b := cell(t, tb, 1, 1)
@@ -76,6 +89,7 @@ func TestFig04Shape(t *testing.T) {
 
 func TestFig06Shape(t *testing.T) {
 	r := Fig06(1)
+	matchGolden(t, "fig6", r)
 	tb := r.Find("sink throughput by phase (tuples/s)")
 	// Phase 1: df1 alone gets all its demand; others zero.
 	if cell(t, tb, 0, 2) != 0 || cell(t, tb, 0, 3) != 0 {
@@ -97,6 +111,7 @@ func TestFig06Shape(t *testing.T) {
 
 func TestFig07Shape(t *testing.T) {
 	r := Fig07(1)
+	matchGolden(t, "fig7", r)
 	tb := r.Find("7a: query latency (ms)")
 	for _, q := range []string{"ipq1", "ipq2", "ipq3", "ipq4"} {
 		orl := cell(t, tb, findRow(t, tb, q, "orleans"), 4)
@@ -122,6 +137,7 @@ func TestFig08Shape(t *testing.T) {
 		t.Skip("fig 8 sweep is the heaviest experiment")
 	}
 	r := Fig08(1)
+	matchGolden(t, "fig8", r)
 	ta := r.Find("8a: varying BA ingestion rate")
 	// At the top rate, Cameo's LS p99 must beat both baselines.
 	top := "45x"
@@ -147,6 +163,7 @@ func TestFig08Shape(t *testing.T) {
 
 func TestFig09Shape(t *testing.T) {
 	r := Fig09(1)
+	matchGolden(t, "fig9", r)
 	tb := r.Find("9d: LS latency distribution")
 	camStd := cell(t, tb, findRow(t, tb, "cameo"), 3)
 	orlStd := cell(t, tb, findRow(t, tb, "orleans"), 3)
@@ -163,6 +180,7 @@ func TestFig09Shape(t *testing.T) {
 
 func TestFig10Shape(t *testing.T) {
 	r := Fig10(1)
+	matchGolden(t, "fig10", r)
 	tb := r.Find("success rate")
 	camT1 := cell(t, tb, findRow(t, tb, "cameo"), 1)
 	camT2 := cell(t, tb, findRow(t, tb, "cameo"), 2)
@@ -180,6 +198,7 @@ func TestFig10Shape(t *testing.T) {
 
 func TestFig11Shape(t *testing.T) {
 	r := Fig11(1)
+	matchGolden(t, "fig11", r)
 	tm := r.Find("multi-query latency, all IPQs pooled (ms)")
 	llf := cell(t, tm, findRow(t, tm, "llf"), 3)
 	edf := cell(t, tm, findRow(t, tm, "edf"), 3)
@@ -224,6 +243,7 @@ func TestFig12Shape(t *testing.T) {
 
 func TestFig13Shape(t *testing.T) {
 	r := Fig13(1)
+	matchGolden(t, "fig13", r)
 	tb := r.Find("group-1 latency vs batch size")
 	// The largest batch must be worse than the sweet spot (scheduling
 	// flexibility lost), and the sweet spot no worse than ~3x the smallest.
@@ -240,6 +260,7 @@ func TestFig13Shape(t *testing.T) {
 
 func TestFig14Shape(t *testing.T) {
 	r := Fig14(1)
+	matchGolden(t, "fig14", r)
 	tb := r.Find("quantum sweep: clustered stream progress")
 	finest := cell(t, tb, 0, 2)
 	oneMs := cell(t, tb, 1, 2)
@@ -258,6 +279,7 @@ func TestFig14Shape(t *testing.T) {
 
 func TestFig15Shape(t *testing.T) {
 	r := Fig15(1)
+	matchGolden(t, "fig15", r)
 	tb := r.Find("latency by scheduler knowledge")
 	cam := cell(t, tb, findRow(t, tb, "cameo"), 1)
 	nosem := cell(t, tb, findRow(t, tb, "cameo w/o"), 1)
@@ -275,6 +297,7 @@ func TestFig15Shape(t *testing.T) {
 
 func TestFig16Shape(t *testing.T) {
 	r := Fig16(1)
+	matchGolden(t, "fig16", r)
 	tb := r.Find("LS latency vs profiling noise")
 	p50Clean := cell(t, tb, 0, 1)
 	p50Noisy := cell(t, tb, len(tb.Rows)-1, 1)
@@ -286,6 +309,7 @@ func TestFig16Shape(t *testing.T) {
 
 func TestAblationStarvationShape(t *testing.T) {
 	r := AblationStarvation(1)
+	matchGolden(t, "figa2", r)
 	tb := r.Find("lax-job latency")
 	offP99 := cell(t, tb, findRow(t, tb, "off"), 2)
 	onP99 := cell(t, tb, findRow(t, tb, "2.000s"), 2)
@@ -308,6 +332,7 @@ func TestAblationStarvationShape(t *testing.T) {
 
 func TestAblationAlphaShape(t *testing.T) {
 	r := AblationAlpha(1)
+	matchGolden(t, "figa1", r)
 	tb := r.Find("latency vs alpha")
 	// Insensitivity claim: all alphas within 2x of each other at p50.
 	base := cell(t, tb, 0, 1)

@@ -11,6 +11,7 @@
 package testkit
 
 import (
+	"os"
 	"runtime"
 	"strconv"
 	"strings"
@@ -252,4 +253,29 @@ func FindRow(t testing.TB, title string, rows [][]string, labels ...string) int 
 	}
 	t.Fatalf("table %q has no row %v", title, labels)
 	return -1
+}
+
+// Golden fails the test unless got equals the file at path byte for byte,
+// naming the first line that differs. It compares only on amd64, where
+// the goldens are recorded: other architectures may fuse a multiply-add
+// and move a last printed digit.
+func Golden(t testing.TB, path, got string) {
+	t.Helper()
+	if runtime.GOARCH != "amd64" {
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got == string(want) {
+		return
+	}
+	gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+	for i := range min(len(gl), len(wl)) {
+		if gl[i] != wl[i] {
+			t.Fatalf("%s line %d:\n got  %q\n want %q", path, i+1, gl[i], wl[i])
+		}
+	}
+	t.Fatalf("%s: %d lines, want %d", path, len(gl), len(wl))
 }
