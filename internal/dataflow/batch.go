@@ -84,54 +84,48 @@ func keyHash(k int64) uint64 {
 }
 
 // partOf is the partition of n that key k belongs to: the one rule behind
-// partitionInto and Cut.
+// Partition and Cut.
 func partOf(k int64, n int) int { return int(keyHash(k) % uint64(n)) }
 
-// Partition splits the batch across n partitions by key hash. Unkeyed
-// batches (Keys nil) are returned whole in partition 0. The returned slice
-// always has n entries; empty partitions are nil.
+// Partition splits the batch across n partitions by key hash into fresh
+// batches, the allocating reference for Cut. Unkeyed batches (Keys nil),
+// and any batch split into one partition, are returned whole in partition
+// 0. The returned slice always has n entries; empty partitions are nil.
 func (b *Batch) Partition(n int) []*Batch {
 	out := make([]*Batch, n)
-	partitionInto(b, out, NewBatch)
+	if n == 1 || b == nil || b.Keys == nil {
+		out[0] = b
+		return out
+	}
+	for i, t := range b.Times {
+		p := partOf(b.Keys[i], n)
+		if out[p] == nil {
+			out[p] = NewBatch(len(b.Times)/n + 1)
+		}
+		out[p].Append(t, b.Keys[i], b.val(i))
+	}
 	return out
 }
 
-// partitionInto is the partitioning both copying forms share: Partition
-// allocates fresh output, Env.partition reuses scratch and pooled batches.
-// parts (len n, all nil) receives the result; alloc supplies destination
-// batches. split reports whether fresh partitions were created — when
-// false, parts[0] IS b (single partition or unkeyed batch) and ownership
-// of b moves to that partition's consumer.
-func partitionInto(b *Batch, parts []*Batch, alloc func(capacity int) *Batch) (split bool) {
-	if len(parts) == 1 || b == nil || b.Keys == nil {
-		parts[0] = b
-		return false
-	}
-	n := len(parts)
-	for i, t := range b.Times {
-		p := partOf(b.Keys[i], n)
-		if parts[p] == nil {
-			parts[p] = alloc(len(b.Times)/n + 1)
-		}
-		parts[p].Append(t, b.Keys[i], b.val(i))
-	}
-	return true
-}
-
-// Cut is one source batch cut across n partitions by key hash (the rule
-// Partition applies) without copying a tuple: it records each tuple's
-// partition, and a partition's tuples are copied once, straight to where
-// they go — appended to a queued message's payload (Merge) or into a
+// Cut is one batch cut across n partitions by key hash (the rule
+// Partition applies) without copying a tuple: it groups the tuples' indices
+// by partition, and a partition's tuples are copied once, straight to
+// where they go — appended to a queued message's payload (Merge) or into a
 // batch of their own (Part). Unkeyed batches, and any batch cut into one
-// partition, go whole to partition 0. A Cut is scratch of the Env that made it (see
-// Env.Cut), valid until that Env's next Cut; a nil *Cut is the cut of no
-// batch, every partition of it empty.
+// partition, go whole to partition 0. Every fan-out cuts this way — the
+// engine's ingest, the simulator's, and Finish's — and Release is the one
+// rule that settles the cut batch's ownership.
+//
+// A Cut is scratch of the Env that made it (see Env.Cut), valid until that
+// Env's next Cut; a nil *Cut is the cut of no batch, every partition of it
+// empty.
 type Cut struct {
 	env   *Env
 	b     *Batch
 	split bool    // b's tuples are spread by key; otherwise b is partition 0
 	of    []int32 // each tuple's partition, when split
-	lens  []int   // tuples per partition, when split
+	idx   []int32 // tuple indices grouped by partition, in source order, when split
+	start []int32 // partition i's indices are idx[start[i]:start[i+1]], when split
 	taken bool    // b itself became partition 0's batch (Part)
 }
 
@@ -141,7 +135,7 @@ func (c *Cut) count(i int) int {
 	case c == nil:
 		return 0
 	case c.split:
-		return c.lens[i]
+		return int(c.start[i+1] - c.start[i])
 	case i == 0:
 		return c.b.Len()
 	}
@@ -152,7 +146,7 @@ func (c *Cut) count(i int) int {
 // of a nil batch, a split partition without tuples, and every partition
 // but 0 of a batch that goes whole (which is a batch even with no tuples).
 func (c *Cut) empty(i int) bool {
-	return c == nil || c.b == nil || (c.split && c.lens[i] == 0) || (!c.split && i != 0)
+	return c == nil || c.b == nil || (c.split && c.start[i] == c.start[i+1]) || (!c.split && i != 0)
 }
 
 // Part returns partition i as a batch of its own: nil when it is empty,
@@ -168,7 +162,7 @@ func (c *Cut) Part(i int) *Batch {
 		c.taken = true
 		return c.b
 	}
-	part := c.env.NewBatch(c.lens[i])
+	part := c.env.NewBatch(c.count(i))
 	c.appendTo(part, i)
 	return part
 }
@@ -181,10 +175,8 @@ func (c *Cut) appendTo(dst *Batch, i int) {
 		dst.appendAll(b)
 		return
 	}
-	for k, p := range c.of {
-		if int(p) == i {
-			dst.Append(b.Times[k], b.Keys[k], b.val(k))
-		}
+	for _, k := range c.idx[c.start[i]:c.start[i+1]] {
+		dst.Append(b.Times[k], b.Keys[k], b.val(int(k)))
 	}
 }
 

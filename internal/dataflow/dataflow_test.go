@@ -230,6 +230,44 @@ func TestCoalesceBatches(t *testing.T) {
 	if again := env.NewBatch(1); again != src || again.Len() != 0 {
 		t.Error("Release did not recycle the split source batch")
 	}
+
+	// Every partition holds exactly Batch.Partition's tuples, at fan-outs
+	// 1 to 8, for keyed batches, batches whose keys all fall in one
+	// partition, and keyless, value-less and empty ones; Part and Merge
+	// mix on one cut.
+	kinds := map[string]func() *Batch{
+		"keyed":      func() *Batch { return fill(NewBatch(40), 40, 0) },
+		"one key":    func() *Batch { b := fill(NewBatch(9), 9, 0); clear(b.Keys); return b },
+		"keyless":    func() *Batch { b := fill(NewBatch(5), 5, 0); b.Keys = nil; return b },
+		"value-less": func() *Batch { b := fill(NewBatch(20), 20, 0); b.Vals = nil; return b },
+		"empty":      func() *Batch { return NewBatch(0) },
+		"nil":        func() *Batch { return nil },
+	}
+	for name, kind := range kinds {
+		for n := 1; n <= 8; n++ {
+			src := kind()
+			want := src.Partition(n)
+			c := env.Cut(src, n)
+			for i := range n {
+				if i%2 == 1 {
+					if got, ok := c.Merge(env.NewBatch(0), i); ok {
+						if got.Len() != want[i].Len() || (want[i] != nil && !same(got, want[i])) {
+							t.Errorf("%s, fan-out %d: Merge of partition %d appended %v, want %v", name, n, i, got, want[i])
+						}
+						continue
+					}
+				}
+				got := c.Part(i)
+				if (got == nil) != (want[i] == nil) || (got != nil && !same(got, want[i])) {
+					t.Errorf("%s, fan-out %d: Part(%d) = %v, want %v", name, n, i, got, want[i])
+				}
+				if want[i] == src && got != src {
+					t.Errorf("%s, fan-out %d: Part(%d) copied a batch that goes whole", name, n, i)
+				}
+			}
+			c.Release()
+		}
+	}
 }
 
 func TestJobSpecValidation(t *testing.T) {

@@ -2,6 +2,7 @@ package dataflow
 
 import (
 	"math/bits"
+	"slices"
 	"sync"
 
 	"github.com/cameo-stream/cameo/internal/core"
@@ -9,8 +10,8 @@ import (
 
 // Env is the per-worker execution environment of the hot path: the policy
 // and ID allocator, the message/batch pools, and the reusable scratch
-// buffers Invoke and Finish emit into and a source batch is cut in (Cut;
-// the simulator's SourceMessages too). One Env belongs to
+// buffers Invoke and Finish emit into and every fan-out cuts a batch in
+// (Cut: both engines' ingest, and Finish). One Env belongs to
 // exactly one goroutine at a time — the real-time engine keeps one per
 // worker plus a small pool it lends to ingest goroutines and other
 // non-worker callers; the sequential simulator keeps a single Env — so
@@ -35,12 +36,9 @@ type Env struct {
 	// pooling.
 	Batches *BatchPool
 
-	ctx    Context
-	out    ExecOutcome
-	cut    Cut
-	parts  []*Batch
-	source []ChildMessage
-	allocB func(capacity int) *Batch // NewBatch bound once, not per call
+	ctx Context
+	out ExecOutcome
+	cut Cut
 	// An external env's ends of the two pools (see core.FreeList): recycled
 	// objects reach it a chunk at a time. Worker envs use the pools'
 	// worker-indexed stashes instead.
@@ -51,9 +49,7 @@ type Env struct {
 // NewEnv returns an execution environment with pooling disabled (Msgs and
 // Batches nil). Engines that pool set the fields after construction.
 func NewEnv(policy core.Policy, nextID func() int64, worker int) *Env {
-	e := &Env{Policy: policy, NextID: nextID, Worker: worker}
-	e.allocB = e.NewBatch
-	return e
+	return &Env{Policy: policy, NextID: nextID, Worker: worker}
 }
 
 // NewMessage draws a zeroed message from the pool (or the heap when
@@ -97,7 +93,10 @@ func (e *Env) FreeBatch(b *Batch) {
 }
 
 // Cut cuts b across n partitions into the env's scratch (see Cut); call
-// Release once every partition is merged or taken.
+// Release once every partition is merged or taken. A split counts the
+// tuples per partition and then places each tuple's index in its
+// partition's run (a counting sort), so Part and Merge touch only their
+// own partition's tuples.
 func (e *Env) Cut(b *Batch, n int) *Cut {
 	c := &e.cut
 	c.env, c.b, c.taken = e, b, false
@@ -105,17 +104,29 @@ func (e *Env) Cut(b *Batch, n int) *Cut {
 	if !c.split {
 		return c
 	}
-	if cap(c.lens) < n {
-		c.lens = make([]int, n)
+	c.start = slices.Grow(c.start[:0], n+1)[:n+1]
+	start := c.start
+	clear(start)
+	tuples := len(b.Times)
+	c.of = slices.Grow(c.of[:0], tuples)[:tuples]
+	c.idx = slices.Grow(c.idx[:0], tuples)[:tuples]
+	for k, key := range b.Keys[:tuples] {
+		p := int32(partOf(key, n))
+		c.of[k] = p
+		start[p+1]++
 	}
-	c.lens = c.lens[:n]
-	clear(c.lens)
-	c.of = c.of[:0]
-	for i := range b.Times {
-		p := partOf(b.Keys[i], n)
-		c.of = append(c.of, int32(p))
-		c.lens[p]++
+	for i := 1; i <= n; i++ {
+		start[i] += start[i-1]
 	}
+	// Partition p's run is now start[p]:start[p+1]. Placing the tuples in
+	// source order with start[p] as p's cursor leaves start[p] at the end
+	// of p's run, where p+1's begins: shift the bounds back up by one.
+	for k, p := range c.of {
+		c.idx[start[p]] = int32(k)
+		start[p]++
+	}
+	copy(start[1:], start[:n])
+	start[0] = 0
 	return c
 }
 
@@ -128,22 +139,6 @@ func (c *Cut) Release() {
 		c.env.FreeBatch(c.b)
 	}
 	c.b = nil
-}
-
-// partition splits b across n partitions into the env's part scratch,
-// drawing destination batches from the batch pool — the zero-allocation
-// form of Batch.Partition (both share partitionInto, so the partitioning
-// rule cannot diverge). See partitionInto for the split/ownership
-// contract.
-func (e *Env) partition(b *Batch, n int) (parts []*Batch, split bool) {
-	if cap(e.parts) < n {
-		e.parts = make([]*Batch, n)
-	}
-	parts = e.parts[:n]
-	for i := range parts {
-		parts[i] = nil
-	}
-	return parts, partitionInto(b, parts, e.allocB)
 }
 
 // batchListCap bounds each worker-local batch free list; surplus leaves

@@ -70,13 +70,15 @@ func Invoke(op *Operator, m *core.Message, now vtime.Time, env *Env) []Emission 
 // and child messages are drawn from env's message pool, so the steady
 // state allocates nothing.
 //
-// Finish also settles batch ownership: an emission batch that was split
-// across downstream partitions (or recorded at the sink) is released to
-// the batch pool, one that was forwarded whole becomes the child's payload
-// and is released by *its* executor, and the incoming message's payload is
-// released unless an emission forwarded it downstream. Handlers therefore
-// must not retain a payload or emitted batch beyond the invocation that
-// saw it — copy what must survive.
+// Finish also settles batch ownership. A sink's emitted batch is released
+// once recorded. Every other emission is fanned out by Env.Cut, whose
+// Release is the one rule: a batch split across partitions goes back to
+// the pool, one forwarded whole becomes the child's payload and is
+// released by *its* executor. The incoming message's payload is released
+// here unless an emission was the payload, whose cut has then settled it.
+// Handlers therefore must not retain a payload or emitted batch beyond the
+// invocation that saw it — copy what must survive — nor emit one batch
+// twice.
 func Finish(op *Operator, m *core.Message, emissions []Emission, cost vtime.Duration,
 	env *Env) *ExecOutcome {
 
@@ -91,7 +93,7 @@ func Finish(op *Operator, m *core.Message, emissions []Emission, cost vtime.Dura
 	out.Children = out.Children[:0]
 	out.Outputs = out.Outputs[:0]
 	payload, _ := m.Payload.(*Batch)
-	payloadRetained := false
+	payloadSettled := false
 	low, _ := op.frontier.Min()
 
 	for _, e := range emissions {
@@ -108,28 +110,20 @@ func Finish(op *Operator, m *core.Message, emissions []Emission, cost vtime.Dura
 		// a child for every instance (empty partitions carry the progress
 		// downstream frontiers need — the watermark-heartbeat role).
 		targets := op.Job.Stages[op.Stage+1]
-		parts, split := env.partition(e.Batch, len(targets))
+		cut := env.Cut(e.Batch, len(targets))
 		for i, target := range targets {
 			child := env.NewMessage()
 			child.ID = env.NextID()
 			child.P, child.T = min(e.P, low), e.T
-			child.Payload = parts[i]
+			child.Payload = cut.Part(i)
 			child.Channel = op.Index
 			env.Policy.OnHop(&m.PC, child, op.Job.TargetInfo(op, target))
 			out.Children = append(out.Children, ChildMessage{Target: target, Msg: child})
 		}
-		switch {
-		case split && e.Batch != payload:
-			// The emitted batch was copied into fresh partitions and is no
-			// longer referenced.
-			env.FreeBatch(e.Batch)
-		case !split && e.Batch == payload && e.Batch != nil:
-			// The payload was forwarded whole as a child's payload; its new
-			// owner releases it.
-			payloadRetained = true
-		}
+		cut.Release()
+		payloadSettled = payloadSettled || e.Batch == payload
 	}
-	if payload != nil && !payloadRetained {
+	if payload != nil && !payloadSettled {
 		env.FreeBatch(payload)
 	}
 	return out
@@ -142,51 +136,19 @@ func Execute(op *Operator, m *core.Message, now vtime.Time, cost vtime.Duration,
 	return Finish(op, m, Invoke(op, m, now, env), cost, env)
 }
 
-// SourceMessages converts one source batch emission into routed, fully
-// prioritized messages for stage 0 (BUILDCXTATSOURCE per message): b is cut
-// by SourceParts and each part becomes a SourceMessage. The returned slice
-// is env scratch, valid until the env's next use.
-func SourceMessages(j *Job, src int, b *Batch, p, t vtime.Time, env *Env) []ChildMessage {
-	if src < 0 || src >= j.Spec.Sources {
-		panic("dataflow: source out of range for job " + j.Spec.Name)
-	}
-	out := env.source[:0]
-	for i, part := range SourceParts(j, b, env) {
-		target := j.Stages[0][i]
-		out = append(out, ChildMessage{Target: target, Msg: SourceMessage(j, src, target, part, p, t, env)})
-	}
-	env.source = out
-	return out
-}
-
-// SourceParts partitions a source batch across the job's stage-0
-// instances: part i is instance i's. The returned slice is env scratch,
-// valid until the env's next partition.
-//
-// Batch ownership: when b is split into fresh pool-owned partitions it is
-// released back to the env's batch pool afterwards — a no-op for
-// externally created batches (the common Ingest case; callers keep
-// ownership and may reuse them), but the step that lets the networked
-// ingest tier lease decode buffers from the engine pool and have them
-// recycle without a per-flush allocation. When b is forwarded whole to a
-// single/unkeyed target it is NOT split and ownership moves to that
-// part's consumer, which settles it at Finish or discard.
-func SourceParts(j *Job, b *Batch, env *Env) []*Batch {
-	parts, split := env.partition(b, len(j.Stages[0]))
-	if split {
-		env.FreeBatch(b)
-	}
-	return parts
-}
-
 // SourcePort is the logical input port source channel src feeds: the
 // sources form SourcePorts equal runs, in index order.
 func SourcePort(j *Job, src int) int { return src / (j.Spec.Sources / j.Spec.SourcePorts) }
 
 // SourceMessage builds the stage-0 message carrying part, source src's
-// batch (or its partition) for target, at progress p and arrival time t,
-// with a fresh ID and the policy's source conversion.
+// batch (or its partition, Cut.Part) for target, at progress p and arrival
+// time t, with a fresh ID and the policy's source conversion
+// (BUILDCXTATSOURCE). A source index the job does not have panics instead
+// of misrouting the batch onto another source's channel.
 func SourceMessage(j *Job, src int, target *Operator, part *Batch, p, t vtime.Time, env *Env) *core.Message {
+	if src < 0 || src >= j.Spec.Sources {
+		panic("dataflow: source out of range for job " + j.Spec.Name)
+	}
 	m := env.NewMessage()
 	m.ID = env.NextID()
 	m.P, m.T = p, t

@@ -32,6 +32,19 @@ func exampleJob(t *testing.T) *Job {
 	return j
 }
 
+// sourceMessages fans b out to j's stage-0 instances as both executors'
+// ingest does (less the engine's merge): Env.Cut, one SourceMessage per
+// instance, Cut.Release.
+func sourceMessages(j *Job, src int, b *Batch, p, t vtime.Time, env *Env) []ChildMessage {
+	var out []ChildMessage
+	cut := env.Cut(b, len(j.Stages[0]))
+	for i, target := range j.Stages[0] {
+		out = append(out, ChildMessage{Target: target, Msg: SourceMessage(j, src, target, cut.Part(i), p, t, env)})
+	}
+	cut.Release()
+	return out
+}
+
 func TestSourceMessagesArePrioritized(t *testing.T) {
 	j := exampleJob(t)
 	var id int64
@@ -40,7 +53,7 @@ func TestSourceMessagesArePrioritized(t *testing.T) {
 	b := NewBatch(2)
 	b.Append(10, 1, 1)
 	b.Append(20, 2, 1)
-	msgs := SourceMessages(j, 1, b, 20, 25, env)
+	msgs := sourceMessages(j, 1, b, 20, 25, env)
 	if len(msgs) != 2 { // one delivery per stage-0 instance
 		t.Fatalf("messages = %d, want 2", len(msgs))
 	}
@@ -233,7 +246,7 @@ func TestSourceMessagesPorts(t *testing.T) {
 	}
 	env := NewEnv(&core.DeadlinePolicy{Kind: core.KindLLF}, func() int64 { return 1 }, -1)
 	for src, port := range []int{0, 0, 1, 1} {
-		msgs := SourceMessages(j, src, NewBatch(0), 5, 6, env)
+		msgs := sourceMessages(j, src, NewBatch(0), 5, 6, env)
 		if len(msgs) != 2 {
 			t.Fatalf("source %d: %d messages, want 2", src, len(msgs))
 		}
@@ -246,8 +259,9 @@ func TestSourceMessagesPorts(t *testing.T) {
 	}
 }
 
-// TestSourceMessagesOutOfRangePanics: a source index the job does not have
-// panics instead of misrouting a batch onto another source's channel.
+// TestSourceMessagesOutOfRangePanics: SourceMessage panics on a source
+// index the job does not have instead of misrouting a batch onto another
+// source's channel.
 func TestSourceMessagesOutOfRangePanics(t *testing.T) {
 	j := exampleJob(t)
 	env := NewEnv(&core.DeadlinePolicy{Kind: core.KindLLF}, func() int64 { return 1 }, -1)
@@ -258,7 +272,7 @@ func TestSourceMessagesOutOfRangePanics(t *testing.T) {
 					t.Errorf("source %d: expected panic", src)
 				}
 			}()
-			SourceMessages(j, src, NewBatch(0), 0, 0, env)
+			SourceMessage(j, src, j.Stages[0][0], NewBatch(0), 0, 0, env)
 		}()
 	}
 }
@@ -377,4 +391,72 @@ func (testPolicy) OnSource(m *core.Message, _ core.TargetInfo) {
 
 func (p testPolicy) OnHop(_ *core.PriorityContext, m *core.Message, ti core.TargetInfo) {
 	p.OnSource(m, ti)
+}
+
+// TestFinishBatchOwnership: Finish settles every batch by the one rule,
+// Cut.Release, whether the handler emits its input payload or a fresh
+// batch, forwarded whole or split. A batch forwarded whole belongs to the
+// child that carries it and stays leased; every other batch — the one
+// split, the payload not emitted — goes back to the pool.
+func TestFinishBatchOwnership(t *testing.T) {
+	for _, c := range []struct {
+		name        string
+		par         int
+		emitPayload bool
+	}{
+		{"payload whole", 1, true},
+		{"payload split", 3, true},
+		{"fresh whole", 1, false},
+		{"fresh split", 3, false},
+	} {
+		var fresh *Batch
+		j, err := NewJob(JobSpec{
+			Name: "o", Latency: vtime.Second, Sources: 1,
+			Stages: []StageSpec{
+				{Name: "a", Parallelism: 1, NewHandler: func(int) Handler {
+					return HandlerFunc(func(ctx *Context, m *core.Message) []Emission {
+						b, _ := m.Payload.(*Batch)
+						if !c.emitPayload {
+							fresh = ctx.NewBatch(b.Len())
+							fresh.appendAll(b)
+							b = fresh
+						}
+						return []Emission{{Batch: b, P: m.P, T: m.T}}
+					})
+				}},
+				{Name: "b", Parallelism: c.par, NewHandler: passthroughHandler},
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		env := NewEnv(testPolicy{}, func() int64 { return 1 }, 0)
+		env.Batches = NewBatchPool(1)
+		payload := env.NewBatch(4)
+		for k := range 4 {
+			payload.Append(1, int64(k), 1)
+		}
+		out := Execute(j.Stages[0][0], &core.Message{P: 1, T: 1, Payload: payload}, 1, 1, env)
+		emitted := payload
+		if !c.emitPayload {
+			emitted = fresh
+		}
+		whole := false
+		for _, ch := range out.Children {
+			b, _ := ch.Msg.Payload.(*Batch)
+			if b != nil && !b.pooled {
+				t.Errorf("%s: a child's payload went back to the pool", c.name)
+			}
+			whole = whole || b == emitted
+		}
+		if whole != (c.par == 1) {
+			t.Errorf("%s: emitted batch handed on whole = %v, want %v", c.name, whole, c.par == 1)
+		}
+		if emitted.pooled != whole {
+			t.Errorf("%s: emitted batch still leased = %v, want %v", c.name, emitted.pooled, whole)
+		}
+		if !c.emitPayload && payload.pooled {
+			t.Errorf("%s: the payload the handler did not emit stayed leased", c.name)
+		}
+	}
 }

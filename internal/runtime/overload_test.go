@@ -22,8 +22,8 @@ import (
 )
 
 // TestIngestSourceOutOfRange: a bad source index must come back as an
-// error, not a panic (ISSUE satellite — dataflow.SourceMessages panics,
-// so the engine has to validate first).
+// error, not a panic (dataflow.SourceMessage panics, so the engine has to
+// validate first).
 func TestIngestSourceOutOfRange(t *testing.T) {
 	for _, cell := range EngineCells {
 		t.Run(cell.Name, func(t *testing.T) {

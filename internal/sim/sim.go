@@ -71,9 +71,10 @@ type Config struct {
 	// TraceLimit, when positive, records up to this many schedule events
 	// for Figure 7(c)-style timelines.
 	TraceLimit int
-	// ThroughputBucket is the timeline bucket width (default 1 s).
-	ThroughputBucket vtime.Duration
 }
+
+// throughputBucket is the width of each job's throughput timeline bucket.
+const throughputBucket = vtime.Second
 
 func (c *Config) fill() {
 	if c.Nodes <= 0 {
@@ -92,9 +93,6 @@ func (c *Config) fill() {
 			c.Policy = core.ArrivalPolicy{}
 		}
 	}
-	if c.ThroughputBucket <= 0 {
-		c.ThroughputBucket = vtime.Second
-	}
 	if c.End <= 0 {
 		panic("sim: Config.End must be set")
 	}
@@ -104,7 +102,7 @@ func (c *Config) fill() {
 type Results struct {
 	// Recorder holds per-job output latencies and success rates.
 	Recorder *metrics.Recorder
-	// Throughput holds one timeline per job of sink tuples per bucket.
+	// Throughput holds one timeline per job of sink tuples per 1 s bucket.
 	Throughput map[string]*metrics.Timeline
 	// Trace holds schedule events when Config.TraceLimit was set.
 	Trace *metrics.ScheduleTrace
@@ -223,7 +221,7 @@ func (c *Cluster) AddJob(spec dataflow.JobSpec, feed Feed) (*dataflow.Job, error
 	}
 	c.jobs = append(c.jobs, &jobEntry{job: job, feed: feed})
 	c.rec.DeclareJob(spec.Name, spec.Latency)
-	c.thr[spec.Name] = metrics.NewTimeline(c.cfg.ThroughputBucket)
+	c.thr[spec.Name] = metrics.NewTimeline(throughputBucket)
 	return job, nil
 }
 
@@ -293,17 +291,23 @@ func (c *Cluster) scheduleNextSourceEmission(je *jobEntry, src int) {
 	c.push(event{t: t, kind: evSource, job: je, src: src, batch: b, p: p})
 }
 
+// handleSourceEmission fans a source batch out to the job's stage-0
+// instances the way the engine's ingest does, less the merge: the batch is
+// cut (dataflow.Env.Cut) and partition i becomes instance i's message.
 func (c *Cluster) handleSourceEmission(ev event) {
 	now := c.clock.Now()
-	msgs := dataflow.SourceMessages(ev.job.job, ev.src, ev.batch, ev.p, now, c.env)
-	for _, cm := range msgs {
-		n := c.placement[cm.Target]
+	j := ev.job.job
+	cut := c.env.Cut(ev.batch, len(j.Stages[0]))
+	for i, target := range j.Stages[0] {
+		m := dataflow.SourceMessage(j, ev.src, target, cut.Part(i), ev.p, now, c.env)
+		n := c.placement[target]
 		if c.cfg.NetworkDelay > 0 {
-			c.push(event{t: now + c.cfg.NetworkDelay, kind: evDeliver, node: n, target: cm.Target, msg: cm.Msg})
+			c.push(event{t: now + c.cfg.NetworkDelay, kind: evDeliver, node: n, target: target, msg: m})
 		} else {
-			c.deliver(n, cm.Target, cm.Msg)
+			c.deliver(n, target, m)
 		}
 	}
+	cut.Release()
 	c.scheduleNextSourceEmission(ev.job, ev.src)
 }
 

@@ -279,3 +279,21 @@ func Golden(t testing.TB, path, got string) {
 	}
 	t.Fatalf("%s: %d lines, want %d", path, len(gl), len(wl))
 }
+
+// Mallocs calls f once to warm it up, then runs times more under
+// GOMAXPROCS(1), and returns the heap allocations those calls made in
+// total. testing.AllocsPerRun divides that total by runs in integers, so
+// it reads 0 for fewer allocations than runs; Mallocs sees every one. One
+// P keeps each sync.Pool access on the P's private slot, which a goroutine
+// that changes P misses (and allocates for) at random.
+func Mallocs(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
